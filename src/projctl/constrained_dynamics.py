@@ -1,23 +1,35 @@
 """Non-minimal constrained dynamics built on the null-space projector.
 
-The central object is the :class:`ConstraintFrame`: given a robot model and a
-state with an active contact set, it holds the projector bundle together with
-the constrained inertia matrix M_bar = P M P + nu (I - P), the matching
-Coriolis matrix C_bar, the oblique force projector S = I - M M_bar^-1 P and
-the bias map Q = M Omega + C.  Accelerations and contact forces are then plain
-matrix-vector evaluations on the frame.
+The dynamics stay n x n whatever the active contact set: with P the
+orthogonal projector onto null(A), the constrained inertia is
+M_bar = P M P + nu (I - P) and the matching Coriolis matrix is
+C_bar = P C P + P M P_dot - nu L, so a contact switch changes P, never a
+dimension.  :func:`build_frame` evaluates the model and this algebra once at
+a state and returns a :class:`ConstraintFrame`.  The frame's M_bar^-1, the
+oblique force projector S = I - M M_bar^-1 P and the bias map
+Q = M Omega + C are computed on first use, so each of the frame's two
+callers pays only for what it reads:
+
+- a control tick reads all of it (task map, control law, torque allocator,
+  :func:`contact_forces`);
+- an integrator stage reads only :func:`constrained_accel`,
+  qdd = M_bar^-1 (P (B u + tau_g) - C_bar qd), and never forms S or Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constraint_geometry import (
+# build_frame calls _projector, not null_projector / projector_rate; those
+# two stay importable from this module for profilers that rebind them here.
+from .constraint_geometry import (  # noqa: F401
     DEFAULT_RANK_TOL,
     ProjectorBundle,
+    _projector,
     jacobian_rate,
     null_projector,
     projector_rate,
@@ -112,12 +124,16 @@ class RobotModel:
     def contact_stack_rate(
         self, q: np.ndarray, q_dot: np.ndarray, active: Sequence[int], h: float = 1e-6
     ) -> np.ndarray:
+        """d/dt of contact_stack: analytic block rates where given, else central differences."""
         if len(active) == 0:
             return np.zeros((0, self.n))
         rows = []
         for i in active:
             c = self.contacts[i]
-            rows.append(jacobian_rate(c.jacobian, q, q_dot, h=h, analytic_rate=c.jacobian_rate))
+            if c.jacobian_rate is not None:
+                rows.append(c.jacobian_rate(q, q_dot))
+            else:
+                rows.append(jacobian_rate(c.jacobian, q, q_dot, h=h))
         return np.vstack(rows)
 
     def friction_coefficients(self, active: Sequence[int]) -> np.ndarray:
@@ -145,7 +161,11 @@ class RobotState:
 
 @dataclass(frozen=True)
 class ConstraintFrame:
-    """All projection-derived quantities evaluated at one state."""
+    """All projection-derived quantities evaluated at one state.
+
+    M_bar_inv, S and Q are computed on first use and then kept: an integrator
+    stage reads only M_bar_inv, a control tick reads all three.
+    """
 
     bundle: ProjectorBundle
     M: np.ndarray
@@ -153,11 +173,7 @@ class ConstraintFrame:
     tau_g: np.ndarray
     M_bar: np.ndarray
     C_bar: np.ndarray
-    M_bar_inv: np.ndarray
-    S: np.ndarray
-    Q: np.ndarray
     nu: float
-    Gamma_dyn: np.ndarray
     active: Tuple[int, ...] = ()
 
     @property
@@ -167,6 +183,20 @@ class ConstraintFrame:
     @property
     def n(self) -> int:
         return self.M.shape[0]
+
+    @cached_property
+    def M_bar_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.M_bar)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """Oblique force projector I - M M_bar^-1 P."""
+        return np.eye(self.n) - self.M @ self.M_bar_inv @ self.P
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """Bias map M Omega + C."""
+        return self.M @ self.bundle.Omega + self.C
 
 
 @dataclass(frozen=True)
@@ -209,10 +239,13 @@ def build_frame(
 ) -> ConstraintFrame:
     """Assemble the constraint frame at a state.
 
-    nu defaults to trace(M(q))/n; callers that integrate over time should fix
-    it once at the initial state so M_bar stays smooth in time.
+    Evaluates M, C, tau_g, A and A_dot once, validates what the model's
+    callbacks return (shapes, finite A and A_dot) and nu > 0, then forms
+    A^+, P, L and M_bar, C_bar.  nu defaults to trace(M(q))/n; callers that
+    integrate over time should fix it once at the initial state so M_bar stays
+    smooth in time.
     """
-    q, qd = state.q, state.q_dot
+    q, qd, active = state.q, state.q_dot, state.active_contacts
     M = np.asarray(model.mass_matrix(q), dtype=float)
     C = np.asarray(model.coriolis_matrix(q, qd), dtype=float)
     tau_g = np.asarray(model.gravity(q), dtype=float)
@@ -220,27 +253,28 @@ def build_frame(
     if M.shape != (n, n) or C.shape != (n, n) or tau_g.shape != (n,):
         raise InputError("model callbacks returned inconsistent shapes")
 
-    A = model.contact_stack(q, state.active_contacts)
-    A_dot = model.contact_stack_rate(q, qd, state.active_contacts, h=fd_step)
-    bundle = projector_rate(A, A_dot, null_projector(A, rank_tol))
+    A = np.asarray(model.contact_stack(q, active), dtype=float)
+    A_dot = model.contact_stack_rate(q, qd, active, h=fd_step)
+    if A.shape != (3 * len(active), n) or A_dot.shape != A.shape:
+        raise InputError(f"contact stack is {A.shape} with rate {A_dot.shape}, expected {(3 * len(active), n)}")
+    if not (np.isfinite(A).all() and np.isfinite(A_dot).all()):
+        raise InputError("contact stack or its rate contains non-finite entries")
 
     if nu is None:
         nu = float(np.trace(M)) / n
     if not nu > 0:
         raise InputError(f"nu must be positive, got {nu}")
 
-    P = bundle.P
-    I = np.eye(n)
-    L = bundle.L
-    M_bar = P @ M @ P + nu * (I - P)
+    # the exact operations of projector_rate(A, A_dot, null_projector(A, rank_tol)),
+    # so frames and traces stay bit-identical to that public path
+    A_pinv, P, rank = _projector(A, rank_tol)
+    L = -A_pinv @ A_dot @ P
+    P_dot = L + L.T
+    bundle = ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank, L=L, Omega=L - L.T, P_dot=P_dot)
+
+    M_bar = P @ M @ P + nu * (np.eye(n) - P)
     M_bar = 0.5 * (M_bar + M_bar.T)
-    C_bar = P @ C @ P + P @ M @ bundle.P_dot - nu * L
-    try:
-        M_bar_inv = np.linalg.inv(M_bar)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - nu > 0 excludes this
-        raise AssertionError("constrained inertia matrix is singular despite nu > 0") from exc
-    S = I - M @ M_bar_inv @ P
-    Q = M @ bundle.Omega + C
+    C_bar = P @ C @ P + P @ M @ P_dot - nu * L
     return ConstraintFrame(
         bundle=bundle,
         M=M,
@@ -248,12 +282,8 @@ def build_frame(
         tau_g=tau_g,
         M_bar=M_bar,
         C_bar=C_bar,
-        M_bar_inv=M_bar_inv,
-        S=S,
-        Q=Q,
         nu=float(nu),
-        Gamma_dyn=L,
-        active=state.active_contacts,
+        active=active,
     )
 
 

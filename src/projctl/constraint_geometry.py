@@ -136,17 +136,23 @@ def null_projector(A, rank_tol: float = DEFAULT_RANK_TOL) -> ProjectorBundle:
     symmetric and idempotent to machine precision even for rank-deficient A.
     """
     A = _as_matrix(A)
+    A_pinv, P, rank = _projector(A, rank_tol)
+    return ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank)
+
+
+def _projector(A: np.ndarray, rank_tol: float):
+    """(A^+, P, rank) of a finite 2-d float A, with no validation of A."""
     n = A.shape[1]
     U, s, Vt, rank = _svd_cutoff(A, rank_tol)
     if rank == 0:
-        return ProjectorBundle(A=A, A_pinv=np.zeros((n, A.shape[0])), P=np.eye(n), rank=0)
+        return np.zeros((n, A.shape[0])), np.eye(n), 0
     inv_s = np.zeros_like(s)
     inv_s[:rank] = 1.0 / s[:rank]
     A_pinv = (Vt.T * inv_s) @ U.T
     V1 = Vt[:rank].T
     P = np.eye(n) - V1 @ V1.T
     P = 0.5 * (P + P.T)
-    return ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank)
+    return A_pinv, P, rank
 
 
 def projector_rate(A, A_dot, bundle: ProjectorBundle) -> ProjectorBundle:

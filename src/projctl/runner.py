@@ -343,6 +343,7 @@ def compare_controllers(config_path, out_dir: Optional[str] = None, quiet: bool 
     directory, prefix = output_paths(cfg, out_dir, Path(str(config_path)).stem)
 
     rows = []
+    summaries = []
     traces = {}
     for kind in kinds:
         if not isinstance(kind, str):
@@ -352,15 +353,16 @@ def compare_controllers(config_path, out_dir: Optional[str] = None, quiet: bool 
         traces[kind] = trace
         trace_path = directory / f"{prefix}_{kind}_trace.csv"
         atomic_write(trace_path, trace.to_csv())
-        qsteps = trace.newton_iters > 0
+        summary = build_report(trace, scenario)
+        summaries.append(summary)
         rows.append(
             ControllerRow(
                 optimizer=kind,
-                dissipated_energy=dissipated_energy(trace),
-                violation_count=count_violations(trace, scenario.model.u_min, scenario.model.u_max),
-                final_tracking_error=float(trace.e_norm[-1]),
+                dissipated_energy=summary.dissipated_energy,
+                violation_count=summary.violation_count,
+                final_tracking_error=summary.final_tracking_error,
                 max_tracking_error=float(trace.e_norm.max()),
-                mean_newton_iters=float(trace.newton_iters[qsteps].mean()) if qsteps.any() else 0.0,
+                mean_newton_iters=summary.mean_newton_iters,
                 trace_file=str(trace_path),
             )
         )
@@ -372,15 +374,11 @@ def compare_controllers(config_path, out_dir: Optional[str] = None, quiet: bool 
         if mn.violation_count == 0 and qc.violation_count == 0:
             dominance = qc.dissipated_energy <= mn.dissipated_energy * (1 + 1e-9)
 
-    base = rows[0]
-    report = RunReport(
+    # summary fields come from the first optimizer's run; drift is the worst of all runs
+    report = replace(
+        summaries[0],
         scenario=prefix,
-        final_tracking_error=base.final_tracking_error,
-        dissipated_energy=base.dissipated_energy,
-        violation_count=base.violation_count,
-        mean_newton_iters=base.mean_newton_iters,
-        mean_centering_steps=0.0,
-        max_drift=max(float(traces[k].drift.max()) for k in traces),
+        max_drift=max(summary.max_drift for summary in summaries),
         rows=rows,
         power_dominance_ok=dominance,
     )

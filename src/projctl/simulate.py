@@ -1,11 +1,15 @@
 """Fixed-step constrained simulation with scheduled contact switching.
 
-The integrator advances the projected dynamics with classical RK4 under a
-zero-order-hold actuation, then projects the velocity back onto the active
-null space each step (with optional position-level stabilization against the
-contact anchors).  Contact switches are schedule-driven: activating a contact
-projects the velocity impulsively onto the new admissible space; all matrices
-stay n x n throughout, so the controller code path never changes.
+Each control tick builds a ConstraintFrame for the task map, the control law,
+the torque allocator and the contact forces.  The integrator then advances
+the projected dynamics with classical RK4 under a zero-order-hold actuation;
+each stage builds a frame and reads only its acceleration (constrained_dynamics
+says what each of the two computes).  After each step the velocity is
+projected back onto the active null space (with optional position-level
+stabilization against the contact anchors).  Contact switches are
+schedule-driven: activating a contact projects the velocity impulsively onto
+the new admissible space; all matrices stay n x n throughout, so the
+controller code path never changes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .constrained_dynamics import (
     RobotModel,
     RobotState,
     build_frame,
+    constrained_accel,
     contact_forces,
 )
 from .constraint_geometry import DEFAULT_RANK_TOL, null_projector
@@ -280,11 +285,9 @@ def step(
     active = state.active_contacts
 
     def accel(q, q_dot):
-        s = RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=active)
-        frame = build_frame(model, s, nu=nu, rank_tol=opts.rank_tol)
-        qdd = frame.M_bar_inv @ (
-            frame.P @ (model.actuation @ u + frame.tau_g) - frame.C_bar @ q_dot
-        )
+        stage = RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=active)
+        frame = build_frame(model, stage, nu=nu, rank_tol=opts.rank_tol)
+        qdd = constrained_accel(frame, model, stage, u)
         if opts.baumgarte and anchors:
             qdd = qdd + _baumgarte_correction(
                 model, q, q_dot, active, anchors, opts.baumgarte_gains, opts.rank_tol
@@ -321,7 +324,10 @@ def step(
 
 
 def _allocate(scenario: Scenario, frame: ConstraintFrame, state, tau_c, prev_u):
-    """Dispatch to the torque allocator; returns (u, newton_iters, eta, status)."""
+    """Dispatch to the torque allocator.
+
+    Returns (u, newton_iters, centering_steps, eta, status).
+    """
     model = scenario.model
     spec = scenario.optimizer
     if spec.kind == "min_norm":
@@ -381,6 +387,7 @@ def simulate(scenario: Scenario) -> SimTrace:
         "lyapunov", "phi_norm", "d_norm", "newton", "centering", "eta", "status", "drift", "active",
     )}
 
+    W = np.diag(model.motor_resistance / model.torque_constant**2)
     pending = list(scenario.schedule)
     prev_u = None
     for i in range(n_steps + 1):
@@ -414,7 +421,6 @@ def simulate(scenario: Scenario) -> SimTrace:
                 lam_row[3 * idx : 3 * idx + 3] = per[slot]
                 margin_row[idx] = wrench.margins[slot]
 
-        W = np.diag(model.motor_resistance / model.torque_constant**2)
         cols["t"].append(t)
         cols["q"].append(state.q.copy())
         cols["dq"].append(state.q_dot.copy())

@@ -125,6 +125,20 @@ class TestCompare:
         assert kinds == ["min_norm", "qcqp"]
         assert body["power_dominance_ok"] is True
 
+    def test_compare_summary_counts_centering(self, tmp_path):
+        # the summary fields of a compare report come from its first optimizer's run
+        path, _ = short_config(
+            tmp_path, base="compare_cone.json", duration=0.02, **{"optimizer.types": ["qcqp", "min_norm"]}
+        )
+        traces, report, _ = compare_controllers(path, quiet=True)
+        qcqp = traces["qcqp"]
+        solved = qcqp.newton_iters > 0
+        assert solved.any()
+        assert report.mean_newton_iters == float(qcqp.newton_iters[solved].mean())
+        assert report.mean_centering_steps == float(qcqp.centering[solved].mean())
+        assert report.mean_centering_steps > 0
+        assert report.max_drift == max(float(t.drift.max()) for t in traces.values())
+
     def test_compare_requires_types(self, tmp_path):
         path, cfg = short_config(tmp_path)
         assert main(["compare", str(path), "--quiet"]) == 2

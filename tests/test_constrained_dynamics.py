@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projctl.constrained_dynamics import (
     RobotState,
@@ -8,7 +11,7 @@ from projctl.constrained_dynamics import (
     constrained_accel,
     contact_forces,
 )
-from projctl.constraint_geometry import null_projector
+from projctl.constraint_geometry import null_projector, projector_rate
 from projctl.errors import InputError
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, random_manifold_state
@@ -175,6 +178,77 @@ class TestConstrainedAccel:
             lhs = (np.eye(arm.n) - frame.P) @ qdd
             rhs = frame.bundle.Omega @ state.q_dot
             assert np.abs(lhs - rhs).max() <= 1e-8
+
+
+def unit_vectors(size):
+    return st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size).map(np.array)
+
+
+def eager_frame(model, state, u, nu=None):
+    """The frame algebra written out eagerly on the public projector API."""
+    q, qd, active = state.q, state.q_dot, state.active_contacts
+    M, C, tau_g = model.mass_matrix(q), model.coriolis_matrix(q, qd), model.gravity(q)
+    A = model.contact_stack(q, active)
+    bundle = projector_rate(A, model.contact_stack_rate(q, qd, active), null_projector(A))
+    nu = float(np.trace(M)) / model.n if nu is None else nu
+    P, I = bundle.P, np.eye(model.n)
+    M_bar = P @ M @ P + nu * (I - P)
+    M_bar = 0.5 * (M_bar + M_bar.T)
+    C_bar = P @ C @ P + P @ M @ bundle.P_dot - nu * bundle.L
+    M_bar_inv = np.linalg.inv(M_bar)
+    return {
+        "M_bar": M_bar,
+        "C_bar": C_bar,
+        "M_bar_inv": M_bar_inv,
+        "S": I - M @ M_bar_inv @ P,
+        "Q": M @ bundle.Omega + C,
+        "qdd": M_bar_inv @ (P @ (model.actuation @ u + tau_g) - C_bar @ qd),
+    }
+
+
+class TestFrameBitExact:
+    """build_frame and constrained_accel, the integrator's per-stage path, keep
+    the exact floating-point operations of the eager algebra."""
+
+    @staticmethod
+    def assert_bit_exact(model, q, qd, active, u, nu):
+        state = RobotState(t=0.0, q=q, q_dot=qd, active_contacts=active)
+        expected = eager_frame(model, state, u, nu)
+        frame = build_frame(model, state, nu=nu)
+        assert np.array_equal(constrained_accel(frame, model, state, u), expected["qdd"])
+        for name in ("M_bar", "C_bar", "M_bar_inv", "S", "Q"):
+            assert np.array_equal(getattr(frame, name), expected[name]), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(dq=unit_vectors(3), qd=unit_vectors(3), du=unit_vectors(3), nu=st.none() | st.floats(0.1, 5.0))
+    def test_arm_tip_contact(self, arm, dq, qd, du, nu):
+        self.assert_bit_exact(arm, ARM_HOME + 0.3 * dq, qd, (0,), 5.0 * du, nu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dq=unit_vectors(5),
+        qd=unit_vectors(5),
+        du=unit_vectors(2),
+        active=st.sampled_from([(), (0,), (0, 1)]),
+        nu=st.none() | st.floats(0.1, 5.0),
+    )
+    def test_biped_active_sets(self, biped, dq, qd, du, active, nu):
+        self.assert_bit_exact(biped, BIPED_HOME + 0.2 * dq, qd, active, 20.0 * du, nu)
+
+    @settings(max_examples=25, deadline=None)
+    @given(base=unit_vectors(3), hip=st.floats(-0.5, 0.5), qd=unit_vectors(5), du=unit_vectors(2))
+    def test_coincident_feet_rank_deficient(self, biped, base, hip, qd, du):
+        q = np.concatenate([BIPED_HOME[:3] + 0.1 * base, [hip, hip]])
+        assert null_projector(biped.contact_stack(q, (0, 1))).rank < 6
+        self.assert_bit_exact(biped, q, qd, (0, 1), 20.0 * du, None)
+
+    def test_rejects_non_finite_contact_rate(self):
+        model = toy_model(np.eye(2), np.array([[1.0, 0.0]]))
+        contact = replace(model.contacts[0], jacobian_rate=lambda q, qd: np.full((3, 2), np.nan))
+        model = replace(model, contacts=(contact,))
+        state = RobotState(t=0.0, q=np.zeros(2), q_dot=np.zeros(2), active_contacts=(0,))
+        with pytest.raises(InputError):
+            build_frame(model, state)
 
 
 class TestContactForces:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,27 @@ class TestStep:
             state = step(arm, state, np.zeros(3), opts.dt, opts)
             A = arm.contact_stack(state.q, state.active_contacts)
             assert np.linalg.norm(A @ state.q_dot) <= 1e-8
+
+    def test_stage_frames_form_no_force_maps(self, arm, biped, monkeypatch):
+        # each stage builds a frame but reads only its acceleration: S and Q,
+        # computed on first use, are never formed inside step
+        # (the package's `simulate` function shadows the submodule attribute)
+        sim = importlib.import_module("projctl.simulate")
+        frames = []
+
+        def recording_build_frame(*args, **kwargs):
+            frames.append(build_frame(*args, **kwargs))
+            return frames[-1]
+
+        monkeypatch.setattr(sim, "build_frame", recording_build_frame)
+        for model, home in ((arm, ARM_HOME), (biped, BIPED_HOME)):
+            state = manifold_state(model, home, scale=0.3)
+            frames.clear()
+            step(model, state, np.zeros(model.p), 1e-3)
+            assert len(frames) == 4
+            for frame in frames:
+                assert "M_bar_inv" in vars(frame)
+                assert "S" not in vars(frame) and "Q" not in vars(frame)
 
     def test_out_of_box_warns(self, arm):
         state = manifold_state(arm, ARM_HOME, scale=0.0)
