@@ -17,7 +17,6 @@ from .constrained_dynamics import (
     contact_forces,
 )
 from .constraint_geometry import (
-    JacobianStack,
     ProjectorBundle,
     jacobian_rate,
     null_projector,

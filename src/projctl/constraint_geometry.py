@@ -9,7 +9,7 @@ L, its skew part Omega, and the full rate P_dot.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,50 +42,6 @@ def _svd_cutoff(A: np.ndarray, rank_tol: float):
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > rank_tol * smax)) if smax > 0 else 0
     return U, s, Vt, rank
-
-
-@dataclass(frozen=True)
-class JacobianStack:
-    """Stack of per-contact 3xn Jacobian blocks (rows ordered x, y, z).
-
-    Attributes:
-        A: (3k, n) stacked matrix.
-        k: number of contacts.
-        rank_tol: relative singular-value cutoff used on this stack.
-    """
-
-    A: np.ndarray
-    k: int
-    rank_tol: float = DEFAULT_RANK_TOL
-
-    def __post_init__(self):
-        A = _as_matrix(self.A)
-        object.__setattr__(self, "A", A)
-        if self.rank_tol <= 0:
-            raise InputError("rank_tol must be positive")
-        if A.shape[0] != 3 * self.k:
-            raise InputError(
-                f"stack has {A.shape[0]} rows but k={self.k} contacts need {3 * self.k}"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[np.ndarray], rank_tol: float = DEFAULT_RANK_TOL):
-        blocks = [_as_matrix(b, "contact block") for b in blocks]
-        if not blocks:
-            raise InputError("at least one contact block required")
-        n = blocks[0].shape[1]
-        for b in blocks:
-            if b.shape != (3, n):
-                raise InputError(f"each contact block must be 3x{n}, got {b.shape}")
-        return cls(A=np.vstack(blocks), k=len(blocks), rank_tol=rank_tol)
 
 
 @dataclass(frozen=True)

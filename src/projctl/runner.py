@@ -26,6 +26,7 @@ config produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
@@ -57,20 +58,29 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _as_number(value, path: str, positive=False) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+    if not _is_number(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(path, f"must be positive, got {value}")
     return float(value)
 
 
 def _as_vector(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(path, "expected a list of numbers")
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise ConfigError(path, "expected a list of finite numbers")
     return np.asarray(value, dtype=float)
+
+
+def _is_index_list(value, k: int) -> bool:
+    """A JSON list of contact indices: integers (not booleans) in [0, k)."""
+    return isinstance(value, list) and all(
+        isinstance(i, int) and not isinstance(i, bool) and 0 <= i < k for i in value
+    )
 
 
 def _gain_matrix(value, dim: int, path: str) -> np.ndarray:
@@ -135,10 +145,10 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     q_dot = _as_vector(_require(scfg, "q_dot", "initial_state"), "initial_state.q_dot")
     if q.size != model.n or q_dot.size != model.n:
         raise ConfigError("initial_state.q", f"model '{kind}' has n={model.n} coordinates")
-    active = tuple(int(i) for i in scfg.get("active_contacts", []))
-    if any(i < 0 or i >= model.k for i in active):
-        raise ConfigError("initial_state.active_contacts", f"contact indices must be in [0, {model.k})")
-    initial = RobotState(t=0.0, q=q, q_dot=q_dot, active_contacts=active)
+    active = scfg.get("active_contacts", [])
+    if not _is_index_list(active, model.k):
+        raise ConfigError("initial_state.active_contacts", f"contact indices must be integers in [0, {model.k})")
+    initial = RobotState(t=0.0, q=q, q_dot=q_dot, active_contacts=tuple(active))
 
     tcfg = _require(cfg, "task", "")
     ttype = _require(tcfg, "type", "task")
@@ -177,14 +187,14 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     optimizer = _build_optimizer(ocfg, optimizer_kind, "optimizer")
 
     icfg = cfg.get("integrator", {})
-    try:
-        integrator = IntegratorOptions(
-            dt=_as_number(icfg.get("dt", 1e-3), "integrator.dt", positive=True),
-            method=icfg.get("method", "rk4"),
-            baumgarte=bool(icfg.get("baumgarte", False)),
-        )
-    except InputError as exc:
-        raise ConfigError("integrator", str(exc)) from None
+    if icfg.get("method", "rk4") != "rk4":
+        raise ConfigError("integrator.method", f"only 'rk4' is supported, got {icfg['method']!r}")
+    baumgarte = icfg.get("baumgarte", False)
+    if not isinstance(baumgarte, bool):
+        raise ConfigError("integrator.baumgarte", f"expected true or false, got {baumgarte!r}")
+    integrator = IntegratorOptions(
+        dt=_as_number(icfg.get("dt", 1e-3), "integrator.dt", positive=True), baumgarte=baumgarte
+    )
 
     schedule: List[Tuple[float, Tuple[int, ...]]] = []
     for i, entry in enumerate(cfg.get("contacts", {}).get("schedule", [])):
@@ -193,7 +203,7 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
             raise ConfigError(p, "expected [time, [contact indices]]")
         t_sw = _as_number(entry[0], f"{p}[0]")
         ids = entry[1]
-        if not isinstance(ids, list) or any(not isinstance(j, int) or j < 0 or j >= model.k for j in ids):
+        if not _is_index_list(ids, model.k):
             raise ConfigError(f"{p}[1]", f"contact indices must be integers in [0, {model.k})")
         schedule.append((t_sw, tuple(sorted(ids))))
 

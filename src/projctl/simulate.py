@@ -43,6 +43,7 @@ from .torque_qcqp import (
     BarrierParams,
     assemble_cone_constraints,
     assemble_program,
+    motor_weighting,
     power_loss,
     relax_program,
     solve_barrier,
@@ -52,7 +53,6 @@ from .torque_qcqp import (
 @dataclass(frozen=True)
 class IntegratorOptions:
     dt: float = 1e-3
-    method: str = "rk4"
     baumgarte: bool = False
     baumgarte_gains: Tuple[float, float] = (20.0, 100.0)
     drift_hard_limit: float = 1e-6
@@ -61,8 +61,6 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.dt <= 0:
             raise InputError(f"dt must be positive, got {self.dt}")
-        if self.method not in ("rk4", "euler"):
-            raise InputError(f"unknown integrator method '{self.method}'")
 
 
 @dataclass(frozen=True)
@@ -131,6 +129,11 @@ class Scenario:
             raise InputError(f"unknown controller '{self.controller}'")
         if self.duration <= 0:
             raise InputError("duration must be positive")
+        if any(i < 0 or i >= self.model.k for i in self.initial.active_contacts):
+            raise InputError(
+                f"initial active set {self.initial.active_contacts} references unknown contacts "
+                f"(k={self.model.k})"
+            )
         times = [t for t, _ in self.schedule]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InputError("schedule times must be strictly increasing")
@@ -273,7 +276,7 @@ def step(
     nu: Optional[float] = None,
     anchors: Optional[Dict[int, np.ndarray]] = None,
 ) -> RobotState:
-    """Advance one step under constant u, then re-project the velocity.
+    """Advance one RK4 step under constant u, then re-project the velocity.
 
     The post-state satisfies ||A(q) q_dot|| below the integrator's hard drift
     limit or a SimulationError is raised.
@@ -295,21 +298,16 @@ def step(
         return qdd
 
     q, qd = state.q, state.q_dot
-    if opts.method == "euler":
-        a1 = accel(q, qd)
-        q_new = q + dt * qd
-        qd_new = qd + dt * a1
-    else:
-        k1v = accel(q, qd)
-        k1q = qd
-        k2v = accel(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v)
-        k2q = qd + 0.5 * dt * k1v
-        k3v = accel(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v)
-        k3q = qd + 0.5 * dt * k2v
-        k4v = accel(q + dt * k3q, qd + dt * k3v)
-        k4q = qd + dt * k3v
-        q_new = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        qd_new = qd + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    k1v = accel(q, qd)
+    k1q = qd
+    k2v = accel(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v)
+    k2q = qd + 0.5 * dt * k1v
+    k3v = accel(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v)
+    k3q = qd + 0.5 * dt * k2v
+    k4v = accel(q + dt * k3q, qd + dt * k3v)
+    k4q = qd + dt * k3v
+    q_new = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+    qd_new = qd + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
 
     A_new = model.contact_stack(q_new, active)
     if A_new.shape[0]:
@@ -359,8 +357,7 @@ def simulate(scenario: Scenario) -> SimTrace:
     if abs(n_steps * dt - scenario.duration) > 1e-9:
         raise InputError("duration must be an integer multiple of dt")
 
-    state = switch_contacts(scenario.initial, scenario.initial.active_contacts, model) \
-        if scenario.initial.active_contacts else scenario.initial
+    state = scenario.initial
     # enforce the velocity-level constraint at the start
     if state.active_contacts:
         P0 = null_projector(model.contact_stack(state.q, state.active_contacts), opts.rank_tol).P
@@ -387,7 +384,7 @@ def simulate(scenario: Scenario) -> SimTrace:
         "lyapunov", "phi_norm", "d_norm", "newton", "centering", "eta", "status", "drift", "active",
     )}
 
-    W = np.diag(model.motor_resistance / model.torque_constant**2)
+    W = motor_weighting(model.motor_resistance, model.torque_constant)
     pending = list(scenario.schedule)
     prev_u = None
     for i in range(n_steps + 1):

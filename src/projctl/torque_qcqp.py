@@ -15,9 +15,16 @@ rows.  It is solved by following the central path of the barrier problem
 
 with an equality-constrained (infeasible-start) Newton method for each fixed
 eta, shrinking eta by kappa until the duality-gap bound r * eta drops below
-eps.  The quadratic cone rows are generally indefinite, so the Newton Hessian
-is regularized on the equality null space whenever it loses definiteness; the
-report flags this, and the KKT residual is always returned.
+eps.
+
+The friction rows keep the cone nonlinear.  Because lambda(u) is affine in u,
+the pair lambda_z > 0, mu^2 lambda_z^2 - ||lambda_t||^2 > 0 is a second-order
+cone, whose barrier -log(mu^2 lambda_z^2 - ||lambda_t||^2) is convex on the
+cone's interior; linear rows have convex barriers too.  The barrier problem
+is therefore convex, its Hessian is positive definite (W is), and Newton
+needs no Hessian repair.  A quadratic row built by hand must keep this
+property: it must be such a second-order-cone row, or concave (G negative
+semidefinite).
 
 The relaxed variant removes the equality and minimizes
 u^T W' u - rho b^T u, the expansion of u^T W u + rho ||d(u)||^2 with
@@ -125,7 +132,8 @@ class TorqueProgram:
 
     Constraint stack order (length r = 2(k + p) + extra rows): per contact the
     linear row then the quadratic row, box upper u_max - u, box lower
-    u - u_min, then appended linear extension rows.
+    u - u_min, then appended linear extension rows.  The stack is built once:
+    c(u) = lin u + off, plus u^T G_j u on quadratic row 2j + 1.
     """
 
     W: np.ndarray
@@ -137,15 +145,21 @@ class TorqueProgram:
     extra_z: np.ndarray = field(default=None)  # (j, p)
     extra_alpha: np.ndarray = field(default=None)  # (j,)
     relaxation: Optional[Relaxation] = None
-    n_base_eq: int = -1
+    lin: np.ndarray = field(init=False, repr=False, compare=False)  # (r, p)
+    off: np.ndarray = field(init=False, repr=False, compare=False)  # (r,)
+    G: np.ndarray = field(init=False, repr=False, compare=False)  # (k, p, p)
 
     def __post_init__(self):
-        p = self.W.shape[0]
+        p, k = self.W.shape[0], len(self.cones)
         if self.extra_z is None:
             object.__setattr__(self, "extra_z", np.zeros((0, p)))
             object.__setattr__(self, "extra_alpha", np.zeros(0))
-        if self.n_base_eq < 0:
-            object.__setattr__(self, "n_base_eq", self.eq_mat.shape[0])
+        cone_lin = np.array([(c.z, c.gamma) for c in self.cones], dtype=float).reshape(2 * k, p)
+        cone_off = np.array([(c.alpha, c.beta) for c in self.cones], dtype=float).reshape(2 * k)
+        eye = np.eye(p)
+        object.__setattr__(self, "lin", np.vstack([cone_lin, -eye, eye, self.extra_z]))
+        object.__setattr__(self, "off", np.concatenate([cone_off, self.u_max, -self.u_min, self.extra_alpha]))
+        object.__setattr__(self, "G", np.array([c.G for c in self.cones], dtype=float).reshape(k, p, p))
 
     @property
     def p(self) -> int:
@@ -157,7 +171,7 @@ class TorqueProgram:
 
     @property
     def r(self) -> int:
-        return 2 * (self.k + self.p) + self.extra_z.shape[0]
+        return self.lin.shape[0]
 
     @property
     def relaxed(self) -> bool:
@@ -175,44 +189,19 @@ class TorqueProgram:
 
     def constraint_values(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        vals = np.empty(self.r)
-        i = 0
-        for c in self.cones:
-            vals[i] = c.z @ u + c.alpha
-            vals[i + 1] = u @ c.G @ u + c.gamma @ u + c.beta
-            i += 2
-        vals[i : i + self.p] = self.u_max - u
-        i += self.p
-        vals[i : i + self.p] = u - self.u_min
-        i += self.p
-        if self.extra_z.shape[0]:
-            vals[i:] = self.extra_z @ u + self.extra_alpha
-        return vals
+        vals = self.lin @ u
+        vals[1 : 2 * self.k : 2] += (u @ self.G) @ u
+        return vals + self.off
 
     def constraint_gradients(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        grads = np.zeros((self.r, self.p))
-        i = 0
-        for c in self.cones:
-            grads[i] = c.z
-            grads[i + 1] = 2.0 * (c.G @ u) + c.gamma
-            i += 2
-        grads[i : i + self.p] = -np.eye(self.p)
-        i += self.p
-        grads[i : i + self.p] = np.eye(self.p)
-        i += self.p
-        if self.extra_z.shape[0]:
-            grads[i:] = self.extra_z
+        grads = self.lin.copy()
+        grads[1 : 2 * self.k : 2] += 2.0 * (self.G @ u)
         return grads
 
-    def quad_indices(self) -> List[int]:
-        return [2 * j + 1 for j in range(self.k)]
-
     def scale(self) -> float:
-        s = max(1.0, float(np.abs(self.u_max - self.u_min).max()))
-        for c in self.cones:
-            s = max(s, abs(c.alpha), abs(c.beta))
-        return s
+        cone_off = np.abs(self.off[: 2 * self.k])
+        return max(1.0, float(np.abs(self.u_max - self.u_min).max()), float(cone_off.max(initial=0.0)))
 
 
 def assemble_program(
@@ -323,7 +312,6 @@ def add_force_regulation(
         program,
         eq_mat=np.vstack([program.eq_mat, F]),
         eq_rhs=np.concatenate([program.eq_rhs, rhs]),
-        n_base_eq=program.n_base_eq,
     )
 
 
@@ -367,7 +355,6 @@ class SolverReport:
     kkt_residual: float
     constraint_margins: Optional[np.ndarray]
     status: str
-    regularized: bool = False
     path: Tuple[Tuple[float, float], ...] = ()
 
 
@@ -478,16 +465,18 @@ def _equality_pull(program: TorqueProgram, u: np.ndarray, margin: float) -> np.n
     return u
 
 
-def _barrier_terms(program: TorqueProgram, u: np.ndarray, eta: float):
-    """Value may be +inf outside the domain; gradient/Hessian assume interior."""
+def _barrier_gradient(program: TorqueProgram, u: np.ndarray, c: np.ndarray, grads: np.ndarray, eta: float):
+    """Gradient of the barrier objective from the rows c(u) and their gradients."""
     Wq, lin = program.objective_quad()
-    c = program.constraint_values(u)
-    grads = program.constraint_gradients(u)
-    grad = 2.0 * (Wq @ u) + lin - eta * (grads.T @ (1.0 / c))
-    H = 2.0 * Wq + eta * (grads.T @ np.diag(1.0 / c**2) @ grads)
-    for j, row in zip(program.quad_indices(), program.cones):
-        H -= (eta / c[j]) * (2.0 * row.G)
-    return c, grad, H
+    return 2.0 * (Wq @ u) + lin - eta * (grads.T @ (1.0 / c))
+
+
+def _barrier_hessian(program: TorqueProgram, c: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
+    """Hessian of the barrier objective; positive definite for second-order-cone rows."""
+    Wq, _ = program.objective_quad()
+    quad = eta / c[1 : 2 * program.k : 2]
+    H = 2.0 * Wq + eta * ((grads.T * (1.0 / c**2)) @ grads) - 2.0 * np.tensordot(quad, program.G, axes=1)
+    return 0.5 * (H + H.T)
 
 
 def barrier_value(program: TorqueProgram, u: np.ndarray, eta: float) -> float:
@@ -502,22 +491,7 @@ def barrier_value(program: TorqueProgram, u: np.ndarray, eta: float) -> float:
 def barrier_gradient(program: TorqueProgram, u: np.ndarray, eta: float) -> np.ndarray:
     """Gradient of the barrier objective at an interior point."""
     u = np.asarray(u, dtype=float)
-    _, grad, _ = _barrier_terms(program, u, eta)
-    return grad
-
-
-def _regularize(H: np.ndarray, Z: Optional[np.ndarray]) -> Tuple[np.ndarray, bool]:
-    """Add tau I until H is positive-definite on the null space spanned by Z."""
-    Hr = 0.5 * (H + H.T)
-    probe = Hr if Z is None else Z.T @ Hr @ Z
-    if probe.size == 0:
-        return Hr, False
-    lo = float(np.linalg.eigvalsh(probe).min())
-    floor = 1e-8 * max(1.0, float(np.abs(Hr).max()))
-    if lo >= floor:
-        return Hr, False
-    tau = floor - lo
-    return Hr + tau * np.eye(Hr.shape[0]), True
+    return _barrier_gradient(program, u, program.constraint_values(u), program.constraint_gradients(u), eta)
 
 
 def solve_barrier(
@@ -551,86 +525,74 @@ def solve_barrier(
             status=status,
         )
 
-    # reduce the equality block to full row rank and test consistency
-    n_eq = program.eq_mat.shape[0]
-    if n_eq:
-        U, s, Vt = np.linalg.svd(program.eq_mat)
-        smax = s[0] if s.size and s[0] > 0 else 1.0
-        rank = int(np.sum(s > 1e-10 * smax))
-        U1 = U[:, :rank]
-        E = U1.T @ program.eq_mat
-        rhs = U1.T @ program.eq_rhs
-        resid = program.eq_rhs - U1 @ (U1.T @ program.eq_rhs)
-        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
-            return failure("infeasible_equality")
-        Z = Vt[rank:].T if rank < p else None
-        lift = U1
-    else:
-        E = np.zeros((0, p))
-        rhs = np.zeros(0)
-        Z = np.eye(p)
-        lift = None
-        rank = 0
+    # reduce the equality block to full row rank E (rank x p, possibly 0 rows)
+    # and test consistency
+    U, s, _ = np.linalg.svd(program.eq_mat)
+    smax = s[0] if s.size and s[0] > 0 else 1.0
+    rank = int(np.sum(s > 1e-10 * smax))
+    lift = U[:, :rank]
+    E = lift.T @ program.eq_mat
+    rhs = lift.T @ program.eq_rhs
+    resid = program.eq_rhs - lift @ rhs
+    if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
+        return failure("infeasible_equality")
 
     if u0 is None or not _strictly_feasible(program, np.asarray(u0, dtype=float), margin):
         phase1 = phase1_feasible_point(program, params, u_seed=u0)
         if not phase1.feasible:
-            rep = failure("infeasible_inequality", u=phase1.u)
-            return replace(rep, constraint_margins=program.constraint_values(phase1.u))
+            return failure("infeasible_inequality", u=phase1.u)
         u = phase1.u
     else:
         u = np.asarray(u0, dtype=float).copy()
+
+    # KKT matrix [[H, E^T], [E, 0]]; each Newton step rewrites only H
+    KKT = np.zeros((p + rank, p + rank))
+    KKT[:p, p:] = E.T
+    KKT[p:, :p] = E
 
     nu_dual = np.zeros(rank)
     eta = params.eta0
     total_newton = 0
     centering = 0
-    regularized = False
     path: List[Tuple[float, float]] = []
     kkt_res = float("inf")
 
+    def residual(u, nu, c, grads):
+        r_dual = _barrier_gradient(program, u, c, grads, eta) + E.T @ nu
+        return np.concatenate([r_dual, E @ u - rhs])
+
     while True:
         converged = False
+        c = program.constraint_values(u)
+        grads = program.constraint_gradients(u)
+        res = residual(u, nu_dual, c, grads)
         for _ in range(params.max_newton):
-            _, grad, H = _barrier_terms(program, u, eta)
-            r_dual = grad + (E.T @ nu_dual if rank else 0.0)
-            r_pri = E @ u - rhs if rank else np.zeros(0)
-            kkt_res = float(np.linalg.norm(np.concatenate([np.atleast_1d(r_dual), r_pri])))
+            kkt_res = float(np.linalg.norm(res))
             if kkt_res <= params.newton_tol:
                 converged = True
                 break
-            Hr, reg = _regularize(H, Z)
-            regularized = regularized or reg
-            if rank:
-                KKT = np.block([[Hr, E.T], [E, np.zeros((rank, rank))]])
-                rhs_vec = -np.concatenate([r_dual, r_pri])
-                try:
-                    sol = np.linalg.solve(KKT, rhs_vec)
-                except np.linalg.LinAlgError:
-                    sol, *_ = np.linalg.lstsq(KKT, rhs_vec, rcond=None)
-                du, dnu = sol[:p], sol[p:]
-            else:
-                try:
-                    du = np.linalg.solve(Hr, -r_dual)
-                except np.linalg.LinAlgError:
-                    du, *_ = np.linalg.lstsq(Hr, -r_dual, rcond=None)
-                dnu = np.zeros(0)
+            KKT[:p, :p] = _barrier_hessian(program, c, grads, eta)
+            try:
+                sol = np.linalg.solve(KKT, -res)
+            except np.linalg.LinAlgError:
+                sol, *_ = np.linalg.lstsq(KKT, -res, rcond=None)
+            du, dnu = sol[:p], sol[p:]
 
-            # backtracking: stay strictly feasible, then Armijo on the residual
+            # backtracking: stay strictly feasible, then Armijo on the residual;
+            # the accepted trial's rows and residual start the next step
             t = 1.0
             accepted = False
             while t > 1e-14:
                 u_try = u + t * du
-                if not _strictly_feasible(program, u_try, 0.0):
+                c_try = program.constraint_values(u_try)
+                if not np.all(c_try > 0.0):
                     t *= params.ls_beta
                     continue
                 nu_try = nu_dual + t * dnu
-                _, grad_t, _ = _barrier_terms(program, u_try, eta)
-                rd_t = grad_t + (E.T @ nu_try if rank else 0.0)
-                rp_t = E @ u_try - rhs if rank else np.zeros(0)
-                res_t = np.linalg.norm(np.concatenate([np.atleast_1d(rd_t), rp_t]))
-                if res_t <= (1.0 - params.ls_alpha * t) * kkt_res + 1e-16:
-                    u, nu_dual = u_try, nu_try
+                grads_try = program.constraint_gradients(u_try)
+                res_try = residual(u_try, nu_try, c_try, grads_try)
+                if np.linalg.norm(res_try) <= (1.0 - params.ls_alpha * t) * kkt_res + 1e-16:
+                    u, nu_dual, c, grads, res = u_try, nu_try, c_try, grads_try, res_try
                     accepted = True
                     break
                 t *= params.ls_beta
@@ -646,28 +608,16 @@ def solve_barrier(
             grad_scale = max(1.0, float(np.linalg.norm(2.0 * (Wq @ u) + lin)))
             converged = kkt_res <= 1e3 * params.newton_tol * grad_scale
         if not converged:
-            return SolverReport(
-                u_star=u,
-                omega=lift @ nu_dual if lift is not None else None,
-                eta_final=eta,
-                newton_iters=total_newton,
-                centering_steps=centering,
-                duality_gap=r * eta,
-                objective=power_loss(u, program.W),
-                kkt_residual=kkt_res,
-                constraint_margins=program.constraint_values(u),
-                status="failed",
-                regularized=regularized,
-                path=tuple(path),
-            )
+            status = "failed"
+            break
         if r * eta <= params.eps or centering >= params.max_centering:
+            status = "relaxed" if program.relaxed else "optimal"
             break
         eta *= params.kappa
 
-    status = "relaxed" if program.relaxed else "optimal"
     return SolverReport(
         u_star=u,
-        omega=lift @ nu_dual if lift is not None else np.zeros(program.eq_mat.shape[0]),
+        omega=lift @ nu_dual,
         eta_final=eta,
         newton_iters=total_newton,
         centering_steps=centering,
@@ -676,6 +626,5 @@ def solve_barrier(
         kkt_residual=kkt_res,
         constraint_margins=program.constraint_values(u),
         status=status,
-        regularized=regularized,
         path=tuple(path),
     )

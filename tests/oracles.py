@@ -113,3 +113,23 @@ def integrate_saddle(model, q0, qd0, active, u_fn, dt, steps):
         t += dt
         out.append((q.copy(), qd.copy()))
     return out
+
+
+def constraint_rows(program, u):
+    """c(u) and its gradient rows written out row by row, one contact at a time."""
+    u = np.asarray(u, dtype=float)
+    vals, grads = [], []
+    for cone in program.cones:
+        vals += [cone.z @ u + cone.alpha, u @ cone.G @ u + cone.gamma @ u + cone.beta]
+        grads += [cone.z, 2.0 * (cone.G @ u) + cone.gamma]
+    eye = np.eye(program.p)
+    for j in range(program.p):
+        vals.append(program.u_max[j] - u[j])
+        grads.append(-eye[j])
+    for j in range(program.p):
+        vals.append(u[j] - program.u_min[j])
+        grads.append(eye[j])
+    for z, alpha in zip(program.extra_z, program.extra_alpha):
+        vals.append(z @ u + alpha)
+        grads.append(z)
+    return np.array(vals), np.array(grads).reshape(len(vals), program.p)

@@ -51,6 +51,35 @@ class TestConfigValidation:
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--quiet"]) == 2
 
+    def test_integrator_method_must_be_rk4(self, tmp_path):
+        path, cfg = short_config(tmp_path)
+        assert load_scenario(cfg).integrator.dt == cfg["integrator"]["dt"]  # bundled "rk4" loads
+        cfg["integrator"]["method"] = "euler"
+        with pytest.raises(ConfigError) as err:
+            load_scenario(cfg)
+        assert err.value.path == "integrator.method"
+
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+            ("integrator.dt", float("nan")),
+            ("initial_state.q", [float("nan"), 0.0, 0.0]),
+            ("initial_state.active_contacts", [0.9]),
+            ("initial_state.active_contacts", [True]),
+            ("integrator.baumgarte", "false"),
+            ("integrator.baumgarte", 1),
+        ],
+    )
+    def test_rejected_at_load_with_field_path(self, tmp_path, capsys, dotted, value):
+        path, _ = short_config(tmp_path, **{dotted: value})
+        with pytest.raises(ConfigError) as err:
+            load_scenario(load_config(path))
+        assert err.value.path == dotted
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert dotted in capsys.readouterr().err
+
     def test_missing_file(self):
         assert main(["run", "/nonexistent/config.json", "--quiet"]) == 2
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projctl.constraint_geometry import (
-    JacobianStack,
     jacobian_rate,
     null_projector,
     projector_rate,
@@ -214,17 +213,3 @@ class TestJacobianRate:
         with pytest.raises(InputError):
             jacobian_rate(lambda q: np.zeros((1, 2)), np.zeros(2), np.ones(2), h=0.0)
 
-
-class TestJacobianStack:
-    def test_from_blocks(self):
-        blocks = [np.ones((3, 4)), np.zeros((3, 4))]
-        stack = JacobianStack.from_blocks(blocks)
-        assert stack.m == 6 and stack.k == 2 and stack.n == 4
-
-    def test_row_count_invariant(self):
-        with pytest.raises(InputError):
-            JacobianStack(A=np.ones((4, 3)), k=1)
-
-    def test_block_shape_checked(self):
-        with pytest.raises(InputError):
-            JacobianStack.from_blocks([np.ones((2, 4))])

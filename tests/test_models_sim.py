@@ -260,6 +260,12 @@ class TestSimulate:
         with pytest.raises(InputError):
             simulate(bad)
 
+    def test_unknown_initial_contact_rejected(self, arm):
+        scn = self.arm_scenario(arm)
+        initial = RobotState(t=0.0, q=scn.initial.q, q_dot=scn.initial.q_dot, active_contacts=(1,))
+        with pytest.raises(InputError, match="initial active set"):
+            Scenario(**{**scn.__dict__, "initial": initial})
+
     def test_regulation_lyapunov_monotone(self, arm):
         state0 = manifold_state(arm, ARM_HOME, scale=0.0)
         x0 = float(ARM_HOME.sum())

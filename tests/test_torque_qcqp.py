@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from projctl.constrained_dynamics import RobotState, build_frame, contact_forces
 from projctl.control_laws import ControllerGains, tracking_torque
@@ -7,6 +8,7 @@ from projctl.errors import InputError
 from projctl.models import make_task
 from projctl.task_space import build_task
 from projctl.torque_qcqp import (
+    _barrier_hessian,
     BarrierParams,
     ConeConstraint,
     TorqueProgram,
@@ -24,7 +26,7 @@ from projctl.torque_qcqp import (
 )
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, random_manifold_state
-from oracles import grid_polish_optimum
+from oracles import constraint_rows, grid_polish_optimum
 
 
 class TestMotorWeighting:
@@ -155,6 +157,31 @@ class TestAssembleProgram:
             )
             assert np.allclose(c[2:5], arm.u_max - u)
             assert np.allclose(c[5:8], u - arm.u_min)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("moment_rows", [0, 2])
+    def test_stacked_rows_match_per_row_oracle(self, arm, biped, rng, k, moment_rows):
+        if k == 1:
+            model, home, task_name = arm, ARM_HOME, "link_orientation"
+        else:
+            model, home, task_name = biped, BIPED_HOME, "base_pitch"
+        state = random_manifold_state(model, rng, home)
+        frame = build_frame(model, state)
+        task = build_task(model, state, frame, make_task(model, task_name))
+        gains = ControllerGains.critically_damped(1, 5.0)
+        cmd = tracking_torque(state, frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(model, state, frame, cmd.tau_c, cones=None if k else ())
+        assert program.k == k
+        program = add_moment_constraints(
+            program, frame, model, state, rng.standard_normal((moment_rows, frame.bundle.m))
+        )
+        assert program.r == 2 * (k + model.p) + moment_rows
+        for _ in range(20):
+            u = rng.uniform(2 * model.u_min, 2 * model.u_max)
+            for stacked, rows in zip(
+                (program.constraint_values(u), program.constraint_gradients(u)), constraint_rows(program, u)
+            ):
+                assert np.all(np.abs(stacked - rows) <= 1e-12 * np.maximum(1.0, np.abs(rows)))
 
     def test_tau_c_outside_range_P(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
@@ -335,6 +362,60 @@ class TestSolveBarrier:
         program = synthetic_program(np.eye(2), u_box=1e-16)
         report = solve_barrier(program)
         assert report.status == "infeasible_inequality"
+
+
+class TestBarrierConvexity:
+    """The cone rows are second-order cones, so at every strictly feasible u the
+    barrier Hessian is positive definite on null(E) with no repair."""
+
+    @staticmethod
+    def assert_positive_definite(model, home, task_name, active, seed, relaxed, theta, log_eta):
+        rng = np.random.default_rng(seed)
+        state = random_manifold_state(model, rng, home, active=active)
+        frame = build_frame(model, state)
+        task = build_task(model, state, frame, make_task(model, task_name))
+        gains = ControllerGains.critically_damped(1, 5.0)
+        cmd = tracking_torque(state, frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(model, state, frame, cmd.tau_c)
+        if relaxed:
+            program = relax_program(program, frame, 10.0)
+        start = phase1_feasible_point(program)
+        report = solve_barrier(program)
+        assume(start.feasible and report.status in ("optimal", "relaxed"))
+        # the strictly feasible set is convex: every point between two interior
+        # points is interior, and theta -> 1 approaches the active cone rows
+        u = (1.0 - theta) * start.u + theta * report.u_star
+        c = program.constraint_values(u)
+        assert np.all(c > 0.0)
+        H = _barrier_hessian(program, c, program.constraint_gradients(u), 10.0**log_eta)
+        _, s, Vt = np.linalg.svd(program.eq_mat)
+        Z = Vt[int(np.sum(s > 1e-10 * s.max(initial=0.0))) :].T  # basis of null(E); I when relaxed
+        HZ = Z.T @ H @ Z
+        Wq, _ = program.objective_quad()
+        floor = np.linalg.eigvalsh(2.0 * Z.T @ Wq @ Z).min()  # the barrier part is PSD
+        lo = np.linalg.eigvalsh(HZ).min()
+        assert lo > 0.0
+        assert lo >= floor - 1e-12 * np.abs(HZ).max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        relaxed=st.booleans(),
+        theta=st.floats(0.0, 1.0),
+        log_eta=st.floats(-8.0, 0.0),
+    )
+    def test_arm(self, arm, seed, relaxed, theta, log_eta):
+        self.assert_positive_definite(arm, ARM_HOME, "link_orientation", (0,), seed, relaxed, theta, log_eta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        relaxed=st.booleans(),
+        theta=st.floats(0.0, 1.0),
+        log_eta=st.floats(-8.0, 0.0),
+    )
+    def test_biped_double_support(self, biped, seed, relaxed, theta, log_eta):
+        self.assert_positive_definite(biped, BIPED_HOME, "base_pitch", (0, 1), seed, relaxed, theta, log_eta)
 
 
 class TestRelaxation:
