@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -366,7 +367,29 @@ class TestSolveBarrier:
 
 class TestBarrierConvexity:
     """The cone rows are second-order cones, so at every strictly feasible u the
-    barrier Hessian is positive definite on null(E) with no repair."""
+    barrier Hessian is positive definite on null(E) with no repair.
+
+    Near an active cone row eta / c^2 outgrows the objective curvature by more
+    than 1 / eps, so the float Hessian's smallest eigenvalue on null(E) is lost
+    in rounding; definiteness is asserted on the same formula evaluated in
+    50-digit arithmetic, and the float Hessian is held to the same floor up to
+    its rounding."""
+
+    @staticmethod
+    def exact_hessian_on(program, u, eta, Z):
+        """Z^T H Z, with H from _barrier_hessian evaluated in 50-digit arithmetic
+        from the exact binary values of the program's rows, u, eta and Z."""
+        with mpmath.workdps(50):
+            mp = np.frompyfunc(mpmath.mpf, 1, 1)
+            u, lin, G = mp(u), mp(program.lin), mp(program.G)
+            c = lin @ u + mp(program.off)
+            grads = lin.copy()
+            for j in range(program.k):
+                c[2 * j + 1] += u @ G[j] @ u
+                grads[2 * j + 1] += 2 * (G[j] @ u)
+            assert all(ci > 0 for ci in c)
+            HZ = mp(Z).T @ _barrier_hessian(program, c, grads, mpmath.mpf(eta)) @ mp(Z)
+            return float(min(mpmath.eigsy(mpmath.matrix(HZ.tolist()), eigvals_only=True)))
 
     @staticmethod
     def assert_positive_definite(model, home, task_name, active, seed, relaxed, theta, log_eta):
@@ -387,15 +410,18 @@ class TestBarrierConvexity:
         u = (1.0 - theta) * start.u + theta * report.u_star
         c = program.constraint_values(u)
         assert np.all(c > 0.0)
-        H = _barrier_hessian(program, c, program.constraint_gradients(u), 10.0**log_eta)
+        eta = 10.0**log_eta
+        H = _barrier_hessian(program, c, program.constraint_gradients(u), eta)
         _, s, Vt = np.linalg.svd(program.eq_mat)
         Z = Vt[int(np.sum(s > 1e-10 * s.max(initial=0.0))) :].T  # basis of null(E); I when relaxed
         HZ = Z.T @ H @ Z
         Wq, _ = program.objective_quad()
         floor = np.linalg.eigvalsh(2.0 * Z.T @ Wq @ Z).min()  # the barrier part is PSD
-        lo = np.linalg.eigvalsh(HZ).min()
+        assert floor > 0.0
+        lo = TestBarrierConvexity.exact_hessian_on(program, u, eta, Z)
         assert lo > 0.0
         assert lo >= floor - 1e-12 * np.abs(HZ).max()
+        assert np.linalg.eigvalsh(HZ).min() >= floor - 1e-12 * np.abs(HZ).max()
 
     @settings(max_examples=25, deadline=None)
     @given(
