@@ -58,6 +58,16 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, path: str, optional: bool = False) -> dict:
+    """The config section cfg[key], which must be a JSON object ({} if optional and absent)."""
+    if optional and key not in cfg:
+        return {}
+    value = _require(cfg, key, path)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}.{key}" if path else key, f"expected an object, got {type(value).__name__}")
+    return value
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
@@ -84,13 +94,15 @@ def _is_index_list(value, k: int) -> bool:
 
 
 def _gain_matrix(value, dim: int, path: str) -> np.ndarray:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return float(value) * np.eye(dim)
-    if isinstance(value, list):
-        M = np.asarray(value, dtype=float)
-        if M.shape == (dim, dim):
-            return M
-    raise ConfigError(path, f"expected a scalar or {dim}x{dim} matrix")
+    if (
+        isinstance(value, list)
+        and len(value) == dim
+        and all(isinstance(row, list) and len(row) == dim and all(_is_number(v) for v in row) for row in value)
+    ):
+        return np.asarray(value, dtype=float)
+    raise ConfigError(path, f"expected a finite number or a {dim}x{dim} matrix of finite numbers")
 
 
 def _build_reference(cfg: dict, dim: int, path: str) -> Reference:
@@ -133,14 +145,14 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     if not isinstance(cfg, dict):
         raise ConfigError("", "config root must be an object")
 
-    mcfg = _require(cfg, "model", "")
+    mcfg = _section(cfg, "model", "")
     kind = _require(mcfg, "type", "model")
     try:
-        model = build_model(kind, mcfg.get("params", {}))
+        model = build_model(kind, _section(mcfg, "params", "model", optional=True))
     except (InputError, TypeError) as exc:
         raise ConfigError("model.params", str(exc)) from None
 
-    scfg = _require(cfg, "initial_state", "")
+    scfg = _section(cfg, "initial_state", "")
     q = _as_vector(_require(scfg, "q", "initial_state"), "initial_state.q")
     q_dot = _as_vector(_require(scfg, "q_dot", "initial_state"), "initial_state.q_dot")
     if q.size != model.n or q_dot.size != model.n:
@@ -150,19 +162,19 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
         raise ConfigError("initial_state.active_contacts", f"contact indices must be integers in [0, {model.k})")
     initial = RobotState(t=0.0, q=q, q_dot=q_dot, active_contacts=tuple(active))
 
-    tcfg = _require(cfg, "task", "")
+    tcfg = _section(cfg, "task", "")
     ttype = _require(tcfg, "type", "task")
     try:
         task = make_task(model, ttype, **({"indices": tcfg["indices"]} if "indices" in tcfg else {}))
     except (InputError, KeyError) as exc:
         raise ConfigError("task.type", str(exc)) from None
-    reference = _build_reference(_require(tcfg, "reference", "task"), task.dim, "task.reference")
+    reference = _build_reference(_section(tcfg, "reference", "task"), task.dim, "task.reference")
 
-    ccfg = _require(cfg, "controller", "")
+    ccfg = _section(cfg, "controller", "")
     ctype = _require(ccfg, "type", "controller")
     if ctype not in ("tracking", "regulation"):
         raise ConfigError("controller.type", f"unknown controller '{ctype}'")
-    gcfg = _require(ccfg, "gains", "controller")
+    gcfg = _section(ccfg, "gains", "controller")
     if "omega" in gcfg:
         omega = _as_number(gcfg["omega"], "controller.gains.omega", positive=True)
         if ctype == "tracking":
@@ -179,14 +191,14 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
             kd = _gain_matrix(_require(gcfg, "kd_joint", "controller.gains"), model.n, "controller.gains.kd_joint")
         gains = ControllerGains(K_P=kp, K_D=kd)
 
-    ocfg = _require(cfg, "optimizer", "")
+    ocfg = _section(cfg, "optimizer", "")
     if optimizer_kind is None:
         optimizer_kind = _require(ocfg, "type", "optimizer")
         if not isinstance(optimizer_kind, str):
             raise ConfigError("optimizer.type", "expected a string (use 'types' only with compare)")
     optimizer = _build_optimizer(ocfg, optimizer_kind, "optimizer")
 
-    icfg = cfg.get("integrator", {})
+    icfg = _section(cfg, "integrator", "", optional=True)
     if icfg.get("method", "rk4") != "rk4":
         raise ConfigError("integrator.method", f"only 'rk4' is supported, got {icfg['method']!r}")
     baumgarte = icfg.get("baumgarte", False)
@@ -197,7 +209,10 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     )
 
     schedule: List[Tuple[float, Tuple[int, ...]]] = []
-    for i, entry in enumerate(cfg.get("contacts", {}).get("schedule", [])):
+    entries = _section(cfg, "contacts", "", optional=True).get("schedule", [])
+    if not isinstance(entries, list):
+        raise ConfigError("contacts.schedule", "expected a list of [time, [contact indices]] entries")
+    for i, entry in enumerate(entries):
         p = f"contacts.schedule[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError(p, "expected [time, [contact indices]]")
@@ -231,9 +246,12 @@ def load_config(path) -> dict:
     if not path.exists():
         raise ConfigError(str(path), "config file not found")
     try:
-        return json.loads(path.read_text())
+        cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(str(path), "config root must be an object")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +332,10 @@ def atomic_write(path: Path, text: str):
 
 
 def output_paths(cfg: dict, out_dir: Optional[str], prefix_default: str) -> Tuple[Path, str]:
-    ocfg = cfg.get("output", {})
+    ocfg = _section(cfg, "output", "", optional=True)
+    for key in ("dir", "prefix"):
+        if not isinstance(ocfg.get(key, ""), str):
+            raise ConfigError(f"output.{key}", "expected a string")
     directory = Path(out_dir) if out_dir else Path(ocfg.get("dir", "out"))
     prefix = ocfg.get("prefix", prefix_default)
     return directory, prefix
@@ -346,7 +367,7 @@ def compare_controllers(config_path, out_dir: Optional[str] = None, quiet: bool 
     program can never dissipate more than the unweighted least-norm rule.
     """
     cfg = load_config(config_path)
-    ocfg = _require(cfg, "optimizer", "")
+    ocfg = _section(cfg, "optimizer", "")
     kinds = ocfg.get("types")
     if not isinstance(kinds, list) or len(kinds) < 2:
         raise ConfigError("optimizer.types", "compare needs a list of at least two optimizer types")

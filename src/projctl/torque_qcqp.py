@@ -33,6 +33,7 @@ d(u) = M_bar^-1 (tau_c - P B u), trading task fidelity against power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -148,6 +149,10 @@ class TorqueProgram:
     lin: np.ndarray = field(init=False, repr=False, compare=False)  # (r, p)
     off: np.ndarray = field(init=False, repr=False, compare=False)  # (r,)
     G: np.ndarray = field(init=False, repr=False, compare=False)  # (k, p, p)
+    G_flat: np.ndarray = field(init=False, repr=False, compare=False)  # G as (k, p * p)
+    obj_quad: np.ndarray = field(init=False, repr=False, compare=False)  # (p, p): W, or W' when relaxed
+    obj_lin: np.ndarray = field(init=False, repr=False, compare=False)  # (p,)
+    obj_hess: np.ndarray = field(init=False, repr=False, compare=False)  # 2 obj_quad
 
     def __post_init__(self):
         p, k = self.W.shape[0], len(self.cones)
@@ -160,6 +165,14 @@ class TorqueProgram:
         object.__setattr__(self, "lin", np.vstack([cone_lin, -eye, eye, self.extra_z]))
         object.__setattr__(self, "off", np.concatenate([cone_off, self.u_max, -self.u_min, self.extra_alpha]))
         object.__setattr__(self, "G", np.array([c.G for c in self.cones], dtype=float).reshape(k, p, p))
+        object.__setattr__(self, "G_flat", self.G.reshape(k, p * p))
+        if self.relaxation is not None:
+            obj_quad, obj_lin = self.relaxation.W_prime, -self.relaxation.rho * self.relaxation.b
+        else:
+            obj_quad, obj_lin = self.W, np.zeros(p)
+        object.__setattr__(self, "obj_quad", obj_quad)
+        object.__setattr__(self, "obj_lin", obj_lin)
+        object.__setattr__(self, "obj_hess", 2.0 * obj_quad)
 
     @property
     def p(self) -> int:
@@ -179,9 +192,7 @@ class TorqueProgram:
 
     # objective in the active mode (power, or power + rho ||d||^2 expansion)
     def objective_quad(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self.relaxation is not None:
-            return self.relaxation.W_prime, -self.relaxation.rho * self.relaxation.b
-        return self.W, np.zeros(self.p)
+        return self.obj_quad, self.obj_lin
 
     def objective(self, u: np.ndarray) -> float:
         Wq, lin = self.objective_quad()
@@ -467,15 +478,15 @@ def _equality_pull(program: TorqueProgram, u: np.ndarray, margin: float) -> np.n
 
 def _barrier_gradient(program: TorqueProgram, u: np.ndarray, c: np.ndarray, grads: np.ndarray, eta: float):
     """Gradient of the barrier objective from the rows c(u) and their gradients."""
-    Wq, lin = program.objective_quad()
-    return 2.0 * (Wq @ u) + lin - eta * (grads.T @ (1.0 / c))
+    return 2.0 * (program.obj_quad @ u) + program.obj_lin - eta * (grads.T @ (1.0 / c))
 
 
 def _barrier_hessian(program: TorqueProgram, c: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
     """Hessian of the barrier objective; positive definite for second-order-cone rows."""
-    Wq, _ = program.objective_quad()
     quad = eta / c[1 : 2 * program.k : 2]
-    H = 2.0 * Wq + eta * ((grads.T * (1.0 / c**2)) @ grads) - 2.0 * np.tensordot(quad, program.G, axes=1)
+    # sum_j quad_j G_j, formed by the same product np.tensordot uses, so it rounds the same
+    G_sum = np.dot(quad[None], program.G_flat).reshape(program.p, program.p)
+    H = program.obj_hess + eta * ((grads.T * (1.0 / c**2)) @ grads) - 2.0 * G_sum
     return 0.5 * (H + H.T)
 
 
@@ -505,6 +516,22 @@ def solve_barrier(
     problem's KKT system in (u, omega); eta then shrinks by kappa until the
     duality-gap bound r*eta falls below eps.  Backtracking keeps every iterate
     strictly inside c(u) > 0.
+
+    Each quantity is formed where its inputs change:
+
+    - once per program, in `TorqueProgram.__post_init__`: the objective pair,
+      its doubled quadratic term, and the cone stack G as a (k, p^2) matrix;
+    - once per solve: the reduced equality block E and its transpose, the
+      KKT matrix [[H, E^T], [E, 0]], and c(u) and grad c(u) at the start;
+    - once per centering step: the residual at the new eta;
+    - once per Newton step: the Hessian H, written into the KKT matrix, one
+      linear solve and the residual norm;
+    - once per line-search trial: c(u) and, only for a strictly feasible
+      trial, grad c(u), the residual and its norm.
+
+    The accepted trial's c, grad c and residual start the next Newton step.
+    c and grad c do not depend on eta, so they also start the next centering
+    step.
     """
     params = params or BarrierParams()
     p = program.p
@@ -532,6 +559,7 @@ def solve_barrier(
     rank = int(np.sum(s > 1e-10 * smax))
     lift = U[:, :rank]
     E = lift.T @ program.eq_mat
+    E_T = E.T
     rhs = lift.T @ program.eq_rhs
     resid = program.eq_rhs - lift @ rhs
     if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
@@ -547,7 +575,7 @@ def solve_barrier(
 
     # KKT matrix [[H, E^T], [E, 0]]; each Newton step rewrites only H
     KKT = np.zeros((p + rank, p + rank))
-    KKT[:p, p:] = E.T
+    KKT[:p, p:] = E_T
     KKT[p:, :p] = E
 
     nu_dual = np.zeros(rank)
@@ -558,16 +586,18 @@ def solve_barrier(
     kkt_res = float("inf")
 
     def residual(u, nu, c, grads):
-        r_dual = _barrier_gradient(program, u, c, grads, eta) + E.T @ nu
-        return np.concatenate([r_dual, E @ u - rhs])
+        res = np.empty(p + rank)
+        np.add(_barrier_gradient(program, u, c, grads, eta), E_T @ nu, out=res[:p])
+        np.subtract(E @ u, rhs, out=res[p:])
+        return res
 
+    c = program.constraint_values(u)
+    grads = program.constraint_gradients(u)
     while True:
         converged = False
-        c = program.constraint_values(u)
-        grads = program.constraint_gradients(u)
         res = residual(u, nu_dual, c, grads)
         for _ in range(params.max_newton):
-            kkt_res = float(np.linalg.norm(res))
+            kkt_res = math.sqrt(res @ res)
             if kkt_res <= params.newton_tol:
                 converged = True
                 break
@@ -578,20 +608,19 @@ def solve_barrier(
                 sol, *_ = np.linalg.lstsq(KKT, -res, rcond=None)
             du, dnu = sol[:p], sol[p:]
 
-            # backtracking: stay strictly feasible, then Armijo on the residual;
-            # the accepted trial's rows and residual start the next step
+            # backtracking: stay strictly feasible, then Armijo on the residual
             t = 1.0
             accepted = False
             while t > 1e-14:
                 u_try = u + t * du
                 c_try = program.constraint_values(u_try)
-                if not np.all(c_try > 0.0):
+                if not c_try.min() > 0.0:  # a NaN row fails too
                     t *= params.ls_beta
                     continue
                 nu_try = nu_dual + t * dnu
                 grads_try = program.constraint_gradients(u_try)
                 res_try = residual(u_try, nu_try, c_try, grads_try)
-                if np.linalg.norm(res_try) <= (1.0 - params.ls_alpha * t) * kkt_res + 1e-16:
+                if math.sqrt(res_try @ res_try) <= (1.0 - params.ls_alpha * t) * kkt_res + 1e-16:
                     u, nu_dual, c, grads, res = u_try, nu_try, c_try, grads_try, res_try
                     accepted = True
                     break
@@ -600,12 +629,11 @@ def solve_barrier(
             if not accepted:
                 break
         centering += 1
-        path.append((eta, power_loss(u, program.W)))
+        path.append((eta, float(u @ program.W @ u)))
         if not converged:
             # round-off floor on badly scaled instances: accept when the
             # residual is small relative to the objective gradient magnitude
-            Wq, lin = program.objective_quad()
-            grad_scale = max(1.0, float(np.linalg.norm(2.0 * (Wq @ u) + lin)))
+            grad_scale = max(1.0, float(np.linalg.norm(2.0 * (program.obj_quad @ u) + program.obj_lin)))
             converged = kkt_res <= 1e3 * params.newton_tol * grad_scale
         if not converged:
             status = "failed"
@@ -622,9 +650,9 @@ def solve_barrier(
         newton_iters=total_newton,
         centering_steps=centering,
         duality_gap=r * eta,
-        objective=power_loss(u, program.W),
+        objective=float(u @ program.W @ u),
         kkt_residual=kkt_res,
-        constraint_margins=program.constraint_values(u),
+        constraint_margins=c,
         status=status,
         path=tuple(path),
     )

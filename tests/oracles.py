@@ -11,6 +11,8 @@ solved by least squares (min-norm multipliers for rank-deficient stacks).
 
 import numpy as np
 
+from projctl.torque_qcqp import BarrierParams, SolverReport, phase1_feasible_point, power_loss
+
 
 def saddle_point(M, C, tau_g, B, A, A_dot, q_dot, u):
     """Solve the saddle-point system; returns (qdd, lam)."""
@@ -133,3 +135,130 @@ def constraint_rows(program, u):
         vals.append(z @ u + alpha)
         grads.append(z)
     return np.array(vals), np.array(grads).reshape(len(vals), program.p)
+
+
+def solve_barrier_reference(program, params=None, u0=None):
+    """The barrier solver written plainly: every quantity recomputed where it is
+    used, with the per-step formulas inline.  `solve_barrier` must return the
+    same report, bit for bit."""
+    params = params or BarrierParams()
+    p = program.p
+    r = program.r
+    margin = params.margin_scale * program.scale()
+
+    def failure(status, u=None):
+        return SolverReport(
+            u_star=u,
+            omega=None,
+            eta_final=float("nan"),
+            newton_iters=0,
+            centering_steps=0,
+            duality_gap=float("inf"),
+            objective=float("nan") if u is None else power_loss(u, program.W),
+            kkt_residual=float("inf"),
+            constraint_margins=None if u is None else program.constraint_values(u),
+            status=status,
+        )
+
+    U, s, _ = np.linalg.svd(program.eq_mat)
+    smax = s[0] if s.size and s[0] > 0 else 1.0
+    rank = int(np.sum(s > 1e-10 * smax))
+    lift = U[:, :rank]
+    E = lift.T @ program.eq_mat
+    rhs = lift.T @ program.eq_rhs
+    resid = program.eq_rhs - lift @ rhs
+    if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
+        return failure("infeasible_equality")
+
+    if u0 is None or not np.all(program.constraint_values(np.asarray(u0, dtype=float)) > margin):
+        phase1 = phase1_feasible_point(program, params, u_seed=u0)
+        if not phase1.feasible:
+            return failure("infeasible_inequality", u=phase1.u)
+        u = phase1.u
+    else:
+        u = np.asarray(u0, dtype=float).copy()
+
+    KKT = np.zeros((p + rank, p + rank))
+    KKT[:p, p:] = E.T
+    KKT[p:, :p] = E
+
+    nu_dual = np.zeros(rank)
+    eta = params.eta0
+    total_newton = 0
+    centering = 0
+    path = []
+    kkt_res = float("inf")
+
+    def residual(u, nu, c, grads):
+        Wq, lin = program.objective_quad()
+        grad = 2.0 * (Wq @ u) + lin - eta * (grads.T @ (1.0 / c))
+        return np.concatenate([grad + E.T @ nu, E @ u - rhs])
+
+    def hessian(c, grads):
+        Wq, _ = program.objective_quad()
+        quad = eta / c[1 : 2 * program.k : 2]
+        H = 2.0 * Wq + eta * ((grads.T * (1.0 / c**2)) @ grads) - 2.0 * np.tensordot(quad, program.G, axes=1)
+        return 0.5 * (H + H.T)
+
+    while True:
+        converged = False
+        c = program.constraint_values(u)
+        grads = program.constraint_gradients(u)
+        res = residual(u, nu_dual, c, grads)
+        for _ in range(params.max_newton):
+            kkt_res = float(np.linalg.norm(res))
+            if kkt_res <= params.newton_tol:
+                converged = True
+                break
+            KKT[:p, :p] = hessian(c, grads)
+            try:
+                sol = np.linalg.solve(KKT, -res)
+            except np.linalg.LinAlgError:
+                sol, *_ = np.linalg.lstsq(KKT, -res, rcond=None)
+            du, dnu = sol[:p], sol[p:]
+            t = 1.0
+            accepted = False
+            while t > 1e-14:
+                u_try = u + t * du
+                c_try = program.constraint_values(u_try)
+                if not np.all(c_try > 0.0):
+                    t *= params.ls_beta
+                    continue
+                nu_try = nu_dual + t * dnu
+                grads_try = program.constraint_gradients(u_try)
+                res_try = residual(u_try, nu_try, c_try, grads_try)
+                if np.linalg.norm(res_try) <= (1.0 - params.ls_alpha * t) * kkt_res + 1e-16:
+                    u, nu_dual, c, grads, res = u_try, nu_try, c_try, grads_try, res_try
+                    accepted = True
+                    break
+                t *= params.ls_beta
+            total_newton += 1
+            if not accepted:
+                break
+        centering += 1
+        path.append((eta, power_loss(u, program.W)))
+        if not converged:
+            Wq, lin = program.objective_quad()
+            grad_scale = max(1.0, float(np.linalg.norm(2.0 * (Wq @ u) + lin)))
+            converged = kkt_res <= 1e3 * params.newton_tol * grad_scale
+        if not converged:
+            status = "failed"
+            break
+        if r * eta <= params.eps or centering >= params.max_centering:
+            status = "relaxed" if program.relaxed else "optimal"
+            break
+        eta *= params.kappa
+
+    return SolverReport(
+        u_star=u,
+        omega=lift @ nu_dual,
+        eta_final=eta,
+        newton_iters=total_newton,
+        centering_steps=centering,
+        duality_gap=r * eta,
+        objective=power_loss(u, program.W),
+        kkt_residual=kkt_res,
+        constraint_margins=program.constraint_values(u),
+        status=status,
+        path=tuple(path),
+    )

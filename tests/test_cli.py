@@ -6,7 +6,7 @@ import pytest
 
 from projctl.cli import main
 from projctl.errors import ConfigError
-from projctl.runner import compare_controllers, load_config, load_scenario, run_scenario
+from projctl.runner import compare_controllers, load_config, load_scenario, output_paths, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -79,6 +79,64 @@ class TestConfigValidation:
         assert err.value.path == dotted
         assert main(["run", str(path), "--quiet"]) == 2
         assert dotted in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "gains, path",
+        [
+            ({"kp_task": float("nan"), "kd_task": 1.0}, "controller.gains.kp_task"),
+            ({"kp_task": float("inf"), "kd_task": 1.0}, "controller.gains.kp_task"),
+            ({"kp_task": [[float("inf")]], "kd_task": 1.0}, "controller.gains.kp_task"),
+            ({"kp_task": [["a"]], "kd_task": 1.0}, "controller.gains.kp_task"),
+            ({"kp_task": [[True]], "kd_task": 1.0}, "controller.gains.kp_task"),
+            ({"kp_task": [1.0], "kd_task": 1.0}, "controller.gains.kp_task"),
+            ({"kp_task": 1.0, "kd_task": [[float("nan")]]}, "controller.gains.kd_task"),
+            ({"kp_task": 1.0, "kd_task": "1"}, "controller.gains.kd_task"),
+        ],
+    )
+    def test_gains_must_be_finite_numbers(self, tmp_path, gains, path):
+        _, cfg = short_config(tmp_path, **{"controller.gains": {"kp_task": 4.0, "kd_task": [[2.0]]}})
+        assert np.array_equal(load_scenario(cfg).gains.K_D, [[2.0]])  # finite scalar and matrix gains load
+        _, cfg = short_config(tmp_path, **{"controller.gains": gains})
+        with pytest.raises(ConfigError) as err:
+            load_scenario(cfg)
+        assert err.value.path == path
+
+    SECTIONS = [
+        "model",
+        "model.params",
+        "initial_state",
+        "task",
+        "task.reference",
+        "controller",
+        "controller.gains",
+        "optimizer",
+        "integrator",
+        "contacts",
+        "output",
+    ]
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    @pytest.mark.parametrize("value", [[], "type", None])
+    def test_section_must_be_an_object(self, tmp_path, section, value):
+        _, cfg = short_config(tmp_path, **{section: value})
+        with pytest.raises(ConfigError) as err:
+            if section == "output":
+                output_paths(cfg, None, "scenario")
+            else:
+                load_scenario(cfg)
+        assert err.value.path == section
+
+    def test_non_object_section_exit_2(self, tmp_path, capsys):
+        for section in self.SECTIONS:
+            path, _ = short_config(tmp_path, **{section: []})
+            assert main(["run", str(path), "--quiet"]) == 2
+            assert f"{section}: expected an object" in capsys.readouterr().err
+
+    def test_non_object_root_exit_2(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[]")
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert main(["compare", str(path), "--quiet"]) == 2
 
     def test_missing_file(self):
         assert main(["run", "/nonexistent/config.json", "--quiet"]) == 2

@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from projctl.constrained_dynamics import RobotState, build_frame, contact_forces
 from projctl.control_laws import ControllerGains, tracking_torque
@@ -27,7 +30,7 @@ from projctl.torque_qcqp import (
 )
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, random_manifold_state
-from oracles import constraint_rows, grid_polish_optimum
+from oracles import constraint_rows, grid_polish_optimum, solve_barrier_reference
 
 
 class TestMotorWeighting:
@@ -363,6 +366,80 @@ class TestSolveBarrier:
         program = synthetic_program(np.eye(2), u_box=1e-16)
         report = solve_barrier(program)
         assert report.status == "infeasible_inequality"
+
+
+def same_value(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True)
+        )
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+class TestSolverMatchesReference:
+    """solve_barrier returns, field for field, the same report as the plain
+    loop in oracles.solve_barrier_reference: every iterate is bit for bit the
+    same, from any start and on extended programs."""
+
+    CASES = {
+        "arm": ("link_orientation", (0,)),
+        "biped_single": ("base_pitch", (0,)),
+        "biped_double": ("base_pitch", (0, 1)),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(CASES)),
+        seed=st.integers(0, 2**32 - 1),
+        relaxed=st.booleans(),
+        start=st.sampled_from(["none", "warm", "infeasible"]),
+        extension=st.sampled_from(["none", "moment", "force"]),
+        error=st.floats(-0.3, 0.3),
+    )
+    def test_reports_bit_identical(self, arm, biped, case, seed, relaxed, start, extension, error):
+        task_name, active = self.CASES[case]
+        model, home = (arm, ARM_HOME) if case == "arm" else (biped, BIPED_HOME)
+        rng = np.random.default_rng(seed)
+        state = random_manifold_state(model, rng, home, active=active)
+        frame = build_frame(model, state)
+        task = build_task(model, state, frame, make_task(model, task_name))
+        gains = ControllerGains.critically_damped(1, 5.0)
+        cmd = tracking_torque(state, frame, task, task.x + error, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(model, state, frame, cmd.tau_c)
+        if relaxed:
+            program = relax_program(program, frame, 10.0)
+        m = frame.bundle.m
+        if extension == "moment":
+            # lambda_z of the first contact plus a small mix of the others stays >= 0
+            selector = -0.05 * rng.standard_normal((1, m))
+            selector[0, 2] -= 1.0
+            program = add_moment_constraints(program, frame, model, state, selector)
+        elif extension == "force":
+            # pin lambda_z of the first contact near its value at a feasible point
+            selector = np.zeros((1, m))
+            selector[0, 2] = 1.0
+            base = phase1_feasible_point(program).u
+            target = (selector @ contact_forces(frame, model, state, base).forces) * rng.uniform(0.9, 1.1)
+            program = add_force_regulation(program, frame, model, state, selector, target)
+        if start == "none":
+            u0 = None
+        elif start == "warm":
+            u0 = solve_barrier_reference(program).u_star
+            if u0 is not None:
+                u0 = u0 + 1e-3 * rng.standard_normal(model.p)
+        else:
+            u0 = 2.0 * model.u_max  # outside the torque box: phase 1 runs from this seed
+        expected = solve_barrier_reference(program, u0=u0)
+        report = solve_barrier(program, u0=u0)
+        event(f"{case} {'relaxed' if relaxed else 'qcqp'} {start} {extension}: {report.status}")
+        for f in dataclasses.fields(report):
+            got, want = getattr(report, f.name), getattr(expected, f.name)
+            assert same_value(got, want), f"{f.name}: {got!r} != {want!r}"
 
 
 class TestBarrierConvexity:
