@@ -14,6 +14,10 @@ callers pays only for what it reads:
   :func:`contact_forces`);
 - an integrator stage reads only :func:`constrained_accel`,
   qdd = M_bar^-1 (P (B u + tau_g) - C_bar qd), and never forms S or Q.
+
+The contact forces are affine in the actuator torques, lambda(u) =
+A^+T S (B u + tau_g - Q qd) = F u + f0; :func:`contact_force_map` alone forms
+(F, f0), and the contact forces and the torque program's contact rows read it.
 """
 
 from __future__ import annotations
@@ -300,20 +304,26 @@ def constrained_accel(
     return frame.M_bar_inv @ rhs
 
 
+def contact_force_map(
+    frame: ConstraintFrame, model: RobotModel, state: RobotState
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(F, f0) = (A^+T (S B), A^+T (S (tau_g - Q qd))): lambda(u) = F u + f0 is the
+    minimum-norm solution of A^T lam = S (B u + tau_g - Q qd), which S keeps consistent.
+    """
+    A_pinv_T = frame.bundle.A_pinv.T
+    F = A_pinv_T @ (frame.S @ model.actuation)
+    f0 = A_pinv_T @ (frame.S @ (frame.tau_g - frame.Q @ state.q_dot))
+    return F, f0
+
+
 def contact_forces(
     frame: ConstraintFrame, model: RobotModel, state: RobotState, u: np.ndarray
 ) -> ContactWrench:
-    """Contact forces consistent with the applied actuation.
-
-    Solves A^T lam = S (B u + tau_g - Q qd); S maps applied forces onto the
-    row space of A, so the system is always consistent and the minimum-norm
-    multiplier is returned (flagged degenerate when A is rank-deficient).
-    """
+    """Contact forces F u + f0 (contact_force_map); degenerate when A is rank-deficient."""
     if len(state.active_contacts) == 0:
         raise InputError("contact_forces requires a nonempty active contact set")
-    u = np.asarray(u, dtype=float)
-    w = frame.S @ (model.actuation @ u + frame.tau_g - frame.Q @ state.q_dot)
-    lam = frame.bundle.A_pinv.T @ w
+    F, f0 = contact_force_map(frame, model, state)
+    lam = F @ np.asarray(u, dtype=float) + f0
     mu = model.friction_coefficients(state.active_contacts)
     degenerate = frame.bundle.rank < frame.bundle.m
     return ContactWrench(forces=lam, margins=cone_margins(lam, mu), degenerate=degenerate)

@@ -21,15 +21,11 @@ from .errors import ActuationError, InputError
 from .task_space import TaskMap
 
 
-def _check_spd(K: np.ndarray, name: str, dim: int):
-    K = np.asarray(K, dtype=float)
-    if K.shape != (dim, dim):
-        raise InputError(f"{name} must be {dim}x{dim}, got {K.shape}")
-    if np.abs(K - K.T).max() > 1e-10 * max(1.0, np.abs(K).max()):
-        raise InputError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(K).min() <= 0:
-        raise InputError(f"{name} must be positive-definite")
-    return K
+def _checked_dims(gains: ControllerGains, kp_dim: int, kd_dim: int, kd_name: str = "K_D"):
+    for name, K, dim in (("K_P", gains.K_P, kp_dim), (kd_name, gains.K_D, kd_dim)):
+        if K.shape != (dim, dim):
+            raise InputError(f"{name} must be {dim}x{dim}, got {K.shape}")
+    return gains.K_P, gains.K_D
 
 
 @dataclass(frozen=True)
@@ -38,15 +34,23 @@ class ControllerGains:
 
     For the tracking law both act on the l-dimensional task error; the
     regulation law instead applies K_D to the full joint velocity, so there
-    K_D must be n x n.
+    K_D must be n x n.  Both are checked here, once, to be finite, square,
+    symmetric and positive-definite (errors start with the field's name).
     """
 
     K_P: np.ndarray
     K_D: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "K_P", np.asarray(self.K_P, dtype=float))
-        object.__setattr__(self, "K_D", np.asarray(self.K_D, dtype=float))
+        for name in ("K_P", "K_D"):
+            K = np.asarray(getattr(self, name), dtype=float)
+            if K.ndim != 2 or K.shape[0] != K.shape[1] or K.size == 0 or not np.isfinite(K).all():
+                raise InputError(f"{name} must be a finite, nonempty square matrix, got {K.tolist()}")
+            if np.abs(K - K.T).max() > 1e-10 * max(1.0, np.abs(K).max()):
+                raise InputError(f"{name} must be symmetric")
+            if np.linalg.eigvalsh(K).min() <= 0:
+                raise InputError(f"{name} must be positive-definite")
+            object.__setattr__(self, name, K)
 
     @classmethod
     def critically_damped(cls, dim: int, omega: float) -> "ControllerGains":
@@ -93,8 +97,7 @@ def tracking_torque(
     edd + K_D ed + K_P e = 0.
     """
     l = task.l
-    K_P = _check_spd(gains.K_P, "K_P", l)
-    K_D = _check_spd(gains.K_D, "K_D", l)
+    K_P, K_D = _checked_dims(gains, l, l)
     x_d = np.asarray(x_d, dtype=float)
     x_d_dot = np.asarray(x_d_dot, dtype=float)
     x_d_ddot = np.asarray(x_d_ddot, dtype=float)
@@ -126,8 +129,7 @@ def regulation_torque(
     the function V = qd^T M_bar qd / 2 + e^T K_P e / 2 is non-increasing and
     the state settles on e = 0, qd = 0.
     """
-    K_P = _check_spd(gains.K_P, "K_P", task.l)
-    K_D = _check_spd(gains.K_D, "K_D (joint-space)", frame.n)
+    K_P, K_D = _checked_dims(gains, task.l, frame.n, "K_D (joint-space)")
     x_d = np.asarray(x_d, dtype=float)
     if x_d.shape != (task.l,) or not np.all(np.isfinite(x_d)):
         raise InputError(f"x_d must be a finite vector of length {task.l}")

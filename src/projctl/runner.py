@@ -80,9 +80,12 @@ def _as_number(value, path: str, positive=False) -> float:
     return float(value)
 
 
-def _as_vector(value, path: str) -> np.ndarray:
+def _as_vector(value, path: str, sizes: Tuple[int, ...] = ()) -> np.ndarray:
+    """A list of finite numbers, with one of the given lengths if any are given."""
     if not isinstance(value, list) or not all(_is_number(v) for v in value):
         raise ConfigError(path, "expected a list of finite numbers")
+    if sizes and len(value) not in sizes:
+        raise ConfigError(path, f"expected {' or '.join(map(str, sorted(set(sizes))))} entries, got {len(value)}")
     return np.asarray(value, dtype=float)
 
 
@@ -108,18 +111,14 @@ def _gain_matrix(value, dim: int, path: str) -> np.ndarray:
 def _build_reference(cfg: dict, dim: int, path: str) -> Reference:
     kind = _require(cfg, "type", path)
     if kind == "constant":
-        value = _as_vector(_require(cfg, "value", path), f"{path}.value")
-        if value.size != dim:
-            raise ConfigError(f"{path}.value", f"expected {dim} entries")
-        return constant_reference(value)
+        return constant_reference(_as_vector(_require(cfg, "value", path), f"{path}.value", (dim,)))
     if kind == "sinusoid":
-        center = _as_vector(_require(cfg, "center", path), f"{path}.center")
-        if center.size != dim:
-            raise ConfigError(f"{path}.center", f"expected {dim} entries")
-        amp = _as_vector(_require(cfg, "amplitude", path), f"{path}.amplitude")
-        freq = _as_vector(_require(cfg, "frequency", path), f"{path}.frequency")
+        # amplitude, frequency and phase take one entry shared by every task coordinate, or dim
+        center = _as_vector(_require(cfg, "center", path), f"{path}.center", (dim,))
+        amp = _as_vector(_require(cfg, "amplitude", path), f"{path}.amplitude", (1, dim))
+        freq = _as_vector(_require(cfg, "frequency", path), f"{path}.frequency", (1, dim))
         phase = cfg.get("phase")
-        phase = _as_vector(phase, f"{path}.phase") if phase is not None else None
+        phase = _as_vector(phase, f"{path}.phase", (1, dim)) if phase is not None else None
         return sinusoid_reference(center, amp, freq, phase)
     raise ConfigError(f"{path}.type", f"unknown reference type '{kind}'")
 
@@ -184,12 +183,14 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
                 K_P=omega**2 * np.eye(task.dim), K_D=2.0 * omega * np.eye(model.n)
             )
     else:
-        kp = _gain_matrix(_require(gcfg, "kp_task", "controller.gains"), task.dim, "controller.gains.kp_task")
-        if ctype == "tracking":
-            kd = _gain_matrix(_require(gcfg, "kd_task", "controller.gains"), task.dim, "controller.gains.kd_task")
-        else:
-            kd = _gain_matrix(_require(gcfg, "kd_joint", "controller.gains"), model.n, "controller.gains.kd_joint")
-        gains = ControllerGains(K_P=kp, K_D=kd)
+        kd_key, kd_dim = ("kd_task", task.dim) if ctype == "tracking" else ("kd_joint", model.n)
+        paths = {"K_P": "controller.gains.kp_task", "K_D": f"controller.gains.{kd_key}"}
+        kp = _gain_matrix(_require(gcfg, "kp_task", "controller.gains"), task.dim, paths["K_P"])
+        kd = _gain_matrix(_require(gcfg, kd_key, "controller.gains"), kd_dim, paths["K_D"])
+        try:
+            gains = ControllerGains(K_P=kp, K_D=kd)
+        except InputError as exc:  # the message starts with the failing field's name
+            raise ConfigError(paths[str(exc).split()[0]], str(exc)) from None
 
     ocfg = _section(cfg, "optimizer", "")
     if optimizer_kind is None:

@@ -9,7 +9,9 @@ The program over actuator torques u is
 where c(u) stacks, per contact, the linear normal-force row
 z_i^T u + alpha_i and the quadratic cone row u^T G_i u + gamma_i^T u + beta_i,
 followed by the box rows u_max - u and u - u_min, plus any appended moment
-rows.  It is solved by following the central path of the barrier problem
+rows.  Every contact row, and each force-regulation equality, is read from the
+affine force map lambda(u) = F u + f0 of constrained_dynamics.contact_force_map.
+It is solved by following the central path of the barrier problem
 
     minimize    u^T W u - eta * sum_i log c_i(u)    s.t.  P B u = tau_c
 
@@ -39,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constrained_dynamics import ConstraintFrame, RobotModel, RobotState
+from .constrained_dynamics import ConstraintFrame, RobotModel, RobotState, contact_force_map
 from .errors import InputError
 
 
@@ -71,7 +73,7 @@ class ConeConstraint:
 
     z^T u + alpha reproduces the normal force lambda_z(u); the quadratic form
     u^T G u + gamma^T u + beta reproduces mu^2 lambda_z^2 - lambda_x^2
-    - lambda_y^2.
+    - lambda_y^2 (assemble_cone_constraints reads both from lambda(u) = F u + f0).
     """
 
     z: np.ndarray
@@ -79,7 +81,6 @@ class ConeConstraint:
     G: np.ndarray
     gamma: np.ndarray
     beta: float
-    Pi: np.ndarray
 
 
 def assemble_cone_constraints(
@@ -87,34 +88,23 @@ def assemble_cone_constraints(
 ) -> List[ConeConstraint]:
     """Cone coefficients for every active contact.
 
-    With w0 = tau_g - Q qd and a_* the pseudo-inverse columns selecting each
-    force component, lambda_*(u) = a_*^T S (B u + w0); the coefficients below
-    are that expression expanded in u.
+    With F_i, f_i the contact's three rows of the force map
+    lambda(u) = F u + f0 (x, y, z) and D = diag(-1, -1, mu^2):
+    z = F_i[2], alpha = f_i[2], G = F_i^T D F_i, gamma = 2 F_i^T D f_i and
+    beta = f_i^T D f_i, so u^T G u + gamma^T u + beta = lambda_i^T D lambda_i.
     """
     active = state.active_contacts
     if len(active) == 0:
         raise InputError("cone constraints need at least one active contact")
-    B = model.actuation
-    S = frame.S
-    A_pinv = frame.bundle.A_pinv
-    w0 = frame.tau_g - frame.Q @ state.q_dot
-    Sw0 = S @ w0
-    SB = S @ B
+    F, f0 = contact_force_map(frame, model, state)
     out = []
     for idx, contact in enumerate(active):
-        mu = model.contacts[contact].friction
-        a_x = A_pinv[:, 3 * idx + 0]
-        a_y = A_pinv[:, 3 * idx + 1]
-        a_z = A_pinv[:, 3 * idx + 2]
-        Pi = S.T @ (-np.outer(a_x, a_x) - np.outer(a_y, a_y) + mu**2 * np.outer(a_z, a_z)) @ S
+        F_i, f_i = F[3 * idx : 3 * idx + 3], f0[3 * idx : 3 * idx + 3]
+        D = np.array([-1.0, -1.0, model.contacts[contact].friction ** 2])
+        DF_i, Df_i = D[:, None] * F_i, D * f_i
         out.append(
             ConeConstraint(
-                z=B.T @ (S.T @ a_z),
-                alpha=float(a_z @ Sw0),
-                G=B.T @ Pi @ B,
-                gamma=2.0 * (B.T @ (Pi @ w0)),
-                beta=float(w0 @ Pi @ w0),
-                Pi=Pi,
+                z=F_i[2], alpha=float(f_i[2]), G=F_i.T @ DF_i, gamma=2.0 * (F_i.T @ Df_i), beta=float(f_i @ Df_i)
             )
         )
     return out
@@ -284,14 +274,11 @@ def add_moment_constraints(
         return program
     if selector.shape[1] != m:
         raise InputError(f"selector must have {m} columns, got {selector.shape[1]}")
-    T = selector @ frame.bundle.A_pinv.T @ frame.S  # rows x n
-    w0 = frame.tau_g - frame.Q @ state.q_dot
-    z_new = -(T @ model.actuation)
-    alpha_new = -(T @ w0)
+    F, f0 = contact_force_map(frame, model, state)
     return replace(
         program,
-        extra_z=np.vstack([program.extra_z, z_new]),
-        extra_alpha=np.concatenate([program.extra_alpha, alpha_new]),
+        extra_z=np.vstack([program.extra_z, -(selector @ F)]),
+        extra_alpha=np.concatenate([program.extra_alpha, -(selector @ f0)]),
     )
 
 
@@ -315,14 +302,11 @@ def add_force_regulation(
         raise InputError(f"selector must have {m} columns, got {selector.shape[1]}")
     if lambda_desired.shape != (selector.shape[0],):
         raise InputError("lambda_desired length must match selector row count")
-    T = selector @ frame.bundle.A_pinv.T @ frame.S
-    w0 = frame.tau_g - frame.Q @ state.q_dot
-    F = T @ model.actuation
-    rhs = lambda_desired - T @ w0
+    F, f0 = contact_force_map(frame, model, state)
     return replace(
         program,
-        eq_mat=np.vstack([program.eq_mat, F]),
-        eq_rhs=np.concatenate([program.eq_rhs, rhs]),
+        eq_mat=np.vstack([program.eq_mat, selector @ F]),
+        eq_rhs=np.concatenate([program.eq_rhs, lambda_desired - selector @ f0]),
     )
 
 

@@ -117,6 +117,33 @@ def integrate_saddle(model, q0, qd0, active, u_fn, dt, steps):
     return out
 
 
+def contact_forces_reference(frame, model, state, u):
+    """Stacked contact forces A^+T S (B u + tau_g - Q qd), evaluated in that order."""
+    w = frame.S @ (model.actuation @ np.asarray(u, dtype=float) + frame.tau_g - frame.Q @ state.q_dot)
+    return frame.bundle.A_pinv.T @ w
+
+
+def cone_rows_reference(frame, model, state):
+    """(z, alpha, G, gamma, beta) per active contact, expanded through the n x n form
+    Pi = S^T (mu^2 a_z a_z^T - a_x a_x^T - a_y a_y^T) S with a_* the A^+ columns."""
+    B, S, A_pinv = model.actuation, frame.S, frame.bundle.A_pinv
+    w0 = frame.tau_g - frame.Q @ state.q_dot
+    rows = []
+    for idx, contact in enumerate(state.active_contacts):
+        mu = model.contacts[contact].friction
+        a_x, a_y, a_z = A_pinv[:, 3 * idx], A_pinv[:, 3 * idx + 1], A_pinv[:, 3 * idx + 2]
+        Pi = S.T @ (-np.outer(a_x, a_x) - np.outer(a_y, a_y) + mu**2 * np.outer(a_z, a_z)) @ S
+        rows.append((B.T @ (S.T @ a_z), a_z @ (S @ w0), B.T @ Pi @ B, 2.0 * (B.T @ (Pi @ w0)), w0 @ Pi @ w0))
+    return rows
+
+
+def selected_force_rows(frame, model, state, selector):
+    """(T B, T w0) with T = selector A^+T S and w0 = tau_g - Q qd: selector @ lambda(u)
+    is T B u + T w0."""
+    T = selector @ frame.bundle.A_pinv.T @ frame.S
+    return T @ model.actuation, T @ (frame.tau_g - frame.Q @ state.q_dot)
+
+
 def constraint_rows(program, u):
     """c(u) and its gradient rows written out row by row, one contact at a time."""
     u = np.asarray(u, dtype=float)

@@ -192,7 +192,6 @@ def bundled_programs(arm, biped, rng):
     corridor = ConeConstraint(
         z=np.array([0.3, 1.0]), alpha=4.0,
         G=np.diag([-0.5, -0.2]), gamma=np.array([0.8, -0.4]), beta=6.0,
-        Pi=np.zeros((2, 2)),
     )
 
     def toy(W, u_box, eq=None, cones=()):

@@ -70,6 +70,9 @@ class TestConfigValidation:
             ("initial_state.active_contacts", [True]),
             ("integrator.baumgarte", "false"),
             ("integrator.baumgarte", 1),
+            ("task.reference.amplitude", [0.1, 0.2]),
+            ("task.reference.frequency", [0.5, 0.5]),
+            ("task.reference.phase", [0.0, 0.0]),
         ],
     )
     def test_rejected_at_load_with_field_path(self, tmp_path, capsys, dotted, value):
@@ -100,6 +103,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             load_scenario(cfg)
         assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        "base, gains, path",
+        [
+            ("arm_tracking.json", {"kp_task": -1.0, "kd_task": 1.0}, "controller.gains.kp_task"),
+            ("arm_tracking.json", {"kp_task": 1.0, "kd_task": [[0.0]]}, "controller.gains.kd_task"),
+            ("arm_regulation.json", {"kp_task": 16.0, "kd_joint": -2.0}, "controller.gains.kd_joint"),
+            (
+                "arm_regulation.json",
+                {"kp_task": 16.0, "kd_joint": [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]},
+                "controller.gains.kd_joint",
+            ),
+        ],
+    )
+    def test_gains_must_be_positive_definite(self, tmp_path, capsys, base, gains, path):
+        config, cfg = short_config(tmp_path, base=base, **{"controller.gains": gains})
+        with pytest.raises(ConfigError) as err:
+            load_scenario(cfg)
+        assert err.value.path == path
+        assert main(["run", str(config), "--quiet"]) == 2
+        assert path in capsys.readouterr().err
 
     SECTIONS = [
         "model",

@@ -25,6 +25,31 @@ def arm_setup(arm, state):
 GAINS1 = ControllerGains.critically_damped(1, 5.0)
 
 
+class TestControllerGains:
+    @pytest.mark.parametrize(
+        "K_P, K_D, field",
+        [
+            (np.eye(2), -np.eye(2), "K_D"),
+            (np.zeros((1, 1)), np.eye(1), "K_P"),
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2), "K_P"),
+            (np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), "K_D"),
+            (np.ones((2, 3)), np.eye(2), "K_P"),
+            (np.ones(2), np.eye(2), "K_P"),
+            (np.eye(1), np.zeros((0, 0)), "K_D"),
+        ],
+    )
+    def test_rejected_at_construction_naming_the_field(self, K_P, K_D, field):
+        with pytest.raises(InputError, match=f"^{field} "):
+            ControllerGains(K_P=K_P, K_D=K_D)
+
+    def test_laws_check_only_dimensions(self, arm, rng):
+        state = random_manifold_state(arm, rng, ARM_HOME)
+        frame, task = arm_setup(arm, state)
+        gains = ControllerGains.critically_damped(2, 5.0)
+        with pytest.raises(InputError, match="K_P must be 1x1"):
+            tracking_torque(state, frame, task, task.x, np.zeros(1), np.zeros(1), gains)
+
+
 class TestTrackingTorque:
     def test_zero_on_reference_at_rest(self):
         # gravity-free copy of the arm

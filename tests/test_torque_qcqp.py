@@ -30,7 +30,14 @@ from projctl.torque_qcqp import (
 )
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, random_manifold_state
-from oracles import constraint_rows, grid_polish_optimum, solve_barrier_reference
+from oracles import (
+    cone_rows_reference,
+    constraint_rows,
+    contact_forces_reference,
+    grid_polish_optimum,
+    selected_force_rows,
+    solve_barrier_reference,
+)
 
 
 class TestMotorWeighting:
@@ -107,21 +114,68 @@ class TestConeConstraints:
         (cone,) = assemble_cone_constraints(model, state, frame)
         assert cone.z @ np.zeros(3) + cone.alpha == pytest.approx(mass * g, rel=1e-12)
 
-    def test_pi_reproduced_from_factors(self, arm, rng):
-        state = random_manifold_state(arm, rng, ARM_HOME)
-        frame = build_frame(arm, state)
-        (cone,) = assemble_cone_constraints(arm, state, frame)
-        Ap = frame.bundle.A_pinv
-        mu = arm.contacts[0].friction
-        a_x, a_y, a_z = Ap[:, 0], Ap[:, 1], Ap[:, 2]
-        core = -np.outer(a_x, a_x) - np.outer(a_y, a_y) + mu**2 * np.outer(a_z, a_z)
-        assert np.abs(cone.Pi - frame.S.T @ core @ frame.S).max() <= 1e-10
-
     def test_requires_active_contacts(self, arm):
         state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())
         frame = build_frame(arm, state)
         with pytest.raises(InputError):
             assemble_cone_constraints(arm, state, frame)
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+class TestForceMapMatchesOracle:
+    """Contact forces, cone rows, moment rows and force-regulation rows, all read
+    from the affine map lambda(u) = F u + f0, agree with the expressions that
+    expand A^+T S (B u + tau_g - Q qd) directly."""
+
+    @staticmethod
+    def check(model, state, seed):
+        rng = np.random.default_rng(seed)
+        frame = build_frame(model, state)
+        m, p = frame.bundle.m, model.p
+        for _ in range(5):
+            u = rng.uniform(2 * model.u_min, 2 * model.u_max)
+            want = contact_forces_reference(frame, model, state, u)
+            assert_close(contact_forces(frame, model, state, u).forces, want)
+        for cone, (z, alpha, G, gamma, beta) in zip(
+            assemble_cone_constraints(model, state, frame), cone_rows_reference(frame, model, state), strict=True
+        ):
+            for got, want in ((cone.z, z), (cone.alpha, alpha), (cone.G, G), (cone.gamma, gamma), (cone.beta, beta)):
+                assert_close(got, want)
+        empty = synthetic_program(np.eye(p))
+        selector = rng.standard_normal((2, m))
+        sel_F, sel_f0 = selected_force_rows(frame, model, state, selector)
+        moment = add_moment_constraints(empty, frame, model, state, selector)
+        assert_close(moment.extra_z, -sel_F)
+        assert_close(moment.extra_alpha, -sel_f0)
+        target = rng.standard_normal(2)
+        regulated = add_force_regulation(empty, frame, model, state, selector, target)
+        assert_close(regulated.eq_mat, sel_F)
+        assert_close(regulated.eq_rhs, target - sel_f0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_arm(self, arm, seed):
+        self.check(arm, random_manifold_state(arm, np.random.default_rng(seed), ARM_HOME), seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), active=st.sampled_from([(0,), (0, 1)]))
+    def test_biped(self, biped, seed, active):
+        state = random_manifold_state(biped, np.random.default_rng(seed), BIPED_HOME, active=active)
+        self.check(biped, state, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hip=st.floats(-0.5, 0.5))
+    def test_coincident_feet_rank_deficient(self, biped, seed, hip):
+        rng = np.random.default_rng(seed)
+        q = np.concatenate([BIPED_HOME[:3] + 0.1 * rng.standard_normal(3), [hip, hip]])
+        state = manifold_state(biped, q, rng=rng, active=(0, 1))
+        assert build_frame(biped, state).bundle.rank < 6
+        self.check(biped, state, seed)
 
 
 class TestAssembleProgram:
@@ -224,7 +278,6 @@ class TestPhaseOne:
             G=-np.eye(2),
             gamma=np.array([4.0, 0.0]),
             beta=-3.0,
-            Pi=np.zeros((2, 2)),
         )
         program = TorqueProgram(
             W=np.eye(2),
@@ -306,7 +359,6 @@ class TestSolveBarrier:
         corridor = ConeConstraint(
             z=np.array([0.3, 1.0]), alpha=4.0,
             G=np.diag([-0.5, -0.2]), gamma=np.array([0.8, -0.4]), beta=6.0,
-            Pi=np.zeros((2, 2)),
         )
         toys = [
             synthetic_program(np.diag([1.0, 2.0]), u_box=4.0, cones=(corridor,)),
