@@ -206,7 +206,7 @@ def task_map_identities(seed: int = 0, samples: int = 40) -> CheckResult:
         frame = build_frame(arm, state)
         task = build_task(arm, state, frame, task_def)
         worst = max(worst, task.identities.range_in_null, task.identities.pinv_in_null)
-        if task.identities.full_span:
+        if task.full_span:
             worst = max(worst, task.identities.pinv_product)
         xdd = rng.standard_normal(1)
         qdd = task_accel_decompose(task, frame, xdd, state.q_dot)

@@ -6,18 +6,18 @@ M_bar = P M P + nu (I - P) and the matching Coriolis matrix is
 C_bar = P C P + P M P_dot - nu L, so a contact switch changes P, never a
 dimension.  :func:`build_frame` evaluates the model and this algebra once at
 a state and returns a :class:`ConstraintFrame`.  The frame's M_bar^-1, the
-oblique force projector S = I - M M_bar^-1 P and the bias map
-Q = M Omega + C are computed on first use, so each of the frame's two
-callers pays only for what it reads:
+oblique force projector S = I - M M_bar^-1 P, the bias map Q = M Omega + C
+and the contact-force map (F, f0) below are computed on first use, so each
+of the frame's two callers pays only for what it reads:
 
 - a control tick reads all of it (task map, control law, torque allocator,
   :func:`contact_forces`);
 - an integrator stage reads only :func:`constrained_accel`,
-  qdd = M_bar^-1 (P (B u + tau_g) - C_bar qd), and never forms S or Q.
+  qdd = M_bar^-1 (P (B u + tau_g) - C_bar qd), and never forms S, Q or (F, f0).
 
 The contact forces are affine in the actuator torques, lambda(u) =
-A^+T S (B u + tau_g - Q qd) = F u + f0; :func:`contact_force_map` alone forms
-(F, f0), and the contact forces and the torque program's contact rows read it.
+A^+T S (B u + tau_g - Q qd) = F u + f0; ``ConstraintFrame.force_map`` alone
+forms (F, f0), and the contact forces and the torque program's rows read it.
 """
 
 from __future__ import annotations
@@ -167,8 +167,9 @@ class RobotState:
 class ConstraintFrame:
     """All projection-derived quantities evaluated at one state.
 
-    M_bar_inv, S and Q are computed on first use and then kept: an integrator
-    stage reads only M_bar_inv, a control tick reads all three.
+    M_bar_inv, S, Q and the force map (F, f0) are computed on first use and
+    then kept: an integrator stage reads only M_bar_inv, a control tick reads
+    all four.  q_dot and B are the velocity and actuation it was built from.
     """
 
     bundle: ProjectorBundle
@@ -178,6 +179,8 @@ class ConstraintFrame:
     M_bar: np.ndarray
     C_bar: np.ndarray
     nu: float
+    q_dot: np.ndarray
+    B: np.ndarray
     active: Tuple[int, ...] = ()
 
     @property
@@ -201,6 +204,15 @@ class ConstraintFrame:
     def Q(self) -> np.ndarray:
         """Bias map M Omega + C."""
         return self.M @ self.bundle.Omega + self.C
+
+    @cached_property
+    def force_map(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(F, f0) = (A^+T (S B), A^+T (S (tau_g - Q qd))): lambda(u) = F u + f0 is the minimum-norm
+        solution of A^T lam = S (B u + tau_g - Q qd), which S keeps consistent."""
+        A_pinv_T = self.bundle.A_pinv.T
+        F = A_pinv_T @ (self.S @ self.B)
+        f0 = A_pinv_T @ (self.S @ (self.tau_g - self.Q @ self.q_dot))
+        return F, f0
 
 
 @dataclass(frozen=True)
@@ -287,6 +299,8 @@ def build_frame(
         M_bar=M_bar,
         C_bar=C_bar,
         nu=float(nu),
+        q_dot=qd,
+        B=model.actuation,
         active=active,
     )
 
@@ -304,25 +318,13 @@ def constrained_accel(
     return frame.M_bar_inv @ rhs
 
 
-def contact_force_map(
-    frame: ConstraintFrame, model: RobotModel, state: RobotState
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(F, f0) = (A^+T (S B), A^+T (S (tau_g - Q qd))): lambda(u) = F u + f0 is the
-    minimum-norm solution of A^T lam = S (B u + tau_g - Q qd), which S keeps consistent.
-    """
-    A_pinv_T = frame.bundle.A_pinv.T
-    F = A_pinv_T @ (frame.S @ model.actuation)
-    f0 = A_pinv_T @ (frame.S @ (frame.tau_g - frame.Q @ state.q_dot))
-    return F, f0
-
-
 def contact_forces(
     frame: ConstraintFrame, model: RobotModel, state: RobotState, u: np.ndarray
 ) -> ContactWrench:
-    """Contact forces F u + f0 (contact_force_map); degenerate when A is rank-deficient."""
+    """Contact forces F u + f0 (ConstraintFrame.force_map); degenerate when A is rank-deficient."""
     if len(state.active_contacts) == 0:
         raise InputError("contact_forces requires a nonempty active contact set")
-    F, f0 = contact_force_map(frame, model, state)
+    F, f0 = frame.force_map
     lam = F @ np.asarray(u, dtype=float) + f0
     mu = model.friction_coefficients(state.active_contacts)
     degenerate = frame.bundle.rank < frame.bundle.m

@@ -76,10 +76,13 @@ def pseudo_inverse(A, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     Singular values below rank_tol * sigma_max are treated as exact zeros, so
     rank-deficient inputs are handled silently.
     """
-    A = _as_matrix(A)
-    U, s, Vt, rank = _svd_cutoff(A, rank_tol)
+    return _pinv_from_svd(*_svd_cutoff(_as_matrix(A), rank_tol))
+
+
+def _pinv_from_svd(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, rank: int) -> np.ndarray:
+    """A^+ from the thin SVD A = U diag(s) Vt, with s[rank:] treated as zero."""
     if rank == 0:
-        return np.zeros((A.shape[1], A.shape[0]))
+        return np.zeros((Vt.shape[1], U.shape[0]))
     inv_s = np.zeros_like(s)
     inv_s[:rank] = 1.0 / s[:rank]
     return (Vt.T * inv_s) @ U.T
@@ -102,9 +105,7 @@ def _projector(A: np.ndarray, rank_tol: float):
     U, s, Vt, rank = _svd_cutoff(A, rank_tol)
     if rank == 0:
         return np.zeros((n, A.shape[0])), np.eye(n), 0
-    inv_s = np.zeros_like(s)
-    inv_s[:rank] = 1.0 / s[:rank]
-    A_pinv = (Vt.T * inv_s) @ U.T
+    A_pinv = _pinv_from_svd(U, s, Vt, rank)
     V1 = Vt[:rank].T
     P = np.eye(n) - V1 @ V1.T
     P = 0.5 * (P + P.T)

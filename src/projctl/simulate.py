@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,14 +79,18 @@ def constant_reference(x_d) -> Reference:
 
 
 def sinusoid_reference(center, amplitude, frequency_hz, phase=None) -> Reference:
+    """center + amplitude sin(2 pi frequency_hz t + phase); the last three take 1 or len(center) entries."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    amplitude = np.broadcast_to(np.asarray(amplitude, dtype=float), center.shape)
-    omega = 2.0 * np.pi * np.broadcast_to(np.asarray(frequency_hz, dtype=float), center.shape)
-    phase = (
-        np.zeros_like(center)
-        if phase is None
-        else np.broadcast_to(np.asarray(phase, dtype=float), center.shape)
-    )
+
+    def per_entry(value, name):
+        value = np.atleast_1d(np.asarray(value, dtype=float))
+        if value.shape not in ((1,), center.shape):
+            raise InputError(f"{name} must have 1 or {center.size} entries, got shape {value.shape}")
+        return np.broadcast_to(value, center.shape)
+
+    amplitude = per_entry(amplitude, "amplitude")
+    omega = 2.0 * np.pi * per_entry(frequency_hz, "frequency_hz")
+    phase = np.zeros_like(center) if phase is None else per_entry(phase, "phase")
     return Reference(
         value=lambda t: center + amplitude * np.sin(omega * t + phase),
         rate=lambda t: amplitude * omega * np.cos(omega * t + phase),
@@ -379,10 +383,7 @@ def simulate(scenario: Scenario) -> SimTrace:
         refresh_anchors(state)
 
     k_model = model.k
-    cols: Dict[str, list] = {key: [] for key in (
-        "t", "q", "dq", "x", "xd", "e_norm", "u", "lam", "margins", "p_loss",
-        "lyapunov", "phi_norm", "d_norm", "newton", "centering", "eta", "status", "drift", "active",
-    )}
+    cols: Dict[str, list] = {f.name: [] for f in fields(SimTrace) if f.name != "name"}
 
     W = motor_weighting(model.motor_resistance, model.torque_constant)
     pending = list(scenario.schedule)
@@ -420,9 +421,9 @@ def simulate(scenario: Scenario) -> SimTrace:
 
         cols["t"].append(t)
         cols["q"].append(state.q.copy())
-        cols["dq"].append(state.q_dot.copy())
+        cols["q_dot"].append(state.q_dot.copy())
         cols["x"].append(task.x.copy())
-        cols["xd"].append(np.asarray(ref.value(t), dtype=float).copy())
+        cols["x_d"].append(np.asarray(ref.value(t), dtype=float).copy())
         cols["e_norm"].append(float(np.linalg.norm(cmd.e)))
         cols["u"].append(u.copy())
         cols["lam"].append(lam_row)
@@ -431,7 +432,7 @@ def simulate(scenario: Scenario) -> SimTrace:
         cols["lyapunov"].append(regulation_lyapunov(frame, state.q_dot, cmd.e, scenario.gains.K_P))
         cols["phi_norm"].append(float(np.linalg.norm(cmd.phi)))
         cols["d_norm"].append(float(np.linalg.norm(cmd.d)))
-        cols["newton"].append(n_newton)
+        cols["newton_iters"].append(n_newton)
         cols["centering"].append(n_center)
         cols["eta"].append(eta)
         cols["status"].append(status)
@@ -442,25 +443,6 @@ def simulate(scenario: Scenario) -> SimTrace:
         if i < n_steps:
             state = step(model, state, u, dt, opts, nu=nu, anchors=anchors)
 
-    return SimTrace(
-        name=scenario.name,
-        t=np.asarray(cols["t"]),
-        q=np.asarray(cols["q"]),
-        q_dot=np.asarray(cols["dq"]),
-        x=np.asarray(cols["x"]),
-        x_d=np.asarray(cols["xd"]),
-        e_norm=np.asarray(cols["e_norm"]),
-        u=np.asarray(cols["u"]),
-        lam=np.asarray(cols["lam"]),
-        margins=np.asarray(cols["margins"]),
-        p_loss=np.asarray(cols["p_loss"]),
-        lyapunov=np.asarray(cols["lyapunov"]),
-        phi_norm=np.asarray(cols["phi_norm"]),
-        d_norm=np.asarray(cols["d_norm"]),
-        newton_iters=np.asarray(cols["newton"]),
-        centering=np.asarray(cols["centering"]),
-        eta=np.asarray(cols["eta"]),
-        status=cols["status"],
-        drift=np.asarray(cols["drift"]),
-        active=cols["active"],
-    )
+    # status and active stay lists; every other column becomes an array
+    lists = ("status", "active")
+    return SimTrace(name=scenario.name, **{k: v if k in lists else np.asarray(v) for k, v in cols.items()})

@@ -5,18 +5,20 @@ Lambda = (dx/dq) P, which by construction maps only admissible velocities.
 This module builds Lambda together with its pseudo-inverse, its time
 derivative and the feedforward matrix Gamma = Lambda^+ Lambda_dot - Omega,
 and checks the feasibility set relations between task, constraints and
-actuation.
+actuation.  One SVD of Lambda gives its rank and Lambda^+; the projector
+identities are evaluated only when a caller reads ``TaskMap.identities``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
-from .constraint_geometry import _svd_cutoff, pseudo_inverse
+from .constraint_geometry import _pinv_from_svd, _svd_cutoff
 from .errors import InputError, TaskInconsistencyError
 
 
@@ -37,29 +39,40 @@ class TaskIdentities:
 
     pinv_product is ||Lambda^+ Lambda - P|| for full-span tasks; for
     under-spanning tasks it instead holds the most negative eigenvalue of
-    P - Lambda^+ Lambda (ordering check), and full_span is False.
+    P - Lambda^+ Lambda (ordering check).
     """
 
     range_in_null: float
     pinv_in_null: float
     pinv_product: float
-    full_span: bool
 
 
 @dataclass(frozen=True)
 class TaskMap:
-    """Task quantities evaluated at one state."""
+    """Task quantities at one state; P is the frame's projector, full_span means l = n - rank(A)."""
 
     name: str
     l: int
     x: np.ndarray
     x_dot: np.ndarray
-    J_raw: np.ndarray
     Lambda: np.ndarray
     Lambda_pinv: np.ndarray
     Lambda_dot: np.ndarray
     Gamma_ctl: np.ndarray
-    identities: TaskIdentities
+    P: np.ndarray
+    full_span: bool
+
+    @cached_property
+    def identities(self) -> TaskIdentities:
+        """Projector-identity residuals, computed on first read."""
+        P, Lam, Lam_pinv = self.P, self.Lambda, self.Lambda_pinv
+        r_range = float(np.abs(P @ Lam.T - Lam.T).max())
+        r_pinv = float(np.abs((np.eye(P.shape[0]) - P) @ Lam_pinv).max())
+        if self.full_span:
+            r_prod = float(np.abs(Lam_pinv @ Lam - P).max())
+        else:
+            r_prod = float(np.linalg.eigvalsh(P - Lam_pinv @ Lam).min())
+        return TaskIdentities(r_range, r_pinv, r_prod)
 
 
 @dataclass(frozen=True)
@@ -118,9 +131,10 @@ def build_task(
     task: TaskDef,
     fd_step: float = 1e-6,
 ) -> TaskMap:
-    """Evaluate the task map at a state and verify its identities.
+    """Evaluate the task map at a state.
 
-    Raises TaskInconsistencyError when Lambda loses row rank, which means the
+    Raises InputError on a malformed or non-finite task value or Jacobian, and
+    TaskInconsistencyError when Lambda loses row rank, which means the
     requested task leaves the admissible motion space.
     """
     q, qd = state.q, state.q_dot
@@ -131,48 +145,37 @@ def build_task(
     J = _task_jacobian(task, q, fd_step)
     if J.shape != (l, model.n):
         raise InputError(f"task Jacobian must be {l}x{model.n}, got {J.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(J).all()):
+        raise InputError(f"task '{task.name}' value or Jacobian contains non-finite entries")
 
     P = frame.P
     Lam = J @ P
     # rank relative to the raw Jacobian scale: a direction the projector
     # annihilates must count as lost even though Lam is not exactly zero
     scale = max(float(np.linalg.norm(J, 2)), 1e-12)
-    sv = np.linalg.svd(Lam, compute_uv=False)
+    U, sv, Vt = np.linalg.svd(Lam, full_matrices=False)
     rank = int(np.sum(sv > 1e-9 * scale))
     if rank < l:
         raise TaskInconsistencyError(
             f"task '{task.name}' has rank {rank} < {l}: it demands motion the "
             "active constraints forbid"
         )
-    Lam_pinv = pseudo_inverse(Lam)
+    # sv[l - 1] > 1e-9 ||J|| >= 1e-9 ||Lam||, so this is pseudo_inverse(Lam)
+    Lam_pinv = _pinv_from_svd(U, sv, Vt, rank)
     J_dot = _task_jacobian_rate(task, q, qd, fd_step)
     Lam_dot = J_dot @ P + J @ frame.bundle.P_dot
     Gamma = Lam_pinv @ Lam_dot - frame.bundle.Omega
-
-    n_free = model.n - frame.bundle.rank
-    full_span = l == n_free
-    r_range = float(np.abs(P @ Lam.T - Lam.T).max())
-    r_pinv = float(np.abs((np.eye(model.n) - P) @ Lam_pinv).max())
-    if full_span:
-        r_prod = float(np.abs(Lam_pinv @ Lam - P).max())
-    else:
-        r_prod = float(np.linalg.eigvalsh(P - Lam_pinv @ Lam).min())
     return TaskMap(
         name=task.name,
         l=l,
         x=x,
         x_dot=Lam @ qd,
-        J_raw=J,
         Lambda=Lam,
         Lambda_pinv=Lam_pinv,
         Lambda_dot=Lam_dot,
         Gamma_ctl=Gamma,
-        identities=TaskIdentities(
-            range_in_null=r_range,
-            pinv_in_null=r_pinv,
-            pinv_product=r_prod,
-            full_span=full_span,
-        ),
+        P=P,
+        full_span=l == model.n - frame.bundle.rank,
     )
 
 
@@ -194,7 +197,7 @@ def check_feasibility(
     return FeasibilityReport(
         task_consistent=consistent,
         actuation_sufficient=bool(rank_aug == rank_B),
-        full_span=task.identities.full_span,
+        full_span=task.full_span,
         rank_Lambda=task.l,
         rank_B=rank_B,
     )

@@ -10,8 +10,9 @@ where c(u) stacks, per contact, the linear normal-force row
 z_i^T u + alpha_i and the quadratic cone row u^T G_i u + gamma_i^T u + beta_i,
 followed by the box rows u_max - u and u - u_min, plus any appended moment
 rows.  Every contact row, and each force-regulation equality, is read from the
-affine force map lambda(u) = F u + f0 of constrained_dynamics.contact_force_map.
-It is solved by following the central path of the barrier problem
+affine force map lambda(u) = F u + f0, formed once per ConstraintFrame
+(force_map); a TorqueProgram stacks its rows on first read.  It is solved
+by following the central path of the barrier problem
 
     minimize    u^T W u - eta * sum_i log c_i(u)    s.t.  P B u = tau_c
 
@@ -37,11 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constrained_dynamics import ConstraintFrame, RobotModel, RobotState, contact_force_map
+from .constrained_dynamics import ConstraintFrame, RobotModel, RobotState
 from .errors import InputError
 
 
@@ -96,7 +98,7 @@ def assemble_cone_constraints(
     active = state.active_contacts
     if len(active) == 0:
         raise InputError("cone constraints need at least one active contact")
-    F, f0 = contact_force_map(frame, model, state)
+    F, f0 = frame.force_map
     out = []
     for idx, contact in enumerate(active):
         F_i, f_i = F[3 * idx : 3 * idx + 3], f0[3 * idx : 3 * idx + 3]
@@ -123,8 +125,8 @@ class TorqueProgram:
 
     Constraint stack order (length r = 2(k + p) + extra rows): per contact the
     linear row then the quadratic row, box upper u_max - u, box lower
-    u - u_min, then appended linear extension rows.  The stack is built once:
-    c(u) = lin u + off, plus u^T G_j u on quadratic row 2j + 1.
+    u - u_min, then appended linear extension rows.  The stack is built on
+    first read: c(u) = lin u + off, plus u^T G_j u on quadratic row 2j + 1.
     """
 
     W: np.ndarray
@@ -136,33 +138,41 @@ class TorqueProgram:
     extra_z: np.ndarray = field(default=None)  # (j, p)
     extra_alpha: np.ndarray = field(default=None)  # (j,)
     relaxation: Optional[Relaxation] = None
-    lin: np.ndarray = field(init=False, repr=False, compare=False)  # (r, p)
-    off: np.ndarray = field(init=False, repr=False, compare=False)  # (r,)
-    G: np.ndarray = field(init=False, repr=False, compare=False)  # (k, p, p)
-    G_flat: np.ndarray = field(init=False, repr=False, compare=False)  # G as (k, p * p)
-    obj_quad: np.ndarray = field(init=False, repr=False, compare=False)  # (p, p): W, or W' when relaxed
-    obj_lin: np.ndarray = field(init=False, repr=False, compare=False)  # (p,)
-    obj_hess: np.ndarray = field(init=False, repr=False, compare=False)  # 2 obj_quad
 
     def __post_init__(self):
-        p, k = self.W.shape[0], len(self.cones)
         if self.extra_z is None:
-            object.__setattr__(self, "extra_z", np.zeros((0, p)))
+            object.__setattr__(self, "extra_z", np.zeros((0, self.p)))
             object.__setattr__(self, "extra_alpha", np.zeros(0))
-        cone_lin = np.array([(c.z, c.gamma) for c in self.cones], dtype=float).reshape(2 * k, p)
-        cone_off = np.array([(c.alpha, c.beta) for c in self.cones], dtype=float).reshape(2 * k)
-        eye = np.eye(p)
-        object.__setattr__(self, "lin", np.vstack([cone_lin, -eye, eye, self.extra_z]))
-        object.__setattr__(self, "off", np.concatenate([cone_off, self.u_max, -self.u_min, self.extra_alpha]))
-        object.__setattr__(self, "G", np.array([c.G for c in self.cones], dtype=float).reshape(k, p, p))
-        object.__setattr__(self, "G_flat", self.G.reshape(k, p * p))
-        if self.relaxation is not None:
-            obj_quad, obj_lin = self.relaxation.W_prime, -self.relaxation.rho * self.relaxation.b
-        else:
-            obj_quad, obj_lin = self.W, np.zeros(p)
-        object.__setattr__(self, "obj_quad", obj_quad)
-        object.__setattr__(self, "obj_lin", obj_lin)
-        object.__setattr__(self, "obj_hess", 2.0 * obj_quad)
+
+    @cached_property
+    def lin(self) -> np.ndarray:  # (r, p)
+        cone_lin = np.array([(c.z, c.gamma) for c in self.cones], dtype=float).reshape(2 * self.k, self.p)
+        return np.vstack([cone_lin, -np.eye(self.p), np.eye(self.p), self.extra_z])
+
+    @cached_property
+    def off(self) -> np.ndarray:  # (r,)
+        cone_off = np.array([(c.alpha, c.beta) for c in self.cones], dtype=float).reshape(2 * self.k)
+        return np.concatenate([cone_off, self.u_max, -self.u_min, self.extra_alpha])
+
+    @cached_property
+    def G(self) -> np.ndarray:  # (k, p, p)
+        return np.array([c.G for c in self.cones], dtype=float).reshape(self.k, self.p, self.p)
+
+    @cached_property
+    def G_flat(self) -> np.ndarray:  # G as (k, p * p)
+        return self.G.reshape(self.k, self.p * self.p)
+
+    @cached_property
+    def obj_quad(self) -> np.ndarray:  # (p, p): W, or W' when relaxed
+        return self.W if self.relaxation is None else self.relaxation.W_prime
+
+    @cached_property
+    def obj_lin(self) -> np.ndarray:  # (p,)
+        return np.zeros(self.p) if self.relaxation is None else -self.relaxation.rho * self.relaxation.b
+
+    @cached_property
+    def obj_hess(self) -> np.ndarray:  # 2 obj_quad
+        return 2.0 * self.obj_quad
 
     @property
     def p(self) -> int:
@@ -274,7 +284,7 @@ def add_moment_constraints(
         return program
     if selector.shape[1] != m:
         raise InputError(f"selector must have {m} columns, got {selector.shape[1]}")
-    F, f0 = contact_force_map(frame, model, state)
+    F, f0 = frame.force_map
     return replace(
         program,
         extra_z=np.vstack([program.extra_z, -(selector @ F)]),
@@ -302,7 +312,7 @@ def add_force_regulation(
         raise InputError(f"selector must have {m} columns, got {selector.shape[1]}")
     if lambda_desired.shape != (selector.shape[0],):
         raise InputError("lambda_desired length must match selector row count")
-    F, f0 = contact_force_map(frame, model, state)
+    F, f0 = frame.force_map
     return replace(
         program,
         eq_mat=np.vstack([program.eq_mat, selector @ F]),
@@ -351,10 +361,6 @@ class SolverReport:
     constraint_margins: Optional[np.ndarray]
     status: str
     path: Tuple[Tuple[float, float], ...] = ()
-
-
-def _strictly_feasible(program: TorqueProgram, u: np.ndarray, margin: float) -> bool:
-    return bool(np.all(program.constraint_values(u) > margin))
 
 
 def phase1_feasible_point(
@@ -503,8 +509,8 @@ def solve_barrier(
 
     Each quantity is formed where its inputs change:
 
-    - once per program, in `TorqueProgram.__post_init__`: the objective pair,
-      its doubled quadratic term, and the cone stack G as a (k, p^2) matrix;
+    - once per program, on first read: the rows lin, off and G (also as a
+      (k, p^2) matrix), the objective pair and its doubled quadratic term;
     - once per solve: the reduced equality block E and its transpose, the
       KKT matrix [[H, E^T], [E, 0]], and c(u) and grad c(u) at the start;
     - once per centering step: the residual at the new eta;
@@ -549,7 +555,7 @@ def solve_barrier(
     if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
         return failure("infeasible_equality")
 
-    if u0 is None or not _strictly_feasible(program, np.asarray(u0, dtype=float), margin):
+    if u0 is None or not np.all(program.constraint_values(np.asarray(u0, dtype=float)) > margin):
         phase1 = phase1_feasible_point(program, params, u_seed=u0)
         if not phase1.feasible:
             return failure("infeasible_inequality", u=phase1.u)
@@ -622,8 +628,11 @@ def solve_barrier(
         if not converged:
             status = "failed"
             break
-        if r * eta <= params.eps or centering >= params.max_centering:
+        if r * eta <= params.eps:
             status = "relaxed" if program.relaxed else "optimal"
+            break
+        if centering >= params.max_centering:  # stopped without the gap certificate
+            status = "failed"
             break
         eta *= params.kappa
 

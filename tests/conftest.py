@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from projctl.constrained_dynamics import RobotModel, RobotState, ContactSpec, build_frame
 from projctl.constraint_geometry import null_projector
 from projctl.models import floating_biped, planar_arm_contact, standing_pose
+from projctl.runner import load_config, load_scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +88,11 @@ def point_mass_model(mass=2.0, g=9.81):
 
 def frame_at(model, state, nu=None):
     return build_frame(model, state, nu=nu)
+
+
+def short_scenario(config, duration, **optimizer):
+    """A bundled config's scenario cut to the given duration, with optimizer fields overridden."""
+    cfg = load_config(CONFIGS / config)
+    cfg["duration"] = duration
+    cfg["optimizer"].update(optimizer)
+    return load_scenario(cfg)

@@ -11,6 +11,7 @@ solved by least squares (min-norm multipliers for rank-deficient stacks).
 
 import numpy as np
 
+from projctl.task_space import TaskIdentities
 from projctl.torque_qcqp import BarrierParams, SolverReport, phase1_feasible_point, power_loss
 
 
@@ -142,6 +143,19 @@ def selected_force_rows(frame, model, state, selector):
     is T B u + T w0."""
     T = selector @ frame.bundle.A_pinv.T @ frame.S
     return T @ model.actuation, T @ (frame.tau_g - frame.Q @ state.q_dot)
+
+
+def task_identities_reference(frame, task):
+    """The task map's projector-identity residuals, formed eagerly from the frame."""
+    P, Lam, Lam_pinv = frame.P, task.Lambda, task.Lambda_pinv
+    n = P.shape[0]
+    r_range = float(np.abs(P @ Lam.T - Lam.T).max())
+    r_pinv = float(np.abs((np.eye(n) - P) @ Lam_pinv).max())
+    if task.l == n - frame.bundle.rank:  # full span
+        r_prod = float(np.abs(Lam_pinv @ Lam - P).max())
+    else:
+        r_prod = float(np.linalg.eigvalsh(P - Lam_pinv @ Lam).min())
+    return TaskIdentities(range_in_null=r_range, pinv_in_null=r_pinv, pinv_product=r_prod)
 
 
 def constraint_rows(program, u):

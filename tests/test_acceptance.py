@@ -152,7 +152,7 @@ def test_criterion_06_task_map_identities(arm, biped, rng):
             frame = build_frame(model, state)
             task = build_task(model, state, frame, tdef)
             worst = max(worst, task.identities.range_in_null, task.identities.pinv_in_null)
-            if task.identities.full_span:
+            if task.full_span:
                 worst = max(worst, task.identities.pinv_product)
             xdd = rng.standard_normal(task.l)
             qdd = task.Lambda_pinv @ xdd - task.Gamma_ctl @ state.q_dot

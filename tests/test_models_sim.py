@@ -3,7 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
-from projctl.constrained_dynamics import RobotState, build_frame
+from projctl.constrained_dynamics import ConstraintFrame, RobotState, build_frame
 from projctl.control_laws import ControllerGains
 from projctl.errors import InputError, SimulationError
 from projctl.models import (
@@ -29,7 +29,7 @@ from projctl.torque_qcqp import assemble_program, solve_barrier
 from projctl.control_laws import tracking_torque
 from projctl.task_space import build_task
 
-from conftest import ARM_HOME, BIPED_HOME, manifold_state, random_manifold_state
+from conftest import ARM_HOME, BIPED_HOME, manifold_state, random_manifold_state, short_scenario
 from oracles import integrate_saddle
 
 
@@ -139,8 +139,8 @@ class TestStep:
             assert np.linalg.norm(A @ state.q_dot) <= 1e-8
 
     def test_stage_frames_form_no_force_maps(self, arm, biped, monkeypatch):
-        # each stage builds a frame but reads only its acceleration: S and Q,
-        # computed on first use, are never formed inside step
+        # each stage builds a frame but reads only its acceleration: S, Q and
+        # the force map, computed on first use, are never formed inside step
         # (the package's `simulate` function shadows the submodule attribute)
         sim = importlib.import_module("projctl.simulate")
         frames = []
@@ -158,11 +158,48 @@ class TestStep:
             for frame in frames:
                 assert "M_bar_inv" in vars(frame)
                 assert "S" not in vars(frame) and "Q" not in vars(frame)
+                assert "force_map" not in vars(frame)
 
     def test_out_of_box_warns(self, arm):
         state = manifold_state(arm, ARM_HOME, scale=0.0)
         with pytest.warns(UserWarning):
             step(arm, state, 100.0 * np.ones(3), 1e-3)
+
+
+class TestLeanControlTick:
+    """A control tick forms each per-state quantity once: one force map, one
+    row stack for the program it solves, and no task-identity residuals."""
+
+    @pytest.mark.parametrize("config", ["compare_cone.json", "biped_switch.json"])
+    def test_each_quantity_formed_once_per_tick(self, config, monkeypatch):
+        sim = importlib.import_module("projctl.simulate")
+        force_map = ConstraintFrame.__dict__["force_map"]
+        form_force_map = force_map.func
+        formed, programs, solved, tasks = [], [], [], []
+
+        def recording(fn, out, pick=lambda args, result: result):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                out.append(pick(args, result))
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(force_map, "func", recording(form_force_map, formed, lambda args, _: args[0]))
+        monkeypatch.setattr(sim, "assemble_program", recording(sim.assemble_program, programs))
+        monkeypatch.setattr(sim, "relax_program", recording(sim.relax_program, programs))
+        monkeypatch.setattr(sim, "solve_barrier", recording(sim.solve_barrier, solved, lambda args, _: args[0]))
+        monkeypatch.setattr(sim, "build_task", recording(sim.build_task, tasks))
+        trace = simulate(short_scenario(config, 0.05))
+
+        ticks = trace.steps
+        assert ticks == 51
+        assert len(formed) == ticks and len({id(frame) for frame in formed}) == ticks
+        stacked = [program for program in programs if "lin" in vars(program)]
+        assert len(solved) == ticks
+        assert len(stacked) == ticks and all(a is b for a, b in zip(stacked, solved))
+        assert len(tasks) == ticks
+        assert not any("identities" in vars(task) for task in tasks)
 
 
 class TestSwitchContacts:
@@ -253,6 +290,24 @@ class TestSimulate:
         # inactive contact rows are zeroed
         single = [i for i, a in enumerate(trace.active) if a == (0,)]
         assert np.allclose(trace.lam[single, 3:6], 0.0)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (([0.0], [0.1, 0.2], [1.0]), "amplitude"),
+            (([0.0, 0.0], [0.1], [1.0, 2.0, 3.0]), "frequency_hz"),
+            (([0.0, 0.0], [0.1], [1.0], [0.0, 0.0, 0.0]), "phase"),
+            (([0.0, 0.0], [[0.1, 0.1]], [1.0]), "amplitude"),
+        ],
+    )
+    def test_sinusoid_lengths_must_match(self, args, name):
+        with pytest.raises(InputError, match=name):
+            sinusoid_reference(*args)
+
+    def test_sinusoid_shares_single_entries(self):
+        ref = sinusoid_reference([0.0, 1.0], 0.5, [1.0], [0.0, np.pi / 2])
+        assert np.allclose(ref.value(0.0), [0.0, 1.5])
+        assert np.allclose(ref.rate(0.0), [np.pi, 0.0])
 
     def test_duration_must_match_dt(self, arm):
         scn = self.arm_scenario(arm)

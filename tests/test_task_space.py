@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projctl.constrained_dynamics import RobotState, build_frame, constrained_accel
-from projctl.errors import TaskInconsistencyError
+from projctl.constraint_geometry import pseudo_inverse
+from projctl.errors import InputError, TaskInconsistencyError
 from projctl.models import base_pose_task, joint_task, link_orientation_task, make_task
 from projctl.task_space import TaskDef, build_task, check_feasibility, task_accel_decompose
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, random_manifold_state
+from oracles import task_identities_reference
 
 
 def identity_task(n):
@@ -33,7 +36,7 @@ class TestBuildTask:
             state = random_manifold_state(arm, rng, ARM_HOME)
             frame = build_frame(arm, state)
             task = build_task(arm, state, frame, link_orientation_task(3))
-            assert task.identities.full_span
+            assert task.full_span
             assert task.identities.pinv_product <= 1e-10
             assert np.abs(task.Lambda_pinv @ task.Lambda - frame.P).max() <= 1e-10
 
@@ -65,8 +68,21 @@ class TestBuildTask:
         state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
         frame = build_frame(biped, state)
         task = build_task(biped, state, frame, make_task(biped, "base_pitch"))
-        assert not task.identities.full_span
+        assert not task.full_span
         assert task.identities.pinv_product >= -1e-9  # P - Lambda^+ Lambda >= 0
+
+    @pytest.mark.parametrize("bad", ["value", "jacobian"])
+    def test_non_finite_task_rejected(self, arm, bad):
+        state = manifold_state(arm, ARM_HOME, scale=0.0)
+        frame = build_frame(arm, state)
+        task = TaskDef(
+            name="broken",
+            dim=1,
+            value=lambda q: np.array([np.inf if bad == "value" else float(np.sum(q))]),
+            jacobian=lambda q: np.array([[1.0, np.nan if bad == "jacobian" else 1.0, 1.0]]),
+        )
+        with pytest.raises(InputError, match="non-finite"):
+            build_task(arm, state, frame, task)
 
     def test_fd_jacobian_matches_analytic(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
@@ -76,6 +92,39 @@ class TestBuildTask:
         numeric = build_task(arm, state, frame, fd_def)
         assert np.abs(analytic.Lambda - numeric.Lambda).max() <= 1e-7
         assert np.abs(analytic.Lambda_dot - numeric.Lambda_dot).max() <= 1e-5
+
+
+class TestTaskMapMatchesOracle:
+    """Lambda^+ from build_task's one SVD is pseudo_inverse(Lambda) bit for bit,
+    and the identities read on demand equal the eager residuals."""
+
+    @staticmethod
+    def check(model, state, tdef):
+        frame = build_frame(model, state)
+        task = build_task(model, state, frame, tdef)
+        assert "identities" not in vars(task)
+        assert np.array_equal(task.Lambda_pinv, pseudo_inverse(task.Lambda))
+        assert task.identities == task_identities_reference(frame, task)
+        return task
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_arm(self, arm, seed):
+        state = random_manifold_state(arm, np.random.default_rng(seed), ARM_HOME)
+        assert self.check(arm, state, link_orientation_task(3)).full_span
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        case=st.sampled_from([("base_pitch", (0, 1)), ("base_pitch", (0,)), ("joints", (0,))]),
+    )
+    def test_biped(self, biped, seed, case):
+        kind, active = case
+        tdef = joint_task([0, 2, 4], 5) if kind == "joints" else make_task(biped, kind)
+        state = random_manifold_state(biped, np.random.default_rng(seed), BIPED_HOME, active=active)
+        task = self.check(biped, state, tdef)
+        # a 1-d task under-spans the 3 admissible dofs of single support
+        assert task.full_span == (kind == "joints" or active == (0, 1))
 
 
 class TestCheckFeasibility:

@@ -8,7 +8,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from projctl.constrained_dynamics import RobotState, build_frame, contact_forces
 from projctl.control_laws import ControllerGains, tracking_torque
-from projctl.errors import InputError
+from projctl.errors import InputError, SolverError
 from projctl.models import make_task
 from projctl.task_space import build_task
 from projctl.torque_qcqp import (
@@ -28,8 +28,16 @@ from projctl.torque_qcqp import (
     relax_program,
     solve_barrier,
 )
+from projctl.simulate import simulate
 
-from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, random_manifold_state
+from conftest import (
+    ARM_HOME,
+    BIPED_HOME,
+    manifold_state,
+    point_mass_model,
+    random_manifold_state,
+    short_scenario,
+)
 from oracles import (
     cone_rows_reference,
     constraint_rows,
@@ -418,6 +426,23 @@ class TestSolveBarrier:
         program = synthetic_program(np.eye(2), u_box=1e-16)
         report = solve_barrier(program)
         assert report.status == "infeasible_inequality"
+
+    def test_centering_cap_without_certificate_fails(self):
+        # with kappa = 0.99, max_centering steps shrink eta only to 0.99^79, so
+        # the loop stops at the cap with r * eta far above eps
+        scenario = short_scenario("compare_cone.json", 0.001, kappa=0.99)
+        model, state = scenario.model, scenario.initial
+        frame = build_frame(model, state)
+        task = build_task(model, state, frame, scenario.task)
+        ref = scenario.reference
+        cmd = tracking_torque(state, frame, task, ref.value(0.0), ref.rate(0.0), ref.accel(0.0), scenario.gains)
+        params = scenario.optimizer.barrier
+        report = solve_barrier(assemble_program(model, state, frame, cmd.tau_c), params)
+        assert report.centering_steps == params.max_centering
+        assert report.duality_gap > params.eps
+        assert report.status == "failed"
+        with pytest.raises(SolverError, match=r"failed at t=0\.0000 .*gap=3\.6"):
+            simulate(scenario)
 
 
 def same_value(a, b) -> bool:
