@@ -20,7 +20,6 @@ from .models import make_task, planar_arm_contact
 from .task_space import build_task, task_accel_decompose
 from .torque_qcqp import (
     BarrierParams,
-    TorqueProgram,
     assemble_program,
     barrier_gradient,
     barrier_value,
@@ -204,12 +203,12 @@ def task_map_identities(seed: int = 0, samples: int = 40) -> CheckResult:
     worst = 0.0
     for state in _arm_states(rng, arm, samples):
         frame = build_frame(arm, state)
-        task = build_task(arm, state, frame, task_def)
+        task = build_task(frame, task_def)
         worst = max(worst, task.identities.range_in_null, task.identities.pinv_in_null)
         if task.full_span:
             worst = max(worst, task.identities.pinv_product)
         xdd = rng.standard_normal(1)
-        qdd = task_accel_decompose(task, frame, xdd, state.q_dot)
+        qdd = task_accel_decompose(task, frame, xdd)
         back = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd
         worst = max(worst, float(np.abs(back - xdd).max()))
     return _result("task_map_identities", worst, 1e-9, f"{samples} arm states")
@@ -224,13 +223,13 @@ def cone_transcription(seed: int = 0, samples: int = 20) -> CheckResult:
     worst = 0.0
     for state in _arm_states(rng, arm, samples):
         frame = build_frame(arm, state)
-        task = build_task(arm, state, frame, task_def)
-        cmd = tracking_torque(state, frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(arm, state, frame, cmd.tau_c)
+        task = build_task(frame, task_def)
+        cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(frame, cmd.tau_c)
         mu = arm.contacts[0].friction
         for _ in range(5):
             u = rng.uniform(arm.u_min, arm.u_max)
-            lam = contact_forces(frame, arm, state, u).per_contact()[0]
+            lam = contact_forces(frame, u).per_contact()[0]
             c = program.constraint_values(u)
             scale = max(1.0, abs(lam[2]), lam[2] ** 2)
             worst = max(worst, abs(c[0] - lam[2]) / scale)
@@ -251,9 +250,9 @@ def solver_certificates(seed: int = 0) -> CheckResult:
     worst_grad = 0.0
     for state in _arm_states(rng, arm, 6):
         frame = build_frame(arm, state)
-        task = build_task(arm, state, frame, task_def)
-        cmd = tracking_torque(state, frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(arm, state, frame, cmd.tau_c)
+        task = build_task(frame, task_def)
+        cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(frame, cmd.tau_c)
         report = solve_barrier(program, params)
         if report.status != "optimal":
             issues.append(f"status {report.status}")
@@ -291,10 +290,10 @@ def relaxation_tradeoff(seed: int = 0) -> CheckResult:
     P = null_projector(biped.contact_stack(q0, (0,))).P
     state = RobotState(t=0.0, q=q0, q_dot=P @ np.zeros(5), active_contacts=(0,))
     frame = build_frame(biped, state)
-    task = build_task(biped, state, frame, make_task(biped, "base_pitch"))
+    task = build_task(frame, make_task(biped, "base_pitch"))
     gains = ControllerGains.critically_damped(1, 4.0)
-    cmd = tracking_torque(state, frame, task, task.x + 0.15, np.zeros(1), np.zeros(1), gains)
-    program = assemble_program(biped, state, frame, cmd.tau_c)
+    cmd = tracking_torque(frame, task, task.x + 0.15, np.zeros(1), np.zeros(1), gains)
+    program = assemble_program(frame, cmd.tau_c)
     norms = []
     for rho in (1.0, 10.0, 100.0):
         relaxed = relax_program(program, frame, rho)

@@ -5,7 +5,10 @@ orthogonal projector onto null(A), the constrained inertia is
 M_bar = P M P + nu (I - P) and the matching Coriolis matrix is
 C_bar = P C P + P M P_dot - nu L, so a contact switch changes P, never a
 dimension.  :func:`build_frame` evaluates the model and this algebra once at
-a state and returns a :class:`ConstraintFrame`.  The frame's M_bar^-1, the
+a state and returns a :class:`ConstraintFrame`, the one per-state record: it
+carries the model and state it was built from, so every per-state function
+(the integrator stage, the task map, the control laws, the torque program and
+the contact forces) takes the frame alone.  The frame's M_bar^-1, the
 oblique force projector S = I - M M_bar^-1 P, the bias map Q = M Omega + C
 and the contact-force map (F, f0) below are computed on first use, so each
 of the frame's two callers pays only for what it reads:
@@ -31,7 +34,6 @@ import numpy as np
 # build_frame calls _projector, not null_projector / projector_rate; those
 # two stay importable from this module for profilers that rebind them here.
 from .constraint_geometry import (  # noqa: F401
-    DEFAULT_RANK_TOL,
     ProjectorBundle,
     _projector,
     jacobian_rate,
@@ -105,15 +107,15 @@ class RobotModel:
         object.__setattr__(self, "contacts", tuple(self.contacts))
         for attr in ("u_min", "u_max", "motor_resistance", "torque_constant"):
             v = np.asarray(getattr(self, attr), dtype=float)
-            if v.shape != (self.p,):
-                raise InputError(f"{attr} must have shape ({self.p},), got {v.shape}")
+            if v.shape != (self.p,) or not np.isfinite(v).all():
+                raise InputError(f"{attr} must be {self.p} finite numbers, got {v.tolist()}")
             object.__setattr__(self, attr, v)
         if not np.all(self.u_min < self.u_max):
             raise InputError("u_min must be strictly below u_max componentwise")
         if np.any(self.torque_constant == 0.0):
-            raise InputError("torque constants must be nonzero")
+            raise InputError("torque_constant entries must be nonzero")
         if np.any(self.motor_resistance <= 0.0):
-            raise InputError("motor resistances must be positive")
+            raise InputError("motor_resistance entries must be positive")
 
     @property
     def k(self) -> int:
@@ -125,23 +127,14 @@ class RobotModel:
             return np.zeros((0, self.n))
         return np.vstack([self.contacts[i].jacobian(q) for i in active])
 
-    def contact_stack_rate(
-        self, q: np.ndarray, q_dot: np.ndarray, active: Sequence[int], h: float = 1e-6
-    ) -> np.ndarray:
+    def contact_stack_rate(self, q: np.ndarray, q_dot: np.ndarray, active: Sequence[int]) -> np.ndarray:
         """d/dt of contact_stack: analytic block rates where given, else central differences."""
         if len(active) == 0:
             return np.zeros((0, self.n))
-        rows = []
-        for i in active:
-            c = self.contacts[i]
-            if c.jacobian_rate is not None:
-                rows.append(c.jacobian_rate(q, q_dot))
-            else:
-                rows.append(jacobian_rate(c.jacobian, q, q_dot, h=h))
-        return np.vstack(rows)
-
-    def friction_coefficients(self, active: Sequence[int]) -> np.ndarray:
-        return np.array([self.contacts[i].friction for i in active])
+        return np.vstack(
+            [c.jacobian_rate(q, q_dot) if c.jacobian_rate is not None else jacobian_rate(c.jacobian, q, q_dot)
+             for c in (self.contacts[i] for i in active)]
+        )
 
 
 @dataclass(frozen=True)
@@ -167,9 +160,11 @@ class RobotState:
 class ConstraintFrame:
     """All projection-derived quantities evaluated at one state.
 
-    M_bar_inv, S, Q and the force map (F, f0) are computed on first use and
-    then kept: an integrator stage reads only M_bar_inv, a control tick reads
-    all four.  q_dot and B are the velocity and actuation it was built from.
+    The frame is the one per-state input: model and state are the ones it was
+    built from, so callers pass the frame alone and read the actuation, the
+    velocity and the active contacts through it.  M_bar_inv, S, Q and the
+    force map (F, f0) are computed on first use and then kept: an integrator
+    stage reads only M_bar_inv, a control tick reads all four.
     """
 
     bundle: ProjectorBundle
@@ -179,9 +174,8 @@ class ConstraintFrame:
     M_bar: np.ndarray
     C_bar: np.ndarray
     nu: float
-    q_dot: np.ndarray
-    B: np.ndarray
-    active: Tuple[int, ...] = ()
+    model: RobotModel
+    state: RobotState
 
     @property
     def P(self) -> np.ndarray:
@@ -210,8 +204,8 @@ class ConstraintFrame:
         """(F, f0) = (A^+T (S B), A^+T (S (tau_g - Q qd))): lambda(u) = F u + f0 is the minimum-norm
         solution of A^T lam = S (B u + tau_g - Q qd), which S keeps consistent."""
         A_pinv_T = self.bundle.A_pinv.T
-        F = A_pinv_T @ (self.S @ self.B)
-        f0 = A_pinv_T @ (self.S @ (self.tau_g - self.Q @ self.q_dot))
+        F = A_pinv_T @ (self.S @ self.model.actuation)
+        f0 = A_pinv_T @ (self.S @ (self.tau_g - self.Q @ self.state.q_dot))
         return F, f0
 
 
@@ -246,13 +240,7 @@ def cone_margins(forces: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return mu * lam[:, 2] - np.hypot(lam[:, 0], lam[:, 1])
 
 
-def build_frame(
-    model: RobotModel,
-    state: RobotState,
-    nu: Optional[float] = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    fd_step: float = 1e-6,
-) -> ConstraintFrame:
+def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None) -> ConstraintFrame:
     """Assemble the constraint frame at a state.
 
     Evaluates M, C, tau_g, A and A_dot once, validates what the model's
@@ -270,7 +258,7 @@ def build_frame(
         raise InputError("model callbacks returned inconsistent shapes")
 
     A = np.asarray(model.contact_stack(q, active), dtype=float)
-    A_dot = model.contact_stack_rate(q, qd, active, h=fd_step)
+    A_dot = model.contact_stack_rate(q, qd, active)
     if A.shape != (3 * len(active), n) or A_dot.shape != A.shape:
         raise InputError(f"contact stack is {A.shape} with rate {A_dot.shape}, expected {(3 * len(active), n)}")
     if not (np.isfinite(A).all() and np.isfinite(A_dot).all()):
@@ -281,9 +269,9 @@ def build_frame(
     if not nu > 0:
         raise InputError(f"nu must be positive, got {nu}")
 
-    # the exact operations of projector_rate(A, A_dot, null_projector(A, rank_tol)),
+    # the exact operations of projector_rate(A, A_dot, null_projector(A)),
     # so frames and traces stay bit-identical to that public path
-    A_pinv, P, rank = _projector(A, rank_tol)
+    A_pinv, P, rank = _projector(A)
     L = -A_pinv @ A_dot @ P
     P_dot = L + L.T
     bundle = ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank, L=L, Omega=L - L.T, P_dot=P_dot)
@@ -299,33 +287,29 @@ def build_frame(
         M_bar=M_bar,
         C_bar=C_bar,
         nu=float(nu),
-        q_dot=qd,
-        B=model.actuation,
-        active=active,
+        model=model,
+        state=state,
     )
 
 
-def constrained_accel(
-    frame: ConstraintFrame, model: RobotModel, state: RobotState, u: np.ndarray
-) -> np.ndarray:
+def constrained_accel(frame: ConstraintFrame, u: np.ndarray) -> np.ndarray:
     """Generalized acceleration under the active constraints.
 
     qdd = M_bar^-1 (P B u + P tau_g - C_bar qd); the component outside the
     admissible subspace automatically satisfies (I - P) qdd = Omega qd.
     """
     u = np.asarray(u, dtype=float)
-    rhs = frame.P @ (model.actuation @ u + frame.tau_g) - frame.C_bar @ state.q_dot
+    rhs = frame.P @ (frame.model.actuation @ u + frame.tau_g) - frame.C_bar @ frame.state.q_dot
     return frame.M_bar_inv @ rhs
 
 
-def contact_forces(
-    frame: ConstraintFrame, model: RobotModel, state: RobotState, u: np.ndarray
-) -> ContactWrench:
+def contact_forces(frame: ConstraintFrame, u: np.ndarray) -> ContactWrench:
     """Contact forces F u + f0 (ConstraintFrame.force_map); degenerate when A is rank-deficient."""
-    if len(state.active_contacts) == 0:
+    active = frame.state.active_contacts
+    if len(active) == 0:
         raise InputError("contact_forces requires a nonempty active contact set")
     F, f0 = frame.force_map
     lam = F @ np.asarray(u, dtype=float) + f0
-    mu = model.friction_coefficients(state.active_contacts)
+    mu = np.array([frame.model.contacts[i].friction for i in active])
     degenerate = frame.bundle.rank < frame.bundle.m
     return ContactWrench(forces=lam, margins=cone_margins(lam, mu), degenerate=degenerate)

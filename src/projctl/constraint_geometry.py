@@ -15,7 +15,10 @@ import numpy as np
 
 from .errors import InputError
 
-DEFAULT_RANK_TOL = 1e-10
+# singular values below RANK_TOL * sigma_max count as zero
+RANK_TOL = 1e-10
+# central-difference step for Jacobian rates without an analytic form
+FD_STEP = 1e-6
 
 
 def _as_matrix(A, name: str = "A") -> np.ndarray:
@@ -27,10 +30,8 @@ def _as_matrix(A, name: str = "A") -> np.ndarray:
     return A
 
 
-def _svd_cutoff(A: np.ndarray, rank_tol: float):
-    """SVD with a relative singular-value cutoff; returns (U, s, Vt, rank)."""
-    if rank_tol <= 0:
-        raise InputError(f"rank_tol must be positive, got {rank_tol}")
+def _svd_cutoff(A: np.ndarray):
+    """SVD with the relative singular-value cutoff RANK_TOL; returns (U, s, Vt, rank)."""
     if min(A.shape) == 0:
         return (
             np.zeros((A.shape[0], 0)),
@@ -40,7 +41,7 @@ def _svd_cutoff(A: np.ndarray, rank_tol: float):
         )
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
     return U, s, Vt, rank
 
 
@@ -70,13 +71,13 @@ class ProjectorBundle:
         return self.A.shape[0]
 
 
-def pseudo_inverse(A, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pseudo_inverse(A) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD with relative cutoff.
 
-    Singular values below rank_tol * sigma_max are treated as exact zeros, so
+    Singular values below RANK_TOL * sigma_max are treated as exact zeros, so
     rank-deficient inputs are handled silently.
     """
-    return _pinv_from_svd(*_svd_cutoff(_as_matrix(A), rank_tol))
+    return _pinv_from_svd(*_svd_cutoff(_as_matrix(A)))
 
 
 def _pinv_from_svd(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, rank: int) -> np.ndarray:
@@ -88,21 +89,21 @@ def _pinv_from_svd(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, rank: int) -> n
     return (Vt.T * inv_s) @ U.T
 
 
-def null_projector(A, rank_tol: float = DEFAULT_RANK_TOL) -> ProjectorBundle:
+def null_projector(A) -> ProjectorBundle:
     """Orthogonal projector P = I - A^+ A onto null(A), plus A^+ and rank.
 
     P is assembled from the right singular vectors of the range so that it is
     symmetric and idempotent to machine precision even for rank-deficient A.
     """
     A = _as_matrix(A)
-    A_pinv, P, rank = _projector(A, rank_tol)
+    A_pinv, P, rank = _projector(A)
     return ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank)
 
 
-def _projector(A: np.ndarray, rank_tol: float):
+def _projector(A: np.ndarray):
     """(A^+, P, rank) of a finite 2-d float A, with no validation of A."""
     n = A.shape[1]
-    U, s, Vt, rank = _svd_cutoff(A, rank_tol)
+    U, s, Vt, rank = _svd_cutoff(A)
     if rank == 0:
         return np.zeros((n, A.shape[0])), np.eye(n), 0
     A_pinv = _pinv_from_svd(U, s, Vt, rank)
@@ -130,31 +131,20 @@ def projector_rate(A, A_dot, bundle: ProjectorBundle) -> ProjectorBundle:
     return replace(bundle, L=L, Omega=Omega, P_dot=P_dot)
 
 
-def jacobian_rate(
-    jac_fn: Callable[[np.ndarray], np.ndarray],
-    q,
-    q_dot,
-    h: float = 1e-6,
-    analytic_rate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
+def jacobian_rate(jac_fn: Callable[[np.ndarray], np.ndarray], q, q_dot) -> np.ndarray:
     """Time derivative of a configuration-dependent Jacobian A(q).
 
-    Uses the analytic rate when available, otherwise the chain rule
-    A_dot = sum_j (dA/dq_j) qd_j with each partial taken by central
-    differencing of jac_fn at q +- h e_j.
+    The chain rule A_dot = sum_j (dA/dq_j) qd_j, with each partial taken by
+    central differencing of jac_fn at q +- FD_STEP e_j.
     """
     q = np.asarray(q, dtype=float)
     q_dot = np.asarray(q_dot, dtype=float)
-    if analytic_rate is not None:
-        return _as_matrix(analytic_rate(q, q_dot), "analytic A_dot")
-    if h <= 0:
-        raise InputError(f"finite-difference step must be positive, got {h}")
     A0 = _as_matrix(jac_fn(q), "A(q)")
     A_dot = np.zeros_like(A0)
     for j in range(q.size):
         if q_dot[j] == 0.0:
             continue
         dq = np.zeros_like(q)
-        dq[j] = h
-        A_dot += (jac_fn(q + dq) - jac_fn(q - dq)) * (q_dot[j] / (2.0 * h))
+        dq[j] = FD_STEP
+        A_dot += (jac_fn(q + dq) - jac_fn(q - dq)) * (q_dot[j] / (2.0 * FD_STEP))
     return A_dot

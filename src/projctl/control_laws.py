@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constrained_dynamics import ConstraintFrame, RobotState
+from .constrained_dynamics import ConstraintFrame
 from .constraint_geometry import pseudo_inverse
 from .errors import ActuationError, InputError
 from .task_space import TaskMap
@@ -75,14 +75,13 @@ class ControlCommand:
     phi: Optional[np.ndarray] = None
     d: Optional[np.ndarray] = None
 
-    def with_actuation(self, frame: ConstraintFrame, B: np.ndarray, u: np.ndarray) -> "ControlCommand":
+    def with_actuation(self, frame: ConstraintFrame, u: np.ndarray) -> "ControlCommand":
         u = np.asarray(u, dtype=float)
-        phi = self.tau_c - frame.P @ (np.asarray(B, dtype=float) @ u)
+        phi = self.tau_c - frame.P @ (frame.model.actuation @ u)
         return replace(self, u=u, phi=phi, d=tracking_disturbance(frame, phi))
 
 
 def tracking_torque(
-    state: RobotState,
     frame: ConstraintFrame,
     task: TaskMap,
     x_d: np.ndarray,
@@ -108,7 +107,7 @@ def tracking_torque(
     e = x_d - task.x
     e_dot = x_d_dot - task.x_dot
     x_cmd = x_d_ddot + K_D @ e_dot + K_P @ e
-    qd = state.q_dot
+    qd = frame.state.q_dot
     P = frame.P
     tau_c = P @ (frame.C @ qd) - P @ frame.tau_g + P @ frame.M @ (
         task.Lambda_pinv @ x_cmd - task.Gamma_ctl @ qd
@@ -117,7 +116,6 @@ def tracking_torque(
 
 
 def regulation_torque(
-    state: RobotState,
     frame: ConstraintFrame,
     task: TaskMap,
     x_d: np.ndarray,
@@ -134,31 +132,29 @@ def regulation_torque(
     if x_d.shape != (task.l,) or not np.all(np.isfinite(x_d)):
         raise InputError(f"x_d must be a finite vector of length {task.l}")
     e = x_d - task.x
-    tau_c = frame.P @ (-frame.tau_g - K_D @ state.q_dot + task.Lambda.T @ (K_P @ e))
+    tau_c = frame.P @ (-frame.tau_g - K_D @ frame.state.q_dot + task.Lambda.T @ (K_P @ e))
     return ControlCommand(tau_c=tau_c, e=e, e_dot=-task.x_dot)
 
 
-def regulation_lyapunov(frame: ConstraintFrame, q_dot: np.ndarray, e: np.ndarray, K_P: np.ndarray) -> float:
-    """V = qd^T M_bar qd / 2 + e^T K_P e / 2."""
-    q_dot = np.asarray(q_dot, dtype=float)
+def regulation_lyapunov(frame: ConstraintFrame, e: np.ndarray, K_P: np.ndarray) -> float:
+    """V = qd^T M_bar qd / 2 + e^T K_P e / 2 at the frame's velocity qd."""
+    q_dot = frame.state.q_dot
     e = np.asarray(e, dtype=float)
     return float(0.5 * q_dot @ frame.M_bar @ q_dot + 0.5 * e @ np.asarray(K_P, dtype=float) @ e)
 
 
-def min_norm_actuation(
-    frame: ConstraintFrame, B: np.ndarray, tau_c: np.ndarray, tol: float = 1e-8
-) -> np.ndarray:
+def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
     """Least-norm actuator torques with P B u = tau_c.
 
     u = (P B)^+ tau_c.  Raises ActuationError when tau_c is outside the range
-    of P B, i.e. the actuators cannot span the admissible force space.
+    of P B (relative residual above 1e-8), i.e. the actuators cannot span the
+    admissible force space.
     """
-    B = np.asarray(B, dtype=float)
     tau_c = np.asarray(tau_c, dtype=float)
-    PB = frame.P @ B
+    PB = frame.P @ frame.model.actuation
     u = pseudo_inverse(PB) @ tau_c
     residual = np.linalg.norm(tau_c - PB @ u)
-    if residual > tol * max(1.0, np.linalg.norm(tau_c)):
+    if residual > 1e-8 * max(1.0, np.linalg.norm(tau_c)):
         raise ActuationError(
             f"requested generalized force is not realizable: residual {residual:.3e} "
             "(actuation matrix does not span the admissible force space)"

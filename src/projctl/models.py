@@ -14,7 +14,9 @@ normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -78,6 +80,30 @@ def _contact_functions(point_xz: sp.Matrix, q, qd, args):
     return _lam(args, A), _lam(args, A_dot), _lam(args, point_xz)
 
 
+def _is_number(value) -> bool:
+    """A finite real number that is not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_fields(params, positive=()) -> None:
+    """Each field of a params dataclass must be a finite number or, if annotated Tuple[float, ...],
+    a list or tuple of that many (kept as a tuple); a field defaulting to None may be None, and
+    those named in positive must be > 0.  Messages start with the field's name."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        size = str(f.type).count("float") if "Tuple" in str(f.type) else None
+        if value is None and f.default is None:
+            continue
+        entries = (value,) if size is None else tuple(value) if isinstance(value, (list, tuple)) else ()
+        if len(entries) != (size or 1) or not all(map(_is_number, entries)):
+            want = f"a list of {size} finite numbers" if size else "a finite number"
+            raise InputError(f"{f.name} must be {want}, got {value!r}")
+        if f.name in positive and min(entries) <= 0:
+            raise InputError(f"{f.name} must be positive, got {value!r}")
+        if size:
+            object.__setattr__(params, f.name, entries)
+
+
 # ---------------------------------------------------------------------------
 # three-link planar arm pressing its tip on a surface
 
@@ -128,6 +154,11 @@ class ArmParams:
     motor_resistance: Tuple[float, float, float] = (1.2, 1.0, 0.8)
     torque_constant: Tuple[float, float, float] = (0.9, 1.0, 1.1)
 
+    def __post_init__(self):
+        _check_fields(self, positive=("lengths", "masses", "inertias", "torque_limit"))
+        if self.gravity < 0:
+            raise InputError(f"gravity must be nonnegative, got {self.gravity!r}")
+
     def resolved_inertias(self) -> Tuple[float, ...]:
         if self.inertias is not None:
             return tuple(self.inertias)
@@ -143,10 +174,6 @@ def planar_arm_contact(params: Optional[ArmParams] = None) -> RobotModel:
     actuation redundancy is what the torque optimizer exploits.
     """
     params = params or ArmParams()
-    if min(params.lengths) <= 0 or min(params.masses) <= 0:
-        raise InputError("link lengths and masses must be positive")
-    if params.gravity < 0:
-        raise InputError("gravity magnitude must be nonnegative")
     n = 3
     funcs = _arm_symbolics(n)
     prm = (*params.lengths, *params.masses, *params.resolved_inertias(), params.gravity)
@@ -231,6 +258,10 @@ class BipedParams:
     motor_resistance: Tuple[float, float] = (1.0, 1.0)
     torque_constant: Tuple[float, float] = (1.0, 1.0)
 
+    def __post_init__(self):
+        positive = ("torso_mass", "torso_inertia", "leg_mass", "leg_inertia", "leg_length", "torque_limit")
+        _check_fields(self, positive)
+
     def resolved_leg_inertia(self) -> float:
         if self.leg_inertia is not None:
             return float(self.leg_inertia)
@@ -245,8 +276,6 @@ def floating_biped(params: Optional[BipedParams] = None) -> RobotModel:
     feet are contact candidates; schedules switch them on and off.
     """
     params = params or BipedParams()
-    if params.torso_mass <= 0 or params.leg_mass <= 0 or params.leg_length <= 0:
-        raise InputError("biped masses and leg length must be positive")
     funcs = _biped_symbolics()
     prm = (
         params.torso_mass,
@@ -343,9 +372,12 @@ def base_pose_task(n: int = 5) -> TaskDef:
 
 
 def joint_task(indices: Sequence[int], n: int) -> TaskDef:
-    idx = tuple(int(i) for i in indices)
-    if any(i < 0 or i >= n for i in idx):
-        raise InputError(f"joint task indices {idx} out of range for n={n}")
+    """The joint coordinates q[indices]: a nonempty list or tuple of distinct integers in [0, n)."""
+    idx = tuple(indices) if isinstance(indices, (list, tuple)) else ()
+    in_range = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < n for i in idx)
+    if not (idx and in_range and len(set(idx)) == len(idx)):
+        raise InputError(f"joint task indices must be distinct integers in [0, {n}), got {indices!r}")
+    idx = tuple(int(i) for i in idx)
     J = np.zeros((len(idx), n))
     for row, i in enumerate(idx):
         J[row, i] = 1.0
@@ -366,7 +398,7 @@ def make_task(model: RobotModel, kind: str, **kwargs) -> TaskDef:
     if kind == "base_pose":
         return base_pose_task(model.n)
     if kind == "joint":
-        return joint_task(kwargs["indices"], model.n)
+        return joint_task(kwargs.get("indices"), model.n)
     raise InputError(f"unknown task type '{kind}'")
 
 
@@ -377,10 +409,7 @@ MODEL_CATALOG = {
 
 
 def build_model(kind: str, params: Optional[dict] = None) -> RobotModel:
-    params = dict(params or {})
-    for key in ("lengths", "masses", "inertias", "motor_resistance", "torque_constant"):
-        if key in params and isinstance(params[key], list):
-            params[key] = tuple(params[key])
+    params = params or {}
     if kind == "planar_arm":
         return planar_arm_contact(ArmParams(**params))
     if kind == "floating_biped":

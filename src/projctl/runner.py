@@ -26,7 +26,6 @@ config produces byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
@@ -38,7 +37,7 @@ import numpy as np
 from .constrained_dynamics import RobotState
 from .control_laws import ControllerGains
 from .errors import ConfigError, InputError
-from .models import build_model, make_task
+from .models import _is_number, build_model, make_task
 from .simulate import (
     IntegratorOptions,
     OptimizerSpec,
@@ -66,10 +65,6 @@ def _section(cfg: dict, key: str, path: str, optional: bool = False) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}.{key}" if path else key, f"expected an object, got {type(value).__name__}")
     return value
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _as_number(value, path: str, positive=False) -> float:
@@ -123,7 +118,7 @@ def _build_reference(cfg: dict, dim: int, path: str) -> Reference:
     raise ConfigError(f"{path}.type", f"unknown reference type '{kind}'")
 
 
-def _build_optimizer(cfg: dict, kind: str, path: str) -> OptimizerSpec:
+def _build_optimizer(cfg: dict, kind: str, path: str, r: int) -> OptimizerSpec:
     barrier = BarrierParams(
         eta0=_as_number(cfg.get("eta0", 1.0), f"{path}.eta0", positive=True),
         kappa=_as_number(cfg.get("kappa", 0.2), f"{path}.kappa", positive=True),
@@ -132,6 +127,11 @@ def _build_optimizer(cfg: dict, kind: str, path: str) -> OptimizerSpec:
     )
     if barrier.kappa >= 1.0:
         raise ConfigError(f"{path}.kappa", "decrement must satisfy 0 < kappa < 1")
+    # the duality-gap bound r * eta after the last centering step allowed must reach eps
+    gap = r * barrier.eta0 * barrier.kappa ** (barrier.max_centering - 1)
+    if gap > barrier.eps:
+        raise ConfigError(f"{path}.kappa", f"too close to 1: from eta0 = {barrier.eta0}, {barrier.max_centering} "
+                          f"centering steps end at a duality-gap bound of {gap:.3g}, above eps = {barrier.eps}")
     rho = _as_number(cfg.get("rho", 10.0), f"{path}.rho", positive=True)
     try:
         return OptimizerSpec(kind=kind, barrier=barrier, rho=rho)
@@ -146,10 +146,12 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
 
     mcfg = _section(cfg, "model", "")
     kind = _require(mcfg, "type", "model")
+    params = _section(mcfg, "params", "model", optional=True)
     try:
-        model = build_model(kind, _section(mcfg, "params", "model", optional=True))
-    except (InputError, TypeError) as exc:
-        raise ConfigError("model.params", str(exc)) from None
+        model = build_model(kind, params)
+    except (InputError, TypeError) as exc:  # a field's message starts with its name
+        key = str(exc).split()[0]
+        raise ConfigError(f"model.params.{key}" if key in params else "model.params", str(exc)) from None
 
     scfg = _section(cfg, "initial_state", "")
     q = _as_vector(_require(scfg, "q", "initial_state"), "initial_state.q")
@@ -163,10 +165,11 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
 
     tcfg = _section(cfg, "task", "")
     ttype = _require(tcfg, "type", "task")
+    indices = {"indices": _require(tcfg, "indices", "task")} if ttype == "joint" else {}
     try:
-        task = make_task(model, ttype, **({"indices": tcfg["indices"]} if "indices" in tcfg else {}))
-    except (InputError, KeyError) as exc:
-        raise ConfigError("task.type", str(exc)) from None
+        task = make_task(model, ttype, **indices)
+    except InputError as exc:
+        raise ConfigError("task.indices" if indices else "task.type", str(exc)) from None
     reference = _build_reference(_section(tcfg, "reference", "task"), task.dim, "task.reference")
 
     ccfg = _section(cfg, "controller", "")
@@ -197,7 +200,8 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
         optimizer_kind = _require(ocfg, "type", "optimizer")
         if not isinstance(optimizer_kind, str):
             raise ConfigError("optimizer.type", "expected a string (use 'types' only with compare)")
-    optimizer = _build_optimizer(ocfg, optimizer_kind, "optimizer")
+    # r: constraint rows of the largest torque program (all contacts active)
+    optimizer = _build_optimizer(ocfg, optimizer_kind, "optimizer", r=2 * (model.k + model.p))
 
     icfg = _section(cfg, "integrator", "", optional=True)
     if icfg.get("method", "rk4") != "rk4":

@@ -1,20 +1,20 @@
 """Fixed-step constrained simulation with scheduled contact switching.
 
-Each control tick builds a ConstraintFrame for the task map, the control law,
-the torque allocator and the contact forces.  The integrator then advances
-the projected dynamics with classical RK4 under a zero-order-hold actuation;
-each stage builds a frame and reads only its acceleration (constrained_dynamics
-says what each of the two computes).  After each step the velocity is
-projected back onto the active null space (with optional position-level
-stabilization against the contact anchors).  Contact switches are
-schedule-driven: activating a contact projects the velocity impulsively onto
-the new admissible space; all matrices stay n x n throughout, so the
-controller code path never changes.
+Each control tick builds one ConstraintFrame and hands it alone to the task
+map, the control law, the torque allocator and the contact forces; the frame
+carries the model and state they read.  The integrator then advances the
+projected dynamics with classical RK4 under a zero-order-hold actuation; each
+stage builds a frame and reads only its acceleration, plus, with Baumgarte
+stabilization on, the stage's A and A^+ for the position-level correction
+against the contact anchors (constrained_dynamics says what each of the two
+computes).  After each step the velocity is projected back onto the active
+null space.  Contact switches are schedule-driven: activating a contact
+projects the velocity impulsively onto the new admissible space; all matrices
+stay n x n throughout, so the controller code path never changes.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -29,7 +29,7 @@ from .constrained_dynamics import (
     constrained_accel,
     contact_forces,
 )
-from .constraint_geometry import DEFAULT_RANK_TOL, null_projector
+from .constraint_geometry import null_projector
 from .control_laws import (
     ControllerGains,
     min_norm_actuation,
@@ -50,13 +50,16 @@ from .torque_qcqp import (
 )
 
 
+# Baumgarte velocity and position gains (k_v, k_p)
+BAUMGARTE_GAINS = (20.0, 100.0)
+# largest ||A(q) q_dot|| a step may leave after its velocity projection
+DRIFT_HARD_LIMIT = 1e-6
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     dt: float = 1e-3
     baumgarte: bool = False
-    baumgarte_gains: Tuple[float, float] = (20.0, 100.0)
-    drift_hard_limit: float = 1e-6
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -223,12 +226,7 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def switch_contacts(
-    state: RobotState,
-    new_active: Sequence[int],
-    model: RobotModel,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> RobotState:
+def switch_contacts(state: RobotState, new_active: Sequence[int], model: RobotModel) -> RobotState:
     """Replace the active set; newly activated contacts absorb velocity.
 
     Activation projects q_dot onto the new null space (inelastic impact);
@@ -241,51 +239,38 @@ def switch_contacts(
         return state
     q_dot = state.q_dot
     if set(new) - set(state.active_contacts):
-        P = null_projector(model.contact_stack(state.q, new), rank_tol).P
+        P = null_projector(model.contact_stack(state.q, new)).P
         q_dot = P @ q_dot
     return RobotState(t=state.t, q=state.q, q_dot=q_dot, active_contacts=new)
 
 
-def _baumgarte_correction(
-    model: RobotModel,
-    q: np.ndarray,
-    q_dot: np.ndarray,
-    active: Tuple[int, ...],
-    anchors: Dict[int, np.ndarray],
-    gains: Tuple[float, float],
-    rank_tol: float,
-) -> np.ndarray:
+def _baumgarte_correction(frame: ConstraintFrame, anchors: Dict[int, np.ndarray]) -> np.ndarray:
+    """A^+ (-k_v A qd + k_p g) at a stage frame, g the contact points' offsets from their anchors."""
+    q, active, contacts = frame.state.q, frame.state.active_contacts, frame.model.contacts
     if not active:
         return np.zeros_like(q)
-    k_v, k_p = gains
-    A = model.contact_stack(q, active)
-    g = []
-    for i in active:
-        point_fn = model.contacts[i].point
-        if point_fn is None or i not in anchors:
-            g.append(np.zeros(3))
-        else:
-            g.append(np.asarray(point_fn(q), dtype=float) - anchors[i])
-    g = np.concatenate(g)
-    bundle = null_projector(A, rank_tol)
-    return bundle.A_pinv @ (-k_v * (A @ q_dot) + k_p * g)
+    k_v, k_p = BAUMGARTE_GAINS
+    g = np.concatenate(
+        [np.asarray(contacts[i].point(q), dtype=float) - anchors[i] if contacts[i].point and i in anchors
+         else np.zeros(3) for i in active]
+    )
+    return frame.bundle.A_pinv @ (-k_v * (frame.bundle.A @ frame.state.q_dot) + k_p * g)
 
 
 def step(
     model: RobotModel,
     state: RobotState,
     u: np.ndarray,
-    dt: float,
-    opts: Optional[IntegratorOptions] = None,
+    opts: IntegratorOptions,
     nu: Optional[float] = None,
     anchors: Optional[Dict[int, np.ndarray]] = None,
 ) -> RobotState:
-    """Advance one RK4 step under constant u, then re-project the velocity.
+    """Advance one RK4 step of opts.dt under constant u, then re-project the velocity.
 
-    The post-state satisfies ||A(q) q_dot|| below the integrator's hard drift
-    limit or a SimulationError is raised.
+    The post-state satisfies ||A(q) q_dot|| <= DRIFT_HARD_LIMIT or a
+    SimulationError is raised.
     """
-    opts = opts or IntegratorOptions(dt=dt)
+    dt = opts.dt
     u = np.asarray(u, dtype=float)
     if np.any(u < model.u_min - 1e-9) or np.any(u > model.u_max + 1e-9):
         warnings.warn("actuation outside its box limits", stacklevel=2)
@@ -293,12 +278,10 @@ def step(
 
     def accel(q, q_dot):
         stage = RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=active)
-        frame = build_frame(model, stage, nu=nu, rank_tol=opts.rank_tol)
-        qdd = constrained_accel(frame, model, stage, u)
+        frame = build_frame(model, stage, nu=nu)
+        qdd = constrained_accel(frame, u)
         if opts.baumgarte and anchors:
-            qdd = qdd + _baumgarte_correction(
-                model, q, q_dot, active, anchors, opts.baumgarte_gains, opts.rank_tol
-            )
+            qdd = qdd + _baumgarte_correction(frame, anchors)
         return qdd
 
     q, qd = state.q, state.q_dot
@@ -315,34 +298,33 @@ def step(
 
     A_new = model.contact_stack(q_new, active)
     if A_new.shape[0]:
-        P_new = null_projector(A_new, opts.rank_tol).P
+        P_new = null_projector(A_new).P
         qd_new = P_new @ qd_new
         drift = float(np.linalg.norm(A_new @ qd_new))
-        if drift > opts.drift_hard_limit:
+        if drift > DRIFT_HARD_LIMIT:
             raise SimulationError(
-                f"constraint drift {drift:.3e} exceeds {opts.drift_hard_limit:.1e} at t={state.t + dt:.4f}"
+                f"constraint drift {drift:.3e} exceeds {DRIFT_HARD_LIMIT:.1e} at t={state.t + dt:.4f}"
             )
     return RobotState(t=state.t + dt, q=q_new, q_dot=qd_new, active_contacts=active)
 
 
-def _allocate(scenario: Scenario, frame: ConstraintFrame, state, tau_c, prev_u):
+def _allocate(scenario: Scenario, frame: ConstraintFrame, tau_c, prev_u):
     """Dispatch to the torque allocator.
 
     Returns (u, newton_iters, centering_steps, eta, status).
     """
-    model = scenario.model
     spec = scenario.optimizer
     if spec.kind == "min_norm":
-        u = min_norm_actuation(frame, model.actuation, tau_c)
+        u = min_norm_actuation(frame, tau_c)
         return u, 0, 0, 0.0, "optimal"
-    cones = assemble_cone_constraints(model, state, frame)
-    program = assemble_program(model, state, frame, tau_c, cones=cones)
+    cones = assemble_cone_constraints(frame)
+    program = assemble_program(frame, tau_c, cones=cones)
     if spec.kind == "qcqp_relaxed":
         program = relax_program(program, frame, spec.rho)
     report = solve_barrier(program, spec.barrier, u0=prev_u)
     if report.status not in ("optimal", "relaxed"):
         raise SolverError(
-            f"torque program {report.status} at t={state.t:.4f} "
+            f"torque program {report.status} at t={frame.state.t:.4f} "
             f"(kkt={report.kkt_residual:.2e}, gap={report.duality_gap:.2e})"
         )
     return report.u_star, report.newton_iters, report.centering_steps, report.eta_final, report.status
@@ -364,7 +346,7 @@ def simulate(scenario: Scenario) -> SimTrace:
     state = scenario.initial
     # enforce the velocity-level constraint at the start
     if state.active_contacts:
-        P0 = null_projector(model.contact_stack(state.q, state.active_contacts), opts.rank_tol).P
+        P0 = null_projector(model.contact_stack(state.q, state.active_contacts)).P
         state = replace(state, q_dot=P0 @ state.q_dot)
 
     nu = scenario.nu
@@ -392,28 +374,28 @@ def simulate(scenario: Scenario) -> SimTrace:
         t = i * dt
         while pending and pending[0][0] <= t + 0.5 * dt:
             _, new_set = pending.pop(0)
-            state = switch_contacts(state, new_set, model, opts.rank_tol)
+            state = switch_contacts(state, new_set, model)
             for gone in set(anchors) - set(state.active_contacts):
                 del anchors[gone]
             if opts.baumgarte:
                 refresh_anchors(state)
         state = replace(state, t=t)
 
-        frame = build_frame(model, state, nu=nu, rank_tol=opts.rank_tol)
-        task = build_task(model, state, frame, scenario.task)
+        frame = build_frame(model, state, nu=nu)
+        task = build_task(frame, scenario.task)
         ref = scenario.reference
         if scenario.controller == "tracking":
-            cmd = tracking_torque(state, frame, task, ref.value(t), ref.rate(t), ref.accel(t), scenario.gains)
+            cmd = tracking_torque(frame, task, ref.value(t), ref.rate(t), ref.accel(t), scenario.gains)
         else:
-            cmd = regulation_torque(state, frame, task, ref.value(t), scenario.gains)
-        u, n_newton, n_center, eta, status = _allocate(scenario, frame, state, cmd.tau_c, prev_u)
+            cmd = regulation_torque(frame, task, ref.value(t), scenario.gains)
+        u, n_newton, n_center, eta, status = _allocate(scenario, frame, cmd.tau_c, prev_u)
         prev_u = u
-        cmd = cmd.with_actuation(frame, model.actuation, u)
+        cmd = cmd.with_actuation(frame, u)
 
         lam_row = np.zeros(3 * k_model)
         margin_row = np.zeros(k_model)
         if state.active_contacts:
-            wrench = contact_forces(frame, model, state, u)
+            wrench = contact_forces(frame, u)
             per = wrench.per_contact()
             for slot, idx in enumerate(state.active_contacts):
                 lam_row[3 * idx : 3 * idx + 3] = per[slot]
@@ -429,7 +411,7 @@ def simulate(scenario: Scenario) -> SimTrace:
         cols["lam"].append(lam_row)
         cols["margins"].append(margin_row)
         cols["p_loss"].append(power_loss(u, W))
-        cols["lyapunov"].append(regulation_lyapunov(frame, state.q_dot, cmd.e, scenario.gains.K_P))
+        cols["lyapunov"].append(regulation_lyapunov(frame, cmd.e, scenario.gains.K_P))
         cols["phi_norm"].append(float(np.linalg.norm(cmd.phi)))
         cols["d_norm"].append(float(np.linalg.norm(cmd.d)))
         cols["newton_iters"].append(n_newton)
@@ -441,7 +423,7 @@ def simulate(scenario: Scenario) -> SimTrace:
         cols["active"].append(state.active_contacts)
 
         if i < n_steps:
-            state = step(model, state, u, dt, opts, nu=nu, anchors=anchors)
+            state = step(model, state, u, opts, nu=nu, anchors=anchors)
 
     # status and active stay lists; every other column becomes an array
     lists = ("status", "active")

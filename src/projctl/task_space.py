@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
-from .constraint_geometry import _pinv_from_svd, _svd_cutoff
+from .constraint_geometry import FD_STEP, _pinv_from_svd, _svd_cutoff
 from .errors import InputError, TaskInconsistencyError
 
 
@@ -124,27 +124,21 @@ def _task_jacobian_rate(task: TaskDef, q, q_dot, h: float) -> np.ndarray:
     return J_dot
 
 
-def build_task(
-    model,
-    state,
-    frame: ConstraintFrame,
-    task: TaskDef,
-    fd_step: float = 1e-6,
-) -> TaskMap:
-    """Evaluate the task map at a state.
+def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
+    """Evaluate the task map at the frame's state.
 
     Raises InputError on a malformed or non-finite task value or Jacobian, and
     TaskInconsistencyError when Lambda loses row rank, which means the
     requested task leaves the admissible motion space.
     """
-    q, qd = state.q, state.q_dot
+    q, qd, n = frame.state.q, frame.state.q_dot, frame.n
     l = task.dim
     x = np.asarray(task.value(q), dtype=float)
     if x.shape != (l,):
         raise InputError(f"task value must have shape ({l},), got {x.shape}")
-    J = _task_jacobian(task, q, fd_step)
-    if J.shape != (l, model.n):
-        raise InputError(f"task Jacobian must be {l}x{model.n}, got {J.shape}")
+    J = _task_jacobian(task, q, FD_STEP)
+    if J.shape != (l, n):
+        raise InputError(f"task Jacobian must be {l}x{n}, got {J.shape}")
     if not (np.isfinite(x).all() and np.isfinite(J).all()):
         raise InputError(f"task '{task.name}' value or Jacobian contains non-finite entries")
 
@@ -162,7 +156,7 @@ def build_task(
         )
     # sv[l - 1] > 1e-9 ||J|| >= 1e-9 ||Lam||, so this is pseudo_inverse(Lam)
     Lam_pinv = _pinv_from_svd(U, sv, Vt, rank)
-    J_dot = _task_jacobian_rate(task, q, qd, fd_step)
+    J_dot = _task_jacobian_rate(task, q, qd, FD_STEP)
     Lam_dot = J_dot @ P + J @ frame.bundle.P_dot
     Gamma = Lam_pinv @ Lam_dot - frame.bundle.Omega
     return TaskMap(
@@ -175,25 +169,23 @@ def build_task(
         Lambda_dot=Lam_dot,
         Gamma_ctl=Gamma,
         P=P,
-        full_span=l == model.n - frame.bundle.rank,
+        full_span=l == n - frame.bundle.rank,
     )
 
 
-def check_feasibility(
-    frame: ConstraintFrame, task: TaskMap, B: np.ndarray, tol: float = 1e-9
-) -> FeasibilityReport:
+def check_feasibility(frame: ConstraintFrame, task: TaskMap) -> FeasibilityReport:
     """Report task/constraint consistency and actuation sufficiency.
 
-    task_consistent: range(Lambda^T) inside null(A), tested as ||A Lambda^+||.
-    actuation_sufficient: range(Lambda^T) inside range(B), tested by comparing
-    rank([B | Lambda^T]) against rank(B).
+    task_consistent: range(Lambda^T) inside null(A), tested as
+    ||A Lambda^+|| <= 1e-9 (relative).  actuation_sufficient: range(Lambda^T)
+    inside range(B), tested by comparing rank([B | Lambda^T]) against rank(B).
     """
-    B = np.asarray(B, dtype=float)
+    B = frame.model.actuation
     A = frame.bundle.A
     scale = max(1.0, float(np.abs(A).max()) * float(np.abs(task.Lambda_pinv).max()))
-    consistent = bool(A.size == 0 or np.abs(A @ task.Lambda_pinv).max() <= tol * scale)
-    _, _, _, rank_B = _svd_cutoff(B, 1e-10)
-    _, _, _, rank_aug = _svd_cutoff(np.hstack([B, task.Lambda.T]), 1e-10)
+    consistent = bool(A.size == 0 or np.abs(A @ task.Lambda_pinv).max() <= 1e-9 * scale)
+    _, _, _, rank_B = _svd_cutoff(B)
+    _, _, _, rank_aug = _svd_cutoff(np.hstack([B, task.Lambda.T]))
     return FeasibilityReport(
         task_consistent=consistent,
         actuation_sufficient=bool(rank_aug == rank_B),
@@ -203,9 +195,7 @@ def check_feasibility(
     )
 
 
-def task_accel_decompose(
-    task: TaskMap, frame: ConstraintFrame, x_ddot: np.ndarray, q_dot: np.ndarray
-) -> np.ndarray:
+def task_accel_decompose(task: TaskMap, frame: ConstraintFrame, x_ddot: np.ndarray) -> np.ndarray:
     """Generalized acceleration realizing a task acceleration.
 
     Returns qdd = Lambda^+ x_ddot - Gamma qd, the inverse of
@@ -213,5 +203,4 @@ def task_accel_decompose(
     full-spanning tasks.
     """
     x_ddot = np.asarray(x_ddot, dtype=float)
-    q_dot = np.asarray(q_dot, dtype=float)
-    return task.Lambda_pinv @ x_ddot - task.Gamma_ctl @ q_dot
+    return task.Lambda_pinv @ x_ddot - task.Gamma_ctl @ frame.state.q_dot

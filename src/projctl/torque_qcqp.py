@@ -9,9 +9,11 @@ The program over actuator torques u is
 where c(u) stacks, per contact, the linear normal-force row
 z_i^T u + alpha_i and the quadratic cone row u^T G_i u + gamma_i^T u + beta_i,
 followed by the box rows u_max - u and u - u_min, plus any appended moment
-rows.  Every contact row, and each force-regulation equality, is read from the
-affine force map lambda(u) = F u + f0, formed once per ConstraintFrame
-(force_map); a TorqueProgram stacks its rows on first read.  It is solved
+rows.  The builders take the ConstraintFrame alone: its model gives B, W, the
+box and the friction coefficients, its state the active contacts.  Every
+contact row, and each force-regulation equality, is read from the affine force
+map lambda(u) = F u + f0, formed once per frame (force_map); a TorqueProgram
+stacks its rows on first read.  It is solved
 by following the central path of the barrier problem
 
     minimize    u^T W u - eta * sum_i log c_i(u)    s.t.  P B u = tau_c
@@ -43,8 +45,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constrained_dynamics import ConstraintFrame, RobotModel, RobotState
+from .constrained_dynamics import ConstraintFrame
 from .errors import InputError
+
+# relative tolerance on the component of tau_c outside range(P)
+TAU_C_TOL = 1e-8
 
 
 def motor_weighting(R, K_t) -> np.ndarray:
@@ -85,24 +90,22 @@ class ConeConstraint:
     beta: float
 
 
-def assemble_cone_constraints(
-    model: RobotModel, state: RobotState, frame: ConstraintFrame
-) -> List[ConeConstraint]:
-    """Cone coefficients for every active contact.
+def assemble_cone_constraints(frame: ConstraintFrame) -> List[ConeConstraint]:
+    """Cone coefficients for every active contact of the frame's state.
 
     With F_i, f_i the contact's three rows of the force map
     lambda(u) = F u + f0 (x, y, z) and D = diag(-1, -1, mu^2):
     z = F_i[2], alpha = f_i[2], G = F_i^T D F_i, gamma = 2 F_i^T D f_i and
     beta = f_i^T D f_i, so u^T G u + gamma^T u + beta = lambda_i^T D lambda_i.
     """
-    active = state.active_contacts
+    active, contacts = frame.state.active_contacts, frame.model.contacts
     if len(active) == 0:
         raise InputError("cone constraints need at least one active contact")
     F, f0 = frame.force_map
     out = []
     for idx, contact in enumerate(active):
         F_i, f_i = F[3 * idx : 3 * idx + 3], f0[3 * idx : 3 * idx + 3]
-        D = np.array([-1.0, -1.0, model.contacts[contact].friction ** 2])
+        D = np.array([-1.0, -1.0, contacts[contact].friction ** 2])
         DF_i, Df_i = D[:, None] * F_i, D * f_i
         out.append(
             ConeConstraint(
@@ -216,24 +219,22 @@ class TorqueProgram:
 
 
 def assemble_program(
-    model: RobotModel,
-    state: RobotState,
     frame: ConstraintFrame,
     tau_c: np.ndarray,
     cones: Optional[Sequence[ConeConstraint]] = None,
-    tau_c_tol: float = 1e-8,
 ) -> TorqueProgram:
-    """Bundle the equality map, cone rows and torque box into a program.
+    """Bundle the equality map, cone rows and torque box of the frame's model into a program.
 
     tau_c must lie in the admissible force space (range of P).
     """
+    model, n = frame.model, frame.n
     tau_c = np.asarray(tau_c, dtype=float)
-    if tau_c.shape != (model.n,):
-        raise InputError(f"tau_c must have shape ({model.n},)")
-    off = np.linalg.norm((np.eye(model.n) - frame.P) @ tau_c)
-    if off > tau_c_tol * max(1.0, np.linalg.norm(tau_c)):
+    if tau_c.shape != (n,):
+        raise InputError(f"tau_c must have shape ({n},)")
+    off = np.linalg.norm((np.eye(n) - frame.P) @ tau_c)
+    if off > TAU_C_TOL * max(1.0, np.linalg.norm(tau_c)):
         raise InputError(f"tau_c has a component outside range(P): {off:.3e}")
-    cones = list(cones) if cones is not None else assemble_cone_constraints(model, state, frame)
+    cones = list(cones) if cones is not None else assemble_cone_constraints(frame)
     return TorqueProgram(
         W=motor_weighting(model.motor_resistance, model.torque_constant),
         eq_mat=frame.P @ model.actuation,
@@ -266,13 +267,7 @@ def relax_program(program: TorqueProgram, frame: ConstraintFrame, rho: float) ->
     )
 
 
-def add_moment_constraints(
-    program: TorqueProgram,
-    frame: ConstraintFrame,
-    model: RobotModel,
-    state: RobotState,
-    selector: np.ndarray,
-) -> TorqueProgram:
+def add_moment_constraints(program: TorqueProgram, frame: ConstraintFrame, selector: np.ndarray) -> TorqueProgram:
     """Append rows enforcing selected multiplier combinations to be <= 0.
 
     selector maps the stacked multipliers to the moments of interest
@@ -295,8 +290,6 @@ def add_moment_constraints(
 def add_force_regulation(
     program: TorqueProgram,
     frame: ConstraintFrame,
-    model: RobotModel,
-    state: RobotState,
     selector: np.ndarray,
     lambda_desired: np.ndarray,
 ) -> TorqueProgram:

@@ -133,7 +133,7 @@ def test_criterion_05_contact_force_oracle(arm, biped, rng):
             state = random_manifold_state(model, rng, home, spread=0.2)
             u = rng.uniform(model.u_min, model.u_max)
             frame = build_frame(model, state)
-            wrench = contact_forces(frame, model, state, u)
+            wrench = contact_forces(frame, u)
             _, lam_oracle = saddle_point_state(model, state, u)
             worst = max(worst, float(np.abs(wrench.forces - lam_oracle).max()))
     assert worst <= 1e-8
@@ -150,7 +150,7 @@ def test_criterion_06_task_map_identities(arm, biped, rng):
         for _ in range(40):
             state = random_manifold_state(model, rng, home, active=active)
             frame = build_frame(model, state)
-            task = build_task(model, state, frame, tdef)
+            task = build_task(frame, tdef)
             worst = max(worst, task.identities.range_in_null, task.identities.pinv_in_null)
             if task.full_span:
                 worst = max(worst, task.identities.pinv_product)
@@ -213,9 +213,9 @@ def bundled_programs(arm, biped, rng):
     for model, home, kind in ((arm, ARM_HOME, "link_orientation"), (biped, BIPED_HOME, "base_pitch")):
         state = random_manifold_state(model, rng, home, spread=0.1)
         frame = build_frame(model, state)
-        task = build_task(model, state, frame, make_task(model, kind))
-        cmd = tracking_torque(state, frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
-        model_programs.append(assemble_program(model, state, frame, cmd.tau_c))
+        task = build_task(frame, make_task(model, kind))
+        cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
+        model_programs.append(assemble_program(frame, cmd.tau_c))
     return toys, model_programs
 
 
@@ -234,10 +234,10 @@ def test_criterion_09_qcqp_solver(arm, biped, rng):
     # (b) inactive inequalities match the weighted least-norm closed form
     state = manifold_state(arm, ARM_HOME, scale=0.0)
     frame = build_frame(arm, state)
-    task = build_task(arm, state, frame, make_task(arm, "link_orientation"))
+    task = build_task(frame, make_task(arm, "link_orientation"))
     gains = ControllerGains.critically_damped(1, 5.0)
-    cmd = tracking_torque(state, frame, task, task.x + 0.05, np.zeros(1), np.zeros(1), gains)
-    program = assemble_program(arm, state, frame, cmd.tau_c)
+    cmd = tracking_torque(frame, task, task.x + 0.05, np.zeros(1), np.zeros(1), gains)
+    program = assemble_program(frame, cmd.tau_c)
     report = solve_barrier(program, params)
     assert report.status == "optimal"
     assert report.constraint_margins.min() > 1.0  # genuinely inactive
@@ -326,9 +326,9 @@ def test_criterion_12_tradeoff_relaxation(biped, outdir):
     # pure qcqp on this scenario is equality-infeasible
     state0 = scenario.initial
     frame = build_frame(scenario.model, state0)
-    task = build_task(scenario.model, state0, frame, scenario.task)
-    cmd = tracking_torque(state0, frame, task, task.x + 0.15, np.zeros(1), np.zeros(1), scenario.gains)
-    program = assemble_program(scenario.model, state0, frame, cmd.tau_c)
+    task = build_task(frame, scenario.task)
+    cmd = tracking_torque(frame, task, task.x + 0.15, np.zeros(1), np.zeros(1), scenario.gains)
+    program = assemble_program(frame, cmd.tau_c)
     assert solve_barrier(program).status == "infeasible_equality"
 
     norms = []

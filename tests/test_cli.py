@@ -165,6 +165,57 @@ class TestConfigValidation:
     def test_missing_file(self):
         assert main(["run", "/nonexistent/config.json", "--quiet"]) == 2
 
+    @pytest.mark.parametrize(
+        "base, params, key",
+        [
+            ("arm_tracking.json", {"motor_resistance": [float("nan"), 1.0, 0.8]}, "motor_resistance"),
+            ("arm_tracking.json", {"torque_constant": [0.9, float("nan"), 1.1]}, "torque_constant"),
+            ("arm_tracking.json", {"masses": [1.0, 1.0]}, "masses"),
+            ("arm_tracking.json", {"masses": [float("nan"), 1.2, 0.8]}, "masses"),
+            ("arm_tracking.json", {"lengths": [float("inf"), 0.4, 0.35]}, "lengths"),
+            ("arm_tracking.json", {"inertias": [0.1, 0.1]}, "inertias"),
+            ("arm_tracking.json", {"inertias": [0.02, -0.02, 0.01]}, "inertias"),
+            ("arm_tracking.json", {"gravity": float("nan")}, "gravity"),
+            ("arm_tracking.json", {"friction": True}, "friction"),
+            ("arm_tracking.json", {"torque_limit": "25"}, "torque_limit"),
+            ("biped_switch.json", {"motor_resistance": [1.0]}, "motor_resistance"),
+            ("biped_switch.json", {"leg_length": float("nan")}, "leg_length"),
+            ("biped_switch.json", {"torso_mass": False}, "torso_mass"),
+        ],
+    )
+    def test_model_params_must_be_finite_numbers(self, tmp_path, capsys, base, params, key):
+        path, cfg = short_config(tmp_path, base=base, **{"model.params": params})
+        with pytest.raises(ConfigError) as err:
+            load_scenario(cfg)
+        assert err.value.path == f"model.params.{key}"
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert f"model.params.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("indices", [5, [0.7], [True], "0", [0, 0], [3], [-1], []])
+    def test_task_indices_must_be_distinct_joint_indices(self, tmp_path, capsys, indices):
+        task = {"type": "joint", "indices": indices, "reference": {"type": "constant", "value": [0.0]}}
+        path, cfg = short_config(tmp_path, task=task)
+        with pytest.raises(ConfigError) as err:
+            load_scenario(cfg)
+        assert err.value.path == "task.indices"
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert "task.indices" in capsys.readouterr().err
+
+    def test_joint_task_indices_load(self, tmp_path):
+        task = {"type": "joint", "indices": [2, 0], "reference": {"type": "constant", "value": [0.0, 0.0]}}
+        _, cfg = short_config(tmp_path, task=task)
+        assert load_scenario(cfg).task.dim == 2
+
+    def test_kappa_must_reach_the_gap_certificate(self, tmp_path, capsys):
+        for config in sorted(CONFIGS.glob("*.json")):
+            load_scenario(load_config(config))  # the bundled configs and the default kappa load
+        path, cfg = short_config(tmp_path, base="compare_cone.json", **{"optimizer.kappa": 0.99})
+        with pytest.raises(ConfigError, match="eta0 = 1.0.*eps = 1e-08") as err:
+            load_scenario(cfg)
+        assert err.value.path == "optimizer.kappa"
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert "optimizer.kappa" in capsys.readouterr().err
+
     def test_field_paths_in_exception(self, tmp_path):
         path, cfg = short_config(tmp_path)
         cfg["task"]["reference"] = {"type": "sinusoid", "center": [0.0]}

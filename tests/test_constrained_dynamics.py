@@ -147,14 +147,14 @@ class TestConstrainedAccel:
         model = point_mass_model()
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
         frame = build_frame(model, state, nu=1.0)
-        qdd = constrained_accel(frame, model, state, np.zeros(3))
+        qdd = constrained_accel(frame, np.zeros(3))
         assert np.allclose(qdd, 0.0, atol=1e-12)
 
     def test_free_motion(self, arm):
         state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())
         frame = build_frame(arm, state)
         u = np.array([1.0, -2.0, 0.5])
-        qdd = constrained_accel(frame, arm, state, u)
+        qdd = constrained_accel(frame, u)
         M = arm.mass_matrix(state.q)
         expected = np.linalg.solve(M, u + arm.gravity(state.q))
         assert np.allclose(qdd, expected, atol=1e-10)
@@ -165,7 +165,7 @@ class TestConstrainedAccel:
                 state = random_manifold_state(model, rng, home, spread=0.2)
                 u = rng.uniform(model.u_min, model.u_max)
                 frame = build_frame(model, state)
-                qdd = constrained_accel(frame, model, state, u)
+                qdd = constrained_accel(frame, u)
                 qdd_oracle, _ = saddle_point_state(model, state, u)
                 assert np.abs(qdd - qdd_oracle).max() <= 1e-8
 
@@ -174,7 +174,7 @@ class TestConstrainedAccel:
             state = random_manifold_state(arm, rng, ARM_HOME, spread=0.2)
             u = rng.uniform(arm.u_min, arm.u_max)
             frame = build_frame(arm, state)
-            qdd = constrained_accel(frame, arm, state, u)
+            qdd = constrained_accel(frame, u)
             lhs = (np.eye(arm.n) - frame.P) @ qdd
             rhs = frame.bundle.Omega @ state.q_dot
             assert np.abs(lhs - rhs).max() <= 1e-8
@@ -215,7 +215,7 @@ class TestFrameBitExact:
         state = RobotState(t=0.0, q=q, q_dot=qd, active_contacts=active)
         expected = eager_frame(model, state, u, nu)
         frame = build_frame(model, state, nu=nu)
-        assert np.array_equal(constrained_accel(frame, model, state, u), expected["qdd"])
+        assert np.array_equal(constrained_accel(frame, u), expected["qdd"])
         for name in ("M_bar", "C_bar", "M_bar_inv", "S", "Q"):
             assert np.array_equal(getattr(frame, name), expected[name]), name
 
@@ -256,7 +256,7 @@ class TestContactForces:
         model = toy_model(np.diag([1.0, 1.0]), np.array([[1.0, 0.0]]))
         state = RobotState(t=0.0, q=np.zeros(2), q_dot=np.zeros(2), active_contacts=(0,))
         frame = build_frame(model, state, nu=1.0)
-        wrench = contact_forces(frame, model, state, np.zeros(2))
+        wrench = contact_forces(frame, np.zeros(2))
         assert np.allclose(wrench.forces, 0.0, atol=1e-12)
 
     def test_point_mass_statics(self):
@@ -264,7 +264,7 @@ class TestContactForces:
         model = point_mass_model(mass=mass, g=g)
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
         frame = build_frame(model, state, nu=1.0)
-        wrench = contact_forces(frame, model, state, np.zeros(3))
+        wrench = contact_forces(frame, np.zeros(3))
         assert np.allclose(wrench.forces, [0.0, 0.0, mass * g], atol=1e-10)
         assert wrench.margins[0] > 0
         assert not wrench.degenerate
@@ -275,21 +275,21 @@ class TestContactForces:
                 state = random_manifold_state(model, rng, home, spread=0.2)
                 u = rng.uniform(model.u_min, model.u_max)
                 frame = build_frame(model, state)
-                wrench = contact_forces(frame, model, state, u)
+                wrench = contact_forces(frame, u)
                 _, lam_oracle = saddle_point_state(model, state, u)
                 assert np.abs(wrench.forces - lam_oracle).max() <= 1e-8
 
     def test_planar_stack_flagged_degenerate(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
         frame = build_frame(arm, state)
-        wrench = contact_forces(frame, arm, state, np.zeros(3))
+        wrench = contact_forces(frame, np.zeros(3))
         assert wrench.degenerate  # the y row of a planar contact is zero
 
     def test_requires_active_contacts(self, arm):
         state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())
         frame = build_frame(arm, state)
         with pytest.raises(InputError):
-            contact_forces(frame, arm, state, np.zeros(3))
+            contact_forces(frame, np.zeros(3))
 
 
 class TestProjectedEquationOfMotion:

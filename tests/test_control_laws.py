@@ -18,7 +18,7 @@ from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, ran
 
 def arm_setup(arm, state):
     frame = build_frame(arm, state)
-    task = build_task(arm, state, frame, link_orientation_task(3))
+    task = build_task(frame, link_orientation_task(3))
     return frame, task
 
 
@@ -47,7 +47,7 @@ class TestControllerGains:
         frame, task = arm_setup(arm, state)
         gains = ControllerGains.critically_damped(2, 5.0)
         with pytest.raises(InputError, match="K_P must be 1x1"):
-            tracking_torque(state, frame, task, task.x, np.zeros(1), np.zeros(1), gains)
+            tracking_torque(frame, task, task.x, np.zeros(1), np.zeros(1), gains)
 
 
 class TestTrackingTorque:
@@ -58,7 +58,7 @@ class TestTrackingTorque:
         arm0 = planar_arm_contact(ArmParams(gravity=0.0))
         state = manifold_state(arm0, ARM_HOME, scale=0.0)
         frame, task = arm_setup(arm0, state)
-        cmd = tracking_torque(state, frame, task, task.x, np.zeros(1), np.zeros(1), GAINS1)
+        cmd = tracking_torque(frame, task, task.x, np.zeros(1), np.zeros(1), GAINS1)
         assert np.allclose(cmd.tau_c, 0.0, atol=1e-12)
         assert np.allclose(cmd.e, 0.0)
 
@@ -70,14 +70,14 @@ class TestTrackingTorque:
         from projctl.task_space import TaskDef
 
         task = build_task(
-            model, state, frame,
+            frame,
             TaskDef("config", 3, lambda q: np.asarray(q, float).copy(), lambda q: np.eye(3),
                     lambda q, qd: np.zeros((3, 3))),
         )
         gains = ControllerGains.critically_damped(3, 2.0)
         x_d = np.array([0.2, 0.2, 0.2])
         xdd_d = np.array([0.5, 0.0, -0.5])
-        cmd = tracking_torque(state, frame, task, x_d, np.zeros(3), xdd_d, gains)
+        cmd = tracking_torque(frame, task, x_d, np.zeros(3), xdd_d, gains)
         expected = 2.0 * (xdd_d + gains.K_P @ (x_d - state.q))
         assert np.allclose(cmd.tau_c, expected, atol=1e-10)
 
@@ -85,7 +85,7 @@ class TestTrackingTorque:
         for _ in range(20):
             state = random_manifold_state(arm, rng, ARM_HOME)
             frame, task = arm_setup(arm, state)
-            cmd = tracking_torque(state, frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), GAINS1)
+            cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), GAINS1)
             assert np.abs((np.eye(3) - frame.P) @ cmd.tau_c).max() <= 1e-10
 
     def test_closed_loop_error_dynamics(self, arm, rng):
@@ -96,9 +96,9 @@ class TestTrackingTorque:
             x_d = task.x + rng.uniform(-0.2, 0.2, size=1)
             x_d_dot = rng.uniform(-0.5, 0.5, size=1)
             x_d_ddot = rng.uniform(-1.0, 1.0, size=1)
-            cmd = tracking_torque(state, frame, task, x_d, x_d_dot, x_d_ddot, GAINS1)
-            u = min_norm_actuation(frame, arm.actuation, cmd.tau_c)
-            qdd = constrained_accel(frame, arm, state, u)
+            cmd = tracking_torque(frame, task, x_d, x_d_dot, x_d_ddot, GAINS1)
+            u = min_norm_actuation(frame, cmd.tau_c)
+            qdd = constrained_accel(frame, u)
             xdd = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd
             e = x_d - task.x
             e_dot = x_d_dot - task.x_dot
@@ -109,7 +109,7 @@ class TestTrackingTorque:
         state = manifold_state(arm, ARM_HOME, scale=0.0)
         frame, task = arm_setup(arm, state)
         with pytest.raises(InputError):
-            tracking_torque(state, frame, task, np.array([np.nan]), np.zeros(1), np.zeros(1), GAINS1)
+            tracking_torque(frame, task, np.array([np.nan]), np.zeros(1), np.zeros(1), GAINS1)
 
 
 class TestRegulationTorque:
@@ -122,43 +122,43 @@ class TestRegulationTorque:
         arm0 = planar_arm_contact(ArmParams(gravity=0.0))
         state = manifold_state(arm0, ARM_HOME, scale=0.0)
         frame, task = arm_setup(arm0, state)
-        cmd = regulation_torque(state, frame, task, task.x, self.gains(3))
+        cmd = regulation_torque(frame, task, task.x, self.gains(3))
         assert np.allclose(cmd.tau_c, 0.0, atol=1e-12)
 
     def test_gravity_compensation_at_goal(self, arm):
         state = manifold_state(arm, ARM_HOME, scale=0.0)
         frame, task = arm_setup(arm, state)
-        cmd = regulation_torque(state, frame, task, task.x, self.gains(3))
+        cmd = regulation_torque(frame, task, task.x, self.gains(3))
         assert np.allclose(cmd.tau_c, -frame.P @ frame.tau_g, atol=1e-12)
 
     def test_membership_and_dims(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
         frame, task = arm_setup(arm, state)
-        cmd = regulation_torque(state, frame, task, task.x + 0.1, self.gains(3))
+        cmd = regulation_torque(frame, task, task.x + 0.1, self.gains(3))
         assert np.abs((np.eye(3) - frame.P) @ cmd.tau_c).max() <= 1e-10
         with pytest.raises(InputError):
-            regulation_torque(state, frame, task, task.x, ControllerGains(np.eye(1), np.eye(2)))
+            regulation_torque(frame, task, task.x, ControllerGains(np.eye(1), np.eye(2)))
 
 
 class TestMinNormActuation:
     def test_zero(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
         frame, _ = arm_setup(arm, state)
-        assert np.allclose(min_norm_actuation(frame, arm.actuation, np.zeros(3)), 0.0)
+        assert np.allclose(min_norm_actuation(frame, np.zeros(3)), 0.0)
 
     def test_identity_case(self):
         model = point_mass_model()
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=())
         frame = build_frame(model, state)
         tau = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(min_norm_actuation(frame, np.eye(3), tau), tau)
+        assert np.allclose(min_norm_actuation(frame, tau), tau)
 
     def test_minimality_against_nullspace_perturbations(self, arm, rng):
         for _ in range(10):
             state = random_manifold_state(arm, rng, ARM_HOME)
             frame, task = arm_setup(arm, state)
-            cmd = tracking_torque(state, frame, task, task.x + 0.15, np.zeros(1), np.zeros(1), GAINS1)
-            u = min_norm_actuation(frame, arm.actuation, cmd.tau_c)
+            cmd = tracking_torque(frame, task, task.x + 0.15, np.zeros(1), np.zeros(1), GAINS1)
+            u = min_norm_actuation(frame, cmd.tau_c)
             PB = frame.P @ arm.actuation
             _, _, Vt = np.linalg.svd(PB)
             rank = np.linalg.matrix_rank(PB, tol=1e-10)
@@ -173,10 +173,10 @@ class TestMinNormActuation:
         # single support: admissible force space is 3-d but only 2 actuators
         state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
         frame = build_frame(biped, state)
-        task = build_task(biped, state, frame, make_task(biped, "base_pitch"))
-        cmd = tracking_torque(state, frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), GAINS1)
+        task = build_task(frame, make_task(biped, "base_pitch"))
+        cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), GAINS1)
         with pytest.raises(ActuationError):
-            min_norm_actuation(frame, biped.actuation, cmd.tau_c)
+            min_norm_actuation(frame, cmd.tau_c)
 
 
 class TestTrackingDisturbance:
@@ -199,10 +199,10 @@ class TestTrackingDisturbance:
             frame, task = arm_setup(arm, state)
             x_d = task.x + 0.1
             x_d_dot, x_d_ddot = np.zeros(1), np.zeros(1)
-            cmd = tracking_torque(state, frame, task, x_d, x_d_dot, x_d_ddot, GAINS1)
+            cmd = tracking_torque(frame, task, x_d, x_d_dot, x_d_ddot, GAINS1)
             u = rng.uniform(arm.u_min, arm.u_max)
-            cmd = cmd.with_actuation(frame, arm.actuation, u)
-            qdd = constrained_accel(frame, arm, state, u)
+            cmd = cmd.with_actuation(frame, u)
+            qdd = constrained_accel(frame, u)
             xdd = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd
             zeta = (x_d_ddot - xdd) + GAINS1.K_D @ cmd.e_dot + GAINS1.K_P @ cmd.e
             assert np.abs(task.Lambda_pinv @ zeta - cmd.d).max() <= 1e-8

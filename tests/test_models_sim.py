@@ -1,9 +1,12 @@
+import dataclasses
 import importlib
+import inspect
 
 import numpy as np
 import pytest
 
 from projctl.constrained_dynamics import ConstraintFrame, RobotState, build_frame
+from projctl.constraint_geometry import null_projector
 from projctl.control_laws import ControllerGains
 from projctl.errors import InputError, SimulationError
 from projctl.models import (
@@ -11,6 +14,7 @@ from projctl.models import (
     BipedParams,
     build_model,
     floating_biped,
+    joint_task,
     make_task,
     planar_arm_contact,
     standing_pose,
@@ -59,6 +63,24 @@ class TestPlanarArmModel:
         with pytest.raises(InputError):
             planar_arm_contact(ArmParams(masses=(1.0, -1.0, 1.0)))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("u_min", [-np.inf, -25.0, -25.0]),
+            ("u_max", [25.0, np.inf, 25.0]),
+            ("motor_resistance", [1.2, 1.0, np.nan]),
+            ("torque_constant", [np.nan, 1.0, 1.1]),
+        ],
+    )
+    def test_robot_model_rejects_nonfinite_vectors(self, arm, field, value):
+        with pytest.raises(InputError, match=f"{field} must be 3 finite numbers"):
+            dataclasses.replace(arm, **{field: np.array(value)})
+
+    @pytest.mark.parametrize("indices", [5, [0.7], [True], "0", [0, 0], []])
+    def test_joint_task_rejects_bad_indices(self, indices):
+        with pytest.raises(InputError):
+            joint_task(indices, 3)
+
 
 class TestBipedModel:
     def test_actuation_excludes_base(self, biped):
@@ -79,14 +101,14 @@ class TestBipedModel:
     def test_standing_qcqp_presses_both_feet(self, biped):
         state = manifold_state(biped, BIPED_HOME, scale=0.0)
         frame = build_frame(biped, state)
-        task = build_task(biped, state, frame, make_task(biped, "base_pitch"))
+        task = build_task(frame, make_task(biped, "base_pitch"))
         gains = ControllerGains.critically_damped(1, 4.0)
-        cmd = tracking_torque(state, frame, task, task.x, np.zeros(1), np.zeros(1), gains)
-        report = solve_barrier(assemble_program(biped, state, frame, cmd.tau_c))
+        cmd = tracking_torque(frame, task, task.x, np.zeros(1), np.zeros(1), gains)
+        report = solve_barrier(assemble_program(frame, cmd.tau_c))
         assert report.status == "optimal"
         from projctl.constrained_dynamics import contact_forces
 
-        wrench = contact_forces(frame, biped, state, report.u_star)
+        wrench = contact_forces(frame, report.u_star)
         assert np.all(wrench.normal > 0)
         assert np.all(wrench.margins > 0)
 
@@ -101,7 +123,7 @@ class TestStep:
     def test_zero_dynamics_fixed_point(self):
         arm0 = planar_arm_contact(ArmParams(gravity=0.0))
         state = manifold_state(arm0, ARM_HOME, scale=0.0)
-        out = step(arm0, state, np.zeros(3), 1e-3)
+        out = step(arm0, state, np.zeros(3), IntegratorOptions(dt=1e-3))
         assert np.abs(out.q - state.q).max() <= 1e-15
         assert np.abs(out.q_dot).max() <= 1e-15
 
@@ -111,7 +133,7 @@ class TestStep:
         E0 = 0.5 * state.q_dot @ arm0.mass_matrix(state.q) @ state.q_dot
         opts = IntegratorOptions(dt=1e-3)
         for _ in range(1000):
-            state = step(arm0, state, np.zeros(3), opts.dt, opts)
+            state = step(arm0, state, np.zeros(3), opts)
         E1 = 0.5 * state.q_dot @ arm0.mass_matrix(state.q) @ state.q_dot
         assert abs(E1 - E0) <= 1e-6 * max(1.0, E0)
 
@@ -124,7 +146,7 @@ class TestStep:
         opts = IntegratorOptions(dt=dt)
         s = state
         for _ in range(2000):
-            s = step(arm, s, u, opts.dt, opts)
+            s = step(arm, s, u, opts)
         oracle = integrate_saddle(arm, q0, qd0, (0,), lambda t, q, qd: u, dt, 2000)
         q_oracle, qd_oracle = oracle[-1]
         assert np.abs(s.q - q_oracle).max() <= 1e-5
@@ -134,7 +156,7 @@ class TestStep:
         state = random_manifold_state(arm, rng, ARM_HOME, spread=0.1)
         opts = IntegratorOptions(dt=1e-3)
         for _ in range(200):
-            state = step(arm, state, np.zeros(3), opts.dt, opts)
+            state = step(arm, state, np.zeros(3), opts)
             A = arm.contact_stack(state.q, state.active_contacts)
             assert np.linalg.norm(A @ state.q_dot) <= 1e-8
 
@@ -153,7 +175,7 @@ class TestStep:
         for model, home in ((arm, ARM_HOME), (biped, BIPED_HOME)):
             state = manifold_state(model, home, scale=0.3)
             frames.clear()
-            step(model, state, np.zeros(model.p), 1e-3)
+            step(model, state, np.zeros(model.p), IntegratorOptions(dt=1e-3))
             assert len(frames) == 4
             for frame in frames:
                 assert "M_bar_inv" in vars(frame)
@@ -163,7 +185,7 @@ class TestStep:
     def test_out_of_box_warns(self, arm):
         state = manifold_state(arm, ARM_HOME, scale=0.0)
         with pytest.warns(UserWarning):
-            step(arm, state, 100.0 * np.ones(3), 1e-3)
+            step(arm, state, 100.0 * np.ones(3), IntegratorOptions(dt=1e-3))
 
 
 class TestLeanControlTick:
@@ -200,6 +222,63 @@ class TestLeanControlTick:
         assert len(stacked) == ticks and all(a is b for a, b in zip(stacked, solved))
         assert len(tasks) == ticks
         assert not any("identities" in vars(task) for task in tasks)
+
+
+class TestFrameIsThePerStateInput:
+    """Every per-state function reads the model and state through the frame."""
+
+    def test_frame_keeps_its_model_and_state(self, arm):
+        state = manifold_state(arm, ARM_HOME, scale=0.3)
+        frame = build_frame(arm, state)
+        assert frame.model is arm
+        assert frame.state is state
+        assert not {"q_dot", "B", "active"} & {f.name for f in dataclasses.fields(ConstraintFrame)}
+
+    PER_STATE = [
+        ("constrained_dynamics", "constrained_accel"),
+        ("constrained_dynamics", "contact_forces"),
+        ("torque_qcqp", "assemble_cone_constraints"),
+        ("torque_qcqp", "assemble_program"),
+        ("torque_qcqp", "add_moment_constraints"),
+        ("torque_qcqp", "add_force_regulation"),
+        ("task_space", "build_task"),
+        ("task_space", "check_feasibility"),
+        ("task_space", "task_accel_decompose"),
+        ("control_laws", "tracking_torque"),
+        ("control_laws", "regulation_torque"),
+        ("control_laws", "regulation_lyapunov"),
+        ("control_laws", "min_norm_actuation"),
+        ("control_laws", "ControlCommand.with_actuation"),
+        ("simulate", "_allocate"),
+    ]
+
+    @pytest.mark.parametrize("module, name", PER_STATE)
+    def test_takes_the_frame_alone(self, module, name):
+        fn = importlib.import_module(f"projctl.{module}")
+        for part in name.split("."):
+            fn = getattr(fn, part)
+        params = inspect.signature(fn).parameters
+        assert "frame" in params
+        assert not {"model", "state", "B", "q_dot"} & set(params)
+
+    def test_baumgarte_step_projects_once(self, arm, monkeypatch):
+        # the stage corrections read each stage frame's A and A^+; only the
+        # post-step velocity projection calls null_projector
+        sim = importlib.import_module("projctl.simulate")
+        calls = []
+
+        def counting_null_projector(A):
+            calls.append(A)
+            return null_projector(A)
+
+        monkeypatch.setattr(sim, "null_projector", counting_null_projector)
+        state = manifold_state(arm, ARM_HOME, scale=0.3)
+        anchors = {0: arm.contacts[0].point(state.q) + 1e-4}
+        opts = IntegratorOptions(dt=1e-3, baumgarte=True)
+        for _ in range(3):
+            calls.clear()
+            state = step(arm, state, np.zeros(3), opts, anchors=anchors)
+            assert len(calls) == 1
 
 
 class TestSwitchContacts:

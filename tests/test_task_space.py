@@ -26,7 +26,7 @@ class TestBuildTask:
     def test_unconstrained_identity_task(self, arm):
         state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())
         frame = build_frame(arm, state)
-        task = build_task(arm, state, frame, identity_task(3))
+        task = build_task(frame, identity_task(3))
         assert np.allclose(task.Lambda, np.eye(3))
         assert np.allclose(task.Lambda_pinv, np.eye(3))
         assert np.allclose(task.Gamma_ctl, 0.0, atol=1e-12)
@@ -35,7 +35,7 @@ class TestBuildTask:
         for _ in range(20):
             state = random_manifold_state(arm, rng, ARM_HOME)
             frame = build_frame(arm, state)
-            task = build_task(arm, state, frame, link_orientation_task(3))
+            task = build_task(frame, link_orientation_task(3))
             assert task.full_span
             assert task.identities.pinv_product <= 1e-10
             assert np.abs(task.Lambda_pinv @ task.Lambda - frame.P).max() <= 1e-10
@@ -49,7 +49,7 @@ class TestBuildTask:
         frame = build_frame(arm, state)
         bad = TaskDef(name="tip_height", dim=1, value=tip_z)
         with pytest.raises(TaskInconsistencyError):
-            build_task(arm, state, frame, bad)
+            build_task(frame, bad)
 
     def test_eq13_identities(self, arm, biped, rng):
         for model, home, tdef in (
@@ -59,7 +59,7 @@ class TestBuildTask:
             for _ in range(15):
                 state = random_manifold_state(model, rng, home)
                 frame = build_frame(model, state)
-                task = build_task(model, state, frame, tdef)
+                task = build_task(frame, tdef)
                 assert task.identities.range_in_null <= 1e-10
                 assert task.identities.pinv_in_null <= 1e-10
 
@@ -67,7 +67,7 @@ class TestBuildTask:
         # single support leaves 3 admissible dofs; a 1-d task under-spans
         state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
         frame = build_frame(biped, state)
-        task = build_task(biped, state, frame, make_task(biped, "base_pitch"))
+        task = build_task(frame, make_task(biped, "base_pitch"))
         assert not task.full_span
         assert task.identities.pinv_product >= -1e-9  # P - Lambda^+ Lambda >= 0
 
@@ -82,14 +82,14 @@ class TestBuildTask:
             jacobian=lambda q: np.array([[1.0, np.nan if bad == "jacobian" else 1.0, 1.0]]),
         )
         with pytest.raises(InputError, match="non-finite"):
-            build_task(arm, state, frame, task)
+            build_task(frame, task)
 
     def test_fd_jacobian_matches_analytic(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
         frame = build_frame(arm, state)
-        analytic = build_task(arm, state, frame, link_orientation_task(3))
+        analytic = build_task(frame, link_orientation_task(3))
         fd_def = TaskDef(name="fd", dim=1, value=lambda q: np.array([float(np.sum(q))]))
-        numeric = build_task(arm, state, frame, fd_def)
+        numeric = build_task(frame, fd_def)
         assert np.abs(analytic.Lambda - numeric.Lambda).max() <= 1e-7
         assert np.abs(analytic.Lambda_dot - numeric.Lambda_dot).max() <= 1e-5
 
@@ -101,7 +101,7 @@ class TestTaskMapMatchesOracle:
     @staticmethod
     def check(model, state, tdef):
         frame = build_frame(model, state)
-        task = build_task(model, state, frame, tdef)
+        task = build_task(frame, tdef)
         assert "identities" not in vars(task)
         assert np.array_equal(task.Lambda_pinv, pseudo_inverse(task.Lambda))
         assert task.identities == task_identities_reference(frame, task)
@@ -131,8 +131,8 @@ class TestCheckFeasibility:
     def test_fully_actuated(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
         frame = build_frame(arm, state)
-        task = build_task(arm, state, frame, link_orientation_task(3))
-        report = check_feasibility(frame, task, arm.actuation)
+        task = build_task(frame, link_orientation_task(3))
+        report = check_feasibility(frame, task)
         assert report.task_consistent
         assert report.actuation_sufficient
 
@@ -141,8 +141,8 @@ class TestCheckFeasibility:
         # rank([B | Lambda^T]) > rank(B)
         state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
         frame = build_frame(biped, state)
-        task = build_task(biped, state, frame, joint_task([0, 2, 4], 5))
-        report = check_feasibility(frame, task, biped.actuation)
+        task = build_task(frame, joint_task([0, 2, 4], 5))
+        report = check_feasibility(frame, task)
         assert report.task_consistent
         assert not report.actuation_sufficient
         assert report.rank_B == 2
@@ -153,31 +153,31 @@ class TestCheckFeasibility:
         state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
         frame = build_frame(biped, state)
         with pytest.raises(TaskInconsistencyError):
-            build_task(biped, state, frame, base_pose_task(5))
+            build_task(frame, base_pose_task(5))
 
     def test_built_tasks_always_consistent(self, arm, biped, rng):
         for model, home, kind in ((arm, ARM_HOME, "link_orientation"), (biped, BIPED_HOME, "base_pitch")):
             for _ in range(10):
                 state = random_manifold_state(model, rng, home)
                 frame = build_frame(model, state)
-                task = build_task(model, state, frame, make_task(model, kind))
-                assert check_feasibility(frame, task, model.actuation).task_consistent
+                task = build_task(frame, make_task(model, kind))
+                assert check_feasibility(frame, task).task_consistent
 
 
 class TestTaskAccelDecompose:
     def test_rest_zero(self, arm, rng):
         state = manifold_state(arm, ARM_HOME, rng=rng, scale=0.0)
         frame = build_frame(arm, state)
-        task = build_task(arm, state, frame, link_orientation_task(3))
-        qdd = task_accel_decompose(task, frame, np.zeros(1), state.q_dot)
+        task = build_task(frame, link_orientation_task(3))
+        qdd = task_accel_decompose(task, frame, np.zeros(1))
         assert np.allclose(qdd, 0.0, atol=1e-12)
 
     def test_unconstrained_identity(self, arm):
         state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())
         frame = build_frame(arm, state)
-        task = build_task(arm, state, frame, identity_task(3))
+        task = build_task(frame, identity_task(3))
         xdd = np.array([0.3, -0.1, 0.2])
-        assert np.allclose(task_accel_decompose(task, frame, xdd, state.q_dot), xdd)
+        assert np.allclose(task_accel_decompose(task, frame, xdd), xdd)
 
     def test_round_trip(self, arm, biped, rng):
         # x_ddot = Lambda_dot qd + Lambda qdd must be reproduced exactly
@@ -189,9 +189,9 @@ class TestTaskAccelDecompose:
             for _ in range(25):
                 state = random_manifold_state(model, rng, home, active=active)
                 frame = build_frame(model, state)
-                task = build_task(model, state, frame, tdef)
+                task = build_task(frame, tdef)
                 xdd = rng.standard_normal(task.l)
-                qdd = task_accel_decompose(task, frame, xdd, state.q_dot)
+                qdd = task_accel_decompose(task, frame, xdd)
                 back = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd
                 assert np.abs(back - xdd).max() <= 1e-9
 
@@ -200,17 +200,17 @@ class TestTaskAccelDecompose:
         for _ in range(10):
             state = random_manifold_state(arm, rng, ARM_HOME)
             frame = build_frame(arm, state)
-            task = build_task(arm, state, frame, link_orientation_task(3))
+            task = build_task(frame, link_orientation_task(3))
             u = rng.uniform(arm.u_min, arm.u_max)
-            qdd = constrained_accel(frame, arm, state, u)
+            qdd = constrained_accel(frame, u)
             xdd = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd
-            qdd_back = task_accel_decompose(task, frame, xdd, state.q_dot)
+            qdd_back = task_accel_decompose(task, frame, xdd)
             assert np.abs(qdd_back - qdd).max() <= 1e-8
 
 
 def test_joint_task_selection(biped, rng):
     state = random_manifold_state(biped, rng, BIPED_HOME)
     frame = build_frame(biped, state)
-    task = build_task(biped, state, frame, joint_task([2], 5))
+    task = build_task(frame, joint_task([2], 5))
     assert task.l == 1
     assert np.isclose(task.x[0], state.q[2])

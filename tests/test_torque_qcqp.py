@@ -87,10 +87,10 @@ class TestPowerLoss:
 
 def arm_program(arm, state, error=0.1):
     frame = build_frame(arm, state)
-    task = build_task(arm, state, frame, make_task(arm, "link_orientation"))
+    task = build_task(frame, make_task(arm, "link_orientation"))
     gains = ControllerGains.critically_damped(1, 5.0)
-    cmd = tracking_torque(state, frame, task, task.x + error, np.zeros(1), np.zeros(1), gains)
-    return frame, assemble_program(arm, state, frame, cmd.tau_c)
+    cmd = tracking_torque(frame, task, task.x + error, np.zeros(1), np.zeros(1), gains)
+    return frame, assemble_program(frame, cmd.tau_c)
 
 
 class TestConeConstraints:
@@ -99,10 +99,10 @@ class TestConeConstraints:
             for _ in range(15):
                 state = random_manifold_state(model, rng, home)
                 frame = build_frame(model, state)
-                cones = assemble_cone_constraints(model, state, frame)
+                cones = assemble_cone_constraints(frame)
                 for _ in range(10):
                     u = rng.uniform(model.u_min, model.u_max)
-                    wrench = contact_forces(frame, model, state, u)
+                    wrench = contact_forces(frame, u)
                     lam = wrench.per_contact()
                     for i, cone in enumerate(cones):
                         mu = model.contacts[state.active_contacts[i]].friction
@@ -119,14 +119,14 @@ class TestConeConstraints:
         model = point_mass_model(mass=mass, g=g)
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
         frame = build_frame(model, state, nu=1.0)
-        (cone,) = assemble_cone_constraints(model, state, frame)
+        (cone,) = assemble_cone_constraints(frame)
         assert cone.z @ np.zeros(3) + cone.alpha == pytest.approx(mass * g, rel=1e-12)
 
     def test_requires_active_contacts(self, arm):
         state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())
         frame = build_frame(arm, state)
         with pytest.raises(InputError):
-            assemble_cone_constraints(arm, state, frame)
+            assemble_cone_constraints(frame)
 
 
 def assert_close(got, want):
@@ -148,20 +148,20 @@ class TestForceMapMatchesOracle:
         for _ in range(5):
             u = rng.uniform(2 * model.u_min, 2 * model.u_max)
             want = contact_forces_reference(frame, model, state, u)
-            assert_close(contact_forces(frame, model, state, u).forces, want)
+            assert_close(contact_forces(frame, u).forces, want)
         for cone, (z, alpha, G, gamma, beta) in zip(
-            assemble_cone_constraints(model, state, frame), cone_rows_reference(frame, model, state), strict=True
+            assemble_cone_constraints(frame), cone_rows_reference(frame, model, state), strict=True
         ):
             for got, want in ((cone.z, z), (cone.alpha, alpha), (cone.G, G), (cone.gamma, gamma), (cone.beta, beta)):
                 assert_close(got, want)
         empty = synthetic_program(np.eye(p))
         selector = rng.standard_normal((2, m))
         sel_F, sel_f0 = selected_force_rows(frame, model, state, selector)
-        moment = add_moment_constraints(empty, frame, model, state, selector)
+        moment = add_moment_constraints(empty, frame, selector)
         assert_close(moment.extra_z, -sel_F)
         assert_close(moment.extra_alpha, -sel_f0)
         target = rng.standard_normal(2)
-        regulated = add_force_regulation(empty, frame, model, state, selector, target)
+        regulated = add_force_regulation(empty, frame, selector, target)
         assert_close(regulated.eq_mat, sel_F)
         assert_close(regulated.eq_rhs, target - sel_f0)
 
@@ -197,15 +197,15 @@ class TestAssembleProgram:
     def test_moment_rows_extend_count(self, biped, rng):
         state = random_manifold_state(biped, rng, BIPED_HOME)
         frame = build_frame(biped, state)
-        task = build_task(biped, state, frame, make_task(biped, "base_pitch"))
+        task = build_task(frame, make_task(biped, "base_pitch"))
         gains = ControllerGains.critically_damped(1, 4.0)
-        cmd = tracking_torque(state, frame, task, task.x, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(biped, state, frame, cmd.tau_c)
+        cmd = tracking_torque(frame, task, task.x, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(frame, cmd.tau_c)
         assert program.r == 2 * (2 + 2)
         sel = np.zeros((2, 6))
         sel[0, 2], sel[0, 5] = -0.2, 0.2
         sel[1, 2], sel[1, 5] = 0.1, -0.1
-        extended = add_moment_constraints(program, frame, biped, state, sel)
+        extended = add_moment_constraints(program, frame, sel)
         assert extended.r == program.r + 2
 
     def test_stack_matches_direct_inequalities(self, arm, rng):
@@ -214,7 +214,7 @@ class TestAssembleProgram:
         for _ in range(10):
             u = rng.uniform(arm.u_min, arm.u_max)
             c = program.constraint_values(u)
-            wrench = contact_forces(frame, arm, state, u)
+            wrench = contact_forces(frame, u)
             lam_x, lam_y, lam_z = wrench.per_contact()[0]
             mu = arm.contacts[0].friction
             assert c[0] == pytest.approx(lam_z, abs=1e-8 * max(1, abs(lam_z)))
@@ -233,13 +233,13 @@ class TestAssembleProgram:
             model, home, task_name = biped, BIPED_HOME, "base_pitch"
         state = random_manifold_state(model, rng, home)
         frame = build_frame(model, state)
-        task = build_task(model, state, frame, make_task(model, task_name))
+        task = build_task(frame, make_task(model, task_name))
         gains = ControllerGains.critically_damped(1, 5.0)
-        cmd = tracking_torque(state, frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(model, state, frame, cmd.tau_c, cones=None if k else ())
+        cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(frame, cmd.tau_c, cones=None if k else ())
         assert program.k == k
         program = add_moment_constraints(
-            program, frame, model, state, rng.standard_normal((moment_rows, frame.bundle.m))
+            program, frame, rng.standard_normal((moment_rows, frame.bundle.m))
         )
         assert program.r == 2 * (k + model.p) + moment_rows
         for _ in range(20):
@@ -254,7 +254,7 @@ class TestAssembleProgram:
         frame = build_frame(arm, state)
         bad = (np.eye(3) - frame.P) @ np.array([1.0, 2.0, 3.0]) + 1e-3
         with pytest.raises(InputError):
-            assemble_program(arm, state, frame, bad)
+            assemble_program(frame, bad)
 
 
 class TestPhaseOne:
@@ -354,7 +354,7 @@ class TestSolveBarrier:
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
         frame = build_frame(model, state, nu=1.0)
         tau_c = frame.P @ np.array([3.0, -1.5, 0.0])
-        program = assemble_program(model, state, frame, tau_c)
+        program = assemble_program(frame, tau_c)
         report = solve_barrier(program)
         assert report.status == "optimal"
         E, W = program.eq_mat, program.W
@@ -415,10 +415,10 @@ class TestSolveBarrier:
         # single support: 3 admissible force directions, 2 actuators
         state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
         frame = build_frame(biped, state)
-        task = build_task(biped, state, frame, make_task(biped, "base_pitch"))
+        task = build_task(frame, make_task(biped, "base_pitch"))
         gains = ControllerGains.critically_damped(1, 4.0)
-        cmd = tracking_torque(state, frame, task, task.x + 0.2, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(biped, state, frame, cmd.tau_c)
+        cmd = tracking_torque(frame, task, task.x + 0.2, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(frame, cmd.tau_c)
         report = solve_barrier(program)
         assert report.status == "infeasible_equality"
 
@@ -429,15 +429,18 @@ class TestSolveBarrier:
 
     def test_centering_cap_without_certificate_fails(self):
         # with kappa = 0.99, max_centering steps shrink eta only to 0.99^79, so
-        # the loop stops at the cap with r * eta far above eps
-        scenario = short_scenario("compare_cone.json", 0.001, kappa=0.99)
+        # the loop stops at the cap with r * eta far above eps; the config
+        # loader refuses such a kappa, so it is set through the API
+        scenario = short_scenario("compare_cone.json", 0.001)
+        barrier = dataclasses.replace(scenario.optimizer.barrier, kappa=0.99)
+        scenario = dataclasses.replace(scenario, optimizer=dataclasses.replace(scenario.optimizer, barrier=barrier))
         model, state = scenario.model, scenario.initial
         frame = build_frame(model, state)
-        task = build_task(model, state, frame, scenario.task)
+        task = build_task(frame, scenario.task)
         ref = scenario.reference
-        cmd = tracking_torque(state, frame, task, ref.value(0.0), ref.rate(0.0), ref.accel(0.0), scenario.gains)
+        cmd = tracking_torque(frame, task, ref.value(0.0), ref.rate(0.0), ref.accel(0.0), scenario.gains)
         params = scenario.optimizer.barrier
-        report = solve_barrier(assemble_program(model, state, frame, cmd.tau_c), params)
+        report = solve_barrier(assemble_program(frame, cmd.tau_c), params)
         assert report.centering_steps == params.max_centering
         assert report.duality_gap > params.eps
         assert report.status == "failed"
@@ -484,10 +487,10 @@ class TestSolverMatchesReference:
         rng = np.random.default_rng(seed)
         state = random_manifold_state(model, rng, home, active=active)
         frame = build_frame(model, state)
-        task = build_task(model, state, frame, make_task(model, task_name))
+        task = build_task(frame, make_task(model, task_name))
         gains = ControllerGains.critically_damped(1, 5.0)
-        cmd = tracking_torque(state, frame, task, task.x + error, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(model, state, frame, cmd.tau_c)
+        cmd = tracking_torque(frame, task, task.x + error, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(frame, cmd.tau_c)
         if relaxed:
             program = relax_program(program, frame, 10.0)
         m = frame.bundle.m
@@ -495,14 +498,14 @@ class TestSolverMatchesReference:
             # lambda_z of the first contact plus a small mix of the others stays >= 0
             selector = -0.05 * rng.standard_normal((1, m))
             selector[0, 2] -= 1.0
-            program = add_moment_constraints(program, frame, model, state, selector)
+            program = add_moment_constraints(program, frame, selector)
         elif extension == "force":
             # pin lambda_z of the first contact near its value at a feasible point
             selector = np.zeros((1, m))
             selector[0, 2] = 1.0
             base = phase1_feasible_point(program).u
-            target = (selector @ contact_forces(frame, model, state, base).forces) * rng.uniform(0.9, 1.1)
-            program = add_force_regulation(program, frame, model, state, selector, target)
+            target = (selector @ contact_forces(frame, base).forces) * rng.uniform(0.9, 1.1)
+            program = add_force_regulation(program, frame, selector, target)
         if start == "none":
             u0 = None
         elif start == "warm":
@@ -550,10 +553,10 @@ class TestBarrierConvexity:
         rng = np.random.default_rng(seed)
         state = random_manifold_state(model, rng, home, active=active)
         frame = build_frame(model, state)
-        task = build_task(model, state, frame, make_task(model, task_name))
+        task = build_task(frame, make_task(model, task_name))
         gains = ControllerGains.critically_damped(1, 5.0)
-        cmd = tracking_torque(state, frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(model, state, frame, cmd.tau_c)
+        cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(frame, cmd.tau_c)
         if relaxed:
             program = relax_program(program, frame, 10.0)
         start = phase1_feasible_point(program)
@@ -602,10 +605,10 @@ class TestRelaxation:
     def biped_single_support(self, biped, rng):
         state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
         frame = build_frame(biped, state)
-        task = build_task(biped, state, frame, make_task(biped, "base_pitch"))
+        task = build_task(frame, make_task(biped, "base_pitch"))
         gains = ControllerGains.critically_damped(1, 4.0)
-        cmd = tracking_torque(state, frame, task, task.x + 0.15, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(biped, state, frame, cmd.tau_c)
+        cmd = tracking_torque(frame, task, task.x + 0.15, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(frame, cmd.tau_c)
         return frame, program, cmd.tau_c
 
     def test_rho_zero_limit(self, biped, rng):
@@ -655,15 +658,15 @@ class TestExtensions:
     def standing_setup(self, biped):
         state = manifold_state(biped, BIPED_HOME, scale=0.0)
         frame = build_frame(biped, state)
-        task = build_task(biped, state, frame, make_task(biped, "base_pitch"))
+        task = build_task(frame, make_task(biped, "base_pitch"))
         gains = ControllerGains.critically_damped(1, 4.0)
-        cmd = tracking_torque(state, frame, task, task.x, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(biped, state, frame, cmd.tau_c)
+        cmd = tracking_torque(frame, task, task.x, np.zeros(1), np.zeros(1), gains)
+        program = assemble_program(frame, cmd.tau_c)
         return state, frame, program
 
     def test_empty_selector_unchanged(self, biped):
         state, frame, program = self.standing_setup(biped)
-        out = add_moment_constraints(program, frame, biped, state, np.zeros((0, 6)))
+        out = add_moment_constraints(program, frame, np.zeros((0, 6)))
         assert out.r == program.r
 
     def test_moment_row_roundtrip(self, biped, rng):
@@ -671,10 +674,10 @@ class TestExtensions:
         w = 0.19792317
         sel = np.zeros((1, 6))
         sel[0, 2], sel[0, 5] = -w, w  # pitch moment about the base midpoint
-        extended = add_moment_constraints(program, frame, biped, state, sel)
+        extended = add_moment_constraints(program, frame, sel)
         for _ in range(10):
             u = rng.uniform(biped.u_min, biped.u_max)
-            lam = contact_forces(frame, biped, state, u).forces
+            lam = contact_forces(frame, u).forces
             lam_m = (sel @ lam).item()
             c = extended.constraint_values(u)
             assert c[-1] == pytest.approx(-lam_m, abs=1e-8 * max(1.0, abs(lam_m)))
@@ -684,7 +687,7 @@ class TestExtensions:
         w = 0.19792317
         sel = np.zeros((1, 6))
         sel[0, 2], sel[0, 5] = -w, w
-        extended = add_moment_constraints(program, frame, biped, state, sel)
+        extended = add_moment_constraints(program, frame, sel)
         u_sym = np.zeros(2)
         c = extended.constraint_values(u_sym)
         assert abs(c[-1]) <= 1e-9  # exactly on the constraint boundary
@@ -702,11 +705,11 @@ class TestExtensions:
         rank = np.linalg.matrix_rank(program.eq_mat, tol=1e-10)
         null_dir = Vt[rank:].T[:, 0]
         u_probe = base.u_star + 0.8 * null_dir
-        target = np.array([(sel @ contact_forces(frame, biped, state, u_probe).forces).item()])
-        regulated = add_force_regulation(program, frame, biped, state, sel, target)
+        target = np.array([(sel @ contact_forces(frame, u_probe).forces).item()])
+        regulated = add_force_regulation(program, frame, sel, target)
         report = solve_barrier(regulated)
         assert report.status == "optimal"
-        achieved = (sel @ contact_forces(frame, biped, state, report.u_star).forces).item()
+        achieved = (sel @ contact_forces(frame, report.u_star).forces).item()
         assert abs(achieved - target[0]) <= 1e-6 * max(1.0, abs(target[0]))
 
     def test_force_regulation_passthrough(self, biped):
@@ -714,8 +717,8 @@ class TestExtensions:
         base = solve_barrier(program)
         sel = np.zeros((1, 6))
         sel[0, 2] = 1.0
-        current = np.array([(sel @ contact_forces(frame, biped, state, base.u_star).forces).item()])
-        regulated = add_force_regulation(program, frame, biped, state, sel, current)
+        current = np.array([(sel @ contact_forces(frame, base.u_star).forces).item()])
+        regulated = add_force_regulation(program, frame, sel, current)
         # the previous optimum still satisfies the enlarged equality block
         resid = regulated.eq_mat @ base.u_star - regulated.eq_rhs
         assert np.abs(resid).max() <= 1e-8
@@ -724,6 +727,6 @@ class TestExtensions:
         state, frame, program = self.standing_setup(biped)
         sel = np.zeros((1, 6))
         sel[0, 2] = 1.0
-        regulated = add_force_regulation(program, frame, biped, state, sel, np.array([1e6]))
+        regulated = add_force_regulation(program, frame, sel, np.array([1e6]))
         report = solve_barrier(regulated)
         assert report.status == "infeasible_equality"
