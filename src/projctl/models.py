@@ -80,6 +80,11 @@ def _contact_functions(point_xz: sp.Matrix, q, qd, args):
     return _lam(args, A), _lam(args, A_dot), _lam(args, point_xz)
 
 
+def _in_plane(point_xz: np.ndarray) -> np.ndarray:
+    """The 3-d point (x, 0, z) of a lambdified 2x1 (x, z) contact point."""
+    return np.array([point_xz[0, 0], 0.0, point_xz[1, 0]])
+
+
 def _is_number(value) -> bool:
     """A finite real number that is not a boolean."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
@@ -185,9 +190,7 @@ def planar_arm_contact(params: Optional[ArmParams] = None) -> RobotModel:
     tip = ContactSpec(
         jacobian=lambda q: call(funcs["A"], q),
         jacobian_rate=lambda q, qd: call(funcs["A_dot"], q, qd),
-        point=lambda q: np.array(
-            [call(funcs["point"], q)[0, 0], 0.0, call(funcs["point"], q)[1, 0]]
-        ),
+        point=lambda q: _in_plane(call(funcs["point"], q)),
         friction=params.friction,
         name="tip",
     )
@@ -298,9 +301,7 @@ def floating_biped(params: Optional[BipedParams] = None) -> RobotModel:
             ContactSpec(
                 jacobian=lambda q, f=fA: call(f, q),
                 jacobian_rate=lambda q, qd, f=fAdot: call(f, q, qd),
-                point=lambda q, f=fpoint: np.array(
-                    [call(f, q)[0, 0], 0.0, call(f, q)[1, 0]]
-                ),
+                point=lambda q, f=fpoint: _in_plane(call(f, q)),
                 friction=params.friction,
                 name=f"foot{i}",
             )

@@ -20,7 +20,9 @@ A scenario is one JSON document (see configs/ for bundled examples):
 
 Validation errors carry the offending field path.  Outputs (trace CSV plus a
 JSON run report) are written atomically and contain no timestamps, so a fixed
-config produces byte-identical files.
+config produces byte-identical files.  `run` and `compare` share one run path,
+_run: load the scenario, simulate it, write its trace, build its report.  The
+CSV layout itself is SimTrace.columns() in simulate.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -170,6 +172,8 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
         task = make_task(model, ttype, **indices)
     except InputError as exc:
         raise ConfigError("task.indices" if indices else "task.type", str(exc)) from None
+    if "indices" in tcfg and not indices:
+        raise ConfigError("task.indices", f"only joint tasks take indices, not '{ttype}'")
     reference = _build_reference(_section(tcfg, "reference", "task"), task.dim, "task.reference")
 
     ccfg = _section(cfg, "controller", "")
@@ -242,8 +246,8 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
             schedule=tuple(schedule),
             name=name,
         )
-    except InputError as exc:
-        raise ConfigError("", str(exc)) from None
+    except InputError as exc:  # the checks left to fail here: duration against dt, and the schedule order
+        raise ConfigError("duration" if str(exc).startswith("duration") else "contacts.schedule", str(exc)) from None
 
 
 def load_config(path) -> dict:
@@ -264,23 +268,25 @@ def load_config(path) -> dict:
 
 
 @dataclass
-class ControllerRow:
-    optimizer: str
+class RunSummary:
+    """Figures of one run, shared by its report and by its row in a comparison."""
+
+    final_tracking_error: float
     dissipated_energy: float
     violation_count: int
-    final_tracking_error: float
-    max_tracking_error: float
     mean_newton_iters: float
-    trace_file: str = ""
 
 
 @dataclass
-class RunReport:
+class ControllerRow(RunSummary):
+    optimizer: str
+    max_tracking_error: float
+    trace_file: str
+
+
+@dataclass
+class RunReport(RunSummary):
     scenario: str
-    final_tracking_error: float
-    dissipated_energy: float
-    violation_count: int
-    mean_newton_iters: float
     mean_centering_steps: float
     max_drift: float
     rows: List[ControllerRow] = field(default_factory=list)
@@ -292,22 +298,12 @@ class RunReport:
 
 
 def count_violations(trace: SimTrace, u_min, u_max, tol: float = 1e-9) -> int:
-    """Steps violating unilaterality, the friction cone or the torque box."""
-    bad = 0
-    for i in range(trace.steps):
-        active = trace.active[i]
-        cone_bad = False
-        for c in active:
-            if trace.lam[i, 3 * c + 2] <= tol or trace.margins[i, c] <= tol:
-                cone_bad = True
-        box_bad = bool(np.any(trace.u[i] < u_min - tol) or np.any(trace.u[i] > u_max + tol))
-        if cone_bad or box_bad:
-            bad += 1
-    return bad
-
-
-def dissipated_energy(trace: SimTrace) -> float:
-    return float(np.trapezoid(trace.p_loss, trace.t))
+    """Steps violating unilaterality or the friction cone at an active contact, or the torque box."""
+    k = trace.margins.shape[1]
+    active = np.array([[c in contacts for c in range(k)] for contacts in trace.active], dtype=bool)
+    cone_bad = active & ((trace.lam[:, 2::3] <= tol) | (trace.margins <= tol))
+    box_bad = (trace.u < u_min - tol) | (trace.u > u_max + tol)
+    return int(np.count_nonzero(cone_bad.any(axis=1) | box_bad.any(axis=1)))
 
 
 def build_report(trace: SimTrace, scenario: Scenario) -> RunReport:
@@ -315,7 +311,7 @@ def build_report(trace: SimTrace, scenario: Scenario) -> RunReport:
     return RunReport(
         scenario=scenario.name,
         final_tracking_error=float(trace.e_norm[-1]),
-        dissipated_energy=dissipated_energy(trace),
+        dissipated_energy=float(np.trapezoid(trace.p_loss, trace.t)),
         violation_count=count_violations(trace, scenario.model.u_min, scenario.model.u_max),
         mean_newton_iters=float(trace.newton_iters[qsteps].mean()) if qsteps.any() else 0.0,
         mean_centering_steps=float(trace.centering[qsteps].mean()) if qsteps.any() else 0.0,
@@ -346,19 +342,24 @@ def output_paths(cfg: dict, out_dir: Optional[str], prefix_default: str) -> Tupl
     return directory, prefix
 
 
+def _run(cfg: dict, name: str, trace_path: Path, optimizer_kind: Optional[str] = None):
+    """Load, simulate and report one scenario, writing its trace CSV to trace_path."""
+    scenario = load_scenario(cfg, name=name, optimizer_kind=optimizer_kind)
+    trace = simulate(scenario)
+    atomic_write(trace_path, trace.to_csv())
+    return trace, build_report(trace, scenario)
+
+
 def run_scenario(config_path, out_dir: Optional[str] = None, quiet: bool = False):
     """Run one scenario end to end; writes <prefix>_trace.csv and <prefix>_report.json."""
     cfg = load_config(config_path)
     directory, prefix = output_paths(cfg, out_dir, Path(str(config_path)).stem)
-    scenario = load_scenario(cfg, name=prefix)
-    trace = simulate(scenario)
-    report = build_report(trace, scenario)
     trace_path = directory / f"{prefix}_trace.csv"
     report_path = directory / f"{prefix}_report.json"
-    atomic_write(trace_path, trace.to_csv())
+    trace, report = _run(cfg, prefix, trace_path)
     atomic_write(report_path, report.to_json())
     if not quiet:
-        print(f"scenario {scenario.name}: final |e| = {report.final_tracking_error:.3e}, "
+        print(f"scenario {report.scenario}: final |e| = {report.final_tracking_error:.3e}, "
               f"energy = {report.dissipated_energy:.6f} J, violations = {report.violation_count}")
         print(f"wrote {trace_path} and {report_path}")
     return trace, report, (trace_path, report_path)
@@ -378,30 +379,16 @@ def compare_controllers(config_path, out_dir: Optional[str] = None, quiet: bool 
         raise ConfigError("optimizer.types", "compare needs a list of at least two optimizer types")
     directory, prefix = output_paths(cfg, out_dir, Path(str(config_path)).stem)
 
-    rows = []
-    summaries = []
-    traces = {}
+    rows, summaries, traces = [], [], {}
     for kind in kinds:
         if not isinstance(kind, str):
             raise ConfigError("optimizer.types", "entries must be strings")
-        scenario = load_scenario(cfg, name=f"{prefix}_{kind}", optimizer_kind=kind)
-        trace = simulate(scenario)
-        traces[kind] = trace
         trace_path = directory / f"{prefix}_{kind}_trace.csv"
-        atomic_write(trace_path, trace.to_csv())
-        summary = build_report(trace, scenario)
+        traces[kind], summary = _run(cfg, f"{prefix}_{kind}", trace_path, optimizer_kind=kind)
         summaries.append(summary)
-        rows.append(
-            ControllerRow(
-                optimizer=kind,
-                dissipated_energy=summary.dissipated_energy,
-                violation_count=summary.violation_count,
-                final_tracking_error=summary.final_tracking_error,
-                max_tracking_error=float(trace.e_norm.max()),
-                mean_newton_iters=summary.mean_newton_iters,
-                trace_file=str(trace_path),
-            )
-        )
+        shared = {f.name: getattr(summary, f.name) for f in fields(RunSummary)}
+        rows.append(ControllerRow(**shared, optimizer=kind, max_tracking_error=float(traces[kind].e_norm.max()),
+                                  trace_file=str(trace_path)))
 
     dominance = None
     by_kind = {row.optimizer: row for row in rows}
@@ -411,13 +398,8 @@ def compare_controllers(config_path, out_dir: Optional[str] = None, quiet: bool 
             dominance = qc.dissipated_energy <= mn.dissipated_energy * (1 + 1e-9)
 
     # summary fields come from the first optimizer's run; drift is the worst of all runs
-    report = replace(
-        summaries[0],
-        scenario=prefix,
-        max_drift=max(summary.max_drift for summary in summaries),
-        rows=rows,
-        power_dominance_ok=dominance,
-    )
+    report = replace(summaries[0], scenario=prefix, max_drift=max(summary.max_drift for summary in summaries),
+                     rows=rows, power_dominance_ok=dominance)
     report_path = directory / f"{prefix}_compare.json"
     atomic_write(report_path, report.to_json())
     if not quiet:

@@ -11,6 +11,9 @@ computes).  After each step the velocity is projected back onto the active
 null space.  Contact switches are schedule-driven: activating a contact
 projects the velocity impulsively onto the new admissible space; all matrices
 stay n x n throughout, so the controller code path never changes.
+
+SimTrace.columns() is the one statement of the trace CSV layout: to_csv
+writes its header and rows from it.
 """
 
 from __future__ import annotations
@@ -136,6 +139,8 @@ class Scenario:
             raise InputError(f"unknown controller '{self.controller}'")
         if self.duration <= 0:
             raise InputError("duration must be positive")
+        if abs(self.n_steps * self.integrator.dt - self.duration) > 1e-9:
+            raise InputError(f"duration must be an integer multiple of integrator.dt = {self.integrator.dt}")
         if any(i < 0 or i >= self.model.k for i in self.initial.active_contacts):
             raise InputError(
                 f"initial active set {self.initial.active_contacts} references unknown contacts "
@@ -144,6 +149,11 @@ class Scenario:
         times = [t for t, _ in self.schedule]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InputError("schedule times must be strictly increasing")
+
+    @property
+    def n_steps(self) -> int:
+        """Integrator steps in the run; the trace holds one more row, for t = 0."""
+        return int(round(self.duration / self.integrator.dt))
 
 
 @dataclass
@@ -175,55 +185,28 @@ class SimTrace:
     def steps(self) -> int:
         return self.t.size
 
-    def header(self) -> List[str]:
-        n = self.q.shape[1]
-        p = self.u.shape[1]
-        l = self.x.shape[1]
-        k = self.margins.shape[1]
-        cols = ["t"]
-        cols += [f"q{i}" for i in range(n)]
-        cols += [f"dq{i}" for i in range(n)]
-        cols += [f"x{i}" for i in range(l)]
-        cols += [f"xd{i}" for i in range(l)]
-        cols += ["e_norm"]
-        cols += [f"u{i}" for i in range(p)]
-        for i in range(k):
-            cols += [f"lam_x_{i}", f"lam_y_{i}", f"lam_z_{i}", f"margin_{i}"]
-        cols += ["p_loss", "lyapunov", "phi_norm", "d_norm", "newton_iters", "eta", "status"]
+    def columns(self) -> List[Tuple[str, Sequence]]:
+        """(CSV header, per-step values) of every trace column, in file order."""
+        cols: List[Tuple[str, Sequence]] = [("t", self.t)]
+        for prefix, block in (("q", self.q), ("dq", self.q_dot), ("x", self.x), ("xd", self.x_d)):
+            cols += [(f"{prefix}{i}", block[:, i]) for i in range(block.shape[1])]
+        cols.append(("e_norm", self.e_norm))
+        cols += [(f"u{i}", self.u[:, i]) for i in range(self.u.shape[1])]
+        for c in range(self.margins.shape[1]):
+            cols += [(f"lam_{axis}_{c}", self.lam[:, 3 * c + j]) for j, axis in enumerate("xyz")]
+            cols.append((f"margin_{c}", self.margins[:, c]))
+        cols += [("p_loss", self.p_loss), ("lyapunov", self.lyapunov), ("phi_norm", self.phi_norm),
+                 ("d_norm", self.d_norm), ("newton_iters", self.newton_iters), ("eta", self.eta),
+                 ("status", self.status)]
         return cols
 
-    def rows(self):
-        k = self.margins.shape[1]
-        for i in range(self.steps):
-            row: List[str] = [_fmt(self.t[i])]
-            row += [_fmt(v) for v in self.q[i]]
-            row += [_fmt(v) for v in self.q_dot[i]]
-            row += [_fmt(v) for v in self.x[i]]
-            row += [_fmt(v) for v in self.x_d[i]]
-            row.append(_fmt(self.e_norm[i]))
-            row += [_fmt(v) for v in self.u[i]]
-            for c in range(k):
-                row += [_fmt(self.lam[i, 3 * c + j]) for j in range(3)]
-                row.append(_fmt(self.margins[i, c]))
-            row += [
-                _fmt(self.p_loss[i]),
-                _fmt(self.lyapunov[i]),
-                _fmt(self.phi_norm[i]),
-                _fmt(self.d_norm[i]),
-                str(int(self.newton_iters[i])),
-                _fmt(self.eta[i]),
-                self.status[i],
-            ]
-            yield row
-
     def to_csv(self) -> str:
-        lines = [",".join(self.header())]
-        lines += [",".join(r) for r in self.rows()]
+        """Header line, then one line per step: every number to 17 significant digits, the status as is."""
+        cols = self.columns()
+        cells = [values if name == "status" else [format(float(v), ".17g") for v in values]
+                 for name, values in cols]
+        lines = [",".join(name for name, _ in cols)] + [",".join(row) for row in zip(*cells)]
         return "\n".join(lines) + "\n"
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def switch_contacts(state: RobotState, new_active: Sequence[int], model: RobotModel) -> RobotState:
@@ -339,9 +322,7 @@ def simulate(scenario: Scenario) -> SimTrace:
     model = scenario.model
     opts = scenario.integrator
     dt = opts.dt
-    n_steps = int(round(scenario.duration / dt))
-    if abs(n_steps * dt - scenario.duration) > 1e-9:
-        raise InputError("duration must be an integer multiple of dt")
+    n_steps = scenario.n_steps
 
     state = scenario.initial
     # enforce the velocity-level constraint at the start
@@ -364,7 +345,6 @@ def simulate(scenario: Scenario) -> SimTrace:
     if opts.baumgarte:
         refresh_anchors(state)
 
-    k_model = model.k
     cols: Dict[str, list] = {f.name: [] for f in fields(SimTrace) if f.name != "name"}
 
     W = motor_weighting(model.motor_resistance, model.torque_constant)
@@ -392,8 +372,8 @@ def simulate(scenario: Scenario) -> SimTrace:
         prev_u = u
         cmd = cmd.with_actuation(frame, u)
 
-        lam_row = np.zeros(3 * k_model)
-        margin_row = np.zeros(k_model)
+        lam_row = np.zeros(3 * model.k)
+        margin_row = np.zeros(model.k)
         if state.active_contacts:
             wrench = contact_forces(frame, u)
             per = wrench.per_contact()

@@ -303,3 +303,59 @@ def solve_barrier_reference(program, params=None, u0=None):
         status=status,
         path=tuple(path),
     )
+
+
+def _fmt(v):
+    return format(float(v), ".17g")
+
+
+def trace_csv_reference(trace):
+    """The trace CSV spelled out twice, as a header list and a per-step row loop that must agree."""
+    n, l, p, k = trace.q.shape[1], trace.x.shape[1], trace.u.shape[1], trace.margins.shape[1]
+    cols = ["t"]
+    cols += [f"q{i}" for i in range(n)]
+    cols += [f"dq{i}" for i in range(n)]
+    cols += [f"x{i}" for i in range(l)]
+    cols += [f"xd{i}" for i in range(l)]
+    cols += ["e_norm"]
+    cols += [f"u{i}" for i in range(p)]
+    for i in range(k):
+        cols += [f"lam_x_{i}", f"lam_y_{i}", f"lam_z_{i}", f"margin_{i}"]
+    cols += ["p_loss", "lyapunov", "phi_norm", "d_norm", "newton_iters", "eta", "status"]
+    lines = [",".join(cols)]
+    for i in range(trace.steps):
+        row = [_fmt(trace.t[i])]
+        row += [_fmt(v) for v in trace.q[i]]
+        row += [_fmt(v) for v in trace.q_dot[i]]
+        row += [_fmt(v) for v in trace.x[i]]
+        row += [_fmt(v) for v in trace.x_d[i]]
+        row.append(_fmt(trace.e_norm[i]))
+        row += [_fmt(v) for v in trace.u[i]]
+        for c in range(k):
+            row += [_fmt(trace.lam[i, 3 * c + j]) for j in range(3)]
+            row.append(_fmt(trace.margins[i, c]))
+        row += [
+            _fmt(trace.p_loss[i]),
+            _fmt(trace.lyapunov[i]),
+            _fmt(trace.phi_norm[i]),
+            _fmt(trace.d_norm[i]),
+            str(int(trace.newton_iters[i])),
+            _fmt(trace.eta[i]),
+            trace.status[i],
+        ]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def count_violations_reference(trace, u_min, u_max, tol=1e-9):
+    """Steps violating unilaterality, the friction cone or the torque box, one step at a time."""
+    bad = 0
+    for i in range(trace.steps):
+        cone_bad = False
+        for c in trace.active[i]:
+            if trace.lam[i, 3 * c + 2] <= tol or trace.margins[i, c] <= tol:
+                cone_bad = True
+        box_bad = bool(np.any(trace.u[i] < u_min - tol) or np.any(trace.u[i] > u_max + tol))
+        if cone_bad or box_bad:
+            bad += 1
+    return bad

@@ -201,6 +201,30 @@ class TestConfigValidation:
         assert main(["run", str(path), "--quiet"]) == 2
         assert "task.indices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base", ["arm_tracking.json", "biped_switch.json"])
+    def test_task_indices_only_on_joint_tasks(self, tmp_path, capsys, base):
+        path, cfg = short_config(tmp_path, base=base, **{"task.indices": [7]})
+        with pytest.raises(ConfigError) as err:
+            load_scenario(cfg)
+        assert err.value.path == "task.indices"
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert "task.indices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base, override, field",
+        [
+            ("arm_tracking.json", {"duration": 0.0015}, "duration"),
+            ("biped_switch.json", {"contacts.schedule": [[1.3, [0, 1]], [1.0, [0]]]}, "contacts.schedule"),
+        ],
+    )
+    def test_scenario_checks_name_their_field(self, tmp_path, capsys, base, override, field):
+        path, cfg = short_config(tmp_path, base=base, **override)
+        with pytest.raises(ConfigError) as err:
+            load_scenario(cfg)
+        assert err.value.path == field
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert field in capsys.readouterr().err
+
     def test_joint_task_indices_load(self, tmp_path):
         task = {"type": "joint", "indices": [2, 0], "reference": {"type": "constant", "value": [0.0, 0.0]}}
         _, cfg = short_config(tmp_path, task=task)

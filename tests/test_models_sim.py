@@ -327,9 +327,9 @@ class TestSimulate:
     def test_record_count_and_columns(self, arm):
         trace = simulate(self.arm_scenario(arm))
         assert trace.steps == 201
-        header = trace.header()
-        assert header[0] == "t" and header[-1] == "status"
-        assert len(header) == len(next(iter(trace.rows())))
+        columns = trace.columns()
+        assert columns[0][0] == "t" and columns[-1][0] == "status"
+        assert all(len(values) == trace.steps for _, values in columns)
 
     def test_deterministic_repeat(self, arm):
         t1 = simulate(self.arm_scenario(arm))
@@ -390,9 +390,8 @@ class TestSimulate:
 
     def test_duration_must_match_dt(self, arm):
         scn = self.arm_scenario(arm)
-        bad = Scenario(**{**scn.__dict__, "duration": 0.2005})
-        with pytest.raises(InputError):
-            simulate(bad)
+        with pytest.raises(InputError, match="duration must be an integer multiple"):
+            Scenario(**{**scn.__dict__, "duration": 0.2005})
 
     def test_unknown_initial_contact_rejected(self, arm):
         scn = self.arm_scenario(arm)
