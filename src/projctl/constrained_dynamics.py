@@ -21,6 +21,10 @@ of the frame's two callers pays only for what it reads:
 The contact forces are affine in the actuator torques, lambda(u) =
 A^+T S (B u + tau_g - Q qd) = F u + f0; ``ConstraintFrame.force_map`` alone
 forms (F, f0), and the contact forces and the torque program's rows read it.
+
+A^+ and P come from ``constraint_geometry._projector``, which keeps its last
+result keyed by a bytes copy of A, so frames at one q and active set share one
+SVD and its read-only A^+ and P.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import numpy as np
 # two stay importable from this module for profilers that rebind them here.
 from .constraint_geometry import (  # noqa: F401
     ProjectorBundle,
+    _identity,
     _projector,
     jacobian_rate,
     null_projector,
@@ -125,16 +130,16 @@ class RobotModel:
         """Stacked (3k_active, n) Jacobian of the active contacts."""
         if len(active) == 0:
             return np.zeros((0, self.n))
-        return np.vstack([self.contacts[i].jacobian(q) for i in active])
+        blocks = [self.contacts[i].jacobian(q) for i in active]
+        return np.asarray(blocks[0]) if len(blocks) == 1 else np.vstack(blocks)
 
     def contact_stack_rate(self, q: np.ndarray, q_dot: np.ndarray, active: Sequence[int]) -> np.ndarray:
         """d/dt of contact_stack: analytic block rates where given, else central differences."""
         if len(active) == 0:
             return np.zeros((0, self.n))
-        return np.vstack(
-            [c.jacobian_rate(q, q_dot) if c.jacobian_rate is not None else jacobian_rate(c.jacobian, q, q_dot)
-             for c in (self.contacts[i] for i in active)]
-        )
+        blocks = [c.jacobian_rate(q, q_dot) if c.jacobian_rate is not None else jacobian_rate(c.jacobian, q, q_dot)
+                  for c in (self.contacts[i] for i in active)]
+        return np.asarray(blocks[0]) if len(blocks) == 1 else np.vstack(blocks)
 
 
 @dataclass(frozen=True)
@@ -192,7 +197,7 @@ class ConstraintFrame:
     @cached_property
     def S(self) -> np.ndarray:
         """Oblique force projector I - M M_bar^-1 P."""
-        return np.eye(self.n) - self.M @ self.M_bar_inv @ self.P
+        return _identity(self.n) - self.M @ self.M_bar_inv @ self.P
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -276,7 +281,7 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
     P_dot = L + L.T
     bundle = ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank, L=L, Omega=L - L.T, P_dot=P_dot)
 
-    M_bar = P @ M @ P + nu * (np.eye(n) - P)
+    M_bar = P @ M @ P + nu * (_identity(n) - P)
     M_bar = 0.5 * (M_bar + M_bar.T)
     C_bar = P @ C @ P + P @ M @ P_dot - nu * L
     return ConstraintFrame(

@@ -4,11 +4,17 @@ Everything here is pure dense linear algebra: Moore-Penrose pseudo-inverses,
 the orthogonal projector onto the null space of a constraint Jacobian, and the
 time derivative of that projector split into its lower-triangular-like factor
 L, its skew part Omega, and the full rate P_dot.
+
+``_projector`` keeps its last A and result: A depends only on q and the active
+set, so the post-step velocity projection, the next control frame and the next
+step's first RK4 stage share one SVD.  The key is a bytes copy of A, which a
+caller cannot mutate, and the kept A^+ and P are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,6 +25,7 @@ from .errors import InputError
 RANK_TOL = 1e-10
 # central-difference step for Jacobian rates without an analytic form
 FD_STEP = 1e-6
+_last_projector = (None, None)  # (key, result) of the latest _projector call, read and replaced whole
 
 
 def _as_matrix(A, name: str = "A") -> np.ndarray:
@@ -33,16 +40,19 @@ def _as_matrix(A, name: str = "A") -> np.ndarray:
 def _svd_cutoff(A: np.ndarray):
     """SVD with the relative singular-value cutoff RANK_TOL; returns (U, s, Vt, rank)."""
     if min(A.shape) == 0:
-        return (
-            np.zeros((A.shape[0], 0)),
-            np.zeros(0),
-            np.zeros((0, A.shape[1])),
-            0,
-        )
+        return np.zeros((A.shape[0], 0)), np.zeros(0), np.zeros((0, A.shape[1])), 0
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
+    values = s.tolist()
+    rank = sum(v > RANK_TOL * values[0] for v in values) if values[0] > 0 else 0
     return U, s, Vt, rank
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, formed once per n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -101,15 +111,19 @@ def null_projector(A) -> ProjectorBundle:
 
 
 def _projector(A: np.ndarray):
-    """(A^+, P, rank) of a finite 2-d float A, with no validation of A."""
-    n = A.shape[1]
+    """(A^+, P, rank) of a finite 2-d float A, with no validation of A; A^+ and P are read-only."""
+    global _last_projector
+    key = (A.shape, A.tobytes())
+    last_key, result = _last_projector
+    if key == last_key:
+        return result
     U, s, Vt, rank = _svd_cutoff(A)
-    if rank == 0:
-        return np.zeros((n, A.shape[0])), np.eye(n), 0
     A_pinv = _pinv_from_svd(U, s, Vt, rank)
     V1 = Vt[:rank].T
-    P = np.eye(n) - V1 @ V1.T
+    P = _identity(A.shape[1]) - V1 @ V1.T
     P = 0.5 * (P + P.T)
+    A_pinv.flags.writeable = P.flags.writeable = False
+    _last_projector = (key, (A_pinv, P, rank))
     return A_pinv, P, rank
 
 

@@ -80,6 +80,16 @@ def _contact_functions(point_xz: sp.Matrix, q, qd, args):
     return _lam(args, A), _lam(args, A_dot), _lam(args, point_xz)
 
 
+def _bind(f, prm, n: int, rate: bool = False):
+    """f as a model callback: q -> f(q, 0, prm), or (q, qd) -> f(q, qd, prm) when rate.
+    f gets Python floats, with no zeros array or numpy scalars formed per call; each
+    result is bit-equal to f called on numpy float64 scalars."""
+    if rate:
+        return lambda q, qd: np.asarray(f(*np.asarray(q).tolist(), *np.asarray(qd).tolist(), *prm), dtype=float)
+    zeros = (0.0,) * n
+    return lambda q: np.asarray(f(*np.asarray(q).tolist(), *zeros, *prm), dtype=float)
+
+
 def _in_plane(point_xz: np.ndarray) -> np.ndarray:
     """The 3-d point (x, 0, z) of a lambdified 2x1 (x, z) contact point."""
     return np.array([point_xz[0, 0], 0.0, point_xz[1, 0]])
@@ -182,15 +192,10 @@ def planar_arm_contact(params: Optional[ArmParams] = None) -> RobotModel:
     n = 3
     funcs = _arm_symbolics(n)
     prm = (*params.lengths, *params.masses, *params.resolved_inertias(), params.gravity)
-
-    def call(f, q, qd=None):
-        qd = np.zeros(n) if qd is None else qd
-        return np.asarray(f(*q, *qd, *prm), dtype=float)
-
     tip = ContactSpec(
-        jacobian=lambda q: call(funcs["A"], q),
-        jacobian_rate=lambda q, qd: call(funcs["A_dot"], q, qd),
-        point=lambda q: _in_plane(call(funcs["point"], q)),
+        jacobian=_bind(funcs["A"], prm, n),
+        jacobian_rate=_bind(funcs["A_dot"], prm, n, rate=True),
+        point=lambda q, f=_bind(funcs["point"], prm, n): _in_plane(f(q)),
         friction=params.friction,
         name="tip",
     )
@@ -198,9 +203,9 @@ def planar_arm_contact(params: Optional[ArmParams] = None) -> RobotModel:
     return RobotModel(
         n=n,
         p=n,
-        mass_matrix=lambda q: call(funcs["M"], q),
-        coriolis_matrix=lambda q, qd: call(funcs["C"], q, qd),
-        gravity=lambda q: call(funcs["tau_g"], q).ravel(),
+        mass_matrix=_bind(funcs["M"], prm, n),
+        coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
+        gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),
         actuation=np.eye(n),
         contacts=(tip,),
         u_min=-lim * np.ones(n),
@@ -290,18 +295,13 @@ def floating_biped(params: Optional[BipedParams] = None) -> RobotModel:
         params.gravity,
     )
     n, p = 5, 2
-
-    def call(f, q, qd=None):
-        qd = np.zeros(n) if qd is None else qd
-        return np.asarray(f(*q, *qd, *prm), dtype=float)
-
     contacts = []
     for i, (fA, fAdot, fpoint) in enumerate(funcs["contacts"]):
         contacts.append(
             ContactSpec(
-                jacobian=lambda q, f=fA: call(f, q),
-                jacobian_rate=lambda q, qd, f=fAdot: call(f, q, qd),
-                point=lambda q, f=fpoint: _in_plane(call(f, q)),
+                jacobian=_bind(fA, prm, n),
+                jacobian_rate=_bind(fAdot, prm, n, rate=True),
+                point=lambda q, f=_bind(fpoint, prm, n): _in_plane(f(q)),
                 friction=params.friction,
                 name=f"foot{i}",
             )
@@ -313,9 +313,9 @@ def floating_biped(params: Optional[BipedParams] = None) -> RobotModel:
     return RobotModel(
         n=n,
         p=p,
-        mass_matrix=lambda q: call(funcs["M"], q),
-        coriolis_matrix=lambda q, qd: call(funcs["C"], q, qd),
-        gravity=lambda q: call(funcs["tau_g"], q).ravel(),
+        mass_matrix=_bind(funcs["M"], prm, n),
+        coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
+        gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),
         actuation=B,
         contacts=tuple(contacts),
         u_min=-lim * np.ones(p),

@@ -260,7 +260,8 @@ def step(
     active = state.active_contacts
 
     def accel(q, q_dot):
-        stage = RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=active)
+        stage = object.__new__(RobotState)  # step formed q and q_dot: skip RobotState's checks
+        vars(stage).update(vars(state), q=q, q_dot=q_dot)
         frame = build_frame(model, stage, nu=nu)
         qdd = constrained_accel(frame, u)
         if opts.baumgarte and anchors:

@@ -144,9 +144,9 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
 
     P = frame.P
     Lam = J @ P
-    # rank relative to the raw Jacobian scale: a direction the projector
-    # annihilates must count as lost even though Lam is not exactly zero
-    scale = max(float(np.linalg.norm(J, 2)), 1e-12)
+    # rank relative to the raw Jacobian scale ||J||_2 (its largest singular value): a direction
+    # the projector annihilates must count as lost even though Lam is not exactly zero
+    scale = max(float(np.linalg.svd(J, compute_uv=False)[0]), 1e-12)
     U, sv, Vt = np.linalg.svd(Lam, full_matrices=False)
     rank = int(np.sum(sv > 1e-9 * scale))
     if rank < l:

@@ -11,6 +11,8 @@ solved by least squares (min-norm multipliers for rank-deficient stacks).
 
 import numpy as np
 
+from projctl.constraint_geometry import RANK_TOL
+from projctl.models import ArmParams, BipedParams, _arm_symbolics, _biped_symbolics, _in_plane
 from projctl.task_space import TaskIdentities
 from projctl.torque_qcqp import BarrierParams, SolverReport, phase1_feasible_point, power_loss
 
@@ -359,3 +361,54 @@ def count_violations_reference(trace, u_min, u_max, tol=1e-9):
         if cone_bad or box_bad:
             bad += 1
     return bad
+
+
+def projector_reference(A):
+    """(A^+, P, rank) of a finite 2-d A from a fresh SVD on every call, with rank
+    counted by np.sum over the singular values and P = I - V1 V1^T symmetrized."""
+    m, n = A.shape
+    if min(A.shape) == 0:
+        return np.zeros((n, m)), np.eye(n), 0
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
+    if rank == 0:
+        return np.zeros((n, m)), np.eye(n), 0
+    inv_s = np.zeros_like(s)
+    inv_s[:rank] = 1.0 / s[:rank]
+    A_pinv = (Vt.T * inv_s) @ U.T
+    V1 = Vt[:rank].T
+    P = np.eye(n) - V1 @ V1.T
+    P = 0.5 * (P + P.T)
+    return A_pinv, P, rank
+
+
+def model_callbacks_reference(kind):
+    """name -> callback of the default planar_arm or floating_biped, each calling its
+    lambdified function on numpy scalars: q and qd unpacked with *, and a fresh
+    np.zeros(n) velocity where the function takes none.  Contact callbacks are named
+    jacobian_i, jacobian_rate_i and point_i for contact i."""
+    if kind == "planar_arm":
+        n, funcs, params = 3, _arm_symbolics(3), ArmParams()
+        prm = (*params.lengths, *params.masses, *params.resolved_inertias(), params.gravity)
+        contacts = [(funcs["A"], funcs["A_dot"], funcs["point"])]
+    else:
+        n, funcs, params = 5, _biped_symbolics(), BipedParams()
+        prm = (params.torso_mass, params.torso_inertia, params.torso_com_offset, params.leg_mass,
+               params.resolved_leg_inertia(), params.leg_length, params.gravity)
+        contacts = funcs["contacts"]
+
+    def call(f, q, qd=None):
+        qd = np.zeros(n) if qd is None else qd
+        return np.asarray(f(*q, *qd, *prm), dtype=float)
+
+    callbacks = {
+        "mass_matrix": lambda q: call(funcs["M"], q),
+        "coriolis_matrix": lambda q, qd: call(funcs["C"], q, qd),
+        "gravity": lambda q: call(funcs["tau_g"], q).ravel(),
+    }
+    for i, (fA, fAdot, fpoint) in enumerate(contacts):
+        callbacks[f"jacobian_{i}"] = lambda q, f=fA: call(f, q)
+        callbacks[f"jacobian_rate_{i}"] = lambda q, qd, f=fAdot: call(f, q, qd)
+        callbacks[f"point_{i}"] = lambda q, f=fpoint: _in_plane(call(f, q))
+    return callbacks

@@ -1,14 +1,21 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from projctl.constraint_geometry import (
+    _projector,
     jacobian_rate,
     null_projector,
     projector_rate,
     pseudo_inverse,
 )
 from projctl.errors import InputError
+from projctl.models import floating_biped, planar_arm_contact
+
+from conftest import ARM_HOME, BIPED_HOME
+from oracles import projector_reference
 
 
 def random_stack(rng, n=None, m=None, force_deficient=False):
@@ -201,3 +208,66 @@ class TestJacobianRate:
         assert np.allclose(out, np.array([[2.0, 1.0]]), atol=1e-9)
 
 
+
+
+STACK_CASES = ("arm", (0,), (1,), (0, 1), "coincident", "empty")
+
+
+@lru_cache(maxsize=None)
+def contact_stacks():
+    """(case, posture) -> contact stack: the arm tip, the biped under each active set,
+    both feet at one point (rank 3, where two separate feet give 4) and an empty
+    stack, at four postures each."""
+    arm, biped = planar_arm_contact(), floating_biped()
+    rng = np.random.default_rng(5)
+    stacks = {}
+    for k in range(4):
+        q_arm = ARM_HOME + 0.3 * rng.standard_normal(3)
+        q_biped = BIPED_HOME + 0.2 * rng.standard_normal(5)
+        stacks["arm", k] = arm.contact_stack(q_arm, (0,))
+        for active in ((0,), (1,), (0, 1)):
+            stacks[active, k] = biped.contact_stack(q_biped, active)
+        q_biped[4] = q_biped[3]
+        stacks["coincident", k] = biped.contact_stack(q_biped, (0, 1))
+        stacks["empty", k] = np.zeros((0, 3 if k % 2 else 5))
+    assert all(np.linalg.matrix_rank(stacks["coincident", k]) == 3 for k in range(4))
+    return stacks
+
+
+class TestKeptProjector:
+    """_projector keeps its last result; every result equals a fresh SVD's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(STACK_CASES), st.integers(0, 3), st.integers(1, 3), st.booleans()),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_interleaved_calls_match_a_fresh_svd(self, calls):
+        for case, posture, repeats, public in calls:
+            for _ in range(repeats):
+                A = contact_stacks()[case, posture].copy()
+                if public:
+                    bundle = null_projector(A)
+                    A_pinv, P, rank = bundle.A_pinv, bundle.P, bundle.rank
+                else:
+                    A_pinv, P, rank = _projector(A)
+                ref_pinv, ref_P, ref_rank = projector_reference(A)
+                assert rank == ref_rank
+                assert np.array_equal(A_pinv, ref_pinv) and np.array_equal(P, ref_P)
+                for out in (A_pinv, P):
+                    with pytest.raises(ValueError, match="read-only"):
+                        out[...] = 0.0
+
+    def test_mutating_the_callers_stack_cannot_change_a_later_result(self):
+        original = contact_stacks()[(0, 1), 0]
+        A = original.copy()
+        kept = _projector(A)
+        A[0] += 1.0
+        moved = _projector(A)
+        again = _projector(original.copy())
+        assert all(np.array_equal(x, y) for x, y in zip(moved, projector_reference(A)))
+        for got in (kept, again):
+            assert all(np.array_equal(x, y) for x, y in zip(got, projector_reference(original)))

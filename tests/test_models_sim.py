@@ -1,9 +1,14 @@
 import dataclasses
 import importlib
 import inspect
+import sys
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from projctl.constrained_dynamics import ConstraintFrame, RobotState, build_frame
 from projctl.constraint_geometry import null_projector
@@ -34,7 +39,7 @@ from projctl.control_laws import tracking_torque
 from projctl.task_space import build_task
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, random_manifold_state, short_scenario
-from oracles import integrate_saddle
+from oracles import integrate_saddle, model_callbacks_reference
 
 
 class TestPlanarArmModel:
@@ -222,6 +227,94 @@ class TestLeanControlTick:
         assert len(stacked) == ticks and all(a is b for a, b in zip(stacked, solved))
         assert len(tasks) == ticks
         assert not any("identities" in vars(task) for task in tasks)
+
+
+model_of = lru_cache(maxsize=None)(build_model)
+
+
+def model_callbacks(model):
+    """name -> callback, contact callbacks named as in oracles.model_callbacks_reference."""
+    callbacks = {name: getattr(model, name) for name in ("mass_matrix", "coriolis_matrix", "gravity")}
+    for i, contact in enumerate(model.contacts):
+        callbacks.update({f"jacobian_{i}": contact.jacobian, f"jacobian_rate_{i}": contact.jacobian_rate,
+                          f"point_{i}": contact.point})
+    return callbacks
+
+
+class TestModelCallbacks:
+    """The lambdified callbacks give every bit the numpy-scalar call form gives."""
+
+    @pytest.mark.parametrize("kind", ["floating_biped", "planar_arm"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bit_equal_to_the_numpy_scalar_form(self, kind, data):
+        model = model_of(kind)
+        q = data.draw(arrays(np.float64, model.n, elements=st.floats(-10.0, 10.0)))
+        qd = data.draw(arrays(np.float64, model.n, elements=st.floats(-50.0, 50.0)))
+        reference = model_callbacks_reference(kind)
+        callbacks = model_callbacks(model)
+        assert callbacks.keys() == reference.keys()
+        for name, callback in callbacks.items():
+            args = (q, qd) if name.startswith(("coriolis", "jacobian_rate")) else (q,)
+            got, want = callback(*args), reference[name](*args)
+            assert got.dtype == np.float64 and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+
+
+class TestSharedContactSVD:
+    """One contact-stack SVD per (q, active set): the post-step projection, the next
+    control frame and the next step's first RK4 stage share it, and every frame still
+    evaluates all five model callbacks."""
+
+    def test_four_stack_svds_per_step(self, monkeypatch):
+        geometry = importlib.import_module("projctl.constraint_geometry")
+        sim = importlib.import_module("projctl.simulate")
+        svd_cutoff, build = geometry._svd_cutoff, sim.build_frame
+        svds, calls, frames = [], Counter(), []
+
+        def counting_svd(A):
+            if sys._getframe(1).f_code.co_name == "_projector":
+                svds.append(A.shape)
+            return svd_cutoff(A)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        def checked_frame(*args, **kwargs):
+            before = Counter(calls)
+            frame = build(*args, **kwargs)
+            frames.append(calls - before)
+            return frame
+
+        scenario = short_scenario("arm_tracking.json", 0.05)
+        model = scenario.model
+        tip = model.contacts[0]
+        counted_tip = dataclasses.replace(
+            tip, jacobian=counted("A", tip.jacobian), jacobian_rate=counted("A_dot", tip.jacobian_rate)
+        )
+        counted_model = dataclasses.replace(
+            model,
+            mass_matrix=counted("M", model.mass_matrix),
+            coriolis_matrix=counted("C", model.coriolis_matrix),
+            gravity=counted("tau_g", model.gravity),
+            contacts=(counted_tip,),
+        )
+        geometry._projector(np.zeros((0, 1)))  # keep no arm stack from an earlier run
+        monkeypatch.setattr(geometry, "_svd_cutoff", counting_svd)
+        monkeypatch.setattr(sim, "build_frame", checked_frame)
+        simulate(dataclasses.replace(scenario, model=counted_model))
+
+        steps = scenario.n_steps
+        assert steps == 50
+        # four per step: three RK4 stages and the post-step projection; at t = 0 the
+        # initial projection serves the first tick and stages 1 and 2 (q_dot = 0 keeps q)
+        assert len(svds) == 4 * steps
+        assert len(frames) == (steps + 1) + 4 * steps
+        assert all(set(frame) == {"M", "C", "tau_g", "A", "A_dot"} for frame in frames)
 
 
 class TestFrameIsThePerStateInput:
