@@ -26,10 +26,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-models", help="list the bundled robot models")
 
-    for p in (run_p, cmp_p, chk_p):
+    for p in (run_p, cmp_p):
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the randomized property suites (runs are deterministic)")
+    chk_p.add_argument("--seed", type=int, default=0, help="seed for the randomized property suites")
+    for p in (run_p, cmp_p, chk_p):
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 

@@ -148,17 +148,12 @@ def projector_rate(A, A_dot, bundle: ProjectorBundle) -> ProjectorBundle:
 def jacobian_rate(jac_fn: Callable[[np.ndarray], np.ndarray], q, q_dot) -> np.ndarray:
     """Time derivative of a configuration-dependent Jacobian A(q).
 
-    The chain rule A_dot = sum_j (dA/dq_j) qd_j, with each partial taken by
-    central differencing of jac_fn at q +- FD_STEP e_j.
+    A_dot = sum_j (dA/dq_j) qd_j is the derivative of A along qd, taken as the
+    one directional central difference (A(q + h qd) - A(q - h qd)) / 2h with
+    h = FD_STEP.
     """
     q = np.asarray(q, dtype=float)
-    q_dot = np.asarray(q_dot, dtype=float)
-    A0 = _as_matrix(jac_fn(q), "A(q)")
-    A_dot = np.zeros_like(A0)
-    for j in range(q.size):
-        if q_dot[j] == 0.0:
-            continue
-        dq = np.zeros_like(q)
-        dq[j] = FD_STEP
-        A_dot += (jac_fn(q + dq) - jac_fn(q - dq)) * (q_dot[j] / (2.0 * FD_STEP))
-    return A_dot
+    step = FD_STEP * np.asarray(q_dot, dtype=float)
+    A_plus = _as_matrix(jac_fn(q + step), "A(q)")
+    A_minus = _as_matrix(jac_fn(q - step), "A(q)")
+    return (A_plus - A_minus) / (2.0 * FD_STEP)

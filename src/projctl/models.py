@@ -1,9 +1,14 @@
 """Desk-scale planar robot models with exact symbolic dynamics.
 
-Both models live in the x-z plane with gravity along -z.  Inertia, Coriolis
-and gravity terms are derived symbolically once per model structure (cached)
-and evaluated through lambdified callables, so d/dt(M) - 2C is skew-symmetric
-to machine precision and contact Jacobian rates are analytic.
+Both models live in the x-z plane with gravity along -z.  A planar model is
+declared by its bodies (mass, inertia, center-of-mass point and angle), its
+feet (contact points) and its actuation matrix B; everything else goes through
+one builder.  _planar_functions derives the inertia, Coriolis and gravity
+terms and each foot's contact block symbolically, once per model structure
+(cached), and lambdifies them, so d/dt(M) - 2C is skew-symmetric to machine
+precision and contact Jacobian rates are analytic.  _planar_model binds them
+to a parameter tuple and assembles the RobotModel.  Every bundled task is
+linear, x = J q with constant J, built by _constant_task.
 
 Contact blocks follow the package convention: each 3xn block maps generalized
 velocity to the negative contact-point velocity (rows x, y, z; the y row is
@@ -119,41 +124,68 @@ def _check_fields(params, positive=()) -> None:
             object.__setattr__(params, f.name, entries)
 
 
+def _planar_functions(q, qd, args, bodies, g, feet):
+    """Lambdified M, C and tau_g of a set of planar bodies, and (A, A_dot, point) for each foot point."""
+    M, C, tau_g = _planar_lagrangian(list(q), list(qd), bodies, g)
+    contacts = [_contact_functions(foot, list(q), list(qd), args) for foot in feet]
+    return {"M": _lam(args, M), "C": _lam(args, C), "tau_g": _lam(args, tau_g), "contacts": contacts}
+
+
+def _planar_model(name: str, funcs, prm, B: np.ndarray, feet: Sequence[str], params) -> RobotModel:
+    """The RobotModel of _planar_functions output bound to the parameter tuple prm, with
+    actuation B, one contact per foot name, and params' friction, torque limit and motors."""
+    n, p = B.shape
+    contacts = tuple(
+        ContactSpec(
+            jacobian=_bind(fA, prm, n),
+            jacobian_rate=_bind(fAdot, prm, n, rate=True),
+            point=lambda q, f=_bind(fpoint, prm, n): _in_plane(f(q)),
+            friction=params.friction,
+            name=foot,
+        )
+        for foot, (fA, fAdot, fpoint) in zip(feet, funcs["contacts"])
+    )
+    lim = float(params.torque_limit)
+    return RobotModel(
+        n=n,
+        p=p,
+        mass_matrix=_bind(funcs["M"], prm, n),
+        coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
+        gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),
+        actuation=B,
+        contacts=contacts,
+        u_min=-lim * np.ones(p),
+        u_max=lim * np.ones(p),
+        motor_resistance=np.asarray(params.motor_resistance, dtype=float),
+        torque_constant=np.asarray(params.torque_constant, dtype=float),
+        name=name,
+    )
+
+
 # ---------------------------------------------------------------------------
 # three-link planar arm pressing its tip on a surface
 
 
 @lru_cache(maxsize=None)
-def _arm_symbolics(n_links: int):
-    q = sp.symbols(f"q:{n_links}")
-    qd = sp.symbols(f"dq:{n_links}")
-    lengths = sp.symbols(f"len:{n_links}", positive=True)
-    masses = sp.symbols(f"mass:{n_links}", positive=True)
-    inertias = sp.symbols(f"rotin:{n_links}", positive=True)
+def _arm_symbolics():
+    q = sp.symbols("q:3")
+    qd = sp.symbols("dq:3")
+    lengths = sp.symbols("len:3", positive=True)
+    masses = sp.symbols("mass:3", positive=True)
+    inertias = sp.symbols("rotin:3", positive=True)
     g = sp.Symbol("grav")
     args = (*q, *qd, *lengths, *masses, *inertias, g)
 
     bodies = []
     joint = sp.Matrix([0, 0])
     angle = sp.S.Zero
-    tip = None
-    for j in range(n_links):
+    for j in range(3):
         angle = angle + q[j]
         direction = sp.Matrix([sp.cos(angle), sp.sin(angle)])
         com = joint + (lengths[j] / 2) * direction
         bodies.append((masses[j], inertias[j], com, angle))
         joint = joint + lengths[j] * direction
-        tip = joint
-    M, C, tau_g = _planar_lagrangian(list(q), list(qd), bodies, g)
-    fA, fAdot, fpoint = _contact_functions(tip, list(q), list(qd), args)
-    return {
-        "M": _lam(args, M),
-        "C": _lam(args, C),
-        "tau_g": _lam(args, tau_g),
-        "A": fA,
-        "A_dot": fAdot,
-        "point": fpoint,
-    }
+    return _planar_functions(q, qd, args, bodies, g, [joint])
 
 
 @dataclass(frozen=True)
@@ -189,31 +221,8 @@ def planar_arm_contact(params: Optional[ArmParams] = None) -> RobotModel:
     actuation redundancy is what the torque optimizer exploits.
     """
     params = params or ArmParams()
-    n = 3
-    funcs = _arm_symbolics(n)
     prm = (*params.lengths, *params.masses, *params.resolved_inertias(), params.gravity)
-    tip = ContactSpec(
-        jacobian=_bind(funcs["A"], prm, n),
-        jacobian_rate=_bind(funcs["A_dot"], prm, n, rate=True),
-        point=lambda q, f=_bind(funcs["point"], prm, n): _in_plane(f(q)),
-        friction=params.friction,
-        name="tip",
-    )
-    lim = float(params.torque_limit)
-    return RobotModel(
-        n=n,
-        p=n,
-        mass_matrix=_bind(funcs["M"], prm, n),
-        coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
-        gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),
-        actuation=np.eye(n),
-        contacts=(tip,),
-        u_min=-lim * np.ones(n),
-        u_max=lim * np.ones(n),
-        motor_resistance=np.asarray(params.motor_resistance, dtype=float),
-        torque_constant=np.asarray(params.torque_constant, dtype=float),
-        name="planar_arm",
-    )
+    return _planar_model("planar_arm", _arm_symbolics(), prm, np.eye(3), ("tip",), params)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +249,7 @@ def _biped_symbolics():
         com = hip + (ll / 2) * direction
         bodies.append((ml, Il, com, psi))
         feet.append(hip + ll * direction)
-    M, C, tau_g = _planar_lagrangian(list(q), list(qd), bodies, g)
-    contact_funcs = [_contact_functions(f, list(q), list(qd), args) for f in feet]
-    return {
-        "M": _lam(args, M),
-        "C": _lam(args, C),
-        "tau_g": _lam(args, tau_g),
-        "contacts": contact_funcs,
-    }
+    return _planar_functions(q, qd, args, bodies, g, feet)
 
 
 @dataclass(frozen=True)
@@ -284,7 +286,6 @@ def floating_biped(params: Optional[BipedParams] = None) -> RobotModel:
     feet are contact candidates; schedules switch them on and off.
     """
     params = params or BipedParams()
-    funcs = _biped_symbolics()
     prm = (
         params.torso_mass,
         params.torso_inertia,
@@ -294,36 +295,10 @@ def floating_biped(params: Optional[BipedParams] = None) -> RobotModel:
         params.leg_length,
         params.gravity,
     )
-    n, p = 5, 2
-    contacts = []
-    for i, (fA, fAdot, fpoint) in enumerate(funcs["contacts"]):
-        contacts.append(
-            ContactSpec(
-                jacobian=_bind(fA, prm, n),
-                jacobian_rate=_bind(fAdot, prm, n, rate=True),
-                point=lambda q, f=_bind(fpoint, prm, n): _in_plane(f(q)),
-                friction=params.friction,
-                name=f"foot{i}",
-            )
-        )
-    B = np.zeros((n, p))
+    B = np.zeros((5, 2))
     B[3, 0] = 1.0
     B[4, 1] = 1.0
-    lim = float(params.torque_limit)
-    return RobotModel(
-        n=n,
-        p=p,
-        mass_matrix=_bind(funcs["M"], prm, n),
-        coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
-        gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),
-        actuation=B,
-        contacts=tuple(contacts),
-        u_min=-lim * np.ones(p),
-        u_max=lim * np.ones(p),
-        motor_resistance=np.asarray(params.motor_resistance, dtype=float),
-        torque_constant=np.asarray(params.torque_constant, dtype=float),
-        name="floating_biped",
-    )
+    return _planar_model("floating_biped", _biped_symbolics(), prm, B, ("foot0", "foot1"), params)
 
 
 def standing_pose(params: Optional[BipedParams] = None, splay: float = 0.25) -> np.ndarray:
@@ -336,40 +311,24 @@ def standing_pose(params: Optional[BipedParams] = None, splay: float = 0.25) -> 
 # task factories
 
 
+def _constant_task(name: str, J: np.ndarray, value) -> TaskDef:
+    """The task x = value(q) = J q with constant J, so J_dot = 0; J and the zero rate are shared and read-only."""
+    rate = np.zeros_like(J)
+    J.flags.writeable = rate.flags.writeable = False
+    return TaskDef(name=name, dim=J.shape[0], value=value, jacobian=lambda q: J, jacobian_rate=lambda q, qd: rate)
+
+
 def link_orientation_task(n: int) -> TaskDef:
     """Absolute orientation of the final link of a serial chain."""
-    J = np.ones((1, n))
-    return TaskDef(
-        name="link_orientation",
-        dim=1,
-        value=lambda q: np.array([float(np.sum(q))]),
-        jacobian=lambda q: J,
-        jacobian_rate=lambda q, qd: np.zeros((1, n)),
-    )
+    return _constant_task("link_orientation", np.ones((1, n)), lambda q: np.array([float(np.sum(q))]))
 
 
 def base_pitch_task(n: int = 5) -> TaskDef:
-    J = np.zeros((1, n))
-    J[0, 2] = 1.0
-    return TaskDef(
-        name="base_pitch",
-        dim=1,
-        value=lambda q: np.array([q[2]]),
-        jacobian=lambda q: J,
-        jacobian_rate=lambda q, qd: np.zeros((1, n)),
-    )
+    return _constant_task("base_pitch", np.eye(1, n, 2), lambda q: np.array([q[2]]))
 
 
 def base_pose_task(n: int = 5) -> TaskDef:
-    J = np.zeros((3, n))
-    J[0, 0] = J[1, 1] = J[2, 2] = 1.0
-    return TaskDef(
-        name="base_pose",
-        dim=3,
-        value=lambda q: np.asarray(q[:3], dtype=float).copy(),
-        jacobian=lambda q: J,
-        jacobian_rate=lambda q, qd: np.zeros((3, n)),
-    )
+    return _constant_task("base_pose", np.eye(3, n), lambda q: np.asarray(q[:3], dtype=float).copy())
 
 
 def joint_task(indices: Sequence[int], n: int) -> TaskDef:
@@ -378,17 +337,8 @@ def joint_task(indices: Sequence[int], n: int) -> TaskDef:
     in_range = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < n for i in idx)
     if not (idx and in_range and len(set(idx)) == len(idx)):
         raise InputError(f"joint task indices must be distinct integers in [0, {n}), got {indices!r}")
-    idx = tuple(int(i) for i in idx)
-    J = np.zeros((len(idx), n))
-    for row, i in enumerate(idx):
-        J[row, i] = 1.0
-    return TaskDef(
-        name=f"joint{list(idx)}",
-        dim=len(idx),
-        value=lambda q: np.asarray(q, dtype=float)[list(idx)].copy(),
-        jacobian=lambda q: J,
-        jacobian_rate=lambda q, qd: np.zeros((len(idx), n)),
-    )
+    idx = [int(i) for i in idx]
+    return _constant_task(f"joint{idx}", np.eye(n)[idx], lambda q: np.asarray(q, dtype=float)[idx])
 
 
 def make_task(model: RobotModel, kind: str, **kwargs) -> TaskDef:

@@ -10,15 +10,17 @@ A scenario is one JSON document (see configs/ for bundled examples):
                                        "amplitude": [...], "frequency": [...],
                                        "phase": [...]}},
       "controller":    {"type": "tracking", "gains": {"omega": 5.0}},
-      "optimizer":     {"type": "qcqp", "eta0": 1.0, "kappa": 0.2,
-                        "eps": 1e-8, "rho": 10.0},
+      "optimizer":     {"type": "qcqp", "types": ["min_norm", "qcqp"],
+                        "eta0": 1.0, "kappa": 0.2, "eps": 1e-8,
+                        "newton_tol": 1e-10, "rho": 10.0},
       "contacts":      {"schedule": [[1.0, [0]], [1.3, [0, 1]]]},
       "integrator":    {"dt": 0.001, "method": "rk4", "baumgarte": false},
       "duration":      5.0,
       "output":        {"dir": "out", "prefix": "arm_tracking"}
     }
 
-Validation errors carry the offending field path.  Outputs (trace CSV plus a
+`run` allocates with optimizer.type; `compare` runs once per entry of
+optimizer.types.  Validation errors carry the offending field path.  Outputs (trace CSV plus a
 JSON run report) are written atomically and contain no timestamps, so a fixed
 config produces byte-identical files.  `run` and `compare` share one run path,
 _run: load the scenario, simulate it, write its trace, build its report.  The
@@ -50,7 +52,7 @@ from .simulate import (
     simulate,
     sinusoid_reference,
 )
-from .torque_qcqp import BarrierParams
+from .torque_qcqp import MAX_CENTERING, BarrierParams
 
 
 def _require(cfg: dict, key: str, path: str):
@@ -130,9 +132,9 @@ def _build_optimizer(cfg: dict, kind: str, path: str, r: int) -> OptimizerSpec:
     if barrier.kappa >= 1.0:
         raise ConfigError(f"{path}.kappa", "decrement must satisfy 0 < kappa < 1")
     # the duality-gap bound r * eta after the last centering step allowed must reach eps
-    gap = r * barrier.eta0 * barrier.kappa ** (barrier.max_centering - 1)
+    gap = r * barrier.eta0 * barrier.kappa ** (MAX_CENTERING - 1)
     if gap > barrier.eps:
-        raise ConfigError(f"{path}.kappa", f"too close to 1: from eta0 = {barrier.eta0}, {barrier.max_centering} "
+        raise ConfigError(f"{path}.kappa", f"too close to 1: from eta0 = {barrier.eta0}, {MAX_CENTERING} "
                           f"centering steps end at a duality-gap bound of {gap:.3g}, above eps = {barrier.eps}")
     rho = _as_number(cfg.get("rho", 10.0), f"{path}.rho", positive=True)
     try:

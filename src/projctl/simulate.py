@@ -131,7 +131,6 @@ class Scenario:
     duration: float
     integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
     schedule: Tuple[Tuple[float, Tuple[int, ...]], ...] = ()
-    nu: Optional[float] = None
     name: str = "scenario"
 
     def __post_init__(self):
@@ -331,9 +330,7 @@ def simulate(scenario: Scenario) -> SimTrace:
         P0 = null_projector(model.contact_stack(state.q, state.active_contacts)).P
         state = replace(state, q_dot=P0 @ state.q_dot)
 
-    nu = scenario.nu
-    if nu is None:
-        nu = float(np.trace(model.mass_matrix(state.q))) / model.n
+    nu = float(np.trace(model.mass_matrix(state.q))) / model.n
 
     anchors: Dict[int, np.ndarray] = {}
 

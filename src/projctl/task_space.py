@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
-from .constraint_geometry import FD_STEP, _pinv_from_svd, _svd_cutoff
+from .constraint_geometry import FD_STEP, _pinv_from_svd, _svd_cutoff, jacobian_rate
 from .errors import InputError, TaskInconsistencyError
 
 
@@ -84,33 +84,29 @@ class FeasibilityReport:
     rank_B: int
 
 
-def _task_jacobian(task: TaskDef, q: np.ndarray, h: float) -> np.ndarray:
+def _task_jacobian(task: TaskDef, q: np.ndarray) -> np.ndarray:
     if task.jacobian is not None:
         return np.asarray(task.jacobian(q), dtype=float)
     J = np.zeros((task.dim, q.size))
     for j in range(q.size):
         dq = np.zeros_like(q)
-        dq[j] = h
+        dq[j] = FD_STEP
         J[:, j] = (
             np.asarray(task.value(q + dq), dtype=float)
             - np.asarray(task.value(q - dq), dtype=float)
-        ) / (2.0 * h)
+        ) / (2.0 * FD_STEP)
     return J
 
 
-def _task_jacobian_rate(task: TaskDef, q, q_dot, h: float) -> np.ndarray:
+def _task_jacobian_rate(task: TaskDef, q, q_dot) -> np.ndarray:
     if task.jacobian_rate is not None:
         return np.asarray(task.jacobian_rate(q, q_dot), dtype=float)
     if task.jacobian is not None:
-        # directional difference of the analytic Jacobian along q_dot
-        step = h * q_dot
-        Jp = np.asarray(task.jacobian(q + step), dtype=float)
-        Jm = np.asarray(task.jacobian(q - step), dtype=float)
-        return (Jp - Jm) / (2.0 * h)
+        return jacobian_rate(task.jacobian, q, q_dot)
     # value-only task: mixed second partials d2x/(dq_j ds) along s = q_dot
-    # with a wider step, since nesting two first-order differences at h loses
-    # half the digits
-    hm = max(np.sqrt(h), 1e-4)
+    # with a wider step, since nesting two first-order differences at FD_STEP
+    # loses half the digits
+    hm = max(np.sqrt(FD_STEP), 1e-4)
     J_dot = np.zeros((task.dim, q.size))
     sv = hm * q_dot
     for j in range(q.size):
@@ -136,7 +132,7 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     x = np.asarray(task.value(q), dtype=float)
     if x.shape != (l,):
         raise InputError(f"task value must have shape ({l},), got {x.shape}")
-    J = _task_jacobian(task, q, FD_STEP)
+    J = _task_jacobian(task, q)
     if J.shape != (l, n):
         raise InputError(f"task Jacobian must be {l}x{n}, got {J.shape}")
     if not (np.isfinite(x).all() and np.isfinite(J).all()):
@@ -156,7 +152,7 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
         )
     # sv[l - 1] > 1e-9 ||J|| >= 1e-9 ||Lam||, so this is pseudo_inverse(Lam)
     Lam_pinv = _pinv_from_svd(U, sv, Vt, rank)
-    J_dot = _task_jacobian_rate(task, q, qd, FD_STEP)
+    J_dot = _task_jacobian_rate(task, q, qd)
     Lam_dot = J_dot @ P + J @ frame.bundle.P_dot
     Gamma = Lam_pinv @ Lam_dot - frame.bundle.Omega
     return TaskMap(

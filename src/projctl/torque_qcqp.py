@@ -50,6 +50,18 @@ from .errors import InputError
 
 # relative tolerance on the component of tau_c outside range(P)
 TAU_C_TOL = 1e-8
+# Newton steps allowed per centering step
+MAX_NEWTON = 100
+# centering steps allowed per solve; a solve that reaches it without the gap certificate fails
+MAX_CENTERING = 80
+# Armijo sufficient-decrease fraction of the residual-norm line search
+LS_ALPHA = 0.25
+# step shrink factor of the backtracking line search
+LS_BETA = 0.5
+# a strictly feasible start keeps every constraint row above MARGIN_SCALE * program.scale()
+MARGIN_SCALE = 1e-9
+# smoothed-max descent iterations allowed in phase 1
+PHASE1_MAX_ITER = 600
 
 
 def motor_weighting(R, K_t) -> np.ndarray:
@@ -325,12 +337,6 @@ class BarrierParams:
     kappa: float = 0.2
     eps: float = 1e-8
     newton_tol: float = 1e-10
-    max_newton: int = 100
-    max_centering: int = 80
-    ls_alpha: float = 0.25
-    ls_beta: float = 0.5
-    margin_scale: float = 1e-9
-    phase1_max_iter: int = 600
 
 
 @dataclass(frozen=True)
@@ -356,11 +362,7 @@ class SolverReport:
     path: Tuple[Tuple[float, float], ...] = ()
 
 
-def phase1_feasible_point(
-    program: TorqueProgram,
-    params: Optional[BarrierParams] = None,
-    u_seed: Optional[np.ndarray] = None,
-) -> PhaseOneResult:
+def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] = None) -> PhaseOneResult:
     """Find a strictly feasible start, or certify that none exists.
 
     Tries cheap candidates first (the seed, the least-squares equality
@@ -368,8 +370,7 @@ def phase1_feasible_point(
     a smoothed max of the violated constraints; afterwards it pulls toward the
     equality set while preserving strict feasibility.
     """
-    params = params or BarrierParams()
-    margin = params.margin_scale * program.scale()
+    margin = MARGIN_SCALE * program.scale()
     p = program.p
     center = 0.5 * (program.u_min + program.u_max)
     if np.any(program.u_max - program.u_min <= 2 * margin):
@@ -400,7 +401,7 @@ def phase1_feasible_point(
     u = best.copy()
     s = max(0.05 * program.scale(), 10 * margin)
     iters = 0
-    for iters in range(1, params.phase1_max_iter + 1):
+    for iters in range(1, PHASE1_MAX_ITER + 1):
         c = program.constraint_values(u)
         worst = float(c.min())
         if worst > 2 * margin:
@@ -519,7 +520,7 @@ def solve_barrier(
     params = params or BarrierParams()
     p = program.p
     r = program.r
-    margin = params.margin_scale * program.scale()
+    margin = MARGIN_SCALE * program.scale()
 
     def failure(status, u=None):
         return SolverReport(
@@ -549,7 +550,7 @@ def solve_barrier(
         return failure("infeasible_equality")
 
     if u0 is None or not np.all(program.constraint_values(np.asarray(u0, dtype=float)) > margin):
-        phase1 = phase1_feasible_point(program, params, u_seed=u0)
+        phase1 = phase1_feasible_point(program, u_seed=u0)
         if not phase1.feasible:
             return failure("infeasible_inequality", u=phase1.u)
         u = phase1.u
@@ -579,7 +580,7 @@ def solve_barrier(
     while True:
         converged = False
         res = residual(u, nu_dual, c, grads)
-        for _ in range(params.max_newton):
+        for _ in range(MAX_NEWTON):
             kkt_res = math.sqrt(res @ res)
             if kkt_res <= params.newton_tol:
                 converged = True
@@ -598,16 +599,16 @@ def solve_barrier(
                 u_try = u + t * du
                 c_try = program.constraint_values(u_try)
                 if not c_try.min() > 0.0:  # a NaN row fails too
-                    t *= params.ls_beta
+                    t *= LS_BETA
                     continue
                 nu_try = nu_dual + t * dnu
                 grads_try = program.constraint_gradients(u_try)
                 res_try = residual(u_try, nu_try, c_try, grads_try)
-                if math.sqrt(res_try @ res_try) <= (1.0 - params.ls_alpha * t) * kkt_res + 1e-16:
+                if math.sqrt(res_try @ res_try) <= (1.0 - LS_ALPHA * t) * kkt_res + 1e-16:
                     u, nu_dual, c, grads, res = u_try, nu_try, c_try, grads_try, res_try
                     accepted = True
                     break
-                t *= params.ls_beta
+                t *= LS_BETA
             total_newton += 1
             if not accepted:
                 break
@@ -624,7 +625,7 @@ def solve_barrier(
         if r * eta <= params.eps:
             status = "relaxed" if program.relaxed else "optimal"
             break
-        if centering >= params.max_centering:  # stopped without the gap certificate
+        if centering >= MAX_CENTERING:  # stopped without the gap certificate
             status = "failed"
             break
         eta *= params.kappa

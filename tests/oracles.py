@@ -12,9 +12,21 @@ solved by least squares (min-norm multipliers for rank-deficient stacks).
 import numpy as np
 
 from projctl.constraint_geometry import RANK_TOL
-from projctl.models import ArmParams, BipedParams, _arm_symbolics, _biped_symbolics, _in_plane
-from projctl.task_space import TaskIdentities
-from projctl.torque_qcqp import BarrierParams, SolverReport, phase1_feasible_point, power_loss
+from projctl.constrained_dynamics import ContactSpec, RobotModel
+from projctl.errors import InputError
+from projctl.models import ArmParams, BipedParams, _arm_symbolics, _bind, _biped_symbolics, _in_plane
+from projctl.task_space import TaskDef, TaskIdentities
+from projctl.torque_qcqp import (
+    LS_ALPHA,
+    LS_BETA,
+    MARGIN_SCALE,
+    MAX_CENTERING,
+    MAX_NEWTON,
+    BarrierParams,
+    SolverReport,
+    phase1_feasible_point,
+    power_loss,
+)
 
 
 def saddle_point(M, C, tau_g, B, A, A_dot, q_dot, u):
@@ -187,7 +199,7 @@ def solve_barrier_reference(program, params=None, u0=None):
     params = params or BarrierParams()
     p = program.p
     r = program.r
-    margin = params.margin_scale * program.scale()
+    margin = MARGIN_SCALE * program.scale()
 
     def failure(status, u=None):
         return SolverReport(
@@ -214,7 +226,7 @@ def solve_barrier_reference(program, params=None, u0=None):
         return failure("infeasible_equality")
 
     if u0 is None or not np.all(program.constraint_values(np.asarray(u0, dtype=float)) > margin):
-        phase1 = phase1_feasible_point(program, params, u_seed=u0)
+        phase1 = phase1_feasible_point(program, u_seed=u0)
         if not phase1.feasible:
             return failure("infeasible_inequality", u=phase1.u)
         u = phase1.u
@@ -248,7 +260,7 @@ def solve_barrier_reference(program, params=None, u0=None):
         c = program.constraint_values(u)
         grads = program.constraint_gradients(u)
         res = residual(u, nu_dual, c, grads)
-        for _ in range(params.max_newton):
+        for _ in range(MAX_NEWTON):
             kkt_res = float(np.linalg.norm(res))
             if kkt_res <= params.newton_tol:
                 converged = True
@@ -265,16 +277,16 @@ def solve_barrier_reference(program, params=None, u0=None):
                 u_try = u + t * du
                 c_try = program.constraint_values(u_try)
                 if not np.all(c_try > 0.0):
-                    t *= params.ls_beta
+                    t *= LS_BETA
                     continue
                 nu_try = nu_dual + t * dnu
                 grads_try = program.constraint_gradients(u_try)
                 res_try = residual(u_try, nu_try, c_try, grads_try)
-                if np.linalg.norm(res_try) <= (1.0 - params.ls_alpha * t) * kkt_res + 1e-16:
+                if np.linalg.norm(res_try) <= (1.0 - LS_ALPHA * t) * kkt_res + 1e-16:
                     u, nu_dual, c, grads, res = u_try, nu_try, c_try, grads_try, res_try
                     accepted = True
                     break
-                t *= params.ls_beta
+                t *= LS_BETA
             total_newton += 1
             if not accepted:
                 break
@@ -287,7 +299,7 @@ def solve_barrier_reference(program, params=None, u0=None):
         if not converged:
             status = "failed"
             break
-        if r * eta <= params.eps or centering >= params.max_centering:
+        if r * eta <= params.eps or centering >= MAX_CENTERING:
             status = "relaxed" if program.relaxed else "optimal"
             break
         eta *= params.kappa
@@ -389,14 +401,13 @@ def model_callbacks_reference(kind):
     np.zeros(n) velocity where the function takes none.  Contact callbacks are named
     jacobian_i, jacobian_rate_i and point_i for contact i."""
     if kind == "planar_arm":
-        n, funcs, params = 3, _arm_symbolics(3), ArmParams()
+        n, funcs, params = 3, _arm_symbolics(), ArmParams()
         prm = (*params.lengths, *params.masses, *params.resolved_inertias(), params.gravity)
-        contacts = [(funcs["A"], funcs["A_dot"], funcs["point"])]
     else:
         n, funcs, params = 5, _biped_symbolics(), BipedParams()
         prm = (params.torso_mass, params.torso_inertia, params.torso_com_offset, params.leg_mass,
                params.resolved_leg_inertia(), params.leg_length, params.gravity)
-        contacts = funcs["contacts"]
+    contacts = funcs["contacts"]
 
     def call(f, q, qd=None):
         qd = np.zeros(n) if qd is None else qd
@@ -412,3 +423,100 @@ def model_callbacks_reference(kind):
         callbacks[f"jacobian_rate_{i}"] = lambda q, qd, f=fAdot: call(f, q, qd)
         callbacks[f"point_{i}"] = lambda q, f=fpoint: _in_plane(call(f, q))
     return callbacks
+
+
+def planar_arm_reference(params=None):
+    """The three-link arm assembled field by field, with no shared model builder."""
+    params = params or ArmParams()
+    n = 3
+    funcs = _arm_symbolics()
+    (fA, fAdot, fpoint), = funcs["contacts"]
+    prm = (*params.lengths, *params.masses, *params.resolved_inertias(), params.gravity)
+    tip = ContactSpec(
+        jacobian=_bind(fA, prm, n),
+        jacobian_rate=_bind(fAdot, prm, n, rate=True),
+        point=lambda q, f=_bind(fpoint, prm, n): _in_plane(f(q)),
+        friction=params.friction,
+        name="tip",
+    )
+    lim = float(params.torque_limit)
+    return RobotModel(
+        n=n,
+        p=n,
+        mass_matrix=_bind(funcs["M"], prm, n),
+        coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
+        gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),
+        actuation=np.eye(n),
+        contacts=(tip,),
+        u_min=-lim * np.ones(n),
+        u_max=lim * np.ones(n),
+        motor_resistance=np.asarray(params.motor_resistance, dtype=float),
+        torque_constant=np.asarray(params.torque_constant, dtype=float),
+        name="planar_arm",
+    )
+
+
+def floating_biped_reference(params=None):
+    """The floating-base biped assembled field by field, with no shared model builder."""
+    params = params or BipedParams()
+    funcs = _biped_symbolics()
+    prm = (params.torso_mass, params.torso_inertia, params.torso_com_offset, params.leg_mass,
+           params.resolved_leg_inertia(), params.leg_length, params.gravity)
+    n, p = 5, 2
+    contacts = []
+    for i, (fA, fAdot, fpoint) in enumerate(funcs["contacts"]):
+        contacts.append(
+            ContactSpec(
+                jacobian=_bind(fA, prm, n),
+                jacobian_rate=_bind(fAdot, prm, n, rate=True),
+                point=lambda q, f=_bind(fpoint, prm, n): _in_plane(f(q)),
+                friction=params.friction,
+                name=f"foot{i}",
+            )
+        )
+    B = np.zeros((n, p))
+    B[3, 0] = 1.0
+    B[4, 1] = 1.0
+    lim = float(params.torque_limit)
+    return RobotModel(
+        n=n,
+        p=p,
+        mass_matrix=_bind(funcs["M"], prm, n),
+        coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
+        gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),
+        actuation=B,
+        contacts=tuple(contacts),
+        u_min=-lim * np.ones(p),
+        u_max=lim * np.ones(p),
+        motor_resistance=np.asarray(params.motor_resistance, dtype=float),
+        torque_constant=np.asarray(params.torque_constant, dtype=float),
+        name="floating_biped",
+    )
+
+
+def task_reference(kind, n, indices=None):
+    """The bundled task of the given kind, each with its own hand-written Jacobian and a
+    fresh zero rate on every call."""
+    if kind == "link_orientation":
+        J = np.ones((1, n))
+        return TaskDef(name="link_orientation", dim=1, value=lambda q: np.array([float(np.sum(q))]),
+                       jacobian=lambda q: J, jacobian_rate=lambda q, qd: np.zeros((1, n)))
+    if kind == "base_pitch":
+        J = np.zeros((1, n))
+        J[0, 2] = 1.0
+        return TaskDef(name="base_pitch", dim=1, value=lambda q: np.array([q[2]]),
+                       jacobian=lambda q: J, jacobian_rate=lambda q, qd: np.zeros((1, n)))
+    if kind == "base_pose":
+        J = np.zeros((3, n))
+        J[0, 0] = J[1, 1] = J[2, 2] = 1.0
+        return TaskDef(name="base_pose", dim=3, value=lambda q: np.asarray(q[:3], dtype=float).copy(),
+                       jacobian=lambda q: J, jacobian_rate=lambda q, qd: np.zeros((3, n)))
+    if kind == "joint":
+        idx = tuple(int(i) for i in indices)
+        J = np.zeros((len(idx), n))
+        for row, i in enumerate(idx):
+            J[row, i] = 1.0
+        return TaskDef(name=f"joint{list(idx)}", dim=len(idx),
+                       value=lambda q: np.asarray(q, dtype=float)[list(idx)].copy(),
+                       jacobian=lambda q: J, jacobian_rate=lambda q, qd: np.zeros((len(idx), n)))
+    raise InputError(f"unknown task type '{kind}'")

@@ -260,7 +260,7 @@ def test_criterion_09_qcqp_solver(arm, biped, rng):
     res = phase1 = None
     from projctl.torque_qcqp import phase1_feasible_point
 
-    phase1 = phase1_feasible_point(model_programs[0], params)
+    phase1 = phase1_feasible_point(model_programs[0])
     u0 = phase1.u
     worst_grad = 0.0
     for eta in (1.0, 1e-3):

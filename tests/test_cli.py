@@ -343,6 +343,16 @@ class TestCheckCommand:
     def test_check_passes(self, capsys):
         assert main(["check", "--seed", "3", "--quiet"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "config.json", "--seed", "1"], ["compare", "config.json", "--seed", "1"], ["check", "--out", "out"]],
+    )
+    def test_flags_a_command_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_list_models(self, capsys):
         assert main(["list-models"]) == 0
         out = capsys.readouterr().out

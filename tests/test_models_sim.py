@@ -39,7 +39,13 @@ from projctl.control_laws import tracking_torque
 from projctl.task_space import build_task
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, random_manifold_state, short_scenario
-from oracles import integrate_saddle, model_callbacks_reference
+from oracles import (
+    floating_biped_reference,
+    integrate_saddle,
+    model_callbacks_reference,
+    planar_arm_reference,
+    task_reference,
+)
 
 
 class TestPlanarArmModel:
@@ -259,6 +265,74 @@ class TestModelCallbacks:
             got, want = callback(*args), reference[name](*args)
             assert got.dtype == np.float64 and got.shape == want.shape, name
             assert np.array_equal(got, want), name
+
+
+def positive(size=None, lo=0.1, hi=5.0):
+    value = st.floats(lo, hi)
+    return value if size is None else st.tuples(*[value] * size)
+
+
+ARM_PARAMS = st.builds(
+    ArmParams, lengths=positive(3, 0.1, 1.0), masses=positive(3), inertias=st.none() | positive(3, 0.01, 1.0),
+    gravity=st.floats(0.0, 20.0), friction=positive(), torque_limit=positive(None, 1.0, 100.0),
+    motor_resistance=positive(3), torque_constant=positive(3),
+)
+BIPED_PARAMS = st.builds(
+    BipedParams, torso_mass=positive(), torso_inertia=positive(None, 0.01, 1.0), torso_com_offset=st.floats(-0.5, 0.5),
+    leg_mass=positive(), leg_inertia=st.none() | positive(None, 0.01, 1.0), leg_length=positive(None, 0.2, 1.5),
+    gravity=st.floats(0.0, 20.0), friction=positive(), torque_limit=positive(None, 1.0, 100.0),
+    motor_resistance=positive(2), torque_constant=positive(2),
+)
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestBuildersMatchReference:
+    """The shared planar builder and constant-Jacobian task give what each model and
+    task, written out on its own, gives: the same fields, and every value bit for bit."""
+
+    @pytest.mark.parametrize(
+        "build, reference, params",
+        [(planar_arm_contact, planar_arm_reference, ARM_PARAMS),
+         (floating_biped, floating_biped_reference, BIPED_PARAMS)],
+        ids=["planar_arm", "floating_biped"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_model(self, build, reference, params, data):
+        prm = data.draw(st.none() | params)
+        got, want = build(prm), reference(prm)
+        assert (got.name, got.n, got.p) == (want.name, want.n, want.p)
+        for name in ("actuation", "u_min", "u_max", "motor_resistance", "torque_constant"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+        assert [(c.name, c.friction) for c in got.contacts] == [(c.name, c.friction) for c in want.contacts]
+        q = data.draw(arrays(np.float64, got.n, elements=st.floats(-3.0, 3.0)))
+        qd = data.draw(arrays(np.float64, got.n, elements=st.floats(-10.0, 10.0)))
+        reference_callbacks = model_callbacks(want)
+        for name, callback in model_callbacks(got).items():
+            args = (q, qd) if name.startswith(("coriolis", "jacobian_rate")) else (q,)
+            assert bits(callback(*args)) == bits(reference_callbacks[name](*args)), name
+
+    @pytest.mark.parametrize("kind", ["planar_arm", "floating_biped"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_task(self, kind, data):
+        model = model_of(kind)
+        n = model.n
+        task_kind = data.draw(st.sampled_from(["link_orientation", "base_pitch", "base_pose", "joint"]))
+        indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        kwargs = {"indices": indices} if task_kind == "joint" else {}
+        got, want = make_task(model, task_kind, **kwargs), task_reference(task_kind, n, indices)
+        assert (got.name, got.dim) == (want.name, want.dim)
+        q = data.draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+        qd = data.draw(arrays(np.float64, n, elements=st.floats(-50.0, 50.0)))
+        assert bits(got.value(q)) == bits(want.value(q))
+        assert bits(got.jacobian(q)) == bits(want.jacobian(q))
+        assert bits(got.jacobian_rate(q, qd)) == bits(want.jacobian_rate(q, qd))
+        assert not (got.jacobian(q).flags.writeable or got.jacobian_rate(q, qd).flags.writeable)
 
 
 class TestSharedContactSVD:

@@ -13,6 +13,7 @@ from projctl.models import make_task
 from projctl.task_space import build_task
 from projctl.torque_qcqp import (
     _barrier_hessian,
+    MAX_CENTERING,
     BarrierParams,
     ConeConstraint,
     TorqueProgram,
@@ -428,7 +429,7 @@ class TestSolveBarrier:
         assert report.status == "infeasible_inequality"
 
     def test_centering_cap_without_certificate_fails(self):
-        # with kappa = 0.99, max_centering steps shrink eta only to 0.99^79, so
+        # with kappa = 0.99, MAX_CENTERING steps shrink eta only to 0.99^79, so
         # the loop stops at the cap with r * eta far above eps; the config
         # loader refuses such a kappa, so it is set through the API
         scenario = short_scenario("compare_cone.json", 0.001)
@@ -441,7 +442,7 @@ class TestSolveBarrier:
         cmd = tracking_torque(frame, task, ref.value(0.0), ref.rate(0.0), ref.accel(0.0), scenario.gains)
         params = scenario.optimizer.barrier
         report = solve_barrier(assemble_program(frame, cmd.tau_c), params)
-        assert report.centering_steps == params.max_centering
+        assert report.centering_steps == MAX_CENTERING
         assert report.duality_gap > params.eps
         assert report.status == "failed"
         with pytest.raises(SolverError, match=r"failed at t=0\.0000 .*gap=3\.6"):
