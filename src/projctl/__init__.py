@@ -49,7 +49,6 @@ from .models import (
     standing_pose,
 )
 from .simulate import (
-    IntegratorOptions,
     OptimizerSpec,
     Reference,
     Scenario,

@@ -56,8 +56,8 @@ class ContactSpec:
     velocity to the negative contact-point velocity, so that the associated
     multipliers are the force applied to the robot with z along the outward
     normal.  jacobian_rate(q, qd), when given, must return d/dt of that block.
-    point(q), when given, returns the 3-vector contact-point position and is
-    only needed for position-level stabilization.
+    point(q), when given, returns the 3-vector contact-point position; only
+    the run report's slip measure (runner.contact_slip) reads it.
     """
 
     jacobian: Callable[[np.ndarray], np.ndarray]

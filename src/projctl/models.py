@@ -323,11 +323,19 @@ def link_orientation_task(n: int) -> TaskDef:
     return _constant_task("link_orientation", np.ones((1, n)), lambda q: np.array([float(np.sum(q))]))
 
 
+def _require_floating_base(name: str, n: int) -> None:
+    """Base tasks read the floating base's (x, z, pitch) = q[:3], so they need n >= 3."""
+    if n < 3:
+        raise InputError(f"{name} task needs n >= 3 coordinates (the base's x, z and pitch), got n = {n}")
+
+
 def base_pitch_task(n: int = 5) -> TaskDef:
+    _require_floating_base("base_pitch", n)
     return _constant_task("base_pitch", np.eye(1, n, 2), lambda q: np.array([q[2]]))
 
 
 def base_pose_task(n: int = 5) -> TaskDef:
+    _require_floating_base("base_pose", n)
     return _constant_task("base_pose", np.eye(3, n), lambda q: np.asarray(q[:3], dtype=float).copy())
 
 

@@ -14,7 +14,7 @@ A scenario is one JSON document (see configs/ for bundled examples):
                         "eta0": 1.0, "kappa": 0.2, "eps": 1e-8,
                         "newton_tol": 1e-10, "rho": 10.0},
       "contacts":      {"schedule": [[1.0, [0]], [1.3, [0, 1]]]},
-      "integrator":    {"dt": 0.001, "method": "rk4", "baumgarte": false},
+      "integrator":    {"dt": 0.001, "method": "rk4"},
       "duration":      5.0,
       "output":        {"dir": "out", "prefix": "arm_tracking"}
     }
@@ -34,16 +34,15 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constrained_dynamics import RobotState
+from .constrained_dynamics import ContactSpec, RobotState
 from .control_laws import ControllerGains
 from .errors import ConfigError, InputError
 from .models import _is_number, build_model, make_task
 from .simulate import (
-    IntegratorOptions,
     OptimizerSpec,
     Reference,
     Scenario,
@@ -212,12 +211,10 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     icfg = _section(cfg, "integrator", "", optional=True)
     if icfg.get("method", "rk4") != "rk4":
         raise ConfigError("integrator.method", f"only 'rk4' is supported, got {icfg['method']!r}")
-    baumgarte = icfg.get("baumgarte", False)
-    if not isinstance(baumgarte, bool):
-        raise ConfigError("integrator.baumgarte", f"expected true or false, got {baumgarte!r}")
-    integrator = IntegratorOptions(
-        dt=_as_number(icfg.get("dt", 1e-3), "integrator.dt", positive=True), baumgarte=baumgarte
-    )
+    if "baumgarte" in icfg:
+        raise ConfigError("integrator.baumgarte", "position-level stabilisation is not supported; "
+                          "the post-step velocity projection holds the contacts")
+    dt = _as_number(icfg.get("dt", 1e-3), "integrator.dt", positive=True)
 
     schedule: List[Tuple[float, Tuple[int, ...]]] = []
     entries = _section(cfg, "contacts", "", optional=True).get("schedule", [])
@@ -244,7 +241,7 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
             gains=gains,
             optimizer=optimizer,
             duration=duration,
-            integrator=integrator,
+            dt=dt,
             schedule=tuple(schedule),
             name=name,
         )
@@ -291,6 +288,7 @@ class RunReport(RunSummary):
     scenario: str
     mean_centering_steps: float
     max_drift: float
+    max_slip: float  # m, see contact_slip
     rows: List[ControllerRow] = field(default_factory=list)
     power_dominance_ok: Optional[bool] = None
     exit_status: str = "ok"
@@ -301,11 +299,28 @@ class RunReport(RunSummary):
 
 def count_violations(trace: SimTrace, u_min, u_max, tol: float = 1e-9) -> int:
     """Steps violating unilaterality or the friction cone at an active contact, or the torque box."""
-    k = trace.margins.shape[1]
-    active = np.array([[c in contacts for c in range(k)] for contacts in trace.active], dtype=bool)
+    active = trace.active_mask()
     cone_bad = active & ((trace.lam[:, 2::3] <= tol) | (trace.margins <= tol))
     box_bad = (trace.u < u_min - tol) | (trace.u > u_max + tol)
     return int(np.count_nonzero(cone_bad.any(axis=1) | box_bad.any(axis=1)))
+
+
+def contact_slip(trace: SimTrace, contacts: Sequence[ContactSpec]) -> float:
+    """Largest distance (m) of an active contact's point from its position on the first row
+    of its contact run (a maximal stretch of rows where the contact is active); contacts with
+    no point are skipped."""
+    active = trace.active_mask()
+    worst = 0.0
+    for c, contact in enumerate(contacts):
+        rows = np.flatnonzero(active[:, c])
+        if contact.point is None or not rows.size:
+            continue
+        points = np.array([contact.point(q) for q in trace.q[rows]])
+        # each row's anchor is the latest run start at or before it
+        starts = np.diff(rows, prepend=-2) > 1
+        anchor = np.maximum.accumulate(np.where(starts, np.arange(rows.size), 0))
+        worst = max(worst, float(np.linalg.norm(points - points[anchor], axis=1).max()))
+    return worst
 
 
 def build_report(trace: SimTrace, scenario: Scenario) -> RunReport:
@@ -318,6 +333,7 @@ def build_report(trace: SimTrace, scenario: Scenario) -> RunReport:
         mean_newton_iters=float(trace.newton_iters[qsteps].mean()) if qsteps.any() else 0.0,
         mean_centering_steps=float(trace.centering[qsteps].mean()) if qsteps.any() else 0.0,
         max_drift=float(trace.drift.max()),
+        max_slip=contact_slip(trace, scenario.model.contacts),
     )
 
 
@@ -362,7 +378,8 @@ def run_scenario(config_path, out_dir: Optional[str] = None, quiet: bool = False
     atomic_write(report_path, report.to_json())
     if not quiet:
         print(f"scenario {report.scenario}: final |e| = {report.final_tracking_error:.3e}, "
-              f"energy = {report.dissipated_energy:.6f} J, violations = {report.violation_count}")
+              f"energy = {report.dissipated_energy:.6f} J, violations = {report.violation_count}, "
+              f"max slip = {report.max_slip:.1e} m")
         print(f"wrote {trace_path} and {report_path}")
     return trace, report, (trace_path, report_path)
 
@@ -399,9 +416,10 @@ def compare_controllers(config_path, out_dir: Optional[str] = None, quiet: bool 
         if mn.violation_count == 0 and qc.violation_count == 0:
             dominance = qc.dissipated_energy <= mn.dissipated_energy * (1 + 1e-9)
 
-    # summary fields come from the first optimizer's run; drift is the worst of all runs
+    # summary fields come from the first optimizer's run; drift and slip are the worst of all runs
     report = replace(summaries[0], scenario=prefix, max_drift=max(summary.max_drift for summary in summaries),
-                     rows=rows, power_dominance_ok=dominance)
+                     max_slip=max(summary.max_slip for summary in summaries), rows=rows,
+                     power_dominance_ok=dominance)
     report_path = directory / f"{prefix}_compare.json"
     atomic_write(report_path, report.to_json())
     if not quiet:

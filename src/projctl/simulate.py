@@ -4,13 +4,12 @@ Each control tick builds one ConstraintFrame and hands it alone to the task
 map, the control law, the torque allocator and the contact forces; the frame
 carries the model and state they read.  The integrator then advances the
 projected dynamics with classical RK4 under a zero-order-hold actuation; each
-stage builds a frame and reads only its acceleration, plus, with Baumgarte
-stabilization on, the stage's A and A^+ for the position-level correction
-against the contact anchors (constrained_dynamics says what each of the two
-computes).  After each step the velocity is projected back onto the active
-null space.  Contact switches are schedule-driven: activating a contact
-projects the velocity impulsively onto the new admissible space; all matrices
-stay n x n throughout, so the controller code path never changes.
+stage builds a frame and reads only its acceleration.  After each step the
+velocity is projected back onto the active null space; that projection is what
+holds the contacts, with no position-level correction.  Contact switches are
+schedule-driven: activating a contact projects the velocity impulsively onto
+the new admissible space; all matrices stay n x n throughout, so the
+controller code path never changes.
 
 SimTrace.columns() is the one statement of the trace CSV layout: to_csv
 writes its header and rows from it.
@@ -53,20 +52,8 @@ from .torque_qcqp import (
 )
 
 
-# Baumgarte velocity and position gains (k_v, k_p)
-BAUMGARTE_GAINS = (20.0, 100.0)
 # largest ||A(q) q_dot|| a step may leave after its velocity projection
 DRIFT_HARD_LIMIT = 1e-6
-
-
-@dataclass(frozen=True)
-class IntegratorOptions:
-    dt: float = 1e-3
-    baumgarte: bool = False
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise InputError(f"dt must be positive, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -129,17 +116,19 @@ class Scenario:
     gains: ControllerGains
     optimizer: OptimizerSpec
     duration: float
-    integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
+    dt: float = 1e-3  # integrator step
     schedule: Tuple[Tuple[float, Tuple[int, ...]], ...] = ()
     name: str = "scenario"
 
     def __post_init__(self):
         if self.controller not in ("tracking", "regulation"):
             raise InputError(f"unknown controller '{self.controller}'")
+        if not 0 < self.dt < np.inf:
+            raise InputError(f"dt must be positive and finite, got {self.dt}")
         if self.duration <= 0:
             raise InputError("duration must be positive")
-        if abs(self.n_steps * self.integrator.dt - self.duration) > 1e-9:
-            raise InputError(f"duration must be an integer multiple of integrator.dt = {self.integrator.dt}")
+        if abs(self.n_steps * self.dt - self.duration) > 1e-9:
+            raise InputError(f"duration must be an integer multiple of integrator.dt = {self.dt}")
         if any(i < 0 or i >= self.model.k for i in self.initial.active_contacts):
             raise InputError(
                 f"initial active set {self.initial.active_contacts} references unknown contacts "
@@ -152,7 +141,7 @@ class Scenario:
     @property
     def n_steps(self) -> int:
         """Integrator steps in the run; the trace holds one more row, for t = 0."""
-        return int(round(self.duration / self.integrator.dt))
+        return int(round(self.duration / self.dt))
 
 
 @dataclass
@@ -183,6 +172,11 @@ class SimTrace:
     @property
     def steps(self) -> int:
         return self.t.size
+
+    def active_mask(self) -> np.ndarray:
+        """(steps, k) booleans: row i has contact c active."""
+        k = self.margins.shape[1]
+        return np.array([[c in contacts for c in range(k)] for contacts in self.active], dtype=bool)
 
     def columns(self) -> List[Tuple[str, Sequence]]:
         """(CSV header, per-step values) of every trace column, in file order."""
@@ -226,33 +220,18 @@ def switch_contacts(state: RobotState, new_active: Sequence[int], model: RobotMo
     return RobotState(t=state.t, q=state.q, q_dot=q_dot, active_contacts=new)
 
 
-def _baumgarte_correction(frame: ConstraintFrame, anchors: Dict[int, np.ndarray]) -> np.ndarray:
-    """A^+ (-k_v A qd + k_p g) at a stage frame, g the contact points' offsets from their anchors."""
-    q, active, contacts = frame.state.q, frame.state.active_contacts, frame.model.contacts
-    if not active:
-        return np.zeros_like(q)
-    k_v, k_p = BAUMGARTE_GAINS
-    g = np.concatenate(
-        [np.asarray(contacts[i].point(q), dtype=float) - anchors[i] if contacts[i].point and i in anchors
-         else np.zeros(3) for i in active]
-    )
-    return frame.bundle.A_pinv @ (-k_v * (frame.bundle.A @ frame.state.q_dot) + k_p * g)
-
-
 def step(
     model: RobotModel,
     state: RobotState,
     u: np.ndarray,
-    opts: IntegratorOptions,
+    dt: float,
     nu: Optional[float] = None,
-    anchors: Optional[Dict[int, np.ndarray]] = None,
 ) -> RobotState:
-    """Advance one RK4 step of opts.dt under constant u, then re-project the velocity.
+    """Advance one RK4 step of dt under constant u, then re-project the velocity.
 
     The post-state satisfies ||A(q) q_dot|| <= DRIFT_HARD_LIMIT or a
     SimulationError is raised.
     """
-    dt = opts.dt
     u = np.asarray(u, dtype=float)
     if np.any(u < model.u_min - 1e-9) or np.any(u > model.u_max + 1e-9):
         warnings.warn("actuation outside its box limits", stacklevel=2)
@@ -261,11 +240,7 @@ def step(
     def accel(q, q_dot):
         stage = object.__new__(RobotState)  # step formed q and q_dot: skip RobotState's checks
         vars(stage).update(vars(state), q=q, q_dot=q_dot)
-        frame = build_frame(model, stage, nu=nu)
-        qdd = constrained_accel(frame, u)
-        if opts.baumgarte and anchors:
-            qdd = qdd + _baumgarte_correction(frame, anchors)
-        return qdd
+        return constrained_accel(build_frame(model, stage, nu=nu), u)
 
     q, qd = state.q, state.q_dot
     k1v = accel(q, qd)
@@ -320,8 +295,7 @@ def simulate(scenario: Scenario) -> SimTrace:
     identical traces.
     """
     model = scenario.model
-    opts = scenario.integrator
-    dt = opts.dt
+    dt = scenario.dt
     n_steps = scenario.n_steps
 
     state = scenario.initial
@@ -331,17 +305,6 @@ def simulate(scenario: Scenario) -> SimTrace:
         state = replace(state, q_dot=P0 @ state.q_dot)
 
     nu = float(np.trace(model.mass_matrix(state.q))) / model.n
-
-    anchors: Dict[int, np.ndarray] = {}
-
-    def refresh_anchors(st: RobotState):
-        for i in st.active_contacts:
-            fn = model.contacts[i].point
-            if fn is not None and i not in anchors:
-                anchors[i] = np.asarray(fn(st.q), dtype=float)
-
-    if opts.baumgarte:
-        refresh_anchors(state)
 
     cols: Dict[str, list] = {f.name: [] for f in fields(SimTrace) if f.name != "name"}
 
@@ -353,10 +316,6 @@ def simulate(scenario: Scenario) -> SimTrace:
         while pending and pending[0][0] <= t + 0.5 * dt:
             _, new_set = pending.pop(0)
             state = switch_contacts(state, new_set, model)
-            for gone in set(anchors) - set(state.active_contacts):
-                del anchors[gone]
-            if opts.baumgarte:
-                refresh_anchors(state)
         state = replace(state, t=t)
 
         frame = build_frame(model, state, nu=nu)
@@ -401,7 +360,7 @@ def simulate(scenario: Scenario) -> SimTrace:
         cols["active"].append(state.active_contacts)
 
         if i < n_steps:
-            state = step(model, state, u, opts, nu=nu, anchors=anchors)
+            state = step(model, state, u, dt, nu=nu)
 
     # status and active stay lists; every other column becomes an array
     lists = ("status", "active")

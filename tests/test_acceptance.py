@@ -21,7 +21,7 @@ from projctl.checks import (
 from projctl.constrained_dynamics import RobotState, build_frame, contact_forces
 from projctl.control_laws import ControllerGains, tracking_torque
 from projctl.models import make_task
-from projctl.runner import compare_controllers, load_config, load_scenario, run_scenario
+from projctl.runner import compare_controllers, contact_slip, load_config, load_scenario, run_scenario
 from projctl.simulate import simulate
 from projctl.task_space import build_task
 from projctl.torque_qcqp import (
@@ -40,6 +40,13 @@ from oracles import grid_polish_optimum, saddle_point_state
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
+SLIP_BOUND = 1e-9  # m, largest slip of an active contact point from where its run began
+
+
+def run_slips(config, traces):
+    """The slip of each run in a comparison of the given config."""
+    contacts = load_scenario(load_config(CONFIGS / config)).model.contacts
+    return [contact_slip(trace, contacts) for trace in traces.values()]
 
 
 def announce(num, detail):
@@ -171,11 +178,13 @@ def test_criterion_07_tracking(arm_tracking_run):
     violations = int(np.sum(trace.e_norm > envelope))
     assert violations <= 0.05 * trace.steps
     assert trace.drift.max() <= 1e-8
+    assert report.max_slip <= SLIP_BOUND
     assert elapsed <= 30.0
     announce(
         7,
         f"|e(5s)|/|e(0)| = {trace.e_norm[-1] / e0:.2e}, envelope violations "
-        f"{violations}/{trace.steps}, drift {trace.drift.max():.1e}, runtime {elapsed:.1f} s",
+        f"{violations}/{trace.steps}, drift {trace.drift.max():.1e}, slip {report.max_slip:.1e} m, "
+        f"runtime {elapsed:.1f} s",
     )
 
 
@@ -184,7 +193,9 @@ def test_criterion_08_regulation(outdir):
     dV = np.diff(trace.lyapunov)
     assert dV.max() <= 1e-9
     assert trace.e_norm[-1] <= 1e-4
-    announce(8, f"max per-step dV = {dV.max():.2e} (bound 1e-9), final |e| = {trace.e_norm[-1]:.2e}")
+    assert report.max_slip <= SLIP_BOUND
+    announce(8, f"max per-step dV = {dV.max():.2e} (bound 1e-9), final |e| = {trace.e_norm[-1]:.2e}, "
+             f"slip {report.max_slip:.1e} m")
 
 
 def bundled_programs(arm, biped, rng):
@@ -289,6 +300,7 @@ def test_criterion_10_cone_enforcement(outdir):
     rows = {row.optimizer: row for row in report.rows}
     assert rows["min_norm"].violation_count >= 1
     assert rows["qcqp"].violation_count == 0
+    assert max(run_slips("compare_cone.json", traces)) <= SLIP_BOUND and report.max_slip <= SLIP_BOUND
     qc = traces["qcqp"]
     for i in range(qc.steps):
         for c in qc.active[i]:
@@ -298,7 +310,7 @@ def test_criterion_10_cone_enforcement(outdir):
     announce(
         10,
         f"min_norm violations = {rows['min_norm'].violation_count}, "
-        f"qcqp violations = 0 across {qc.steps} steps",
+        f"qcqp violations = 0 across {qc.steps} steps, slip {report.max_slip:.1e} m",
     )
 
 
@@ -309,13 +321,14 @@ def test_criterion_11_power_dominance(outdir):
     rows = {row.optimizer: row for row in report.rows}
     mn, qc = rows["min_norm"], rows["qcqp"]
     assert mn.violation_count == 0 and qc.violation_count == 0
+    assert max(run_slips("compare_hetero.json", traces)) <= SLIP_BOUND and report.max_slip <= SLIP_BOUND
     assert qc.dissipated_energy <= mn.dissipated_energy
     reduction = 1.0 - qc.dissipated_energy / mn.dissipated_energy
     assert reduction >= 0.05
     announce(
         11,
         f"energy min_norm = {mn.dissipated_energy:.4f} J, qcqp = {qc.dissipated_energy:.4f} J "
-        f"({100 * reduction:.1f}% reduction, required >= 5%)",
+        f"({100 * reduction:.1f}% reduction, required >= 5%), slip {report.max_slip:.1e} m",
     )
 
 
@@ -401,8 +414,10 @@ def test_criterion_13_contact_switching(biped_switch_run):
         assert window[-1] <= 0.25 * max(peak, 1e-6)
     assert trace.e_norm[-1] <= 5e-3
     assert report.violation_count == 0
+    assert report.max_slip <= SLIP_BOUND
     announce(
         13,
         f"switches at steps {switch_steps}, post-switch drift <= "
-        f"{max(trace.drift[i] for i in switch_steps):.1e}, final |e| = {trace.e_norm[-1]:.2e}",
+        f"{max(trace.drift[i] for i in switch_steps):.1e}, final |e| = {trace.e_norm[-1]:.2e}, "
+        f"slip {report.max_slip:.1e} m",
     )

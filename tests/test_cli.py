@@ -6,7 +6,14 @@ import pytest
 
 from projctl.cli import main
 from projctl.errors import ConfigError
-from projctl.runner import compare_controllers, load_config, load_scenario, output_paths, run_scenario
+from projctl.runner import (
+    compare_controllers,
+    contact_slip,
+    load_config,
+    load_scenario,
+    output_paths,
+    run_scenario,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -53,7 +60,7 @@ class TestConfigValidation:
 
     def test_integrator_method_must_be_rk4(self, tmp_path):
         path, cfg = short_config(tmp_path)
-        assert load_scenario(cfg).integrator.dt == cfg["integrator"]["dt"]  # bundled "rk4" loads
+        assert load_scenario(cfg).dt == cfg["integrator"]["dt"]  # bundled "rk4" loads
         cfg["integrator"]["method"] = "euler"
         with pytest.raises(ConfigError) as err:
             load_scenario(cfg)
@@ -70,6 +77,8 @@ class TestConfigValidation:
             ("initial_state.active_contacts", [True]),
             ("integrator.baumgarte", "false"),
             ("integrator.baumgarte", 1),
+            ("integrator.baumgarte", True),
+            ("integrator.baumgarte", False),
             ("task.reference.amplitude", [0.1, 0.2]),
             ("task.reference.frequency", [0.5, 0.5]),
             ("task.reference.phase", [0.0, 0.0]),
@@ -274,6 +283,13 @@ class TestRun:
         second = (out / "arm_tracking_trace.csv").read_bytes()
         assert first == second
 
+    def test_summary_line_reports_slip(self, tmp_path, capsys):
+        path, _ = short_config(tmp_path, duration=0.01)
+        assert main(["run", str(path)]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        for figure in ("final |e| = ", "energy = ", "violations = ", "max slip = "):
+            assert figure in summary
+
     def test_out_flag_overrides_dir(self, tmp_path):
         path, _ = short_config(tmp_path)
         assert main(["run", str(path), "--out", str(tmp_path / "elsewhere"), "--quiet"]) == 0
@@ -324,6 +340,8 @@ class TestCompare:
         assert report.mean_centering_steps == float(qcqp.centering[solved].mean())
         assert report.mean_centering_steps > 0
         assert report.max_drift == max(float(t.drift.max()) for t in traces.values())
+        contacts = load_scenario(load_config(path)).model.contacts
+        assert report.max_slip == max(contact_slip(t, contacts) for t in traces.values())
 
     def test_compare_requires_types(self, tmp_path):
         path, cfg = short_config(tmp_path)

@@ -17,6 +17,8 @@ from projctl.errors import InputError, SimulationError
 from projctl.models import (
     ArmParams,
     BipedParams,
+    base_pitch_task,
+    base_pose_task,
     build_model,
     floating_biped,
     joint_task,
@@ -25,7 +27,6 @@ from projctl.models import (
     standing_pose,
 )
 from projctl.simulate import (
-    IntegratorOptions,
     OptimizerSpec,
     Scenario,
     constant_reference,
@@ -92,6 +93,12 @@ class TestPlanarArmModel:
         with pytest.raises(InputError):
             joint_task(indices, 3)
 
+    @pytest.mark.parametrize("factory", [base_pitch_task, base_pose_task])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_base_tasks_need_three_coordinates(self, factory, n):
+        with pytest.raises(InputError, match=f"n = {n}"):
+            factory(n)
+
 
 class TestBipedModel:
     def test_actuation_excludes_base(self, biped):
@@ -134,7 +141,7 @@ class TestStep:
     def test_zero_dynamics_fixed_point(self):
         arm0 = planar_arm_contact(ArmParams(gravity=0.0))
         state = manifold_state(arm0, ARM_HOME, scale=0.0)
-        out = step(arm0, state, np.zeros(3), IntegratorOptions(dt=1e-3))
+        out = step(arm0, state, np.zeros(3), 1e-3)
         assert np.abs(out.q - state.q).max() <= 1e-15
         assert np.abs(out.q_dot).max() <= 1e-15
 
@@ -142,9 +149,8 @@ class TestStep:
         arm0 = planar_arm_contact(ArmParams(gravity=0.0))
         state = manifold_state(arm0, ARM_HOME, rng=rng, scale=0.6)
         E0 = 0.5 * state.q_dot @ arm0.mass_matrix(state.q) @ state.q_dot
-        opts = IntegratorOptions(dt=1e-3)
         for _ in range(1000):
-            state = step(arm0, state, np.zeros(3), opts)
+            state = step(arm0, state, np.zeros(3), 1e-3)
         E1 = 0.5 * state.q_dot @ arm0.mass_matrix(state.q) @ state.q_dot
         assert abs(E1 - E0) <= 1e-6 * max(1.0, E0)
 
@@ -154,10 +160,9 @@ class TestStep:
         qd0 = state.q_dot.copy()
         u = np.array([0.2, -0.1, 0.05])
         dt = 5e-4  # the swing reaches ~10 rad/s; both integrators need this step
-        opts = IntegratorOptions(dt=dt)
         s = state
         for _ in range(2000):
-            s = step(arm, s, u, opts)
+            s = step(arm, s, u, dt)
         oracle = integrate_saddle(arm, q0, qd0, (0,), lambda t, q, qd: u, dt, 2000)
         q_oracle, qd_oracle = oracle[-1]
         assert np.abs(s.q - q_oracle).max() <= 1e-5
@@ -165,9 +170,8 @@ class TestStep:
 
     def test_drift_stays_small(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME, spread=0.1)
-        opts = IntegratorOptions(dt=1e-3)
         for _ in range(200):
-            state = step(arm, state, np.zeros(3), opts)
+            state = step(arm, state, np.zeros(3), 1e-3)
             A = arm.contact_stack(state.q, state.active_contacts)
             assert np.linalg.norm(A @ state.q_dot) <= 1e-8
 
@@ -186,7 +190,7 @@ class TestStep:
         for model, home in ((arm, ARM_HOME), (biped, BIPED_HOME)):
             state = manifold_state(model, home, scale=0.3)
             frames.clear()
-            step(model, state, np.zeros(model.p), IntegratorOptions(dt=1e-3))
+            step(model, state, np.zeros(model.p), 1e-3)
             assert len(frames) == 4
             for frame in frames:
                 assert "M_bar_inv" in vars(frame)
@@ -196,7 +200,7 @@ class TestStep:
     def test_out_of_box_warns(self, arm):
         state = manifold_state(arm, ARM_HOME, scale=0.0)
         with pytest.warns(UserWarning):
-            step(arm, state, 100.0 * np.ones(3), IntegratorOptions(dt=1e-3))
+            step(arm, state, 100.0 * np.ones(3), 1e-3)
 
 
 class TestLeanControlTick:
@@ -428,9 +432,9 @@ class TestFrameIsThePerStateInput:
         assert "frame" in params
         assert not {"model", "state", "B", "q_dot"} & set(params)
 
-    def test_baumgarte_step_projects_once(self, arm, monkeypatch):
-        # the stage corrections read each stage frame's A and A^+; only the
-        # post-step velocity projection calls null_projector
+    def test_step_projects_once(self, arm, monkeypatch):
+        # the stages read only their frames' accelerations; only the post-step
+        # velocity projection calls null_projector
         sim = importlib.import_module("projctl.simulate")
         calls = []
 
@@ -440,11 +444,9 @@ class TestFrameIsThePerStateInput:
 
         monkeypatch.setattr(sim, "null_projector", counting_null_projector)
         state = manifold_state(arm, ARM_HOME, scale=0.3)
-        anchors = {0: arm.contacts[0].point(state.q) + 1e-4}
-        opts = IntegratorOptions(dt=1e-3, baumgarte=True)
         for _ in range(3):
             calls.clear()
-            state = step(arm, state, np.zeros(3), opts, anchors=anchors)
+            state = step(arm, state, np.zeros(3), 1e-3)
             assert len(calls) == 1
 
 
@@ -474,7 +476,7 @@ class TestSwitchContacts:
 
 
 class TestSimulate:
-    def arm_scenario(self, arm, optimizer="min_norm", duration=0.2, baumgarte=False):
+    def arm_scenario(self, arm, optimizer="min_norm", duration=0.2):
         state0 = manifold_state(arm, ARM_HOME, scale=0.0)
         x0 = float(ARM_HOME.sum())
         ref = sinusoid_reference(center=[x0 + 0.1], amplitude=[0.05], frequency_hz=[0.5])
@@ -487,7 +489,7 @@ class TestSimulate:
             gains=ControllerGains.critically_damped(1, 5.0),
             optimizer=OptimizerSpec(kind=optimizer),
             duration=duration,
-            integrator=IntegratorOptions(dt=1e-3, baumgarte=baumgarte),
+            dt=1e-3,
             name="arm_test",
         )
 
@@ -507,10 +509,6 @@ class TestSimulate:
         trace = simulate(self.arm_scenario(arm, duration=0.5))
         assert trace.drift.max() <= 1e-8
 
-    def test_baumgarte_keeps_anchor(self, arm):
-        trace = simulate(self.arm_scenario(arm, duration=0.5, baumgarte=True))
-        assert trace.drift.max() <= 1e-8
-
     def test_switch_schedule_structural(self, biped):
         state0 = manifold_state(biped, BIPED_HOME, scale=0.0)
         scn = Scenario(
@@ -522,7 +520,7 @@ class TestSimulate:
             gains=ControllerGains.critically_damped(1, 4.0),
             optimizer=OptimizerSpec(kind="qcqp_relaxed", rho=200.0),
             duration=0.6,
-            integrator=IntegratorOptions(dt=1e-3),
+            dt=1e-3,
             schedule=((0.2, (0,)), (0.4, (0, 1))),
             name="switch_test",
         )
@@ -560,6 +558,12 @@ class TestSimulate:
         with pytest.raises(InputError, match="duration must be an integer multiple"):
             Scenario(**{**scn.__dict__, "duration": 0.2005})
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    def test_dt_must_be_positive_and_finite(self, arm, dt):
+        scn = self.arm_scenario(arm)
+        with pytest.raises(InputError, match="dt must be positive and finite"):
+            Scenario(**{**scn.__dict__, "dt": dt})
+
     def test_unknown_initial_contact_rejected(self, arm):
         scn = self.arm_scenario(arm)
         initial = RobotState(t=0.0, q=scn.initial.q, q_dot=scn.initial.q_dot, active_contacts=(1,))
@@ -578,7 +582,7 @@ class TestSimulate:
             gains=ControllerGains(K_P=16.0 * np.eye(1), K_D=10.0 * np.eye(3)),
             optimizer=OptimizerSpec(kind="min_norm"),
             duration=1.0,
-            integrator=IntegratorOptions(dt=1e-3),
+            dt=1e-3,
             name="regulation_test",
         )
         trace = simulate(scn)

@@ -1,4 +1,4 @@
-"""The run's outputs: trace CSV layout, violation count and compare rows."""
+"""The run's outputs: trace CSV layout, violation count, contact slip and compare rows."""
 
 import json
 from dataclasses import asdict
@@ -9,9 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from projctl.runner import build_report, compare_controllers, count_violations, load_config, load_scenario
+from projctl.constrained_dynamics import ContactSpec
+from projctl.runner import (
+    build_report,
+    compare_controllers,
+    contact_slip,
+    count_violations,
+    load_config,
+    load_scenario,
+)
 from projctl.simulate import SimTrace, simulate
 
+from conftest import short_scenario
 from oracles import count_violations_reference, trace_csv_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -107,6 +116,32 @@ class TestViolationCount:
         expected = sum(violated)
         assert count_violations(trace, np.full(2, U_MIN), np.full(2, U_MAX), TOL) == expected == 5
         assert count_violations_reference(trace, np.full(2, U_MIN), np.full(2, U_MAX), TOL) == expected
+
+
+class TestContactSlip:
+    def test_offset_within_a_run_and_a_fresh_anchor_after_lift_off(self):
+        # contact 0's point is q itself; contact 1 has no point and is skipped
+        pin = ContactSpec(jacobian=lambda q: -np.eye(3), friction=1.0, point=lambda q: np.asarray(q, dtype=float))
+        pointless = ContactSpec(jacobian=lambda q: -np.eye(3), friction=1.0)
+        p0 = np.array([0.2, 0.0, -0.1])
+        d = np.array([3e-4, 0.0, -4e-4])  # |d| = 5e-4
+        lifted, elsewhere = p0 + [0.0, 0.0, 0.5], p0 + [1.0, 0.0, 0.0]
+        rows = [
+            # (active, q)
+            ((0, 1), p0), ((0, 1), p0), ((0, 1), p0),
+            ((0,), p0 + d), ((0,), p0 + d),  # slips by d mid-run
+            ((1,), lifted), ((1,), lifted),  # lift-off
+            ((0, 1), elsewhere), ((0, 1), elsewhere), ((0,), elsewhere),  # re-touches 1 m away
+        ]
+        active, q = zip(*rows)
+        trace = synthetic_trace(len(rows), 3, 1, 2, 2, np.zeros(6 * len(rows)), active, ["optimal"] * len(rows),
+                                [0] * len(rows))
+        trace.q = np.array(q)
+        assert abs(contact_slip(trace, (pin, pointless)) - np.linalg.norm(d)) <= 1e-15
+
+    def test_bundled_single_support_run_holds_its_foot(self):
+        scenario = short_scenario("biped_single_relaxed.json", 0.3)
+        assert build_report(simulate(scenario), scenario).max_slip <= 1e-9
 
 
 class TestCompareRows:

@@ -5,9 +5,10 @@
 Runs, from inside WORKDIR (created if missing), with every output under WORKDIR/out:
 
 - `run_scenario` on each config in configs/;
-- `compare_controllers` on each config whose optimizer section lists `types`;
-- `run_scenario` on arm_tracking and biped_switch with `integrator.baumgarte: true`
-  (outputs under out/baumgarte, configs under WORKDIR/configs).
+- `compare_controllers` on each config whose optimizer section lists `types`.
+
+With the six bundled configs that is 18 output files: a trace CSV and a report
+JSON per run, plus a trace CSV per optimizer and a compare JSON per comparison.
 
 Output paths are relative to WORKDIR, so the `trace_file` entries of the
 comparison reports do not depend on where WORKDIR is.  One `sha256  path`
@@ -30,8 +31,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from projctl.runner import compare_controllers, run_scenario  # noqa: E402
 
-BAUMGARTE_CONFIGS = ("arm_tracking", "biped_switch")
-
 
 def run_all(out: Path) -> None:
     """Write every bundled run's outputs under out."""
@@ -39,13 +38,6 @@ def run_all(out: Path) -> None:
         run_scenario(path, out_dir=str(out), quiet=True)
         if "types" in json.loads(path.read_text())["optimizer"]:
             compare_controllers(path, out_dir=str(out), quiet=True)
-    for name in BAUMGARTE_CONFIGS:
-        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
-        cfg["integrator"]["baumgarte"] = True
-        variant = Path("configs") / f"{name}_baumgarte.json"
-        variant.parent.mkdir(exist_ok=True)
-        variant.write_text(json.dumps(cfg, indent=2) + "\n")
-        run_scenario(variant, out_dir=str(out / "baumgarte"), quiet=True)
 
 
 def main(argv=None) -> int:
