@@ -1,14 +1,15 @@
-"""Desk-scale planar robot models with exact symbolic dynamics.
+"""Desk-scale planar robot models with exact dynamics from generated code.
 
 Both models live in the x-z plane with gravity along -z.  A planar model is
-declared by its bodies (mass, inertia, center-of-mass point and angle), its
-feet (contact points) and its actuation matrix B; everything else goes through
-one builder.  _planar_functions derives the inertia, Coriolis and gravity
-terms and each foot's contact block symbolically, once per model structure
-(cached), and lambdifies them, so d/dt(M) - 2C is skew-symmetric to machine
-precision and contact Jacobian rates are analytic.  _planar_model binds them
-to a parameter tuple and assembles the RobotModel.  Every bundled task is
-linear, x = J q with constant J, built by _constant_task.
+declared by its actuation matrix B, its feet (contact points) and a parameter
+tuple; everything else goes through one builder.  Its inertia, Coriolis and
+gravity terms and each foot's contact block, rate and point are plain
+functions in _planar_dynamics, which tools/generate_dynamics.py writes from the
+symbolic pipeline in tests/oracles.py (Lagrangian, Christoffel symbols,
+lambdify), so d/dt(M) - 2C is skew-symmetric to machine precision and contact
+Jacobian rates are analytic, with nothing derived at run time.  _planar_model
+binds them to the parameter tuple and assembles the RobotModel.  Every bundled
+task is linear, x = J q with constant J, built by _constant_task.
 
 Contact blocks follow the package convention: each 3xn block maps generalized
 velocity to the negative contact-point velocity (rows x, y, z; the y row is
@@ -22,67 +23,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import sympy as sp
 
+from . import _planar_dynamics
 from .constrained_dynamics import ContactSpec, RobotModel
 from .errors import InputError
 from .task_space import TaskDef
-
-
-# ---------------------------------------------------------------------------
-# symbolic helpers
-
-
-def _christoffel(M: sp.Matrix, q, qd) -> sp.Matrix:
-    n = len(q)
-    dM = [[[sp.diff(M[i, j], q[k]) for k in range(n)] for j in range(n)] for i in range(n)]
-    C = sp.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            C[i, j] = (
-                sum((dM[i][j][k] + dM[i][k][j] - dM[j][k][i]) * qd[k] for k in range(n))
-                / 2
-            )
-    return C
-
-
-def _lam(args, expr):
-    return sp.lambdify(args, expr, modules="numpy", cse=True)
-
-
-def _planar_lagrangian(q, qd, bodies, g):
-    """M, C, tau_g for a set of planar bodies.
-
-    bodies: list of (mass, inertia, com_xz (2-vector expr), angle expr).
-    """
-    n = len(q)
-    M = sp.zeros(n, n)
-    V = sp.S.Zero
-    for mass, inertia, com, ang in bodies:
-        Jv = com.jacobian(q)
-        Jw = sp.Matrix([[sp.diff(ang, qi) for qi in q]])
-        M += mass * (Jv.T * Jv) + inertia * (Jw.T * Jw)
-        V += mass * g * com[1]
-    C = _christoffel(M, q, qd)
-    tau_g = sp.Matrix([-sp.diff(V, qi) for qi in q])
-    return M, C, tau_g
-
-
-def _contact_functions(point_xz: sp.Matrix, q, qd, args):
-    """Lambdified 3xn contact block, its rate, and the 3-d contact point."""
-    J = point_xz.jacobian(q)
-    n = len(q)
-    A = sp.zeros(3, n)
-    A[0, :] = -J[0, :]
-    A[2, :] = -J[1, :]
-    A_dot = sp.zeros(3, n)
-    for k in range(n):
-        A_dot += sp.diff(A, q[k]) * qd[k]
-    return _lam(args, A), _lam(args, A_dot), _lam(args, point_xz)
 
 
 def _bind(f, prm, n: int, rate: bool = False):
@@ -96,7 +44,7 @@ def _bind(f, prm, n: int, rate: bool = False):
 
 
 def _in_plane(point_xz: np.ndarray) -> np.ndarray:
-    """The 3-d point (x, 0, z) of a lambdified 2x1 (x, z) contact point."""
+    """The 3-d point (x, 0, z) of a generated 2x1 (x, z) contact point."""
     return np.array([point_xz[0, 0], 0.0, point_xz[1, 0]])
 
 
@@ -124,34 +72,32 @@ def _check_fields(params, positive=()) -> None:
             object.__setattr__(params, f.name, entries)
 
 
-def _planar_functions(q, qd, args, bodies, g, feet):
-    """Lambdified M, C and tau_g of a set of planar bodies, and (A, A_dot, point) for each foot point."""
-    M, C, tau_g = _planar_lagrangian(list(q), list(qd), bodies, g)
-    contacts = [_contact_functions(foot, list(q), list(qd), args) for foot in feet]
-    return {"M": _lam(args, M), "C": _lam(args, C), "tau_g": _lam(args, tau_g), "contacts": contacts}
-
-
-def _planar_model(name: str, funcs, prm, B: np.ndarray, feet: Sequence[str], params) -> RobotModel:
-    """The RobotModel of _planar_functions output bound to the parameter tuple prm, with
-    actuation B, one contact per foot name, and params' friction, torque limit and motors."""
+def _planar_model(name: str, prefix: str, prm, B: np.ndarray, feet: Sequence[str], params) -> RobotModel:
+    """The RobotModel of the generated functions _planar_dynamics.<prefix>_* bound to the
+    parameter tuple prm, with actuation B, one contact per foot name, and params' friction,
+    torque limit and motors."""
     n, p = B.shape
+
+    def generated(quantity):
+        return getattr(_planar_dynamics, f"{prefix}_{quantity}")
+
     contacts = tuple(
         ContactSpec(
-            jacobian=_bind(fA, prm, n),
-            jacobian_rate=_bind(fAdot, prm, n, rate=True),
-            point=lambda q, f=_bind(fpoint, prm, n): _in_plane(f(q)),
+            jacobian=_bind(generated(f"A{i}"), prm, n),
+            jacobian_rate=_bind(generated(f"A_dot{i}"), prm, n, rate=True),
+            point=lambda q, f=_bind(generated(f"point{i}"), prm, n): _in_plane(f(q)),
             friction=params.friction,
             name=foot,
         )
-        for foot, (fA, fAdot, fpoint) in zip(feet, funcs["contacts"])
+        for i, foot in enumerate(feet)
     )
     lim = float(params.torque_limit)
     return RobotModel(
         n=n,
         p=p,
-        mass_matrix=_bind(funcs["M"], prm, n),
-        coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
-        gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),
+        mass_matrix=_bind(generated("M"), prm, n),
+        coriolis_matrix=_bind(generated("C"), prm, n, rate=True),
+        gravity=lambda q, f=_bind(generated("tau_g"), prm, n): f(q).ravel(),
         actuation=B,
         contacts=contacts,
         u_min=-lim * np.ones(p),
@@ -164,28 +110,6 @@ def _planar_model(name: str, funcs, prm, B: np.ndarray, feet: Sequence[str], par
 
 # ---------------------------------------------------------------------------
 # three-link planar arm pressing its tip on a surface
-
-
-@lru_cache(maxsize=None)
-def _arm_symbolics():
-    q = sp.symbols("q:3")
-    qd = sp.symbols("dq:3")
-    lengths = sp.symbols("len:3", positive=True)
-    masses = sp.symbols("mass:3", positive=True)
-    inertias = sp.symbols("rotin:3", positive=True)
-    g = sp.Symbol("grav")
-    args = (*q, *qd, *lengths, *masses, *inertias, g)
-
-    bodies = []
-    joint = sp.Matrix([0, 0])
-    angle = sp.S.Zero
-    for j in range(3):
-        angle = angle + q[j]
-        direction = sp.Matrix([sp.cos(angle), sp.sin(angle)])
-        com = joint + (lengths[j] / 2) * direction
-        bodies.append((masses[j], inertias[j], com, angle))
-        joint = joint + lengths[j] * direction
-    return _planar_functions(q, qd, args, bodies, g, [joint])
 
 
 @dataclass(frozen=True)
@@ -222,34 +146,11 @@ def planar_arm_contact(params: Optional[ArmParams] = None) -> RobotModel:
     """
     params = params or ArmParams()
     prm = (*params.lengths, *params.masses, *params.resolved_inertias(), params.gravity)
-    return _planar_model("planar_arm", _arm_symbolics(), prm, np.eye(3), ("tip",), params)
+    return _planar_model("planar_arm", "arm", prm, np.eye(3), ("tip",), params)
 
 
 # ---------------------------------------------------------------------------
 # floating-base planar biped with two single-link legs
-
-
-@lru_cache(maxsize=None)
-def _biped_symbolics():
-    bx, bz, th, y0, y1 = sp.symbols("bx bz bth hip0 hip1")
-    q = (bx, bz, th, y0, y1)
-    qd = sp.symbols("dbx dbz dbth dhip0 dhip1")
-    mt, It, ct = sp.symbols("mt It ct", positive=True)
-    ml, Il, ll = sp.symbols("ml Il ll", positive=True)
-    g = sp.Symbol("grav")
-    args = (*q, *qd, mt, It, ct, ml, Il, ll, g)
-
-    torso_com = sp.Matrix([bx - ct * sp.sin(th), bz + ct * sp.cos(th)])
-    bodies = [(mt, It, torso_com, th)]
-    feet = []
-    for y in (y0, y1):
-        psi = th + y
-        direction = sp.Matrix([sp.sin(psi), -sp.cos(psi)])
-        hip = sp.Matrix([bx, bz])
-        com = hip + (ll / 2) * direction
-        bodies.append((ml, Il, com, psi))
-        feet.append(hip + ll * direction)
-    return _planar_functions(q, qd, args, bodies, g, feet)
 
 
 @dataclass(frozen=True)
@@ -298,7 +199,7 @@ def floating_biped(params: Optional[BipedParams] = None) -> RobotModel:
     B = np.zeros((5, 2))
     B[3, 0] = 1.0
     B[4, 1] = 1.0
-    return _planar_model("floating_biped", _biped_symbolics(), prm, B, ("foot0", "foot1"), params)
+    return _planar_model("floating_biped", "biped", prm, B, ("foot0", "foot1"), params)
 
 
 def standing_pose(params: Optional[BipedParams] = None, splay: float = 0.25) -> np.ndarray:

@@ -39,7 +39,7 @@ from .control_laws import (
     regulation_torque,
     tracking_torque,
 )
-from .errors import InputError, SimulationError, SolverError
+from .errors import ActuationError, InputError, SimulationError, SolverError, TaskInconsistencyError
 from .task_space import TaskDef, build_task
 from .torque_qcqp import (
     BarrierParams,
@@ -282,7 +282,7 @@ def _allocate(scenario: Scenario, frame: ConstraintFrame, tau_c, prev_u):
     report = solve_barrier(program, spec.barrier, u0=prev_u)
     if report.status not in ("optimal", "relaxed"):
         raise SolverError(
-            f"torque program {report.status} at t={frame.state.t:.4f} "
+            f"torque program {report.status} "
             f"(kkt={report.kkt_residual:.2e}, gap={report.duality_gap:.2e})"
         )
     return report.u_star, report.newton_iters, report.centering_steps, report.eta_final, report.status
@@ -292,7 +292,9 @@ def simulate(scenario: Scenario) -> SimTrace:
     """Run a scenario to completion and return its trace.
 
     Deterministic: no randomness anywhere, so identical scenarios produce
-    identical traces.
+    identical traces.  An ActuationError, SimulationError, SolverError or
+    TaskInconsistencyError raised on the way keeps its type; its message starts
+    with where it happened: "step i, t=..., active [...]: ".
     """
     model = scenario.model
     dt = scenario.dt
@@ -311,56 +313,59 @@ def simulate(scenario: Scenario) -> SimTrace:
     W = motor_weighting(model.motor_resistance, model.torque_constant)
     pending = list(scenario.schedule)
     prev_u = None
-    for i in range(n_steps + 1):
-        t = i * dt
-        while pending and pending[0][0] <= t + 0.5 * dt:
-            _, new_set = pending.pop(0)
-            state = switch_contacts(state, new_set, model)
-        state = replace(state, t=t)
+    try:
+        for i in range(n_steps + 1):
+            t = i * dt
+            while pending and pending[0][0] <= t + 0.5 * dt:
+                _, new_set = pending.pop(0)
+                state = switch_contacts(state, new_set, model)
+            state = replace(state, t=t)
 
-        frame = build_frame(model, state, nu=nu)
-        task = build_task(frame, scenario.task)
-        ref = scenario.reference
-        if scenario.controller == "tracking":
-            cmd = tracking_torque(frame, task, ref.value(t), ref.rate(t), ref.accel(t), scenario.gains)
-        else:
-            cmd = regulation_torque(frame, task, ref.value(t), scenario.gains)
-        u, n_newton, n_center, eta, status = _allocate(scenario, frame, cmd.tau_c, prev_u)
-        prev_u = u
-        cmd = cmd.with_actuation(frame, u)
+            frame = build_frame(model, state, nu=nu)
+            task = build_task(frame, scenario.task)
+            ref = scenario.reference
+            if scenario.controller == "tracking":
+                cmd = tracking_torque(frame, task, ref.value(t), ref.rate(t), ref.accel(t), scenario.gains)
+            else:
+                cmd = regulation_torque(frame, task, ref.value(t), scenario.gains)
+            u, n_newton, n_center, eta, status = _allocate(scenario, frame, cmd.tau_c, prev_u)
+            prev_u = u
+            cmd = cmd.with_actuation(frame, u)
 
-        lam_row = np.zeros(3 * model.k)
-        margin_row = np.zeros(model.k)
-        if state.active_contacts:
-            wrench = contact_forces(frame, u)
-            per = wrench.per_contact()
-            for slot, idx in enumerate(state.active_contacts):
-                lam_row[3 * idx : 3 * idx + 3] = per[slot]
-                margin_row[idx] = wrench.margins[slot]
+            lam_row = np.zeros(3 * model.k)
+            margin_row = np.zeros(model.k)
+            if state.active_contacts:
+                wrench = contact_forces(frame, u)
+                per = wrench.per_contact()
+                for slot, idx in enumerate(state.active_contacts):
+                    lam_row[3 * idx : 3 * idx + 3] = per[slot]
+                    margin_row[idx] = wrench.margins[slot]
 
-        cols["t"].append(t)
-        cols["q"].append(state.q.copy())
-        cols["q_dot"].append(state.q_dot.copy())
-        cols["x"].append(task.x.copy())
-        cols["x_d"].append(np.asarray(ref.value(t), dtype=float).copy())
-        cols["e_norm"].append(float(np.linalg.norm(cmd.e)))
-        cols["u"].append(u.copy())
-        cols["lam"].append(lam_row)
-        cols["margins"].append(margin_row)
-        cols["p_loss"].append(power_loss(u, W))
-        cols["lyapunov"].append(regulation_lyapunov(frame, cmd.e, scenario.gains.K_P))
-        cols["phi_norm"].append(float(np.linalg.norm(cmd.phi)))
-        cols["d_norm"].append(float(np.linalg.norm(cmd.d)))
-        cols["newton_iters"].append(n_newton)
-        cols["centering"].append(n_center)
-        cols["eta"].append(eta)
-        cols["status"].append(status)
-        A = frame.bundle.A
-        cols["drift"].append(float(np.linalg.norm(A @ state.q_dot)) if A.size else 0.0)
-        cols["active"].append(state.active_contacts)
+            cols["t"].append(t)
+            cols["q"].append(state.q.copy())
+            cols["q_dot"].append(state.q_dot.copy())
+            cols["x"].append(task.x.copy())
+            cols["x_d"].append(np.asarray(ref.value(t), dtype=float).copy())
+            cols["e_norm"].append(float(np.linalg.norm(cmd.e)))
+            cols["u"].append(u.copy())
+            cols["lam"].append(lam_row)
+            cols["margins"].append(margin_row)
+            cols["p_loss"].append(power_loss(u, W))
+            cols["lyapunov"].append(regulation_lyapunov(frame, cmd.e, scenario.gains.K_P))
+            cols["phi_norm"].append(float(np.linalg.norm(cmd.phi)))
+            cols["d_norm"].append(float(np.linalg.norm(cmd.d)))
+            cols["newton_iters"].append(n_newton)
+            cols["centering"].append(n_center)
+            cols["eta"].append(eta)
+            cols["status"].append(status)
+            A = frame.bundle.A
+            cols["drift"].append(float(np.linalg.norm(A @ state.q_dot)) if A.size else 0.0)
+            cols["active"].append(state.active_contacts)
 
-        if i < n_steps:
-            state = step(model, state, u, dt, nu=nu)
+            if i < n_steps:
+                state = step(model, state, u, dt, nu=nu)
+    except (ActuationError, SimulationError, SolverError, TaskInconsistencyError) as exc:
+        raise type(exc)(f"step {i}, t={t:.4f}, active {list(state.active_contacts)}: {exc}") from exc
 
     # status and active stay lists; every other column becomes an array
     lists = ("status", "active")

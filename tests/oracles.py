@@ -7,14 +7,25 @@ contact forces come from the KKT saddle-point system
     [ A   0   ] [lam] = [ -A_dot qd          ]
 
 solved by least squares (min-norm multipliers for rank-deficient stacks).
+
+The planar models' dynamics have two references here.  The symbolic pipeline
+(_arm_symbolics, _biped_symbolics) derives M, C (Christoffel symbols), tau_g
+and each foot's contact block in sympy and lambdifies them;
+tools/generate_dynamics.py prints these lambdified functions into
+src/projctl/_planar_dynamics.py, so the package's callbacks must match them
+bit for bit.  planar_dynamics_reference recomputes the same quantities from
+numeric per-body kinematics, with no sympy.
 """
 
+from functools import lru_cache
+
 import numpy as np
+import sympy as sp
 
 from projctl.constraint_geometry import RANK_TOL
 from projctl.constrained_dynamics import ContactSpec, RobotModel
 from projctl.errors import InputError
-from projctl.models import ArmParams, BipedParams, _arm_symbolics, _bind, _biped_symbolics, _in_plane
+from projctl.models import ArmParams, BipedParams, _bind, _in_plane
 from projctl.task_space import TaskDef, TaskIdentities
 from projctl.torque_qcqp import (
     LS_ALPHA,
@@ -393,6 +404,182 @@ def projector_reference(A):
     P = np.eye(n) - V1 @ V1.T
     P = 0.5 * (P + P.T)
     return A_pinv, P, rank
+
+
+# ---------------------------------------------------------------------------
+# symbolic planar dynamics: the source of src/projctl/_planar_dynamics.py
+
+
+def _christoffel(M: sp.Matrix, q, qd) -> sp.Matrix:
+    n = len(q)
+    dM = [[[sp.diff(M[i, j], q[k]) for k in range(n)] for j in range(n)] for i in range(n)]
+    C = sp.zeros(n, n)
+    for i in range(n):
+        for j in range(n):
+            C[i, j] = (
+                sum((dM[i][j][k] + dM[i][k][j] - dM[j][k][i]) * qd[k] for k in range(n))
+                / 2
+            )
+    return C
+
+
+def _lam(args, expr):
+    return sp.lambdify(args, expr, modules="numpy", cse=True)
+
+
+def _planar_lagrangian(q, qd, bodies, g):
+    """M, C, tau_g for a set of planar bodies.
+
+    bodies: list of (mass, inertia, com_xz (2-vector expr), angle expr).
+    """
+    n = len(q)
+    M = sp.zeros(n, n)
+    V = sp.S.Zero
+    for mass, inertia, com, ang in bodies:
+        Jv = com.jacobian(q)
+        Jw = sp.Matrix([[sp.diff(ang, qi) for qi in q]])
+        M += mass * (Jv.T * Jv) + inertia * (Jw.T * Jw)
+        V += mass * g * com[1]
+    C = _christoffel(M, q, qd)
+    tau_g = sp.Matrix([-sp.diff(V, qi) for qi in q])
+    return M, C, tau_g
+
+
+def _contact_functions(point_xz: sp.Matrix, q, qd, args):
+    """Lambdified 3xn contact block, its rate, and the 2x1 (x, z) contact point."""
+    J = point_xz.jacobian(q)
+    n = len(q)
+    A = sp.zeros(3, n)
+    A[0, :] = -J[0, :]
+    A[2, :] = -J[1, :]
+    A_dot = sp.zeros(3, n)
+    for k in range(n):
+        A_dot += sp.diff(A, q[k]) * qd[k]
+    return _lam(args, A), _lam(args, A_dot), _lam(args, point_xz)
+
+
+def _planar_functions(q, qd, args, bodies, g, feet):
+    """Lambdified M, C and tau_g of a set of planar bodies, and (A, A_dot, point) for each foot point."""
+    M, C, tau_g = _planar_lagrangian(list(q), list(qd), bodies, g)
+    contacts = [_contact_functions(foot, list(q), list(qd), args) for foot in feet]
+    return {"M": _lam(args, M), "C": _lam(args, C), "tau_g": _lam(args, tau_g), "contacts": contacts}
+
+
+@lru_cache(maxsize=None)
+def _arm_symbolics():
+    """The three-link arm, argument order (q, qd, lengths, masses, inertias, gravity)."""
+    q = sp.symbols("q:3")
+    qd = sp.symbols("dq:3")
+    lengths = sp.symbols("len:3", positive=True)
+    masses = sp.symbols("mass:3", positive=True)
+    inertias = sp.symbols("rotin:3", positive=True)
+    g = sp.Symbol("grav")
+    args = (*q, *qd, *lengths, *masses, *inertias, g)
+
+    bodies = []
+    joint = sp.Matrix([0, 0])
+    angle = sp.S.Zero
+    for j in range(3):
+        angle = angle + q[j]
+        direction = sp.Matrix([sp.cos(angle), sp.sin(angle)])
+        com = joint + (lengths[j] / 2) * direction
+        bodies.append((masses[j], inertias[j], com, angle))
+        joint = joint + lengths[j] * direction
+    return _planar_functions(q, qd, args, bodies, g, [joint])
+
+
+@lru_cache(maxsize=None)
+def _biped_symbolics():
+    """The floating-base biped, argument order (q, qd, torso mass, inertia and com offset,
+    leg mass, inertia and length, gravity)."""
+    bx, bz, th, y0, y1 = sp.symbols("bx bz bth hip0 hip1")
+    q = (bx, bz, th, y0, y1)
+    qd = sp.symbols("dbx dbz dbth dhip0 dhip1")
+    mt, It, ct = sp.symbols("mt It ct", positive=True)
+    ml, Il, ll = sp.symbols("ml Il ll", positive=True)
+    g = sp.Symbol("grav")
+    args = (*q, *qd, mt, It, ct, ml, Il, ll, g)
+
+    torso_com = sp.Matrix([bx - ct * sp.sin(th), bz + ct * sp.cos(th)])
+    bodies = [(mt, It, torso_com, th)]
+    feet = []
+    for y in (y0, y1):
+        psi = th + y
+        direction = sp.Matrix([sp.sin(psi), -sp.cos(psi)])
+        hip = sp.Matrix([bx, bz])
+        com = hip + (ll / 2) * direction
+        bodies.append((ml, Il, com, psi))
+        feet.append(hip + ll * direction)
+    return _planar_functions(q, qd, args, bodies, g, feet)
+
+
+# ---------------------------------------------------------------------------
+# numeric per-body kinematics: the planar dynamics without sympy
+#
+# Every point of these models is  x(q) = L q + sum_j c_j u(w_j . q + phase_j)  with
+# u(a) = (cos a, sin a) and constant L, c_j, w_j, phase_j, and every body angle is
+# w . q.  So the Jacobian is L + sum_j c_j u'(a_j) w_j^T, its rate is
+# -sum_j c_j (w_j . qd) u(a_j) w_j^T, and with constant angle Jacobians
+# M = sum m Jv^T Jv + I w w^T, the Christoffel C reduces to sum m Jv^T Jv_dot, and
+# tau_g = -g sum m (z row of Jv).
+
+
+def _planar_bodies(kind, params):
+    """(n, g, bodies, feet) of the planar_arm or floating_biped: bodies are
+    (mass, inertia, com point, angle row) and points are (L, [(c, w, phase), ...])."""
+    if kind == "planar_arm":
+        params = params or ArmParams()
+        n, L = 3, np.zeros((2, 3))
+        rows = np.tril(np.ones((3, 3)))  # link j's angle is q0 + ... + qj
+        links = [(length, rows[j], 0.0) for j, length in enumerate(params.lengths)]
+        bodies = [
+            (m, inertia, (L, links[:j] + [(links[j][0] / 2, rows[j], 0.0)]), rows[j])
+            for j, (m, inertia) in enumerate(zip(params.masses, params.resolved_inertias()))
+        ]
+        return n, params.gravity, bodies, [(L, links)]
+    params = params or BipedParams()
+    n, base = 5, np.eye(2, 5)
+    pitch = np.eye(5)[2]
+    bodies = [(params.torso_mass, params.torso_inertia, (base, [(params.torso_com_offset, pitch, np.pi / 2)]), pitch)]
+    feet = []
+    for hip in (3, 4):
+        leg = pitch + np.eye(5)[hip]  # (sin, -cos) of the leg angle is u(angle - pi/2)
+        com = (base, [(params.leg_length / 2, leg, -np.pi / 2)])
+        bodies.append((params.leg_mass, params.resolved_leg_inertia(), com, leg))
+        feet.append((base, [(params.leg_length, leg, -np.pi / 2)]))
+    return n, params.gravity, bodies, feet
+
+
+def _point_kinematics(point, q, qd):
+    """(x, J, J_dot) of a point (L, terms) at (q, qd)."""
+    L, terms = point
+    x, J, J_dot = L @ q, L.astype(float), np.zeros_like(L, dtype=float)
+    for c, w, phase in terms:
+        a = w @ q + phase
+        u, du = np.array([np.cos(a), np.sin(a)]), np.array([-np.sin(a), np.cos(a)])
+        x = x + c * u
+        J = J + c * np.outer(du, w)
+        J_dot = J_dot - c * (w @ qd) * np.outer(u, w)
+    return x, J, J_dot
+
+
+def planar_dynamics_reference(kind, params, q, qd):
+    """M, C, tau_g and per-foot (A, A_dot, point) of the default or given-params planar_arm
+    or floating_biped at (q, qd), from numeric per-body kinematics alone."""
+    n, g, bodies, feet = _planar_bodies(kind, params)
+    M, C, tau_g = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+    for mass, inertia, com, angle in bodies:
+        _, Jv, Jv_dot = _point_kinematics(com, q, qd)
+        M += mass * Jv.T @ Jv + inertia * np.outer(angle, angle)
+        C += mass * Jv.T @ Jv_dot
+        tau_g -= g * mass * Jv[1]
+    contacts = []
+    for foot in feet:
+        x, J, J_dot = _point_kinematics(foot, q, qd)
+        A, A_dot = np.zeros((3, n)), np.zeros((3, n))
+        A[[0, 2]], A_dot[[0, 2]] = -J, -J_dot
+        contacts.append((A, A_dot, np.array([x[0], 0.0, x[1]])))
+    return {"M": M, "C": C, "tau_g": tau_g, "contacts": contacts}
 
 
 def model_callbacks_reference(kind):

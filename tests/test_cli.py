@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from projctl.cli import main
-from projctl.errors import ConfigError
+from projctl.errors import ConfigError, TaskInconsistencyError
 from projctl.runner import (
     compare_controllers,
     contact_slip,
@@ -315,6 +316,15 @@ class TestRun:
         cfg["optimizer"] = {"type": "qcqp"}
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--quiet"]) == 3
+
+    def test_task_inconsistency_exit_3(self, tmp_path, capsys, monkeypatch):
+        def lost_rank(frame, task):
+            raise TaskInconsistencyError("task map lost rank")
+
+        monkeypatch.setattr(importlib.import_module("projctl.simulate"), "build_task", lost_rank)
+        path, _ = short_config(tmp_path, duration=0.01)
+        assert main(["run", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == "runtime error: step 0, t=0.0000, active [0]: task map lost rank\n"
 
 
 class TestCompare:

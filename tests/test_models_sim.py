@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from projctl.constrained_dynamics import ConstraintFrame, RobotState, build_frame
 from projctl.constraint_geometry import null_projector
 from projctl.control_laws import ControllerGains
-from projctl.errors import InputError, SimulationError
+from projctl.errors import ActuationError, InputError, SimulationError, SolverError, TaskInconsistencyError
 from projctl.models import (
     ArmParams,
     BipedParams,
@@ -45,6 +45,7 @@ from oracles import (
     integrate_saddle,
     model_callbacks_reference,
     planar_arm_reference,
+    planar_dynamics_reference,
     task_reference,
 )
 
@@ -252,7 +253,8 @@ def model_callbacks(model):
 
 
 class TestModelCallbacks:
-    """The lambdified callbacks give every bit the numpy-scalar call form gives."""
+    """The generated callbacks give every bit that the sympy pipeline's lambdified
+    functions, called on numpy scalars, give."""
 
     @pytest.mark.parametrize("kind", ["floating_biped", "planar_arm"])
     @settings(max_examples=150, deadline=None)
@@ -292,6 +294,36 @@ BIPED_PARAMS = st.builds(
 def bits(a):
     a = np.asarray(a)
     return a.dtype, a.shape, a.tobytes()
+
+
+class TestDynamicsMatchNumericKinematics:
+    """M, C, tau_g and each contact's A, A_dot and point agree, to 1e-12 relative, with
+    numeric per-body kinematics (C = sum m Jv^T Jv_dot), which use no sympy."""
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("planar_arm", None),
+            ("planar_arm", ArmParams(lengths=(0.3, 0.7, 0.2), masses=(2.5, 0.4, 1.1), inertias=(0.02, 0.3, 0.05),
+                                     gravity=3.7)),
+            ("floating_biped", None),
+            ("floating_biped", BipedParams(torso_mass=5.5, torso_inertia=0.4, torso_com_offset=-0.15, leg_mass=2.2,
+                                           leg_inertia=0.07, leg_length=1.1, gravity=12.5)),
+        ],
+        ids=["arm_default", "arm_params", "biped_default", "biped_params"],
+    )
+    def test_random_states(self, kind, params, rng):
+        model = (planar_arm_contact if kind == "planar_arm" else floating_biped)(params)
+        for _ in range(200):
+            q, qd = rng.uniform(-3.0, 3.0, model.n), rng.uniform(-10.0, 10.0, model.n)
+            want = planar_dynamics_reference(kind, params, q, qd)
+            pairs = [(model.mass_matrix(q), want["M"]), (model.coriolis_matrix(q, qd), want["C"]),
+                     (model.gravity(q), want["tau_g"])]
+            for contact, (A, A_dot, point) in zip(model.contacts, want["contacts"], strict=True):
+                pairs += [(contact.jacobian(q), A), (contact.jacobian_rate(q, qd), A_dot), (contact.point(q), point)]
+            for got, ref in pairs:
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestBuildersMatchReference:
@@ -589,3 +621,48 @@ class TestSimulate:
         dV = np.diff(trace.lyapunov)
         assert dV.max() <= 1e-9
         assert trace.e_norm[-1] < trace.e_norm[0]
+
+
+class TestRunErrorsNameWhereTheyHappened:
+    """A run-time error leaves simulate with its own type and a message that starts with
+    the step index, t and the active set."""
+
+    def fail_on_call(self, monkeypatch, name, call, error):
+        """Rebind simulate's name so that its call-th call raises error."""
+        sim = importlib.import_module("projctl.simulate")
+        real, calls = getattr(sim, name), []
+
+        def patched(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, name, patched)
+
+    def raised(self, error_type, scenario):
+        with pytest.raises(error_type) as err:
+            simulate(scenario)
+        assert type(err.value) is error_type
+        return str(err.value)
+
+    def test_actuation_error(self, monkeypatch):
+        message = "requested generalized force is not realizable"
+        self.fail_on_call(monkeypatch, "min_norm_actuation", 3, ActuationError(message))
+        got = self.raised(ActuationError, short_scenario("arm_tracking.json", 0.01))
+        assert got == f"step 2, t=0.0020, active [0]: {message}"
+
+    def test_solver_error(self):
+        # the strict qcqp in single support is equality-infeasible
+        got = self.raised(SolverError, short_scenario("biped_single_relaxed.json", 0.01, type="qcqp"))
+        assert got == "step 0, t=0.0000, active [0]: torque program infeasible_equality (kkt=inf, gap=inf)"
+
+    def test_drift_simulation_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("projctl.simulate"), "DRIFT_HARD_LIMIT", -1.0)
+        got = self.raised(SimulationError, short_scenario("arm_tracking.json", 0.01))
+        assert got.startswith("step 0, t=0.0000, active [0]: constraint drift ")
+
+    def test_task_inconsistency_error(self, monkeypatch):
+        self.fail_on_call(monkeypatch, "build_task", 5, TaskInconsistencyError("task map lost rank"))
+        got = self.raised(TaskInconsistencyError, short_scenario("biped_single_relaxed.json", 0.01))
+        assert got == "step 4, t=0.0040, active [0]: task map lost rank"

@@ -445,7 +445,7 @@ class TestSolveBarrier:
         assert report.centering_steps == MAX_CENTERING
         assert report.duality_gap > params.eps
         assert report.status == "failed"
-        with pytest.raises(SolverError, match=r"failed at t=0\.0000 .*gap=3\.6"):
+        with pytest.raises(SolverError, match=r"^step 0, t=0\.0000, active \[0\]: torque program failed .*gap=3\.6"):
             simulate(scenario)
 
 
