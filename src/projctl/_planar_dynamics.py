@@ -3,10 +3,14 @@
 Written by tools/generate_dynamics.py with sympy 1.14.0 from the symbolic
 pipeline in tests/oracles.py.  Each function is lambdify's printed source for
 one model quantity; models._planar_model binds them to a parameter tuple.
+The functions take Python floats: cos and sin come from math, so a body is
+Python float arithmetic from its arguments to the returned numpy array.
 Regenerate with `python tools/generate_dynamics.py`.
 """
 
-from numpy import array, cos, sin
+from math import cos, sin
+
+from numpy import array
 
 
 def arm_M(q0, q1, q2, dq0, dq1, dq2, len0, len1, len2, mass0, mass1, mass2, rotin0, rotin1, rotin2, grav):

@@ -7,9 +7,10 @@ gravity terms and each foot's contact block, rate and point are plain
 functions in _planar_dynamics, which tools/generate_dynamics.py writes from the
 symbolic pipeline in tests/oracles.py (Lagrangian, Christoffel symbols,
 lambdify), so d/dt(M) - 2C is skew-symmetric to machine precision and contact
-Jacobian rates are analytic, with nothing derived at run time.  _planar_model
-binds them to the parameter tuple and assembles the RobotModel.  Every bundled
-task is linear, x = J q with constant J, built by _constant_task.
+Jacobian rates are analytic, with nothing derived at run time.  They evaluate
+cos and sin with math on Python floats.  _planar_model binds them to the
+parameter tuple and assembles the RobotModel.  Every bundled task is linear,
+x = J q with constant J, built by _constant_task.
 
 Contact blocks follow the package convention: each 3xn block maps generalized
 velocity to the negative contact-point velocity (rows x, y, z; the y row is
@@ -35,12 +36,22 @@ from .task_space import TaskDef
 
 def _bind(f, prm, n: int, rate: bool = False):
     """f as a model callback: q -> f(q, 0, prm), or (q, qd) -> f(q, qd, prm) when rate.
-    f gets Python floats, with no zeros array or numpy scalars formed per call; each
-    result is bit-equal to f called on numpy float64 scalars."""
+    f gets Python floats, with no zeros array formed per call, and its math cos/sin keep
+    them Python floats up to the returned array; each result is bit-equal to f's
+    arithmetic on numpy float64 scalars with numpy's cos/sin.  Where numpy would return
+    inf or nan, math raises (cos of an infinite angle, a float power out of range); that
+    is an InputError naming f."""
+
+    def call(*args):
+        try:
+            return np.asarray(f(*args, *prm), dtype=float)
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"{f.__name__}: non-finite or out-of-range state ({exc})") from exc
+
     if rate:
-        return lambda q, qd: np.asarray(f(*np.asarray(q).tolist(), *np.asarray(qd).tolist(), *prm), dtype=float)
+        return lambda q, qd: call(*np.asarray(q).tolist(), *np.asarray(qd).tolist())
     zeros = (0.0,) * n
-    return lambda q: np.asarray(f(*np.asarray(q).tolist(), *zeros, *prm), dtype=float)
+    return lambda q: call(*np.asarray(q).tolist(), *zeros)
 
 
 def _in_plane(point_xz: np.ndarray) -> np.ndarray:

@@ -46,7 +46,6 @@ from .torque_qcqp import (
     assemble_cone_constraints,
     assemble_program,
     motor_weighting,
-    power_loss,
     relax_program,
     solve_barrier,
 )
@@ -196,7 +195,7 @@ class SimTrace:
     def to_csv(self) -> str:
         """Header line, then one line per step: every number to 17 significant digits, the status as is."""
         cols = self.columns()
-        cells = [values if name == "status" else [format(float(v), ".17g") for v in values]
+        cells = [values if name == "status" else [format(v, ".17g") for v in values.tolist()]
                  for name, values in cols]
         lines = [",".join(name for name, _ in cols)] + [",".join(row) for row in zip(*cells)]
         return "\n".join(lines) + "\n"
@@ -220,6 +219,14 @@ def switch_contacts(state: RobotState, new_active: Sequence[int], model: RobotMo
     return RobotState(t=state.t, q=state.q, q_dot=q_dot, active_contacts=new)
 
 
+def _unchecked(state: RobotState, **changes) -> RobotState:
+    """state with the given fields replaced, skipping RobotState's checks: for values
+    the simulator formed itself from a checked state."""
+    new = object.__new__(RobotState)
+    vars(new).update(vars(state), **changes)
+    return new
+
+
 def step(
     model: RobotModel,
     state: RobotState,
@@ -238,9 +245,7 @@ def step(
     active = state.active_contacts
 
     def accel(q, q_dot):
-        stage = object.__new__(RobotState)  # step formed q and q_dot: skip RobotState's checks
-        vars(stage).update(vars(state), q=q, q_dot=q_dot)
-        return constrained_accel(build_frame(model, stage, nu=nu), u)
+        return constrained_accel(build_frame(model, _unchecked(state, q=q, q_dot=q_dot), nu=nu), u)
 
     q, qd = state.q, state.q_dot
     k1v = accel(q, qd)
@@ -319,15 +324,16 @@ def simulate(scenario: Scenario) -> SimTrace:
             while pending and pending[0][0] <= t + 0.5 * dt:
                 _, new_set = pending.pop(0)
                 state = switch_contacts(state, new_set, model)
-            state = replace(state, t=t)
+            state = _unchecked(state, t=t)
 
             frame = build_frame(model, state, nu=nu)
             task = build_task(frame, scenario.task)
             ref = scenario.reference
+            x_d = ref.value(t)
             if scenario.controller == "tracking":
-                cmd = tracking_torque(frame, task, ref.value(t), ref.rate(t), ref.accel(t), scenario.gains)
+                cmd = tracking_torque(frame, task, x_d, ref.rate(t), ref.accel(t), scenario.gains)
             else:
-                cmd = regulation_torque(frame, task, ref.value(t), scenario.gains)
+                cmd = regulation_torque(frame, task, x_d, scenario.gains)
             u, n_newton, n_center, eta, status = _allocate(scenario, frame, cmd.tau_c, prev_u)
             prev_u = u
             cmd = cmd.with_actuation(frame, u)
@@ -345,12 +351,12 @@ def simulate(scenario: Scenario) -> SimTrace:
             cols["q"].append(state.q.copy())
             cols["q_dot"].append(state.q_dot.copy())
             cols["x"].append(task.x.copy())
-            cols["x_d"].append(np.asarray(ref.value(t), dtype=float).copy())
+            cols["x_d"].append(np.asarray(x_d, dtype=float).copy())
             cols["e_norm"].append(float(np.linalg.norm(cmd.e)))
             cols["u"].append(u.copy())
             cols["lam"].append(lam_row)
             cols["margins"].append(margin_row)
-            cols["p_loss"].append(power_loss(u, W))
+            cols["p_loss"].append(float(u @ W @ u))
             cols["lyapunov"].append(regulation_lyapunov(frame, cmd.e, scenario.gains.K_P))
             cols["phi_norm"].append(float(np.linalg.norm(cmd.phi)))
             cols["d_norm"].append(float(np.linalg.norm(cmd.d)))

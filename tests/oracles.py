@@ -310,8 +310,11 @@ def solve_barrier_reference(program, params=None, u0=None):
         if not converged:
             status = "failed"
             break
-        if r * eta <= params.eps or centering >= MAX_CENTERING:
+        if r * eta <= params.eps:
             status = "relaxed" if program.relaxed else "optimal"
+            break
+        if centering >= MAX_CENTERING:
+            status = "failed"
             break
         eta *= params.kappa
 

@@ -272,6 +272,15 @@ class TestModelCallbacks:
             assert got.dtype == np.float64 and got.shape == want.shape, name
             assert np.array_equal(got, want), name
 
+    @pytest.mark.parametrize("kind", ["floating_biped", "planar_arm"])
+    def test_an_infinite_angle_is_an_input_error(self, kind):
+        # math's cos and sin raise on an infinite argument, where numpy's returned nan
+        model = model_of(kind)
+        q = np.zeros(model.n)
+        q[2] = np.inf  # the arm's third joint, the biped's base pitch
+        with pytest.raises(InputError, match=r"_M: non-finite or out-of-range state \(math domain error\)"):
+            build_frame(model, RobotState(0.0, q, np.zeros(model.n)))
+
 
 def positive(size=None, lo=0.1, hi=5.0):
     value = st.floats(lo, hi)

@@ -429,24 +429,29 @@ class TestSolveBarrier:
         assert report.status == "infeasible_inequality"
 
     def test_centering_cap_without_certificate_fails(self):
-        # with kappa = 0.99, MAX_CENTERING steps shrink eta only to 0.99^79, so
-        # the loop stops at the cap with r * eta far above eps; the config
-        # loader refuses such a kappa, so it is set through the API
-        scenario = short_scenario("compare_cone.json", 0.001)
-        barrier = dataclasses.replace(scenario.optimizer.barrier, kappa=0.99)
-        scenario = dataclasses.replace(scenario, optimizer=dataclasses.replace(scenario.optimizer, barrier=barrier))
-        model, state = scenario.model, scenario.initial
-        frame = build_frame(model, state)
-        task = build_task(frame, scenario.task)
-        ref = scenario.reference
-        cmd = tracking_torque(frame, task, ref.value(0.0), ref.rate(0.0), ref.accel(0.0), scenario.gains)
+        scenario, program = centering_cap_case()
         params = scenario.optimizer.barrier
-        report = solve_barrier(assemble_program(frame, cmd.tau_c), params)
+        report = solve_barrier(program, params)
         assert report.centering_steps == MAX_CENTERING
         assert report.duality_gap > params.eps
         assert report.status == "failed"
         with pytest.raises(SolverError, match=r"^step 0, t=0\.0000, active \[0\]: torque program failed .*gap=3\.6"):
             simulate(scenario)
+
+
+def centering_cap_case():
+    """compare_cone cut to one step with kappa = 0.99, and the torque program of its
+    first tick.  MAX_CENTERING steps shrink eta only to 0.99^79, so the barrier loop
+    stops at the cap with r * eta far above eps; the config loader refuses such a
+    kappa, so it is set through the API."""
+    scenario = short_scenario("compare_cone.json", 0.001)
+    barrier = dataclasses.replace(scenario.optimizer.barrier, kappa=0.99)
+    scenario = dataclasses.replace(scenario, optimizer=dataclasses.replace(scenario.optimizer, barrier=barrier))
+    frame = build_frame(scenario.model, scenario.initial)
+    task = build_task(frame, scenario.task)
+    ref = scenario.reference
+    cmd = tracking_torque(frame, task, ref.value(0.0), ref.rate(0.0), ref.accel(0.0), scenario.gains)
+    return scenario, assemble_program(frame, cmd.tau_c)
 
 
 def same_value(a, b) -> bool:
@@ -518,6 +523,16 @@ class TestSolverMatchesReference:
         expected = solve_barrier_reference(program, u0=u0)
         report = solve_barrier(program, u0=u0)
         event(f"{case} {'relaxed' if relaxed else 'qcqp'} {start} {extension}: {report.status}")
+        self.assert_same_report(report, expected)
+
+    def test_stopped_at_the_centering_cap(self):
+        # the case TestSolveBarrier.test_centering_cap_without_certificate_fails pins as failed
+        scenario, program = centering_cap_case()
+        params = scenario.optimizer.barrier
+        self.assert_same_report(solve_barrier(program, params), solve_barrier_reference(program, params))
+
+    @staticmethod
+    def assert_same_report(report, expected):
         for f in dataclasses.fields(report):
             got, want = getattr(report, f.name), getattr(expected, f.name)
             assert same_value(got, want), f"{f.name}: {got!r} != {want!r}"

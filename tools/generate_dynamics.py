@@ -9,9 +9,13 @@ point in sympy and lambdifies them with modules="numpy" and cse=True.  The
 module this writes holds one function per model and quantity (arm_M, arm_C,
 arm_tau_g, arm_A0, arm_A_dot0, arm_point0, and biped_* with feet 0 and 1),
 each body being lambdify's printed source verbatim, so projctl evaluates the
-same arithmetic without deriving anything at run time.  The printed source
-depends on the sympy version, which the module's header names; --check needs
-that version installed.
+same arithmetic without deriving anything at run time.  The module takes cos
+and sin from math, not numpy: models._bind passes Python floats, so every
+operation in a body is Python float arithmetic, bit-equal to numpy float64
+scalars but without a ufunc call per cos/sin or numpy scalars after it; only
+the returned matrix is a numpy array.  The printed source depends on the sympy
+version, which the module's header names; --check needs that version
+installed.
 """
 
 from __future__ import annotations
@@ -36,10 +40,14 @@ HEADER = '''"""Dynamics of the bundled planar models.  Generated code: do not ed
 Written by tools/generate_dynamics.py with sympy {version} from the symbolic
 pipeline in tests/oracles.py.  Each function is lambdify's printed source for
 one model quantity; models._planar_model binds them to a parameter tuple.
+The functions take Python floats: cos and sin come from math, so a body is
+Python float arithmetic from its arguments to the returned numpy array.
 Regenerate with `python tools/generate_dynamics.py`.
 """
 
-from numpy import array, cos, sin
+from math import cos, sin
+
+from numpy import array
 '''
 
 
