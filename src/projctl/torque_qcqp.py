@@ -46,6 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
+from .constraint_geometry import _identity
 from .errors import InputError
 
 # relative tolerance on the component of tau_c outside range(P)
@@ -74,6 +75,11 @@ def motor_weighting(R, K_t) -> np.ndarray:
         raise InputError("torque constants must be nonzero")
     if np.any(R <= 0.0):
         raise InputError("winding resistances must be positive")
+    return _motor_weighting(R, K_t)
+
+
+def _motor_weighting(R: np.ndarray, K_t: np.ndarray) -> np.ndarray:
+    """diag(R / K_t^2) from checked float vectors, such as a RobotModel's."""
     return np.diag(R / K_t**2)
 
 
@@ -243,12 +249,12 @@ def assemble_program(
     tau_c = np.asarray(tau_c, dtype=float)
     if tau_c.shape != (n,):
         raise InputError(f"tau_c must have shape ({n},)")
-    off = np.linalg.norm((np.eye(n) - frame.P) @ tau_c)
+    off = np.linalg.norm((_identity(n) - frame.P) @ tau_c)
     if off > TAU_C_TOL * max(1.0, np.linalg.norm(tau_c)):
         raise InputError(f"tau_c has a component outside range(P): {off:.3e}")
     cones = list(cones) if cones is not None else assemble_cone_constraints(frame)
     return TorqueProgram(
-        W=motor_weighting(model.motor_resistance, model.torque_constant),
+        W=_motor_weighting(model.motor_resistance, model.torque_constant),
         eq_mat=frame.P @ model.actuation,
         eq_rhs=tau_c,
         cones=tuple(cones),
@@ -460,9 +466,12 @@ def _equality_pull(program: TorqueProgram, u: np.ndarray, margin: float) -> np.n
     return u
 
 
-def _barrier_gradient(program: TorqueProgram, u: np.ndarray, c: np.ndarray, grads: np.ndarray, eta: float):
-    """Gradient of the barrier objective from the rows c(u) and their gradients."""
-    return 2.0 * (program.obj_quad @ u) + program.obj_lin - eta * (grads.T @ (1.0 / c))
+def _gradient_parts(program: TorqueProgram, u: np.ndarray, c: np.ndarray, grads: np.ndarray):
+    """The eta-free terms (a, b) of the barrier gradient a - eta * b, from the rows c(u) and their gradients.
+
+    a = 2 obj_quad u + obj_lin is the objective's gradient, b = grad c^T (1 / c).
+    """
+    return 2.0 * (program.obj_quad @ u) + program.obj_lin, grads.T @ (1.0 / c)
 
 
 def _barrier_hessian(program: TorqueProgram, c: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
@@ -486,7 +495,8 @@ def barrier_value(program: TorqueProgram, u: np.ndarray, eta: float) -> float:
 def barrier_gradient(program: TorqueProgram, u: np.ndarray, eta: float) -> np.ndarray:
     """Gradient of the barrier objective at an interior point."""
     u = np.asarray(u, dtype=float)
-    return _barrier_gradient(program, u, program.constraint_values(u), program.constraint_gradients(u), eta)
+    a, b = _gradient_parts(program, u, program.constraint_values(u), program.constraint_gradients(u))
+    return a - eta * b
 
 
 def solve_barrier(
@@ -499,23 +509,31 @@ def solve_barrier(
     For each eta, an infeasible-start Newton method solves the barrier
     problem's KKT system in (u, omega); eta then shrinks by kappa until the
     duality-gap bound r*eta falls below eps.  Backtracking keeps every iterate
-    strictly inside c(u) > 0.
+    strictly inside c(u) > 0.  The system is sized to the rank of the equality
+    block: at rank 0 (a relaxed program has no equality rows) it is
+    H du = -grad, and omega keeps its zero start.
 
     Each quantity is formed where its inputs change:
 
     - once per program, on first read: the rows lin, off and G (also as a
       (k, p^2) matrix), the objective pair and its doubled quadratic term;
-    - once per solve: the reduced equality block E and its transpose, the
-      KKT matrix [[H, E^T], [E, 0]], and c(u) and grad c(u) at the start;
-    - once per centering step: the residual at the new eta;
-    - once per Newton step: the Hessian H, written into the KKT matrix, one
-      linear solve and the residual norm;
+    - once per solve: when the program has equality rows, their SVD, the
+      reduced block E and its transpose; when rank > 0, the KKT matrix
+      [[H, E^T], [E, 0]]; at the start, c(u) (for a warm start, the rows its
+      feasibility test computed), grad c(u) and the eta-free terms below;
+    - once per centering step: the residual at the new eta, from the carried
+      eta-free terms;
+    - once per Newton step: the Hessian H (written into the KKT matrix when
+      rank > 0), one linear solve and the residual norm;
     - once per line-search trial: c(u) and, only for a strictly feasible
-      trial, grad c(u), the residual and its norm.
+      trial, grad c(u), the eta-free terms a = 2 obj_quad u + obj_lin and
+      b = grad c^T (1 / c) (with E^T nu and E u when rank > 0), the
+      residual (the gradient a - eta * b, then the equality rows) and its
+      norm.  A full step (t = 1) adds du without a multiply.
 
-    The accepted trial's c, grad c and residual start the next Newton step.
-    c and grad c do not depend on eta, so they also start the next centering
-    step.
+    The accepted trial's c, grad c, eta-free terms and residual start the next
+    Newton step.  None of them but the residual depends on eta, so they also
+    start the next centering step.
     """
     params = params or BarrierParams()
     p = program.p
@@ -536,31 +554,36 @@ def solve_barrier(
             status=status,
         )
 
-    # reduce the equality block to full row rank E (rank x p, possibly 0 rows)
-    # and test consistency
-    U, s, _ = np.linalg.svd(program.eq_mat)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > 1e-10 * smax))
-    lift = U[:, :rank]
-    E = lift.T @ program.eq_mat
-    E_T = E.T
-    rhs = lift.T @ program.eq_rhs
-    resid = program.eq_rhs - lift @ rhs
-    if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
-        return failure("infeasible_equality")
+    # reduce the equality block to full row rank E (rank x p) and test
+    # consistency; a program without equality rows has rank 0 and an empty lift
+    rank, lift = 0, np.zeros((0, 0))
+    if program.eq_mat.shape[0]:
+        U, s, _ = np.linalg.svd(program.eq_mat)
+        smax = s[0] if s.size and s[0] > 0 else 1.0
+        rank = int(np.sum(s > 1e-10 * smax))
+        lift = U[:, :rank]
+        E = lift.T @ program.eq_mat
+        E_T = E.T
+        rhs = lift.T @ program.eq_rhs
+        resid = program.eq_rhs - lift @ rhs
+        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
+            return failure("infeasible_equality")
 
-    if u0 is None or not np.all(program.constraint_values(np.asarray(u0, dtype=float)) > margin):
+    c = None if u0 is None else program.constraint_values(np.asarray(u0, dtype=float))
+    if c is None or not np.all(c > margin):
         phase1 = phase1_feasible_point(program, u_seed=u0)
         if not phase1.feasible:
             return failure("infeasible_inequality", u=phase1.u)
         u = phase1.u
+        c = program.constraint_values(u)
     else:
         u = np.asarray(u0, dtype=float).copy()
 
-    # KKT matrix [[H, E^T], [E, 0]]; each Newton step rewrites only H
-    KKT = np.zeros((p + rank, p + rank))
-    KKT[:p, p:] = E_T
-    KKT[p:, :p] = E
+    if rank:
+        # KKT matrix [[H, E^T], [E, 0]]; each Newton step rewrites only H
+        KKT = np.zeros((p + rank, p + rank))
+        KKT[:p, p:] = E_T
+        KKT[p:, :p] = E
 
     nu_dual = np.zeros(rank)
     eta = params.eta0
@@ -569,43 +592,56 @@ def solve_barrier(
     path: List[Tuple[float, float]] = []
     kkt_res = float("inf")
 
-    def residual(u, nu, c, grads):
+    def eta_free_terms(u, nu, c, grads):
+        # (a, b) of the gradient a - eta * b, then E^T nu and E u when rank > 0
+        a, b = _gradient_parts(program, u, c, grads)
+        return (a, b, E_T @ nu, E @ u) if rank else (a, b)
+
+    def residual(terms):
+        grad = terms[0] - eta * terms[1]
+        if not rank:
+            return grad
         res = np.empty(p + rank)
-        np.add(_barrier_gradient(program, u, c, grads, eta), E_T @ nu, out=res[:p])
-        np.subtract(E @ u, rhs, out=res[p:])
+        np.add(grad, terms[2], out=res[:p])
+        np.subtract(terms[3], rhs, out=res[p:])
         return res
 
-    c = program.constraint_values(u)
     grads = program.constraint_gradients(u)
+    terms = eta_free_terms(u, nu_dual, c, grads)
     while True:
         converged = False
-        res = residual(u, nu_dual, c, grads)
+        res = residual(terms)
         for _ in range(MAX_NEWTON):
             kkt_res = math.sqrt(res @ res)
             if kkt_res <= params.newton_tol:
                 converged = True
                 break
-            KKT[:p, :p] = _barrier_hessian(program, c, grads, eta)
+            if rank:
+                KKT[:p, :p] = _barrier_hessian(program, c, grads, eta)
+            else:  # no equality rows: the KKT system is H du = -res
+                KKT = _barrier_hessian(program, c, grads, eta)
             try:
                 sol = np.linalg.solve(KKT, -res)
             except np.linalg.LinAlgError:
                 sol, *_ = np.linalg.lstsq(KKT, -res, rcond=None)
             du, dnu = sol[:p], sol[p:]
 
-            # backtracking: stay strictly feasible, then Armijo on the residual
+            # backtracking: stay strictly feasible, then Armijo on the residual;
+            # t * x == x at t = 1, so a full step adds du unscaled
             t = 1.0
             accepted = False
             while t > 1e-14:
-                u_try = u + t * du
+                u_try = u + (du if t == 1.0 else t * du)
                 c_try = program.constraint_values(u_try)
                 if not c_try.min() > 0.0:  # a NaN row fails too
                     t *= LS_BETA
                     continue
-                nu_try = nu_dual + t * dnu
+                nu_try = nu_dual + (dnu if t == 1.0 else t * dnu) if rank else nu_dual
                 grads_try = program.constraint_gradients(u_try)
-                res_try = residual(u_try, nu_try, c_try, grads_try)
+                terms_try = eta_free_terms(u_try, nu_try, c_try, grads_try)
+                res_try = residual(terms_try)
                 if math.sqrt(res_try @ res_try) <= (1.0 - LS_ALPHA * t) * kkt_res + 1e-16:
-                    u, nu_dual, c, grads, res = u_try, nu_try, c_try, grads_try, res_try
+                    u, nu_dual, c, grads, terms, res = u_try, nu_try, c_try, grads_try, terms_try, res_try
                     accepted = True
                     break
                 t *= LS_BETA
@@ -617,7 +653,7 @@ def solve_barrier(
         if not converged:
             # round-off floor on badly scaled instances: accept when the
             # residual is small relative to the objective gradient magnitude
-            grad_scale = max(1.0, float(np.linalg.norm(2.0 * (program.obj_quad @ u) + program.obj_lin)))
+            grad_scale = max(1.0, float(np.linalg.norm(terms[0])))
             converged = kkt_res <= 1e3 * params.newton_tol * grad_scale
         if not converged:
             status = "failed"

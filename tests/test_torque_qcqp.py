@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import mpmath
@@ -447,11 +448,17 @@ def centering_cap_case():
     scenario = short_scenario("compare_cone.json", 0.001)
     barrier = dataclasses.replace(scenario.optimizer.barrier, kappa=0.99)
     scenario = dataclasses.replace(scenario, optimizer=dataclasses.replace(scenario.optimizer, barrier=barrier))
+    _, program = first_tick_program(scenario)
+    return scenario, program
+
+
+def first_tick_program(scenario):
+    """The frame of a scenario's initial state and the strict torque program of its first tick."""
     frame = build_frame(scenario.model, scenario.initial)
     task = build_task(frame, scenario.task)
     ref = scenario.reference
     cmd = tracking_torque(frame, task, ref.value(0.0), ref.rate(0.0), ref.accel(0.0), scenario.gains)
-    return scenario, assemble_program(frame, cmd.tau_c)
+    return frame, assemble_program(frame, cmd.tau_c)
 
 
 def same_value(a, b) -> bool:
@@ -530,6 +537,40 @@ class TestSolverMatchesReference:
         scenario, program = centering_cap_case()
         params = scenario.optimizer.barrier
         self.assert_same_report(solve_barrier(program, params), solve_barrier_reference(program, params))
+
+    @pytest.mark.parametrize("target, status", [(0.0, "relaxed"), (1.0, "infeasible_equality")])
+    def test_equality_rows_of_rank_zero(self, target, status):
+        # a relaxed program has no equality rows; an all-zero force-regulation
+        # row adds one of rank 0, consistent only with a zero target
+        scenario = short_scenario("biped_switch.json", 0.001)
+        frame, program = first_tick_program(scenario)
+        program = relax_program(program, frame, scenario.optimizer.rho)
+        program = add_force_regulation(program, frame, np.zeros((1, frame.bundle.m)), np.array([target]))
+        assert program.eq_mat.shape == (1, program.p) and not program.eq_mat.any()
+        report = solve_barrier(program)
+        assert report.status == status
+        if status == "relaxed":
+            assert report.omega.shape == (1,)
+        self.assert_same_report(report, solve_barrier_reference(program))
+
+    @pytest.mark.parametrize("config", ["biped_switch.json", "compare_cone.json"])
+    def test_replay_of_bundled_runs(self, monkeypatch, config):
+        # every solve of a short bundled run, warm-started from the previous
+        # tick's u* as the simulator does, against the oracle on the same input
+        calls = []
+
+        def recording(program, params=None, u0=None):
+            u0_copy = None if u0 is None else u0.copy()
+            report = solve_barrier(program, params, u0=u0)
+            calls.append((program, params, u0_copy, report))
+            return report
+
+        # projctl.simulate, the attribute, is the function; the module is in sys.modules
+        monkeypatch.setattr(importlib.import_module("projctl.simulate"), "solve_barrier", recording)
+        simulate(short_scenario(config, 0.05))
+        assert len(calls) == 51 and sum(u0 is not None for _, _, u0, _ in calls) == 50
+        for program, params, u0, report in calls:
+            self.assert_same_report(report, solve_barrier_reference(program, params, u0=u0))
 
     @staticmethod
     def assert_same_report(report, expected):
