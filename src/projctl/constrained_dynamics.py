@@ -15,7 +15,7 @@ of the frame's two callers pays only for what it reads:
 
 - a control tick reads all of it (task map, control law, torque allocator,
   :func:`contact_forces`);
-- an integrator stage reads only :func:`constrained_accel`,
+- an integrator stage reads only the acceleration of :func:`constrained_accel`,
   qdd = M_bar^-1 (P (B u + tau_g) - C_bar qd), and never forms S, Q or (F, f0).
 
 The contact forces are affine in the actuator torques, lambda(u) =
@@ -131,7 +131,7 @@ class RobotModel:
         if len(active) == 0:
             return np.zeros((0, self.n))
         blocks = [self.contacts[i].jacobian(q) for i in active]
-        return np.asarray(blocks[0]) if len(blocks) == 1 else np.vstack(blocks)
+        return np.asarray(blocks[0]) if len(blocks) == 1 else np.concatenate(blocks)
 
     def contact_stack_rate(self, q: np.ndarray, q_dot: np.ndarray, active: Sequence[int]) -> np.ndarray:
         """d/dt of contact_stack: analytic block rates where given, else central differences."""
@@ -139,7 +139,7 @@ class RobotModel:
             return np.zeros((0, self.n))
         blocks = [c.jacobian_rate(q, q_dot) if c.jacobian_rate is not None else jacobian_rate(c.jacobian, q, q_dot)
                   for c in (self.contacts[i] for i in active)]
-        return np.asarray(blocks[0]) if len(blocks) == 1 else np.vstack(blocks)
+        return np.asarray(blocks[0]) if len(blocks) == 1 else np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -250,9 +250,9 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
 
     Evaluates M, C, tau_g, A and A_dot once, validates what the model's
     callbacks return (shapes, finite A and A_dot) and nu > 0, then forms
-    A^+, P, L and M_bar, C_bar.  nu defaults to trace(M(q))/n; callers that
-    integrate over time should fix it once at the initial state so M_bar stays
-    smooth in time.
+    A^+, P, L and M_bar, C_bar, with the product P M they share formed once.
+    nu defaults to trace(M(q))/n; callers that integrate over time should fix
+    it once at the initial state so M_bar stays smooth in time.
     """
     q, qd, active = state.q, state.q_dot, state.active_contacts
     M = np.asarray(model.mass_matrix(q), dtype=float)
@@ -281,9 +281,10 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
     P_dot = L + L.T
     bundle = ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank, L=L, Omega=L - L.T, P_dot=P_dot)
 
-    M_bar = P @ M @ P + nu * (_identity(n) - P)
+    PM = P @ M
+    M_bar = PM @ P + nu * (_identity(n) - P)
     M_bar = 0.5 * (M_bar + M_bar.T)
-    C_bar = P @ C @ P + P @ M @ P_dot - nu * L
+    C_bar = P @ C @ P + PM @ P_dot - nu * L
     return ConstraintFrame(
         bundle=bundle,
         M=M,
@@ -303,9 +304,12 @@ def constrained_accel(frame: ConstraintFrame, u: np.ndarray) -> np.ndarray:
     qdd = M_bar^-1 (P B u + P tau_g - C_bar qd); the component outside the
     admissible subspace automatically satisfies (I - P) qdd = Omega qd.
     """
-    u = np.asarray(u, dtype=float)
-    rhs = frame.P @ (frame.model.actuation @ u + frame.tau_g) - frame.C_bar @ frame.state.q_dot
-    return frame.M_bar_inv @ rhs
+    return _accel(frame, frame.model.actuation @ np.asarray(u, dtype=float))
+
+
+def _accel(frame: ConstraintFrame, Bu: np.ndarray) -> np.ndarray:
+    """constrained_accel from the generalized actuation force B u, which an RK4 step forms once."""
+    return frame.M_bar_inv @ (frame.P @ (Bu + frame.tau_g) - frame.C_bar @ frame.state.q_dot)
 
 
 def contact_forces(frame: ConstraintFrame, u: np.ndarray) -> ContactWrench:

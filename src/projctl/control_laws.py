@@ -10,7 +10,8 @@ disturbance d = M_bar^-1 phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,7 +79,7 @@ class ControlCommand:
     def with_actuation(self, frame: ConstraintFrame, u: np.ndarray) -> "ControlCommand":
         u = np.asarray(u, dtype=float)
         phi = self.tau_c - frame.P @ (frame.model.actuation @ u)
-        return replace(self, u=u, phi=phi, d=tracking_disturbance(frame, phi))
+        return ControlCommand(self.tau_c, self.e, self.e_dot, u=u, phi=phi, d=tracking_disturbance(frame, phi))
 
 
 def tracking_torque(
@@ -101,7 +102,7 @@ def tracking_torque(
     x_d_dot = np.asarray(x_d_dot, dtype=float)
     x_d_ddot = np.asarray(x_d_ddot, dtype=float)
     for name, v in (("x_d", x_d), ("x_d_dot", x_d_dot), ("x_d_ddot", x_d_ddot)):
-        if v.shape != (l,) or not np.all(np.isfinite(v)):
+        if v.shape != (l,) or not np.isfinite(v).all():
             raise InputError(f"{name} must be a finite vector of length {l}")
 
     e = x_d - task.x
@@ -129,7 +130,7 @@ def regulation_torque(
     """
     K_P, K_D = _checked_dims(gains, task.l, frame.n, "K_D (joint-space)")
     x_d = np.asarray(x_d, dtype=float)
-    if x_d.shape != (task.l,) or not np.all(np.isfinite(x_d)):
+    if x_d.shape != (task.l,) or not np.isfinite(x_d).all():
         raise InputError(f"x_d must be a finite vector of length {task.l}")
     e = x_d - task.x
     tau_c = frame.P @ (-frame.tau_g - K_D @ frame.state.q_dot + task.Lambda.T @ (K_P @ e))
@@ -146,15 +147,18 @@ def regulation_lyapunov(frame: ConstraintFrame, e: np.ndarray, K_P: np.ndarray) 
 def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
     """Least-norm actuator torques with P B u = tau_c.
 
-    u = (P B)^+ tau_c.  Raises ActuationError when tau_c is outside the range
-    of P B (relative residual above 1e-8), i.e. the actuators cannot span the
-    admissible force space.
+    u = (P B)^+ tau_c.  Raises InputError when tau_c is not an n-vector, and
+    ActuationError when tau_c is outside the range of P B (relative residual
+    above 1e-8), i.e. the actuators cannot span the admissible force space.
     """
     tau_c = np.asarray(tau_c, dtype=float)
+    if tau_c.shape != (frame.n,):
+        raise InputError(f"tau_c must have shape ({frame.n},), got {tau_c.shape}")
     PB = frame.P @ frame.model.actuation
     u = pseudo_inverse(PB) @ tau_c
-    residual = np.linalg.norm(tau_c - PB @ u)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(tau_c)):
+    r = tau_c - PB @ u
+    residual = math.sqrt(r.dot(r))
+    if residual > 1e-8 * max(1.0, math.sqrt(tau_c.dot(tau_c))):
         raise ActuationError(
             f"requested generalized force is not realizable: residual {residual:.3e} "
             "(actuation matrix does not span the admissible force space)"

@@ -17,6 +17,7 @@ writes its header and rows from it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -27,8 +28,8 @@ from .constrained_dynamics import (
     ConstraintFrame,
     RobotModel,
     RobotState,
+    _accel,
     build_frame,
-    constrained_accel,
     contact_forces,
 )
 from .constraint_geometry import null_projector
@@ -195,9 +196,9 @@ class SimTrace:
     def to_csv(self) -> str:
         """Header line, then one line per step: every number to 17 significant digits, the status as is."""
         cols = self.columns()
-        cells = [values if name == "status" else [format(v, ".17g") for v in values.tolist()]
-                 for name, values in cols]
-        lines = [",".join(name for name, _ in cols)] + [",".join(row) for row in zip(*cells)]
+        row_format = ",".join("%s" if name == "status" else "%.17g" for name, _ in cols)
+        rows = zip(*(values if name == "status" else values.tolist() for name, values in cols))
+        lines = [",".join(name for name, _ in cols)] + [row_format % row for row in rows]
         return "\n".join(lines) + "\n"
 
 
@@ -236,26 +237,30 @@ def step(
 ) -> RobotState:
     """Advance one RK4 step of dt under constant u, then re-project the velocity.
 
+    Each of the four stages builds a frame at its own (q, q_dot).  B u is
+    formed once per step, since u is held over it, and each stage velocity
+    qd + c dt k_v once: it is both that stage's velocity argument and its k_q.
     The post-state satisfies ||A(q) q_dot|| <= DRIFT_HARD_LIMIT or a
     SimulationError is raised.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u < model.u_min - 1e-9) or np.any(u > model.u_max + 1e-9):
+    if (u < model.u_min - 1e-9).any() or (u > model.u_max + 1e-9).any():
         warnings.warn("actuation outside its box limits", stacklevel=2)
     active = state.active_contacts
+    Bu = model.actuation @ u
 
     def accel(q, q_dot):
-        return constrained_accel(build_frame(model, _unchecked(state, q=q, q_dot=q_dot), nu=nu), u)
+        return _accel(build_frame(model, _unchecked(state, q=q, q_dot=q_dot), nu=nu), Bu)
 
     q, qd = state.q, state.q_dot
     k1v = accel(q, qd)
     k1q = qd
-    k2v = accel(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v)
     k2q = qd + 0.5 * dt * k1v
-    k3v = accel(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v)
+    k2v = accel(q + 0.5 * dt * k1q, k2q)
     k3q = qd + 0.5 * dt * k2v
-    k4v = accel(q + dt * k3q, qd + dt * k3v)
+    k3v = accel(q + 0.5 * dt * k2q, k3q)
     k4q = qd + dt * k3v
+    k4v = accel(q + dt * k3q, k4q)
     q_new = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
     qd_new = qd + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
 
@@ -263,12 +268,13 @@ def step(
     if A_new.shape[0]:
         P_new = null_projector(A_new).P
         qd_new = P_new @ qd_new
-        drift = float(np.linalg.norm(A_new @ qd_new))
+        r = A_new @ qd_new
+        drift = math.sqrt(r.dot(r))
         if drift > DRIFT_HARD_LIMIT:
             raise SimulationError(
                 f"constraint drift {drift:.3e} exceeds {DRIFT_HARD_LIMIT:.1e} at t={state.t + dt:.4f}"
             )
-    return RobotState(t=state.t + dt, q=q_new, q_dot=qd_new, active_contacts=active)
+    return _unchecked(state, t=state.t + dt, q=q_new, q_dot=qd_new)
 
 
 def _allocate(scenario: Scenario, frame: ConstraintFrame, tau_c, prev_u):
@@ -297,9 +303,9 @@ def simulate(scenario: Scenario) -> SimTrace:
     """Run a scenario to completion and return its trace.
 
     Deterministic: no randomness anywhere, so identical scenarios produce
-    identical traces.  An ActuationError, SimulationError, SolverError or
-    TaskInconsistencyError raised on the way keeps its type; its message starts
-    with where it happened: "step i, t=..., active [...]: ".
+    identical traces.  An ActuationError, InputError, SimulationError,
+    SolverError or TaskInconsistencyError raised on the way keeps its type; its
+    message starts with where it happened: "step i, t=..., active [...]: ".
     """
     model = scenario.model
     dt = scenario.dt
@@ -352,25 +358,25 @@ def simulate(scenario: Scenario) -> SimTrace:
             cols["q_dot"].append(state.q_dot.copy())
             cols["x"].append(task.x.copy())
             cols["x_d"].append(np.asarray(x_d, dtype=float).copy())
-            cols["e_norm"].append(float(np.linalg.norm(cmd.e)))
+            cols["e_norm"].append(math.sqrt(cmd.e.dot(cmd.e)))
             cols["u"].append(u.copy())
             cols["lam"].append(lam_row)
             cols["margins"].append(margin_row)
             cols["p_loss"].append(float(u @ W @ u))
             cols["lyapunov"].append(regulation_lyapunov(frame, cmd.e, scenario.gains.K_P))
-            cols["phi_norm"].append(float(np.linalg.norm(cmd.phi)))
-            cols["d_norm"].append(float(np.linalg.norm(cmd.d)))
+            cols["phi_norm"].append(math.sqrt(cmd.phi.dot(cmd.phi)))
+            cols["d_norm"].append(math.sqrt(cmd.d.dot(cmd.d)))
             cols["newton_iters"].append(n_newton)
             cols["centering"].append(n_center)
             cols["eta"].append(eta)
             cols["status"].append(status)
-            A = frame.bundle.A
-            cols["drift"].append(float(np.linalg.norm(A @ state.q_dot)) if A.size else 0.0)
+            r = frame.bundle.A @ state.q_dot  # empty with no active contact, so drift 0.0
+            cols["drift"].append(math.sqrt(r.dot(r)))
             cols["active"].append(state.active_contacts)
 
             if i < n_steps:
                 state = step(model, state, u, dt, nu=nu)
-    except (ActuationError, SimulationError, SolverError, TaskInconsistencyError) as exc:
+    except (ActuationError, InputError, SimulationError, SolverError, TaskInconsistencyError) as exc:
         raise type(exc)(f"step {i}, t={t:.4f}, active {list(state.active_contacts)}: {exc}") from exc
 
     # status and active stay lists; every other column becomes an array

@@ -7,6 +7,8 @@ derivative and the feedforward matrix Gamma = Lambda^+ Lambda_dot - Omega,
 and checks the feasibility set relations between task, constraints and
 actuation.  One SVD of Lambda gives its rank and Lambda^+; the projector
 identities are evaluated only when a caller reads ``TaskMap.identities``.
+The rank cut-off scales with ||J||_2, which is kept for the last J seen (every
+bundled task has a constant J), so a control tick takes the one SVD of Lambda.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import numpy as np
 from .constrained_dynamics import ConstraintFrame
 from .constraint_geometry import FD_STEP, _pinv_from_svd, _svd_cutoff, jacobian_rate
 from .errors import InputError, TaskInconsistencyError
+
+_last_jacobian_norm = (None, None)  # (key, ||J||_2) of the latest build_task J, read and replaced whole
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,11 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
 
     Raises InputError on a malformed or non-finite task value or Jacobian, and
     TaskInconsistencyError when Lambda loses row rank, which means the
-    requested task leaves the admissible motion space.
+    requested task leaves the admissible motion space.  ||J||_2, the rank
+    scale, is kept per distinct J, keyed by its shape and bytes: a J equal to
+    the last call's reuses that norm, any other J takes its own SVD.
     """
+    global _last_jacobian_norm
     q, qd, n = frame.state.q, frame.state.q_dot, frame.n
     l = task.dim
     x = np.asarray(task.value(q), dtype=float)
@@ -142,7 +149,11 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     Lam = J @ P
     # rank relative to the raw Jacobian scale ||J||_2 (its largest singular value): a direction
     # the projector annihilates must count as lost even though Lam is not exactly zero
-    scale = max(float(np.linalg.svd(J, compute_uv=False)[0]), 1e-12)
+    key = (J.shape, J.tobytes())
+    last_key, scale = _last_jacobian_norm
+    if key != last_key:
+        scale = max(float(np.linalg.svd(J, compute_uv=False)[0]), 1e-12)
+        _last_jacobian_norm = (key, scale)
     U, sv, Vt = np.linalg.svd(Lam, full_matrices=False)
     rank = int(np.sum(sv > 1e-9 * scale))
     if rank < l:

@@ -249,8 +249,9 @@ def assemble_program(
     tau_c = np.asarray(tau_c, dtype=float)
     if tau_c.shape != (n,):
         raise InputError(f"tau_c must have shape ({n},)")
-    off = np.linalg.norm((_identity(n) - frame.P) @ tau_c)
-    if off > TAU_C_TOL * max(1.0, np.linalg.norm(tau_c)):
+    r = (_identity(n) - frame.P) @ tau_c
+    off = math.sqrt(r.dot(r))
+    if off > TAU_C_TOL * max(1.0, math.sqrt(tau_c.dot(tau_c))):
         raise InputError(f"tau_c has a component outside range(P): {off:.3e}")
     cones = list(cones) if cones is not None else assemble_cone_constraints(frame)
     return TorqueProgram(

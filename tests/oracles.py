@@ -22,10 +22,11 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
-from projctl.constraint_geometry import RANK_TOL
-from projctl.constrained_dynamics import ContactSpec, RobotModel
-from projctl.errors import InputError
+from projctl.constraint_geometry import RANK_TOL, null_projector
+from projctl.constrained_dynamics import ContactSpec, RobotModel, RobotState, build_frame, constrained_accel
+from projctl.errors import InputError, SimulationError
 from projctl.models import ArmParams, BipedParams, _bind, _in_plane
+from projctl.simulate import DRIFT_HARD_LIMIT
 from projctl.task_space import TaskDef, TaskIdentities
 from projctl.torque_qcqp import (
     LS_ALPHA,
@@ -141,6 +142,36 @@ def integrate_saddle(model, q0, qd0, active, u_fn, dt, steps):
         t += dt
         out.append((q.copy(), qd.copy()))
     return out
+
+
+def step_reference(model, state, u, dt, nu=None):
+    """simulate.step written plainly: a validated state and constrained_accel per stage,
+    each half-step velocity written where it is used, the drift by np.linalg.norm."""
+    active = state.active_contacts
+
+    def accel(q, q_dot):
+        stage = RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=active)
+        return constrained_accel(build_frame(model, stage, nu=nu), u)
+
+    q, qd = state.q, state.q_dot
+    k1v = accel(q, qd)
+    k1q = qd
+    k2v = accel(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v)
+    k2q = qd + 0.5 * dt * k1v
+    k3v = accel(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v)
+    k3q = qd + 0.5 * dt * k2v
+    k4v = accel(q + dt * k3q, qd + dt * k3v)
+    k4q = qd + dt * k3v
+    q_new = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+    qd_new = qd + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+
+    A_new = model.contact_stack(q_new, active)
+    if A_new.shape[0]:
+        qd_new = null_projector(A_new).P @ qd_new
+        drift = float(np.linalg.norm(A_new @ qd_new))
+        if drift > DRIFT_HARD_LIMIT:
+            raise SimulationError(f"constraint drift {drift:.3e} exceeds {DRIFT_HARD_LIMIT:.1e}")
+    return RobotState(t=state.t + dt, q=q_new, q_dot=qd_new, active_contacts=active)
 
 
 def contact_forces_reference(frame, model, state, u):

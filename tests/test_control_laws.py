@@ -178,6 +178,12 @@ class TestMinNormActuation:
         with pytest.raises(ActuationError):
             min_norm_actuation(frame, cmd.tau_c)
 
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (3, 1)])
+    def test_tau_c_must_be_an_n_vector(self, arm, shape):
+        frame, _ = arm_setup(arm, manifold_state(arm, ARM_HOME))
+        with pytest.raises(InputError, match=r"tau_c must have shape \(3,\)"):
+            min_norm_actuation(frame, np.ones(shape))
+
 
 class TestTrackingDisturbance:
     def test_zero_phi(self, arm, rng):

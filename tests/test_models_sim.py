@@ -46,6 +46,7 @@ from oracles import (
     model_callbacks_reference,
     planar_arm_reference,
     planar_dynamics_reference,
+    step_reference,
     task_reference,
 )
 
@@ -202,6 +203,31 @@ class TestStep:
         state = manifold_state(arm, ARM_HOME, scale=0.0)
         with pytest.warns(UserWarning):
             step(arm, state, 100.0 * np.ones(3), 1e-3)
+
+    @pytest.mark.parametrize(
+        "kind, home, active",
+        [("planar_arm", ARM_HOME, (0,)), ("floating_biped", BIPED_HOME, (0,)), ("floating_biped", BIPED_HOME, (0, 1))],
+        ids=["arm", "biped_single", "biped_double"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_plain_step_bit_for_bit(self, kind, home, active, data):
+        # step forms B u and each stage velocity once; the plain step forms them where they are used.
+        # One coordinate starts at 0, so its q_new is the RK4 increment alone and a change in how
+        # the increment rounds shows; on a coordinate of size 1 the increment's last bits are lost.
+        model = model_of(kind)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        q = random_manifold_state(model, rng, home, active=active).q.copy()
+        q[data.draw(st.integers(0, model.n - 1), label="zero")] = 0.0
+        state = manifold_state(model, q, rng=rng, active=active)
+        share = data.draw(arrays(np.float64, model.p, elements=st.floats(0.0, 1.0)), label="share")
+        u = model.u_min + share * (model.u_max - model.u_min)
+        dt = data.draw(st.sampled_from([1e-3, 5e-4]), label="dt")
+        nu = data.draw(st.none() | st.floats(0.1, 5.0), label="nu")
+        got, want = step(model, state, u, dt, nu=nu), step_reference(model, state, u, dt, nu=nu)
+        assert bits(got.q) == bits(want.q)
+        assert bits(got.q_dot) == bits(want.q_dot)
+        assert (got.t, got.active_contacts) == (want.t, want.active_contacts)
 
 
 class TestLeanControlTick:
@@ -670,6 +696,13 @@ class TestRunErrorsNameWhereTheyHappened:
         monkeypatch.setattr(importlib.import_module("projctl.simulate"), "DRIFT_HARD_LIMIT", -1.0)
         got = self.raised(SimulationError, short_scenario("arm_tracking.json", 0.01))
         assert got.startswith("step 0, t=0.0000, active [0]: constraint drift ")
+
+    def test_input_error(self, monkeypatch):
+        # a state-dependent InputError: the third build_frame is step 0's second RK4 stage
+        message = "contact stack or its rate contains non-finite entries"
+        self.fail_on_call(monkeypatch, "build_frame", 3, InputError(message))
+        got = self.raised(InputError, short_scenario("arm_tracking.json", 0.01))
+        assert got == f"step 0, t=0.0000, active [0]: {message}"
 
     def test_task_inconsistency_error(self, monkeypatch):
         self.fail_on_call(monkeypatch, "build_task", 5, TaskInconsistencyError("task map lost rank"))

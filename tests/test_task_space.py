@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +95,39 @@ class TestBuildTask:
         numeric = build_task(frame, fd_def)
         assert np.abs(analytic.Lambda - numeric.Lambda).max() <= 1e-7
         assert np.abs(analytic.Lambda_dot - numeric.Lambda_dot).max() <= 1e-5
+
+
+def constant_task(name, J):
+    J = np.asarray(J, dtype=float)
+    return TaskDef(name=name, dim=J.shape[0], value=lambda q: J @ q, jacobian=lambda q: J,
+                   jacobian_rate=lambda q, qd: np.zeros_like(J))
+
+
+class TestKeptJacobianNorm:
+    """build_task keeps ||J||_2 for the last J it saw; the kept norm follows J itself."""
+
+    def test_follows_the_jacobian(self, arm, monkeypatch):
+        task_space = importlib.import_module("projctl.task_space")
+        frame = build_frame(arm, manifold_state(arm, ARM_HOME, active=()))  # P = I, so Lambda = J
+        # one shape, norms 1e6 apart: B's smaller singular value, 1e-5, clears B's own rank
+        # cut-off (1e-9 ||J_B||) but not one taken from A's norm (1e-3)
+        a = constant_task("large", 1e6 * np.eye(2, 3))
+        b = constant_task("small", np.diag([1.0, 1e-5]) @ np.eye(2, 3))
+
+        def cleared(task):
+            monkeypatch.setattr(task_space, "_last_jacobian_norm", (None, None))
+            return build_task(frame, task)
+
+        want = {task.name: cleared(task) for task in (a, b)}
+        monkeypatch.setattr(task_space, "_last_jacobian_norm", (None, None))
+        for task in (a, b, a):
+            got = build_task(frame, task)
+            for f in dataclasses.fields(got):
+                g, w = getattr(got, f.name), getattr(want[task.name], f.name)
+                if isinstance(w, np.ndarray):
+                    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), f.name
+                else:
+                    assert g == w, f.name
 
 
 class TestTaskMapMatchesOracle:
