@@ -220,13 +220,17 @@ class TorqueProgram:
         return float(u @ Wq @ u + lin @ u)
 
     def constraint_values(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        return self._values(np.asarray(u, dtype=float))
+
+    def _values(self, u: np.ndarray) -> np.ndarray:  # c(u) of a float vector u
         vals = self.lin @ u
         vals[1 : 2 * self.k : 2] += (u @ self.G) @ u
         return vals + self.off
 
     def constraint_gradients(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        return self._gradients(np.asarray(u, dtype=float))
+
+    def _gradients(self, u: np.ndarray) -> np.ndarray:  # grad c(u) of a float vector u
         grads = self.lin.copy()
         grads[1 : 2 * self.k : 2] += 2.0 * (self.G @ u)
         return grads
@@ -366,7 +370,6 @@ class SolverReport:
     kkt_residual: float
     constraint_margins: Optional[np.ndarray]
     status: str
-    path: Tuple[Tuple[float, float], ...] = ()
 
 
 def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] = None) -> PhaseOneResult:
@@ -470,25 +473,25 @@ def _equality_pull(program: TorqueProgram, u: np.ndarray, margin: float) -> np.n
 def _gradient_parts(program: TorqueProgram, u: np.ndarray, c: np.ndarray, grads: np.ndarray):
     """The eta-free terms (a, b) of the barrier gradient a - eta * b, from the rows c(u) and their gradients.
 
-    a = 2 obj_quad u + obj_lin is the objective's gradient, b = grad c^T (1 / c).
+    a = 2 obj_quad u + obj_lin is the objective's gradient, formed as obj_hess u (doubling
+    is exact, so it rounds as 2 (obj_quad u)), and b = grad c^T (1 / c).
     """
-    return 2.0 * (program.obj_quad @ u) + program.obj_lin, grads.T @ (1.0 / c)
+    return program.obj_hess @ u + program.obj_lin, grads.T @ (1.0 / c)
 
 
 def _barrier_hessian(program: TorqueProgram, c: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
     """Hessian of the barrier objective; positive definite for second-order-cone rows."""
-    quad = eta / c[1 : 2 * program.k : 2]
-    # sum_j quad_j G_j, formed by the same product np.tensordot uses, so it rounds the same
-    G_sum = np.dot(quad[None], program.G_flat).reshape(program.p, program.p)
-    H = program.obj_hess + eta * ((grads.T * (1.0 / c**2)) @ grads) - 2.0 * G_sum
+    # 2 sum_j (eta / c_j) G_j by np.tensordot's product; doubling is exact unless 2 eta / c_j is subnormal or inf
+    G_term = np.dot(((2.0 * eta) / c[1 : 2 * program.k : 2])[None], program.G_flat).reshape(program.p, program.p)
+    H = program.obj_hess + eta * ((grads.T * (1.0 / c**2)) @ grads) - G_term
     return 0.5 * (H + H.T)
 
 
 def barrier_value(program: TorqueProgram, u: np.ndarray, eta: float) -> float:
-    """psi(u, eta) = objective(u) - eta sum_i log c_i(u); +inf outside."""
+    """psi(u, eta) = objective(u) - eta sum_i log c_i(u); +inf outside, and where a row is NaN."""
     u = np.asarray(u, dtype=float)
     c = program.constraint_values(u)
-    if np.any(c <= 0):
+    if not np.minimum.reduce(c) > 0:
         return np.inf
     return program.objective(u) - eta * float(np.log(c).sum())
 
@@ -512,7 +515,8 @@ def solve_barrier(
     duality-gap bound r*eta falls below eps.  Backtracking keeps every iterate
     strictly inside c(u) > 0.  The system is sized to the rank of the equality
     block: at rank 0 (a relaxed program has no equality rows) it is
-    H du = -grad, and omega keeps its zero start.
+    H du = grad, and omega keeps its zero start.  It is solved for the
+    residual, not its negation, and the step taken is minus the solution.
 
     Each quantity is formed where its inputs change:
 
@@ -521,20 +525,21 @@ def solve_barrier(
     - once per solve: when the program has equality rows, their SVD, the
       reduced block E and its transpose; when rank > 0, the KKT matrix
       [[H, E^T], [E, 0]]; at the start, c(u) (for a warm start, the rows its
-      feasibility test computed), grad c(u) and the eta-free terms below;
-    - once per centering step: the residual at the new eta, from the carried
-      eta-free terms;
+      feasibility test computed), grad c(u), the eta-free terms below and,
+      when rank > 0, the residual's equality rows E u - rhs;
+    - once per centering step: the residual's gradient rows at the new eta,
+      from the carried eta-free terms;
     - once per Newton step: the Hessian H (written into the KKT matrix when
       rank > 0), one linear solve and the residual norm;
     - once per line-search trial: c(u) and, only for a strictly feasible
       trial, grad c(u), the eta-free terms a = 2 obj_quad u + obj_lin and
       b = grad c^T (1 / c) (with E^T nu and E u when rank > 0), the
       residual (the gradient a - eta * b, then the equality rows) and its
-      norm.  A full step (t = 1) adds du without a multiply.
+      norm.  A full step (t = 1) subtracts du without a multiply.
 
     The accepted trial's c, grad c, eta-free terms and residual start the next
-    Newton step.  None of them but the residual depends on eta, so they also
-    start the next centering step.
+    Newton step.  None of them but the residual's gradient rows depends on eta,
+    so they also start the next centering step.
     """
     params = params or BarrierParams()
     p = program.p
@@ -590,71 +595,67 @@ def solve_barrier(
     eta = params.eta0
     total_newton = 0
     centering = 0
-    path: List[Tuple[float, float]] = []
     kkt_res = float("inf")
 
-    def eta_free_terms(u, nu, c, grads):
-        # (a, b) of the gradient a - eta * b, then E^T nu and E u when rank > 0
-        a, b = _gradient_parts(program, u, c, grads)
-        return (a, b, E_T @ nu, E @ u) if rank else (a, b)
-
-    def residual(terms):
-        grad = terms[0] - eta * terms[1]
-        if not rank:
-            return grad
-        res = np.empty(p + rank)
-        np.add(grad, terms[2], out=res[:p])
-        np.subtract(terms[3], rhs, out=res[p:])
-        return res
-
-    grads = program.constraint_gradients(u)
-    terms = eta_free_terms(u, nu_dual, c, grads)
+    # the eta-free terms (a, b) of the gradient a - eta * b and, when rank > 0, the
+    # equality rows of the residual [a - eta * b + E^T nu; E u - rhs] carry over
+    grads = program._gradients(u)
+    a, b = _gradient_parts(program, u, c, grads)
+    if rank:
+        res = np.concatenate((np.empty(p), E @ u - rhs))
     while True:
         converged = False
-        res = residual(terms)
+        if rank:  # only the gradient rows of the residual depend on eta
+            np.add(a - eta * b, E_T @ nu_dual, out=res[:p])
+        else:
+            res = a - eta * b
         for _ in range(MAX_NEWTON):
-            kkt_res = math.sqrt(res @ res)
+            kkt_res = math.sqrt(res.dot(res))
             if kkt_res <= params.newton_tol:
                 converged = True
                 break
             if rank:
                 KKT[:p, :p] = _barrier_hessian(program, c, grads, eta)
-            else:  # no equality rows: the KKT system is H du = -res
+            else:  # no equality rows: the KKT system is H du = res
                 KKT = _barrier_hessian(program, c, grads, eta)
+            # the Newton step is -(du, dnu): pivoting by |.| and round-to-nearest are
+            # sign-symmetric, so the solution for res is exactly minus that for -res
             try:
-                sol = np.linalg.solve(KKT, -res)
+                sol = np.linalg.solve(KKT, res)
             except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(KKT, -res, rcond=None)
+                sol, *_ = np.linalg.lstsq(KKT, res, rcond=None)
             du, dnu = sol[:p], sol[p:]
 
             # backtracking: stay strictly feasible, then Armijo on the residual;
-            # t * x == x at t = 1, so a full step adds du unscaled
+            # t * x == x at t = 1, so a full step subtracts du unscaled
             t = 1.0
-            accepted = False
             while t > 1e-14:
-                u_try = u + (du if t == 1.0 else t * du)
-                c_try = program.constraint_values(u_try)
-                if not c_try.min() > 0.0:  # a NaN row fails too
+                u_try = u - (du if t == 1.0 else t * du)
+                c_try = program._values(u_try)
+                if not np.minimum.reduce(c_try) > 0.0:  # a NaN row fails too
                     t *= LS_BETA
                     continue
-                nu_try = nu_dual + (dnu if t == 1.0 else t * dnu) if rank else nu_dual
-                grads_try = program.constraint_gradients(u_try)
-                terms_try = eta_free_terms(u_try, nu_try, c_try, grads_try)
-                res_try = residual(terms_try)
-                if math.sqrt(res_try @ res_try) <= (1.0 - LS_ALPHA * t) * kkt_res + 1e-16:
-                    u, nu_dual, c, grads, terms, res = u_try, nu_try, c_try, grads_try, terms_try, res_try
-                    accepted = True
+                grads_try = program._gradients(u_try)
+                a_try, b_try = _gradient_parts(program, u_try, c_try, grads_try)
+                if rank:
+                    nu_try = nu_dual - (dnu if t == 1.0 else t * dnu)
+                    res_try = np.empty(p + rank)
+                    np.add(a_try - eta * b_try, E_T @ nu_try, out=res_try[:p])
+                    np.subtract(E @ u_try, rhs, out=res_try[p:])
+                else:
+                    nu_try, res_try = nu_dual, a_try - eta * b_try
+                if math.sqrt(res_try.dot(res_try)) <= (1.0 - LS_ALPHA * t) * kkt_res + 1e-16:
+                    u, nu_dual, c, grads, a, b, res = u_try, nu_try, c_try, grads_try, a_try, b_try, res_try
                     break
                 t *= LS_BETA
             total_newton += 1
-            if not accepted:
+            if t <= 1e-14:  # no trial was accepted
                 break
         centering += 1
-        path.append((eta, float(u @ program.W @ u)))
         if not converged:
             # round-off floor on badly scaled instances: accept when the
             # residual is small relative to the objective gradient magnitude
-            grad_scale = max(1.0, float(np.linalg.norm(terms[0])))
+            grad_scale = max(1.0, float(np.linalg.norm(a)))
             converged = kkt_res <= 1e3 * params.newton_tol * grad_scale
         if not converged:
             status = "failed"
@@ -678,5 +679,4 @@ def solve_barrier(
         kkt_residual=kkt_res,
         constraint_margins=c,
         status=status,
-        path=tuple(path),
     )

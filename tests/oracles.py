@@ -283,7 +283,6 @@ def solve_barrier_reference(program, params=None, u0=None):
     eta = params.eta0
     total_newton = 0
     centering = 0
-    path = []
     kkt_res = float("inf")
 
     def residual(u, nu, c, grads):
@@ -333,7 +332,6 @@ def solve_barrier_reference(program, params=None, u0=None):
             if not accepted:
                 break
         centering += 1
-        path.append((eta, power_loss(u, program.W)))
         if not converged:
             Wq, lin = program.objective_quad()
             grad_scale = max(1.0, float(np.linalg.norm(2.0 * (Wq @ u) + lin)))
@@ -360,7 +358,6 @@ def solve_barrier_reference(program, params=None, u0=None):
         kkt_residual=kkt_res,
         constraint_margins=program.constraint_values(u),
         status=status,
-        path=tuple(path),
     )
 
 

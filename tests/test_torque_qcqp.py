@@ -30,11 +30,13 @@ from projctl.torque_qcqp import (
     relax_program,
     solve_barrier,
 )
+from projctl.runner import load_config, load_scenario
 from projctl.simulate import simulate
 
 from conftest import (
     ARM_HOME,
     BIPED_HOME,
+    CONFIGS,
     manifold_state,
     point_mass_model,
     random_manifold_state,
@@ -406,12 +408,27 @@ class TestSolveBarrier:
             assert np.abs(grad - fd).max() <= 1e-6 * scale
 
     def test_central_path_objective_monotone(self, arm, rng):
+        # a solve with eps = r * eta_j stops at centering step j, on the iterate the
+        # full solve reaches there; eta_j is formed by the loop's own products
         state = random_manifold_state(arm, rng, ARM_HOME)
         _, program = arm_program(arm, state)
-        report = solve_barrier(program)
-        objs = [obj for _, obj in report.path]
+        params = BarrierParams()
+        steps = solve_barrier(program, params).centering_steps
+        objs, eta = [], params.eta0
+        for j in range(1, steps + 1):
+            report = solve_barrier(program, dataclasses.replace(params, eps=program.r * eta))
+            assert report.centering_steps == j
+            objs.append(report.objective)
+            eta *= params.kappa
+        assert len(objs) == steps > 1
         for a, b in zip(objs, objs[1:]):
             assert b <= a + 1e-7 * max(1.0, abs(a))
+
+    def test_barrier_value_is_inf_where_a_row_is_nan(self):
+        _, program = first_tick_program(short_scenario("biped_switch.json", 0.001))
+        u = np.array([np.nan, 0.0])
+        assert np.isnan(program.constraint_values(u)).any()
+        assert barrier_value(program, u, 1.0) == np.inf
 
     def test_infeasible_equality(self, biped, rng):
         # single support: 3 admissible force directions, 2 actuators
@@ -553,10 +570,23 @@ class TestSolverMatchesReference:
             assert report.omega.shape == (1,)
         self.assert_same_report(report, solve_barrier_reference(program))
 
-    @pytest.mark.parametrize("config", ["biped_switch.json", "compare_cone.json"])
-    def test_replay_of_bundled_runs(self, monkeypatch, config):
+    @pytest.mark.parametrize(
+        "config, schedule, cones",
+        [
+            ("biped_switch.json", None, [2] * 51),
+            ("compare_cone.json", None, [1] * 51),
+            # both contact switches moved into the run: single-support and switch ticks too
+            ("biped_switch.json", [[0.02, [0]], [0.035, [0, 1]]], [2] * 20 + [1] * 15 + [2] * 16),
+        ],
+        ids=["biped_switch.json", "compare_cone.json", "biped_switch_early"],
+    )
+    def test_replay_of_bundled_runs(self, monkeypatch, config, schedule, cones):
         # every solve of a short bundled run, warm-started from the previous
         # tick's u* as the simulator does, against the oracle on the same input
+        cfg = load_config(CONFIGS / config)
+        cfg["duration"] = 0.05
+        if schedule is not None:
+            cfg["contacts"]["schedule"] = schedule
         calls = []
 
         def recording(program, params=None, u0=None):
@@ -567,8 +597,9 @@ class TestSolverMatchesReference:
 
         # projctl.simulate, the attribute, is the function; the module is in sys.modules
         monkeypatch.setattr(importlib.import_module("projctl.simulate"), "solve_barrier", recording)
-        simulate(short_scenario(config, 0.05))
-        assert len(calls) == 51 and sum(u0 is not None for _, _, u0, _ in calls) == 50
+        simulate(load_scenario(cfg))
+        assert sum(u0 is not None for _, _, u0, _ in calls) == 50
+        assert [program.k for program, _, _, _ in calls] == cones  # active contacts per solve
         for program, params, u0, report in calls:
             self.assert_same_report(report, solve_barrier_reference(program, params, u0=u0))
 
