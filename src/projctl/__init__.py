@@ -68,7 +68,6 @@ from .task_space import (
     task_accel_decompose,
 )
 from .torque_qcqp import (
-    BarrierParams,
     ConeConstraint,
     SolverReport,
     TorqueProgram,

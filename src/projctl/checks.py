@@ -19,7 +19,8 @@ from .control_laws import ControllerGains, tracking_torque
 from .models import make_task, planar_arm_contact
 from .task_space import build_task, task_accel_decompose
 from .torque_qcqp import (
-    BarrierParams,
+    EPS,
+    NEWTON_TOL,
     assemble_program,
     barrier_gradient,
     barrier_value,
@@ -244,7 +245,6 @@ def solver_certificates(seed: int = 0) -> CheckResult:
     arm = planar_arm_contact()
     task_def = make_task(arm, "link_orientation")
     gains = ControllerGains.critically_damped(1, 5.0)
-    params = BarrierParams()
     issues = []
     worst_gap = 0.0
     worst_grad = 0.0
@@ -253,7 +253,7 @@ def solver_certificates(seed: int = 0) -> CheckResult:
         task = build_task(frame, task_def)
         cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
         program = assemble_program(frame, cmd.tau_c)
-        report = solve_barrier(program, params)
+        report = solve_barrier(program)
         if report.status != "optimal":
             issues.append(f"status {report.status}")
             continue
@@ -262,7 +262,7 @@ def solver_certificates(seed: int = 0) -> CheckResult:
             issues.append("boundary violation at optimum")
         grad = barrier_gradient(program, report.u_star, report.eta_final)
         stat = np.linalg.norm(grad + program.eq_mat.T @ report.omega)
-        if stat > 10 * params.newton_tol:
+        if stat > 10 * NEWTON_TOL:
             issues.append(f"stationarity {stat:.2e}")
         # finite-difference gradient of the barrier objective
         u0 = report.u_star
@@ -274,7 +274,7 @@ def solver_certificates(seed: int = 0) -> CheckResult:
             fd[j] = (barrier_value(program, u0 + e, report.eta_final)
                      - barrier_value(program, u0 - e, report.eta_final)) / (2 * h)
         worst_grad = max(worst_grad, float(np.abs(grad - fd).max()) / max(1.0, float(np.abs(grad).max())))
-    passed = not issues and worst_gap <= params.eps and worst_grad <= 1e-6
+    passed = not issues and worst_gap <= EPS and worst_grad <= 1e-6
     detail = f"gap {worst_gap:.2e}, grad fd {worst_grad:.2e}"
     if issues:
         detail += "; " + "; ".join(issues)

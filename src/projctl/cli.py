@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ActuationError, ConfigError, InputError, SimulationError, SolverError, TaskInconsistencyError
+from .errors import RUN_ERRORS, ConfigError
 from .models import MODEL_CATALOG
 
 
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, SimulationError, ActuationError, InputError, TaskInconsistencyError) as exc:
+    except RUN_ERRORS as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

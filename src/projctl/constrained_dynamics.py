@@ -24,7 +24,8 @@ forms (F, f0), and the contact forces and the torque program's rows read it.
 
 A^+ and P come from ``constraint_geometry._projector``, which keeps its last
 result keyed by a bytes copy of A, so frames at one q and active set share one
-SVD and its read-only A^+ and P.
+SVD and its read-only A^+ and P.  L, Omega and P_dot come from
+``constraint_geometry._rate``, the formula ``projector_rate`` also uses.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-# build_frame calls _projector, not null_projector / projector_rate; those
-# two stay importable from this module for profilers that rebind them here.
+# build_frame calls _projector and _rate, not null_projector / projector_rate;
+# those two stay importable from this module for profilers that rebind them here.
 from .constraint_geometry import (  # noqa: F401
     ProjectorBundle,
     _identity,
     _projector,
+    _rate,
     jacobian_rate,
     null_projector,
     projector_rate,
@@ -274,12 +276,9 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
     if not nu > 0:
         raise InputError(f"nu must be positive, got {nu}")
 
-    # the exact operations of projector_rate(A, A_dot, null_projector(A)),
-    # so frames and traces stay bit-identical to that public path
     A_pinv, P, rank = _projector(A)
-    L = -A_pinv @ A_dot @ P
-    P_dot = L + L.T
-    bundle = ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank, L=L, Omega=L - L.T, P_dot=P_dot)
+    L, Omega, P_dot = _rate(A_pinv, A_dot, P)
+    bundle = ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank, L=L, Omega=Omega, P_dot=P_dot)
 
     PM = P @ M
     M_bar = PM @ P + nu * (_identity(n) - P)

@@ -139,10 +139,14 @@ def projector_rate(A, A_dot, bundle: ProjectorBundle) -> ProjectorBundle:
         raise InputError(f"A_dot shape {A_dot.shape} does not match A shape {A.shape}")
     if bundle.A.shape != A.shape or not np.allclose(bundle.A, A):
         raise InputError("bundle was not computed from the supplied A")
-    L = -bundle.A_pinv @ A_dot @ bundle.P
-    P_dot = L + L.T
-    Omega = L - L.T
+    L, Omega, P_dot = _rate(bundle.A_pinv, A_dot, bundle.P)
     return replace(bundle, L=L, Omega=Omega, P_dot=P_dot)
+
+
+def _rate(A_pinv: np.ndarray, A_dot: np.ndarray, P: np.ndarray):
+    """(L, Omega, P_dot) of projector_rate from A^+, A_dot and P, with no validation."""
+    L = -A_pinv @ A_dot @ P
+    return L, L - L.T, L + L.T
 
 
 def jacobian_rate(jac_fn: Callable[[np.ndarray], np.ndarray], q, q_dot) -> np.ndarray:

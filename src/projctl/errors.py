@@ -21,6 +21,11 @@ class SimulationError(RuntimeError):
     """Raised when a simulation leaves its validity envelope (e.g. constraint drift)."""
 
 
+# the errors a run can raise once its config has loaded: the simulator prefixes
+# their messages with the step, t and active set, and the CLI exits 3 on them
+RUN_ERRORS = (ActuationError, InputError, SimulationError, SolverError, TaskInconsistencyError)
+
+
 class ConfigError(ValueError):
     """Raised on scenario configuration problems; carries the offending field path."""
 

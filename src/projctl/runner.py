@@ -10,9 +10,7 @@ A scenario is one JSON document (see configs/ for bundled examples):
                                        "amplitude": [...], "frequency": [...],
                                        "phase": [...]}},
       "controller":    {"type": "tracking", "gains": {"omega": 5.0}},
-      "optimizer":     {"type": "qcqp", "types": ["min_norm", "qcqp"],
-                        "eta0": 1.0, "kappa": 0.2, "eps": 1e-8,
-                        "newton_tol": 1e-10, "rho": 10.0},
+      "optimizer":     {"type": "qcqp", "types": ["min_norm", "qcqp"], "rho": 10.0},
       "contacts":      {"schedule": [[1.0, [0]], [1.3, [0, 1]]]},
       "integrator":    {"dt": 0.001, "method": "rk4"},
       "duration":      5.0,
@@ -20,9 +18,10 @@ A scenario is one JSON document (see configs/ for bundled examples):
     }
 
 `run` allocates with optimizer.type; `compare` runs once per entry of
-optimizer.types.  Validation errors carry the offending field path.  Outputs (trace CSV plus a
-JSON run report) are written atomically and contain no timestamps, so a fixed
-config produces byte-identical files.  `run` and `compare` share one run path,
+optimizer.types.  Validation errors carry the offending field path; a key the
+loader does not read, such as a misspelt one, is an error too.  Outputs (trace
+CSV plus a JSON run report) are written atomically and contain no timestamps,
+so a fixed config produces byte-identical files.  `run` and `compare` share one run path,
 _run: load the scenario, simulate it, write its trace, build its report.  The
 CSV layout itself is SimTrace.columns() in simulate.
 """
@@ -51,7 +50,6 @@ from .simulate import (
     simulate,
     sinusoid_reference,
 )
-from .torque_qcqp import MAX_CENTERING, BarrierParams
 
 
 def _require(cfg: dict, key: str, path: str):
@@ -60,14 +58,23 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
-def _section(cfg: dict, key: str, path: str, optional: bool = False) -> dict:
-    """The config section cfg[key], which must be a JSON object ({} if optional and absent)."""
+def _known(cfg: dict, path: str, keys: Sequence[str]) -> dict:
+    """cfg, the object at path, once it is known to hold no key outside keys."""
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key, f"not read here; expected one of {', '.join(keys)}")
+    return cfg
+
+
+def _section(cfg: dict, key: str, path: str, keys: Optional[Sequence[str]] = None, optional: bool = False) -> dict:
+    """The config section cfg[key]: a JSON object ({} if optional and absent), holding only keys if given."""
     if optional and key not in cfg:
         return {}
     value = _require(cfg, key, path)
+    dotted = f"{path}.{key}" if path else key
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected an object, got {type(value).__name__}")
-    return value
+        raise ConfigError(dotted, f"expected an object, got {type(value).__name__}")
+    return value if keys is None else _known(value, dotted, keys)
 
 
 def _as_number(value, path: str, positive=False) -> float:
@@ -109,9 +116,11 @@ def _gain_matrix(value, dim: int, path: str) -> np.ndarray:
 def _build_reference(cfg: dict, dim: int, path: str) -> Reference:
     kind = _require(cfg, "type", path)
     if kind == "constant":
+        _known(cfg, path, ("type", "value"))
         return constant_reference(_as_vector(_require(cfg, "value", path), f"{path}.value", (dim,)))
     if kind == "sinusoid":
         # amplitude, frequency and phase take one entry shared by every task coordinate, or dim
+        _known(cfg, path, ("type", "center", "amplitude", "frequency", "phase"))
         center = _as_vector(_require(cfg, "center", path), f"{path}.center", (dim,))
         amp = _as_vector(_require(cfg, "amplitude", path), f"{path}.amplitude", (1, dim))
         freq = _as_vector(_require(cfg, "frequency", path), f"{path}.frequency", (1, dim))
@@ -121,23 +130,10 @@ def _build_reference(cfg: dict, dim: int, path: str) -> Reference:
     raise ConfigError(f"{path}.type", f"unknown reference type '{kind}'")
 
 
-def _build_optimizer(cfg: dict, kind: str, path: str, r: int) -> OptimizerSpec:
-    barrier = BarrierParams(
-        eta0=_as_number(cfg.get("eta0", 1.0), f"{path}.eta0", positive=True),
-        kappa=_as_number(cfg.get("kappa", 0.2), f"{path}.kappa", positive=True),
-        eps=_as_number(cfg.get("eps", 1e-8), f"{path}.eps", positive=True),
-        newton_tol=_as_number(cfg.get("newton_tol", 1e-10), f"{path}.newton_tol", positive=True),
-    )
-    if barrier.kappa >= 1.0:
-        raise ConfigError(f"{path}.kappa", "decrement must satisfy 0 < kappa < 1")
-    # the duality-gap bound r * eta after the last centering step allowed must reach eps
-    gap = r * barrier.eta0 * barrier.kappa ** (MAX_CENTERING - 1)
-    if gap > barrier.eps:
-        raise ConfigError(f"{path}.kappa", f"too close to 1: from eta0 = {barrier.eta0}, {MAX_CENTERING} "
-                          f"centering steps end at a duality-gap bound of {gap:.3g}, above eps = {barrier.eps}")
+def _build_optimizer(cfg: dict, kind: str, path: str) -> OptimizerSpec:
     rho = _as_number(cfg.get("rho", 10.0), f"{path}.rho", positive=True)
     try:
-        return OptimizerSpec(kind=kind, barrier=barrier, rho=rho)
+        return OptimizerSpec(kind=kind, rho=rho)
     except InputError as exc:
         raise ConfigError(f"{path}.type", str(exc)) from None
 
@@ -146,8 +142,10 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     """Turn a parsed config document into a runnable Scenario."""
     if not isinstance(cfg, dict):
         raise ConfigError("", "config root must be an object")
+    _known(cfg, "", ("model", "initial_state", "task", "controller", "optimizer", "contacts", "integrator",
+                     "duration", "output"))
 
-    mcfg = _section(cfg, "model", "")
+    mcfg = _section(cfg, "model", "", ("type", "params"))
     kind = _require(mcfg, "type", "model")
     params = _section(mcfg, "params", "model", optional=True)
     try:
@@ -156,7 +154,7 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
         key = str(exc).split()[0]
         raise ConfigError(f"model.params.{key}" if key in params else "model.params", str(exc)) from None
 
-    scfg = _section(cfg, "initial_state", "")
+    scfg = _section(cfg, "initial_state", "", ("q", "q_dot", "active_contacts"))
     q = _as_vector(_require(scfg, "q", "initial_state"), "initial_state.q")
     q_dot = _as_vector(_require(scfg, "q_dot", "initial_state"), "initial_state.q_dot")
     if q.size != model.n or q_dot.size != model.n:
@@ -166,7 +164,7 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
         raise ConfigError("initial_state.active_contacts", f"contact indices must be integers in [0, {model.k})")
     initial = RobotState(t=0.0, q=q, q_dot=q_dot, active_contacts=tuple(active))
 
-    tcfg = _section(cfg, "task", "")
+    tcfg = _section(cfg, "task", "", ("type", "indices", "reference"))
     ttype = _require(tcfg, "type", "task")
     indices = {"indices": _require(tcfg, "indices", "task")} if ttype == "joint" else {}
     try:
@@ -177,11 +175,13 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
         raise ConfigError("task.indices", f"only joint tasks take indices, not '{ttype}'")
     reference = _build_reference(_section(tcfg, "reference", "task"), task.dim, "task.reference")
 
-    ccfg = _section(cfg, "controller", "")
+    ccfg = _section(cfg, "controller", "", ("type", "gains"))
     ctype = _require(ccfg, "type", "controller")
     if ctype not in ("tracking", "regulation"):
         raise ConfigError("controller.type", f"unknown controller '{ctype}'")
     gcfg = _section(ccfg, "gains", "controller")
+    kd_key, kd_dim = ("kd_task", task.dim) if ctype == "tracking" else ("kd_joint", model.n)
+    _known(gcfg, "controller.gains", ("omega",) if "omega" in gcfg else ("kp_task", kd_key))
     if "omega" in gcfg:
         omega = _as_number(gcfg["omega"], "controller.gains.omega", positive=True)
         if ctype == "tracking":
@@ -191,7 +191,6 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
                 K_P=omega**2 * np.eye(task.dim), K_D=2.0 * omega * np.eye(model.n)
             )
     else:
-        kd_key, kd_dim = ("kd_task", task.dim) if ctype == "tracking" else ("kd_joint", model.n)
         paths = {"K_P": "controller.gains.kp_task", "K_D": f"controller.gains.{kd_key}"}
         kp = _gain_matrix(_require(gcfg, "kp_task", "controller.gains"), task.dim, paths["K_P"])
         kd = _gain_matrix(_require(gcfg, kd_key, "controller.gains"), kd_dim, paths["K_D"])
@@ -200,24 +199,20 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
         except InputError as exc:  # the message starts with the failing field's name
             raise ConfigError(paths[str(exc).split()[0]], str(exc)) from None
 
-    ocfg = _section(cfg, "optimizer", "")
+    ocfg = _section(cfg, "optimizer", "", ("type", "types", "rho"))
     if optimizer_kind is None:
         optimizer_kind = _require(ocfg, "type", "optimizer")
         if not isinstance(optimizer_kind, str):
             raise ConfigError("optimizer.type", "expected a string (use 'types' only with compare)")
-    # r: constraint rows of the largest torque program (all contacts active)
-    optimizer = _build_optimizer(ocfg, optimizer_kind, "optimizer", r=2 * (model.k + model.p))
+    optimizer = _build_optimizer(ocfg, optimizer_kind, "optimizer")
 
-    icfg = _section(cfg, "integrator", "", optional=True)
+    icfg = _section(cfg, "integrator", "", ("dt", "method"), optional=True)
     if icfg.get("method", "rk4") != "rk4":
         raise ConfigError("integrator.method", f"only 'rk4' is supported, got {icfg['method']!r}")
-    if "baumgarte" in icfg:
-        raise ConfigError("integrator.baumgarte", "position-level stabilisation is not supported; "
-                          "the post-step velocity projection holds the contacts")
     dt = _as_number(icfg.get("dt", 1e-3), "integrator.dt", positive=True)
 
     schedule: List[Tuple[float, Tuple[int, ...]]] = []
-    entries = _section(cfg, "contacts", "", optional=True).get("schedule", [])
+    entries = _section(cfg, "contacts", "", ("schedule",), optional=True).get("schedule", [])
     if not isinstance(entries, list):
         raise ConfigError("contacts.schedule", "expected a list of [time, [contact indices]] entries")
     for i, entry in enumerate(entries):
@@ -351,7 +346,7 @@ def atomic_write(path: Path, text: str):
 
 
 def output_paths(cfg: dict, out_dir: Optional[str], prefix_default: str) -> Tuple[Path, str]:
-    ocfg = _section(cfg, "output", "", optional=True)
+    ocfg = _section(cfg, "output", "", ("dir", "prefix"), optional=True)
     for key in ("dir", "prefix"):
         if not isinstance(ocfg.get(key, ""), str):
             raise ConfigError(f"output.{key}", "expected a string")

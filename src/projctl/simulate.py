@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,10 +40,9 @@ from .control_laws import (
     regulation_torque,
     tracking_torque,
 )
-from .errors import ActuationError, InputError, SimulationError, SolverError, TaskInconsistencyError
+from .errors import RUN_ERRORS, InputError, SimulationError, SolverError
 from .task_space import TaskDef, build_task
 from .torque_qcqp import (
-    BarrierParams,
     assemble_cone_constraints,
     assemble_program,
     motor_weighting,
@@ -93,10 +92,10 @@ def sinusoid_reference(center, amplitude, frequency_hz, phase=None) -> Reference
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Torque allocation choice: min_norm, qcqp or qcqp_relaxed."""
+    """Torque allocation choice: min_norm, qcqp or qcqp_relaxed, and the penalty weight rho of
+    qcqp_relaxed.  The barrier solver's constants are those of torque_qcqp."""
 
     kind: str = "min_norm"
-    barrier: BarrierParams = field(default_factory=BarrierParams)
     rho: float = 10.0
 
     def __post_init__(self):
@@ -290,7 +289,7 @@ def _allocate(scenario: Scenario, frame: ConstraintFrame, tau_c, prev_u):
     program = assemble_program(frame, tau_c, cones=cones)
     if spec.kind == "qcqp_relaxed":
         program = relax_program(program, frame, spec.rho)
-    report = solve_barrier(program, spec.barrier, u0=prev_u)
+    report = solve_barrier(program, u0=prev_u)
     if report.status not in ("optimal", "relaxed"):
         raise SolverError(
             f"torque program {report.status} "
@@ -303,9 +302,8 @@ def simulate(scenario: Scenario) -> SimTrace:
     """Run a scenario to completion and return its trace.
 
     Deterministic: no randomness anywhere, so identical scenarios produce
-    identical traces.  An ActuationError, InputError, SimulationError,
-    SolverError or TaskInconsistencyError raised on the way keeps its type; its
-    message starts with where it happened: "step i, t=..., active [...]: ".
+    identical traces.  An error of errors.RUN_ERRORS raised on the way keeps its
+    type; its message starts with where it happened: "step i, t=..., active [...]: ".
     """
     model = scenario.model
     dt = scenario.dt
@@ -376,7 +374,7 @@ def simulate(scenario: Scenario) -> SimTrace:
 
             if i < n_steps:
                 state = step(model, state, u, dt, nu=nu)
-    except (ActuationError, InputError, SimulationError, SolverError, TaskInconsistencyError) as exc:
+    except RUN_ERRORS as exc:
         raise type(exc)(f"step {i}, t={t:.4f}, active {list(state.active_contacts)}: {exc}") from exc
 
     # status and active stay lists; every other column becomes an array

@@ -19,8 +19,8 @@ by following the central path of the barrier problem
     minimize    u^T W u - eta * sum_i log c_i(u)    s.t.  P B u = tau_c
 
 with an equality-constrained (infeasible-start) Newton method for each fixed
-eta, shrinking eta by kappa until the duality-gap bound r * eta drops below
-eps.
+eta, shrinking eta from ETA0 by KAPPA until the duality-gap bound r * eta
+drops to EPS.
 
 The friction rows keep the cone nonlinear.  Because lambda(u) is affine in u,
 the pair lambda_z > 0, mu^2 lambda_z^2 - ||lambda_t||^2 > 0 is a second-order
@@ -51,6 +51,14 @@ from .errors import InputError
 
 # relative tolerance on the component of tau_c outside range(P)
 TAU_C_TOL = 1e-8
+# barrier weight eta of the first centering step
+ETA0 = 1.0
+# factor that shrinks eta after each centering step
+KAPPA = 0.2
+# a solve is certified once its duality-gap bound r * eta is at most EPS
+EPS = 1e-8
+# a centering step ends once the KKT residual norm is at most NEWTON_TOL
+NEWTON_TOL = 1e-10
 # Newton steps allowed per centering step
 MAX_NEWTON = 100
 # centering steps allowed per solve; a solve that reaches it without the gap certificate fails
@@ -341,16 +349,6 @@ def add_force_regulation(
 
 
 @dataclass(frozen=True)
-class BarrierParams:
-    """Interior-point parameters (defaults follow standard practice)."""
-
-    eta0: float = 1.0
-    kappa: float = 0.2
-    eps: float = 1e-8
-    newton_tol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class PhaseOneResult:
     u: np.ndarray
     feasible: bool
@@ -503,19 +501,15 @@ def barrier_gradient(program: TorqueProgram, u: np.ndarray, eta: float) -> np.nd
     return a - eta * b
 
 
-def solve_barrier(
-    program: TorqueProgram,
-    params: Optional[BarrierParams] = None,
-    u0: Optional[np.ndarray] = None,
-) -> SolverReport:
-    """Follow the central path to the program's solution.
+def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> SolverReport:
+    """Follow the central path to the program's solution, warm-started from u0 if given.
 
-    For each eta, an infeasible-start Newton method solves the barrier
-    problem's KKT system in (u, omega); eta then shrinks by kappa until the
-    duality-gap bound r*eta falls below eps.  Backtracking keeps every iterate
-    strictly inside c(u) > 0.  The system is sized to the rank of the equality
-    block: at rank 0 (a relaxed program has no equality rows) it is
-    H du = grad, and omega keeps its zero start.  It is solved for the
+    From eta = ETA0, an infeasible-start Newton method solves the barrier
+    problem's KKT system in (u, omega) to NEWTON_TOL; eta then shrinks by
+    KAPPA until the duality-gap bound r*eta falls to EPS.  Backtracking keeps
+    every iterate strictly inside c(u) > 0.  The system is sized to the rank
+    of the equality block: at rank 0 (a relaxed program has no equality rows)
+    it is H du = grad, and omega keeps its zero start.  It is solved for the
     residual, not its negation, and the step taken is minus the solution.
 
     Each quantity is formed where its inputs change:
@@ -541,7 +535,6 @@ def solve_barrier(
     Newton step.  None of them but the residual's gradient rows depends on eta,
     so they also start the next centering step.
     """
-    params = params or BarrierParams()
     p = program.p
     r = program.r
     margin = MARGIN_SCALE * program.scale()
@@ -592,7 +585,7 @@ def solve_barrier(
         KKT[p:, :p] = E
 
     nu_dual = np.zeros(rank)
-    eta = params.eta0
+    eta = ETA0
     total_newton = 0
     centering = 0
     kkt_res = float("inf")
@@ -611,7 +604,7 @@ def solve_barrier(
             res = a - eta * b
         for _ in range(MAX_NEWTON):
             kkt_res = math.sqrt(res.dot(res))
-            if kkt_res <= params.newton_tol:
+            if kkt_res <= NEWTON_TOL:
                 converged = True
                 break
             if rank:
@@ -656,17 +649,17 @@ def solve_barrier(
             # round-off floor on badly scaled instances: accept when the
             # residual is small relative to the objective gradient magnitude
             grad_scale = max(1.0, float(np.linalg.norm(a)))
-            converged = kkt_res <= 1e3 * params.newton_tol * grad_scale
+            converged = kkt_res <= 1e3 * NEWTON_TOL * grad_scale
         if not converged:
             status = "failed"
             break
-        if r * eta <= params.eps:
+        if r * eta <= EPS:
             status = "relaxed" if program.relaxed else "optimal"
             break
         if centering >= MAX_CENTERING:  # stopped without the gap certificate
             status = "failed"
             break
-        eta *= params.kappa
+        eta *= KAPPA
 
     return SolverReport(
         u_star=u,

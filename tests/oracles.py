@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
+from projctl import torque_qcqp
 from projctl.constraint_geometry import RANK_TOL, null_projector
 from projctl.constrained_dynamics import ContactSpec, RobotModel, RobotState, build_frame, constrained_accel
 from projctl.errors import InputError, SimulationError
@@ -34,7 +35,6 @@ from projctl.torque_qcqp import (
     MARGIN_SCALE,
     MAX_CENTERING,
     MAX_NEWTON,
-    BarrierParams,
     SolverReport,
     phase1_feasible_point,
     power_loss,
@@ -234,11 +234,12 @@ def constraint_rows(program, u):
     return np.array(vals), np.array(grads).reshape(len(vals), program.p)
 
 
-def solve_barrier_reference(program, params=None, u0=None):
+def solve_barrier_reference(program, u0=None):
     """The barrier solver written plainly: every quantity recomputed where it is
     used, with the per-step formulas inline.  `solve_barrier` must return the
-    same report, bit for bit."""
-    params = params or BarrierParams()
+    same report, bit for bit.  ETA0, KAPPA, EPS and NEWTON_TOL are read from
+    the torque_qcqp module at call time, so a test that patches one there
+    changes both solvers."""
     p = program.p
     r = program.r
     margin = MARGIN_SCALE * program.scale()
@@ -280,7 +281,7 @@ def solve_barrier_reference(program, params=None, u0=None):
     KKT[p:, :p] = E
 
     nu_dual = np.zeros(rank)
-    eta = params.eta0
+    eta = torque_qcqp.ETA0
     total_newton = 0
     centering = 0
     kkt_res = float("inf")
@@ -303,7 +304,7 @@ def solve_barrier_reference(program, params=None, u0=None):
         res = residual(u, nu_dual, c, grads)
         for _ in range(MAX_NEWTON):
             kkt_res = float(np.linalg.norm(res))
-            if kkt_res <= params.newton_tol:
+            if kkt_res <= torque_qcqp.NEWTON_TOL:
                 converged = True
                 break
             KKT[:p, :p] = hessian(c, grads)
@@ -335,17 +336,17 @@ def solve_barrier_reference(program, params=None, u0=None):
         if not converged:
             Wq, lin = program.objective_quad()
             grad_scale = max(1.0, float(np.linalg.norm(2.0 * (Wq @ u) + lin)))
-            converged = kkt_res <= 1e3 * params.newton_tol * grad_scale
+            converged = kkt_res <= 1e3 * torque_qcqp.NEWTON_TOL * grad_scale
         if not converged:
             status = "failed"
             break
-        if r * eta <= params.eps:
+        if r * eta <= torque_qcqp.EPS:
             status = "relaxed" if program.relaxed else "optimal"
             break
         if centering >= MAX_CENTERING:
             status = "failed"
             break
-        eta *= params.kappa
+        eta *= torque_qcqp.KAPPA
 
     return SolverReport(
         u_star=u,

@@ -25,7 +25,6 @@ from projctl.runner import compare_controllers, contact_slip, load_config, load_
 from projctl.simulate import simulate
 from projctl.task_space import build_task
 from projctl.torque_qcqp import (
-    BarrierParams,
     ConeConstraint,
     TorqueProgram,
     assemble_program,
@@ -231,13 +230,12 @@ def bundled_programs(arm, biped, rng):
 
 
 def test_criterion_09_qcqp_solver(arm, biped, rng):
-    params = BarrierParams()
     toys, model_programs = bundled_programs(arm, biped, rng)
 
     # (a) duality gap at exit on every bundled program
     gaps = []
     for program in toys + model_programs:
-        report = solve_barrier(program, params)
+        report = solve_barrier(program)
         assert report.status == "optimal", report.status
         assert report.duality_gap <= 1e-8
         gaps.append(report.duality_gap)
@@ -249,7 +247,7 @@ def test_criterion_09_qcqp_solver(arm, biped, rng):
     gains = ControllerGains.critically_damped(1, 5.0)
     cmd = tracking_torque(frame, task, task.x + 0.05, np.zeros(1), np.zeros(1), gains)
     program = assemble_program(frame, cmd.tau_c)
-    report = solve_barrier(program, params)
+    report = solve_barrier(program)
     assert report.status == "optimal"
     assert report.constraint_margins.min() > 1.0  # genuinely inactive
     E, W = program.eq_mat, program.W
@@ -261,7 +259,7 @@ def test_criterion_09_qcqp_solver(arm, biped, rng):
     # (c) toy objectives within 1e-3 relative of the grid + polish oracle
     worst_rel = 0.0
     for program in toys:
-        rep = solve_barrier(program, params)
+        rep = solve_barrier(program)
         obj_oracle, _ = grid_polish_optimum(program)
         rel = abs(program.objective(rep.u_star) - obj_oracle) / max(1.0, abs(obj_oracle))
         worst_rel = max(worst_rel, rel)

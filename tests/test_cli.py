@@ -83,6 +83,22 @@ class TestConfigValidation:
             ("task.reference.amplitude", [0.1, 0.2]),
             ("task.reference.frequency", [0.5, 0.5]),
             ("task.reference.phase", [0.0, 0.0]),
+            # the barrier solver's constants are not config fields
+            ("optimizer.eta0", 1.0),
+            ("optimizer.kappa", 0.2),
+            ("optimizer.eps", 1e-8),
+            ("optimizer.newton_tol", 1e-10),
+            # a misspelt key in each section
+            ("durration", 0.2),
+            ("model.parms", {}),
+            ("initial_state.qdot", [0.0, 0.0, 0.0]),
+            ("task.refrence", {"type": "constant", "value": [0.0]}),
+            ("task.reference.amplitud", [0.1]),
+            ("controller.gain", {"omega": 5.0}),
+            ("controller.gains.omgea", 5.0),
+            ("optimizer.kapa", 0.5),
+            ("integrator.dtt", 0.001),
+            ("contacts.schedul", []),
         ],
     )
     def test_rejected_at_load_with_field_path(self, tmp_path, capsys, dotted, value):
@@ -240,15 +256,42 @@ class TestConfigValidation:
         _, cfg = short_config(tmp_path, task=task)
         assert load_scenario(cfg).task.dim == 2
 
-    def test_kappa_must_reach_the_gap_certificate(self, tmp_path, capsys):
-        for config in sorted(CONFIGS.glob("*.json")):
-            load_scenario(load_config(config))  # the bundled configs and the default kappa load
-        path, cfg = short_config(tmp_path, base="compare_cone.json", **{"optimizer.kappa": 0.99})
-        with pytest.raises(ConfigError, match="eta0 = 1.0.*eps = 1e-08") as err:
-            load_scenario(cfg)
-        assert err.value.path == "optimizer.kappa"
+    @pytest.mark.parametrize(
+        "base, dotted, value",
+        [
+            # a constant reference reads no amplitude, a regulation controller no kd_task,
+            # and gains given by omega no matrices
+            ("arm_regulation.json", "task.reference.amplitude", [0.1]),
+            ("arm_regulation.json", "controller.gains.kd_task", 2.0),
+            ("arm_tracking.json", "controller.gains.kp_task", 25.0),
+            ("arm_tracking.json", "output.dirr", "out"),
+        ],
+    )
+    def test_keys_not_read_are_rejected(self, tmp_path, capsys, base, dotted, value):
+        path, cfg = short_config(tmp_path, base=base, **{dotted: value})
+        with pytest.raises(ConfigError, match="not read here") as err:
+            if dotted.startswith("output."):
+                output_paths(cfg, None, "scenario")
+            else:
+                load_scenario(cfg)
+        assert err.value.path == dotted
         assert main(["run", str(path), "--quiet"]) == 2
-        assert "optimizer.kappa" in capsys.readouterr().err
+        assert dotted in capsys.readouterr().err
+
+    def test_bundled_configs_load(self):
+        for config in sorted(CONFIGS.glob("*.json")):
+            cfg = load_config(config)
+            output_paths(cfg, None, config.stem)
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_workload_configs_load(self, monkeypatch, seed):
+        monkeypatch.syspath_prepend(str(REPO / "benchmarks"))
+        workloads = importlib.import_module("workloads")
+        for workload in workloads.WORKLOADS.values():
+            cfg = workloads.make_config(REPO, workload, seed)
+            output_paths(cfg, None, workload.config)
+            load_scenario(cfg)
 
     def test_field_paths_in_exception(self, tmp_path):
         path, cfg = short_config(tmp_path)

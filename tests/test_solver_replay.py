@@ -30,8 +30,8 @@ def test_smoke_on_compare_cone(solver_replay, capsys):
     # the same inputs through the plain oracle loop: same counts, same digest
     calls = solver_replay.record(CONFIGS / "compare_cone.json", 0.01)
     assert len(calls) == int(printed["solves"]) == 11
-    assert [u0 is None for _, _, u0 in calls] == [True] + [False] * 10
-    expected = [solve_barrier_reference(program, params, u0=u0) for program, params, u0 in calls]
+    assert [u0 is None for _, u0 in calls] == [True] + [False] * 10
+    expected = [solve_barrier_reference(program, u0=u0) for program, u0 in calls]
     assert int(printed["newton_total"]) == sum(r.newton_iters for r in expected)
     assert int(printed["centering_total"]) == sum(r.centering_steps for r in expected)
     assert printed["report_sha256"] == solver_replay.report_digest(expected)

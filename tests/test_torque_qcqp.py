@@ -10,12 +10,16 @@ from hypothesis import assume, event, given, settings, strategies as st
 from projctl.constrained_dynamics import RobotState, build_frame, contact_forces
 from projctl.control_laws import ControllerGains, tracking_torque
 from projctl.errors import InputError, SolverError
-from projctl.models import make_task
+from projctl.models import MODEL_CATALOG, build_model, make_task
+from projctl import torque_qcqp
 from projctl.task_space import build_task
 from projctl.torque_qcqp import (
     _barrier_hessian,
+    EPS,
+    ETA0,
+    KAPPA,
     MAX_CENTERING,
-    BarrierParams,
+    NEWTON_TOL,
     ConeConstraint,
     TorqueProgram,
     add_force_regulation,
@@ -327,18 +331,17 @@ class TestSolveBarrier:
         assert np.abs(report.u_star - tau).max() <= 1e-8
 
     def test_duality_gap_and_stationarity(self, arm, rng):
-        params = BarrierParams()
         for _ in range(5):
             state = random_manifold_state(arm, rng, ARM_HOME)
             frame, program = arm_program(arm, state)
-            report = solve_barrier(program, params)
+            report = solve_barrier(program)
             assert report.status == "optimal"
-            assert report.duality_gap <= params.eps
+            assert report.duality_gap <= EPS
             assert np.all(report.constraint_margins > 0)
             # stationarity: grad psi + E^T omega = 0 at the reported point
             grad = barrier_gradient(program, report.u_star, report.eta_final)
             res = grad + program.eq_mat.T @ report.omega
-            assert np.linalg.norm(res) <= params.newton_tol * 10
+            assert np.linalg.norm(res) <= NEWTON_TOL * 10
 
     def test_weighted_least_norm_closed_form(self):
         # z-pinned point mass: equality fixes u0, u1; cones stay inactive
@@ -407,19 +410,19 @@ class TestSolveBarrier:
             scale = max(1.0, np.abs(grad).max())
             assert np.abs(grad - fd).max() <= 1e-6 * scale
 
-    def test_central_path_objective_monotone(self, arm, rng):
-        # a solve with eps = r * eta_j stops at centering step j, on the iterate the
+    def test_central_path_objective_monotone(self, arm, rng, monkeypatch):
+        # a solve with EPS = r * eta_j stops at centering step j, on the iterate the
         # full solve reaches there; eta_j is formed by the loop's own products
         state = random_manifold_state(arm, rng, ARM_HOME)
         _, program = arm_program(arm, state)
-        params = BarrierParams()
-        steps = solve_barrier(program, params).centering_steps
-        objs, eta = [], params.eta0
+        steps = solve_barrier(program).centering_steps
+        objs, eta = [], ETA0
         for j in range(1, steps + 1):
-            report = solve_barrier(program, dataclasses.replace(params, eps=program.r * eta))
-            assert report.centering_steps == j
+            monkeypatch.setattr(torque_qcqp, "EPS", program.r * eta)
+            report = solve_barrier(program)
+            assert report.centering_steps == j  # the patched EPS took effect
             objs.append(report.objective)
-            eta *= params.kappa
+            eta *= KAPPA
         assert len(objs) == steps > 1
         for a, b in zip(objs, objs[1:]):
             assert b <= a + 1e-7 * max(1.0, abs(a))
@@ -446,25 +449,29 @@ class TestSolveBarrier:
         report = solve_barrier(program)
         assert report.status == "infeasible_inequality"
 
-    def test_centering_cap_without_certificate_fails(self):
-        scenario, program = centering_cap_case()
-        params = scenario.optimizer.barrier
-        report = solve_barrier(program, params)
-        assert report.centering_steps == MAX_CENTERING
-        assert report.duality_gap > params.eps
+    @pytest.mark.parametrize("kind", sorted(MODEL_CATALOG))
+    def test_constants_reach_the_gap_certificate(self, kind):
+        # the gap bound r * eta after the last centering step allowed reaches EPS on the
+        # model's largest program (all contacts active, r = 2(k + p) rows)
+        model = build_model(kind)
+        assert 2 * (model.k + model.p) * ETA0 * KAPPA ** (MAX_CENTERING - 1) <= EPS
+
+    def test_centering_cap_without_certificate_fails(self, monkeypatch):
+        scenario, program = centering_cap_case(monkeypatch)
+        report = solve_barrier(program)
+        assert report.centering_steps == MAX_CENTERING  # the patched KAPPA took effect
+        assert report.duality_gap > EPS
         assert report.status == "failed"
         with pytest.raises(SolverError, match=r"^step 0, t=0\.0000, active \[0\]: torque program failed .*gap=3\.6"):
             simulate(scenario)
 
 
-def centering_cap_case():
-    """compare_cone cut to one step with kappa = 0.99, and the torque program of its
-    first tick.  MAX_CENTERING steps shrink eta only to 0.99^79, so the barrier loop
-    stops at the cap with r * eta far above eps; the config loader refuses such a
-    kappa, so it is set through the API."""
+def centering_cap_case(monkeypatch):
+    """compare_cone cut to one step, and the torque program of its first tick, with
+    torque_qcqp.KAPPA patched to 0.99 until the test ends.  MAX_CENTERING steps shrink
+    eta only to 0.99^79, so the barrier loop stops at the cap with r * eta far above EPS."""
+    monkeypatch.setattr(torque_qcqp, "KAPPA", 0.99)
     scenario = short_scenario("compare_cone.json", 0.001)
-    barrier = dataclasses.replace(scenario.optimizer.barrier, kappa=0.99)
-    scenario = dataclasses.replace(scenario, optimizer=dataclasses.replace(scenario.optimizer, barrier=barrier))
     _, program = first_tick_program(scenario)
     return scenario, program
 
@@ -549,11 +556,12 @@ class TestSolverMatchesReference:
         event(f"{case} {'relaxed' if relaxed else 'qcqp'} {start} {extension}: {report.status}")
         self.assert_same_report(report, expected)
 
-    def test_stopped_at_the_centering_cap(self):
+    def test_stopped_at_the_centering_cap(self, monkeypatch):
         # the case TestSolveBarrier.test_centering_cap_without_certificate_fails pins as failed
-        scenario, program = centering_cap_case()
-        params = scenario.optimizer.barrier
-        self.assert_same_report(solve_barrier(program, params), solve_barrier_reference(program, params))
+        _, program = centering_cap_case(monkeypatch)
+        report = solve_barrier(program)
+        assert report.centering_steps == MAX_CENTERING  # the patched KAPPA took effect
+        self.assert_same_report(report, solve_barrier_reference(program))
 
     @pytest.mark.parametrize("target, status", [(0.0, "relaxed"), (1.0, "infeasible_equality")])
     def test_equality_rows_of_rank_zero(self, target, status):
@@ -589,19 +597,19 @@ class TestSolverMatchesReference:
             cfg["contacts"]["schedule"] = schedule
         calls = []
 
-        def recording(program, params=None, u0=None):
+        def recording(program, u0=None):
             u0_copy = None if u0 is None else u0.copy()
-            report = solve_barrier(program, params, u0=u0)
-            calls.append((program, params, u0_copy, report))
+            report = solve_barrier(program, u0=u0)
+            calls.append((program, u0_copy, report))
             return report
 
         # projctl.simulate, the attribute, is the function; the module is in sys.modules
         monkeypatch.setattr(importlib.import_module("projctl.simulate"), "solve_barrier", recording)
         simulate(load_scenario(cfg))
-        assert sum(u0 is not None for _, _, u0, _ in calls) == 50
-        assert [program.k for program, _, _, _ in calls] == cones  # active contacts per solve
-        for program, params, u0, report in calls:
-            self.assert_same_report(report, solve_barrier_reference(program, params, u0=u0))
+        assert sum(u0 is not None for _, u0, _ in calls) == 50
+        assert [program.k for program, _, _ in calls] == cones  # active contacts per solve
+        for program, u0, report in calls:
+            self.assert_same_report(report, solve_barrier_reference(program, u0=u0))
 
     @staticmethod
     def assert_same_report(report, expected):

@@ -5,7 +5,7 @@
 CONFIG is a bundled config (a file name under configs/, or a path).  The run is
 cut to S simulated seconds (default: the config's own duration); S must be a
 whole number of steps.  Every `solve_barrier` call the simulator makes is
-recorded with its program, parameters and warm start.  Each recorded solve is
+recorded with its program and warm start.  Each recorded solve is
 then run again on a fresh copy of its program, so the program's rows are
 stacked inside the timed call as they are in the run, and timed with
 `time.perf_counter`.  The tool prints:
@@ -41,7 +41,7 @@ CONFIGS = ROOT / "configs"
 sys.path.insert(0, str(ROOT / "src"))
 
 from projctl.runner import load_config, load_scenario  # noqa: E402
-from projctl.torque_qcqp import BarrierParams, SolverReport, TorqueProgram, solve_barrier  # noqa: E402
+from projctl.torque_qcqp import SolverReport, TorqueProgram, solve_barrier  # noqa: E402
 
 # the module: the package's `simulate` attribute is the function of that name
 simulate_module = importlib.import_module("projctl.simulate")
@@ -51,7 +51,6 @@ class Solve(NamedTuple):
     """One recorded solve_barrier input."""
 
     program: TorqueProgram
-    params: Optional[BarrierParams]
     u0: Optional[np.ndarray]
 
 
@@ -63,9 +62,9 @@ def record(config: Path, seconds: Optional[float] = None) -> List[Solve]:
     scenario = load_scenario(cfg, name=config.stem)
     calls: List[Solve] = []
 
-    def recording(program, params=None, u0=None):
-        calls.append(Solve(program, params, None if u0 is None else u0.copy()))
-        return solve_barrier(program, params, u0=u0)
+    def recording(program, u0=None):
+        calls.append(Solve(program, None if u0 is None else u0.copy()))
+        return solve_barrier(program, u0=u0)
 
     original = simulate_module.solve_barrier
     simulate_module.solve_barrier = recording
@@ -79,10 +78,10 @@ def record(config: Path, seconds: Optional[float] = None) -> List[Solve]:
 def replay(calls: Sequence[Solve]) -> Tuple[List[SolverReport], List[float]]:
     """Each solve run again on a fresh copy of its program: (reports, seconds per solve)."""
     reports, seconds = [], []
-    for program, params, u0 in calls:
+    for program, u0 in calls:
         program = dataclasses.replace(program)  # no rows stacked yet, as in the run
         start = time.perf_counter()
-        report = solve_barrier(program, params, u0=u0)
+        report = solve_barrier(program, u0=u0)
         seconds.append(time.perf_counter() - start)
         reports.append(report)
     return reports, seconds
