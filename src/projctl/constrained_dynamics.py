@@ -8,15 +8,21 @@ dimension.  :func:`build_frame` evaluates the model and this algebra once at
 a state and returns a :class:`ConstraintFrame`, the one per-state record: it
 carries the model and state it was built from, so every per-state function
 (the integrator stage, the task map, the control laws, the torque program and
-the contact forces) takes the frame alone.  The frame's M_bar^-1, the
-oblique force projector S = I - M M_bar^-1 P, the bias map Q = M Omega + C
-and the contact-force map (F, f0) below are computed on first use, so each
-of the frame's two callers pays only for what it reads:
+the contact forces) takes the frame alone.  M_bar^-1 is formed with the
+frame, since both of its callers read it; the oblique force projector
+S = I - M M_bar^-1 P, the bias map Q = M Omega + C and the contact-force map
+(F, f0) below are formed on first use, so each caller pays only for what it
+reads:
 
 - a control tick reads all of it (task map, control law, torque allocator,
   :func:`contact_forces`);
 - an integrator stage reads only the acceleration of :func:`constrained_accel`,
   qdd = M_bar^-1 (P (B u + tau_g) - C_bar qd), and never forms S, Q or (F, f0).
+
+The per-state records (the frame, its projector bundle, the contact wrench)
+are plain dataclasses: a frozen one sets each field through
+object.__setattr__, about three times the cost of building a plain one, and
+several are built at every RK4 stage.  Nothing assigns to them once built.
 
 The contact forces are affine in the actuator torques, lambda(u) =
 A^+T S (B u + tau_g - Q qd) = F u + f0; ``ConstraintFrame.force_map`` alone
@@ -163,15 +169,16 @@ class RobotState:
         object.__setattr__(self, "active_contacts", tuple(self.active_contacts))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConstraintFrame:
     """All projection-derived quantities evaluated at one state.
 
     The frame is the one per-state input: model and state are the ones it was
     built from, so callers pass the frame alone and read the actuation, the
-    velocity and the active contacts through it.  M_bar_inv, S, Q and the
-    force map (F, f0) are computed on first use and then kept: an integrator
-    stage reads only M_bar_inv, a control tick reads all four.
+    velocity and the active contacts through it.  M_bar_inv is formed with
+    the frame, as every caller reads it; S, Q and the force map (F, f0) are
+    computed on first use and then kept: an integrator stage reads none of
+    them, a control tick reads all three.
     """
 
     bundle: ProjectorBundle
@@ -179,6 +186,7 @@ class ConstraintFrame:
     C: np.ndarray
     tau_g: np.ndarray
     M_bar: np.ndarray
+    M_bar_inv: np.ndarray
     C_bar: np.ndarray
     nu: float
     model: RobotModel
@@ -191,10 +199,6 @@ class ConstraintFrame:
     @property
     def n(self) -> int:
         return self.M.shape[0]
-
-    @cached_property
-    def M_bar_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.M_bar)
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -216,7 +220,7 @@ class ConstraintFrame:
         return F, f0
 
 
-@dataclass(frozen=True)
+@dataclass
 class ContactWrench:
     """Stacked contact forces (x, y, z per contact) and cone margins.
 
@@ -252,7 +256,8 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
 
     Evaluates M, C, tau_g, A and A_dot once, validates what the model's
     callbacks return (shapes, finite A and A_dot) and nu > 0, then forms
-    A^+, P, L and M_bar, C_bar, with the product P M they share formed once.
+    A^+, P, L and M_bar, M_bar^-1, C_bar, with the product P M they share
+    formed once.
     nu defaults to trace(M(q))/n; callers that integrate over time should fix
     it once at the initial state so M_bar stays smooth in time.
     """
@@ -290,6 +295,7 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
         C=C,
         tau_g=tau_g,
         M_bar=M_bar,
+        M_bar_inv=np.linalg.inv(M_bar),
         C_bar=C_bar,
         nu=float(nu),
         model=model,

@@ -55,7 +55,7 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProjectorBundle:
     """Projector quantities derived from one constraint Jacobian.
 
@@ -94,8 +94,11 @@ def _pinv_from_svd(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, rank: int) -> n
     """A^+ from the thin SVD A = U diag(s) Vt, with s[rank:] treated as zero."""
     if rank == 0:
         return np.zeros((Vt.shape[1], U.shape[0]))
-    inv_s = np.zeros_like(s)
-    inv_s[:rank] = 1.0 / s[:rank]
+    if rank == s.size:  # full rank: no zero padding, the same division
+        inv_s = 1.0 / s
+    else:
+        inv_s = np.zeros_like(s)
+        inv_s[:rank] = 1.0 / s[:rank]
     return (Vt.T * inv_s) @ U.T
 
 

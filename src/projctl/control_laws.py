@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
-from .constraint_geometry import pseudo_inverse
+from .constraint_geometry import _pinv_from_svd, _svd_cutoff
 from .errors import ActuationError, InputError
 from .task_space import TaskMap
 
@@ -61,7 +61,7 @@ class ControllerGains:
         return cls(K_P=omega**2 * np.eye(dim), K_D=2.0 * omega * np.eye(dim))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ControlCommand:
     """Controller output plus allocation bookkeeping.
 
@@ -154,8 +154,8 @@ def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
     tau_c = np.asarray(tau_c, dtype=float)
     if tau_c.shape != (frame.n,):
         raise InputError(f"tau_c must have shape ({frame.n},), got {tau_c.shape}")
-    PB = frame.P @ frame.model.actuation
-    u = pseudo_inverse(PB) @ tau_c
+    PB = frame.P @ frame.model.actuation  # finite, as P and B are: no re-validation
+    u = _pinv_from_svd(*_svd_cutoff(PB)) @ tau_c
     r = tau_c - PB @ u
     residual = math.sqrt(r.dot(r))
     if residual > 1e-8 * max(1.0, math.sqrt(tau_c.dot(tau_c))):

@@ -279,6 +279,10 @@ MODEL_CATALOG = {
 }
 
 
+# the params dataclass of each model kind
+MODEL_PARAMS = {"planar_arm": ArmParams, "floating_biped": BipedParams}
+
+
 def build_model(kind: str, params: Optional[dict] = None) -> RobotModel:
     params = params or {}
     if kind == "planar_arm":

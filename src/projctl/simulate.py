@@ -83,10 +83,12 @@ def sinusoid_reference(center, amplitude, frequency_hz, phase=None) -> Reference
     amplitude = per_entry(amplitude, "amplitude")
     omega = 2.0 * np.pi * per_entry(frequency_hz, "frequency_hz")
     phase = np.zeros_like(center) if phase is None else per_entry(phase, "phase")
+    # the constant gains, formed once: a * w * cos(.) already evaluates as (a * w) * cos(.)
+    rate_gain, accel_gain = amplitude * omega, -amplitude * omega**2
     return Reference(
         value=lambda t: center + amplitude * np.sin(omega * t + phase),
-        rate=lambda t: amplitude * omega * np.cos(omega * t + phase),
-        accel=lambda t: -amplitude * omega**2 * np.sin(omega * t + phase),
+        rate=lambda t: rate_gain * np.cos(omega * t + phase),
+        accel=lambda t: accel_gain * np.sin(omega * t + phase),
     )
 
 

@@ -51,7 +51,7 @@ class TaskIdentities:
     pinv_product: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class TaskMap:
     """Task quantities at one state; P is the frame's projector, full_span means l = n - rank(A)."""
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,6 +71,7 @@ LS_BETA = 0.5
 MARGIN_SCALE = 1e-9
 # smoothed-max descent iterations allowed in phase 1
 PHASE1_MAX_ITER = 600
+_last_box_span = (None, None)  # (key, span) of the latest _box_span call, read and replaced whole
 
 
 def motor_weighting(R, K_t) -> np.ndarray:
@@ -100,7 +101,7 @@ def power_loss(u, W) -> float:
     return float(u @ W @ u)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConeConstraint:
     """Per-contact cone data in torque space.
 
@@ -141,14 +142,14 @@ def assemble_cone_constraints(frame: ConstraintFrame) -> List[ConeConstraint]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class Relaxation:
     rho: float
     W_prime: np.ndarray
     b: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass
 class TorqueProgram:
     """Data of one torque-allocation instance.
 
@@ -170,13 +171,13 @@ class TorqueProgram:
 
     def __post_init__(self):
         if self.extra_z is None:
-            object.__setattr__(self, "extra_z", np.zeros((0, self.p)))
-            object.__setattr__(self, "extra_alpha", np.zeros(0))
+            self.extra_z = np.zeros((0, self.p))
+            self.extra_alpha = np.zeros(0)
 
     @cached_property
     def lin(self) -> np.ndarray:  # (r, p)
         cone_lin = np.array([(c.z, c.gamma) for c in self.cones], dtype=float).reshape(2 * self.k, self.p)
-        return np.vstack([cone_lin, -np.eye(self.p), np.eye(self.p), self.extra_z])
+        return np.vstack([cone_lin, _box_rows(self.p), self.extra_z])
 
     @cached_property
     def off(self) -> np.ndarray:  # (r,)
@@ -203,6 +204,10 @@ class TorqueProgram:
     def obj_hess(self) -> np.ndarray:  # 2 obj_quad
         return 2.0 * self.obj_quad
 
+    @cached_property
+    def quad(self) -> slice:  # the quadratic rows 1, 3, ..., 2k - 1 of the stack
+        return slice(1, 2 * self.k, 2)
+
     @property
     def p(self) -> int:
         return self.W.shape[0]
@@ -228,24 +233,33 @@ class TorqueProgram:
         return float(u @ Wq @ u + lin @ u)
 
     def constraint_values(self, u: np.ndarray) -> np.ndarray:
-        return self._values(np.asarray(u, dtype=float))
-
-    def _values(self, u: np.ndarray) -> np.ndarray:  # c(u) of a float vector u
-        vals = self.lin @ u
-        vals[1 : 2 * self.k : 2] += (u @ self.G) @ u
-        return vals + self.off
+        return _values(self.lin, self.off, self.G, self.quad, np.asarray(u, dtype=float))
 
     def constraint_gradients(self, u: np.ndarray) -> np.ndarray:
-        return self._gradients(np.asarray(u, dtype=float))
-
-    def _gradients(self, u: np.ndarray) -> np.ndarray:  # grad c(u) of a float vector u
-        grads = self.lin.copy()
-        grads[1 : 2 * self.k : 2] += 2.0 * (self.G @ u)
-        return grads
+        return _gradients(self.lin, self.G, self.quad, np.asarray(u, dtype=float))
 
     def scale(self) -> float:
         cone_off = np.abs(self.off[: 2 * self.k])
-        return max(1.0, float(np.abs(self.u_max - self.u_min).max()), float(cone_off.max(initial=0.0)))
+        return max(1.0, _box_span(self.u_min, self.u_max), float(cone_off.max(initial=0.0)))
+
+
+@lru_cache(maxsize=None)
+def _box_rows(p: int) -> np.ndarray:
+    """The read-only (2p, p) gradient rows [-I; I] of the torque box, formed once per p."""
+    rows = np.vstack([-np.eye(p), np.eye(p)])
+    rows.flags.writeable = False
+    return rows
+
+
+def _box_span(u_min: np.ndarray, u_max: np.ndarray) -> float:
+    """max |u_max - u_min|, kept for the last box: every program of a run has its model's box."""
+    global _last_box_span
+    key = (u_min.tobytes(), u_max.tobytes())
+    last_key, span = _last_box_span
+    if key != last_key:
+        span = float(np.abs(u_max - u_min).max())
+        _last_box_span = (key, span)
+    return span
 
 
 def assemble_program(
@@ -348,7 +362,7 @@ def add_force_regulation(
 # solver
 
 
-@dataclass(frozen=True)
+@dataclass
 class PhaseOneResult:
     u: np.ndarray
     feasible: bool
@@ -356,7 +370,7 @@ class PhaseOneResult:
     iters: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class SolverReport:
     u_star: Optional[np.ndarray]
     omega: Optional[np.ndarray]
@@ -468,20 +482,40 @@ def _equality_pull(program: TorqueProgram, u: np.ndarray, margin: float) -> np.n
     return u
 
 
-def _gradient_parts(program: TorqueProgram, u: np.ndarray, c: np.ndarray, grads: np.ndarray):
+# The barrier formulas take a program's arrays (TorqueProgram.lin, off, G, G_flat, quad, obj_hess,
+# obj_lin), which solve_barrier reads once per solve.
+
+
+def _values(lin: np.ndarray, off: np.ndarray, G: np.ndarray, quad: slice, u: np.ndarray) -> np.ndarray:
+    """c(u) = lin u + off, plus u^T G_j u on quadratic row j, of a float vector u."""
+    vals = lin @ u
+    vals[quad] += (u @ G) @ u
+    return vals + off
+
+
+def _gradients(lin: np.ndarray, G: np.ndarray, quad: slice, u: np.ndarray) -> np.ndarray:
+    """grad c(u) of a float vector u."""
+    grads = lin.copy()
+    grads[quad] += 2.0 * (G @ u)
+    return grads
+
+
+def _gradient_parts(obj_hess: np.ndarray, obj_lin: np.ndarray, u: np.ndarray, c: np.ndarray, grads: np.ndarray):
     """The eta-free terms (a, b) of the barrier gradient a - eta * b, from the rows c(u) and their gradients.
 
     a = 2 obj_quad u + obj_lin is the objective's gradient, formed as obj_hess u (doubling
     is exact, so it rounds as 2 (obj_quad u)), and b = grad c^T (1 / c).
     """
-    return program.obj_hess @ u + program.obj_lin, grads.T @ (1.0 / c)
+    return obj_hess @ u + obj_lin, grads.T @ (1.0 / c)
 
 
-def _barrier_hessian(program: TorqueProgram, c: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
+def _barrier_hessian(
+    obj_hess: np.ndarray, G_flat: np.ndarray, quad: slice, c: np.ndarray, grads: np.ndarray, eta: float
+) -> np.ndarray:
     """Hessian of the barrier objective; positive definite for second-order-cone rows."""
     # 2 sum_j (eta / c_j) G_j by np.tensordot's product; doubling is exact unless 2 eta / c_j is subnormal or inf
-    G_term = np.dot(((2.0 * eta) / c[1 : 2 * program.k : 2])[None], program.G_flat).reshape(program.p, program.p)
-    H = program.obj_hess + eta * ((grads.T * (1.0 / c**2)) @ grads) - G_term
+    G_term = np.dot(((2.0 * eta) / c[quad])[None], G_flat).reshape(obj_hess.shape)
+    H = obj_hess + eta * ((grads.T * (1.0 / c**2)) @ grads) - G_term
     return 0.5 * (H + H.T)
 
 
@@ -497,7 +531,8 @@ def barrier_value(program: TorqueProgram, u: np.ndarray, eta: float) -> float:
 def barrier_gradient(program: TorqueProgram, u: np.ndarray, eta: float) -> np.ndarray:
     """Gradient of the barrier objective at an interior point."""
     u = np.asarray(u, dtype=float)
-    a, b = _gradient_parts(program, u, program.constraint_values(u), program.constraint_gradients(u))
+    grads = program.constraint_gradients(u)
+    a, b = _gradient_parts(program.obj_hess, program.obj_lin, u, program.constraint_values(u), grads)
     return a - eta * b
 
 
@@ -516,28 +551,32 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
 
     - once per program, on first read: the rows lin, off and G (also as a
       (k, p^2) matrix), the objective pair and its doubled quadratic term;
-    - once per solve: when the program has equality rows, their SVD, the
+    - once per solve: those arrays and the quadratic-row slice, bound to
+      locals; when the program has equality rows, their SVD, the
       reduced block E and its transpose; when rank > 0, the KKT matrix
       [[H, E^T], [E, 0]]; at the start, c(u) (for a warm start, the rows its
       feasibility test computed), grad c(u), the eta-free terms below and,
       when rank > 0, the residual's equality rows E u - rhs;
     - once per centering step: the residual's gradient rows at the new eta,
-      from the carried eta-free terms;
+      from the carried eta-free terms, and the residual norm;
     - once per Newton step: the Hessian H (written into the KKT matrix when
-      rank > 0), one linear solve and the residual norm;
+      rank > 0) and one linear solve;
     - once per line-search trial: c(u) and, only for a strictly feasible
       trial, grad c(u), the eta-free terms a = 2 obj_quad u + obj_lin and
       b = grad c^T (1 / c) (with E^T nu and E u when rank > 0), the
       residual (the gradient a - eta * b, then the equality rows) and its
       norm.  A full step (t = 1) subtracts du without a multiply.
 
-    The accepted trial's c, grad c, eta-free terms and residual start the next
-    Newton step.  None of them but the residual's gradient rows depends on eta,
-    so they also start the next centering step.
+    The accepted trial's c, grad c, eta-free terms, residual and its norm
+    start the next Newton step.  None of them but the residual's gradient rows
+    (and so its norm) depends on eta, so the rest also start the next
+    centering step.
     """
     p = program.p
     r = program.r
     margin = MARGIN_SCALE * program.scale()
+    lin, off, G, G_flat, quad = program.lin, program.off, program.G, program.G_flat, program.quad
+    obj_hess, obj_lin = program.obj_hess, program.obj_lin
 
     def failure(status, u=None):
         return SolverReport(
@@ -568,7 +607,7 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
         if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
             return failure("infeasible_equality")
 
-    c = None if u0 is None else program.constraint_values(np.asarray(u0, dtype=float))
+    c = None if u0 is None else _values(lin, off, G, quad, np.asarray(u0, dtype=float))
     if c is None or not np.all(c > margin):
         phase1 = phase1_feasible_point(program, u_seed=u0)
         if not phase1.feasible:
@@ -592,8 +631,8 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
 
     # the eta-free terms (a, b) of the gradient a - eta * b and, when rank > 0, the
     # equality rows of the residual [a - eta * b + E^T nu; E u - rhs] carry over
-    grads = program._gradients(u)
-    a, b = _gradient_parts(program, u, c, grads)
+    grads = _gradients(lin, G, quad, u)
+    a, b = _gradient_parts(obj_hess, obj_lin, u, c, grads)
     if rank:
         res = np.concatenate((np.empty(p), E @ u - rhs))
     while True:
@@ -602,15 +641,16 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
             np.add(a - eta * b, E_T @ nu_dual, out=res[:p])
         else:
             res = a - eta * b
+        res_norm = math.sqrt(res.dot(res))  # then carried from each accepted trial
         for _ in range(MAX_NEWTON):
-            kkt_res = math.sqrt(res.dot(res))
+            kkt_res = res_norm
             if kkt_res <= NEWTON_TOL:
                 converged = True
                 break
             if rank:
-                KKT[:p, :p] = _barrier_hessian(program, c, grads, eta)
+                KKT[:p, :p] = _barrier_hessian(obj_hess, G_flat, quad, c, grads, eta)
             else:  # no equality rows: the KKT system is H du = res
-                KKT = _barrier_hessian(program, c, grads, eta)
+                KKT = _barrier_hessian(obj_hess, G_flat, quad, c, grads, eta)
             # the Newton step is -(du, dnu): pivoting by |.| and round-to-nearest are
             # sign-symmetric, so the solution for res is exactly minus that for -res
             try:
@@ -624,12 +664,12 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
             t = 1.0
             while t > 1e-14:
                 u_try = u - (du if t == 1.0 else t * du)
-                c_try = program._values(u_try)
+                c_try = _values(lin, off, G, quad, u_try)
                 if not np.minimum.reduce(c_try) > 0.0:  # a NaN row fails too
                     t *= LS_BETA
                     continue
-                grads_try = program._gradients(u_try)
-                a_try, b_try = _gradient_parts(program, u_try, c_try, grads_try)
+                grads_try = _gradients(lin, G, quad, u_try)
+                a_try, b_try = _gradient_parts(obj_hess, obj_lin, u_try, c_try, grads_try)
                 if rank:
                     nu_try = nu_dual - (dnu if t == 1.0 else t * dnu)
                     res_try = np.empty(p + rank)
@@ -637,8 +677,10 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
                     np.subtract(E @ u_try, rhs, out=res_try[p:])
                 else:
                     nu_try, res_try = nu_dual, a_try - eta * b_try
-                if math.sqrt(res_try.dot(res_try)) <= (1.0 - LS_ALPHA * t) * kkt_res + 1e-16:
+                norm_try = math.sqrt(res_try.dot(res_try))
+                if norm_try <= (1.0 - LS_ALPHA * t) * kkt_res + 1e-16:
                     u, nu_dual, c, grads, a, b, res = u_try, nu_try, c_try, grads_try, a_try, b_try, res_try
+                    res_norm = norm_try
                     break
                 t *= LS_BETA
             total_newton += 1

@@ -99,10 +99,13 @@ class TestConfigValidation:
             ("optimizer.kapa", 0.5),
             ("integrator.dtt", 0.001),
             ("contacts.schedul", []),
+            ("model.params.mases", [1.0, 1.0, 1.0]),
+            ("model.params.leg_mas", 1.0),  # on the biped, below
         ],
     )
     def test_rejected_at_load_with_field_path(self, tmp_path, capsys, dotted, value):
-        path, _ = short_config(tmp_path, **{dotted: value})
+        base = "biped_switch.json" if dotted == "model.params.leg_mas" else "arm_tracking.json"
+        path, _ = short_config(tmp_path, base=base, **{dotted: value})
         with pytest.raises(ConfigError) as err:
             load_scenario(load_config(path))
         assert err.value.path == dotted

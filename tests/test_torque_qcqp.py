@@ -641,7 +641,8 @@ class TestBarrierConvexity:
                 c[2 * j + 1] += u @ G[j] @ u
                 grads[2 * j + 1] += 2 * (G[j] @ u)
             assert all(ci > 0 for ci in c)
-            HZ = mp(Z).T @ _barrier_hessian(program, c, grads, mpmath.mpf(eta)) @ mp(Z)
+            H = _barrier_hessian(program.obj_hess, program.G_flat, program.quad, c, grads, mpmath.mpf(eta))
+            HZ = mp(Z).T @ H @ mp(Z)
             return float(min(mpmath.eigsy(mpmath.matrix(HZ.tolist()), eigvals_only=True)))
 
     @staticmethod
@@ -664,7 +665,7 @@ class TestBarrierConvexity:
         c = program.constraint_values(u)
         assert np.all(c > 0.0)
         eta = 10.0**log_eta
-        H = _barrier_hessian(program, c, program.constraint_gradients(u), eta)
+        H = _barrier_hessian(program.obj_hess, program.G_flat, program.quad, c, program.constraint_gradients(u), eta)
         _, s, Vt = np.linalg.svd(program.eq_mat)
         Z = Vt[int(np.sum(s > 1e-10 * s.max(initial=0.0))) :].T  # basis of null(E); I when relaxed
         HZ = Z.T @ H @ Z
