@@ -116,6 +116,8 @@ class RobotModel:
         B = np.asarray(self.actuation, dtype=float)
         if B.shape != (self.n, self.p):
             raise InputError(f"actuation matrix must be {self.n}x{self.p}, got {B.shape}")
+        if not np.isfinite(B).all():
+            raise InputError("actuation matrix entries must be finite")
         object.__setattr__(self, "actuation", B)
         object.__setattr__(self, "contacts", tuple(self.contacts))
         for attr in ("u_min", "u_max", "motor_resistance", "torque_constant"):

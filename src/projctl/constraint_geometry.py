@@ -94,11 +94,8 @@ def _pinv_from_svd(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, rank: int) -> n
     """A^+ from the thin SVD A = U diag(s) Vt, with s[rank:] treated as zero."""
     if rank == 0:
         return np.zeros((Vt.shape[1], U.shape[0]))
-    if rank == s.size:  # full rank: no zero padding, the same division
-        inv_s = 1.0 / s
-    else:
-        inv_s = np.zeros_like(s)
-        inv_s[:rank] = 1.0 / s[:rank]
+    inv_s = np.zeros_like(s)
+    inv_s[:rank] = 1.0 / s[:rank]
     return (Vt.T * inv_s) @ U.T
 
 

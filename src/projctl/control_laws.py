@@ -154,7 +154,7 @@ def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
     tau_c = np.asarray(tau_c, dtype=float)
     if tau_c.shape != (frame.n,):
         raise InputError(f"tau_c must have shape ({frame.n},), got {tau_c.shape}")
-    PB = frame.P @ frame.model.actuation  # finite, as P and B are: no re-validation
+    PB = frame.P @ frame.model.actuation  # finite, as P and B are (RobotModel checks B): no re-validation
     u = _pinv_from_svd(*_svd_cutoff(PB)) @ tau_c
     r = tau_c - PB @ u
     residual = math.sqrt(r.dot(r))

@@ -279,14 +279,14 @@ MODEL_CATALOG = {
 }
 
 
-# the params dataclass of each model kind
-MODEL_PARAMS = {"planar_arm": ArmParams, "floating_biped": BipedParams}
-
-
 def build_model(kind: str, params: Optional[dict] = None) -> RobotModel:
     params = params or {}
-    if kind == "planar_arm":
-        return planar_arm_contact(ArmParams(**params))
-    if kind == "floating_biped":
-        return floating_biped(BipedParams(**params))
-    raise InputError(f"unknown model '{kind}'; known: {sorted(MODEL_CATALOG)}")
+    builders = {"planar_arm": (ArmParams, planar_arm_contact), "floating_biped": (BipedParams, floating_biped)}
+    if not (isinstance(kind, str) and kind in builders):
+        raise InputError(f"unknown model '{kind}'; known: {sorted(MODEL_CATALOG)}")
+    params_cls, build = builders[kind]
+    known = {f.name for f in fields(params_cls)}
+    for key in params:
+        if key not in known:
+            raise InputError(f"{key} is not a parameter of '{kind}'; known: {sorted(known)}")
+    return build(params_cls(**params))

@@ -40,7 +40,7 @@ import numpy as np
 from .constrained_dynamics import ContactSpec, RobotState
 from .control_laws import ControllerGains
 from .errors import ConfigError, InputError
-from .models import MODEL_PARAMS, _is_number, build_model, make_task
+from .models import _is_number, build_model, make_task
 from .simulate import (
     OptimizerSpec,
     Reference,
@@ -148,8 +148,6 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     mcfg = _section(cfg, "model", "", ("type", "params"))
     kind = _require(mcfg, "type", "model")
     params = _section(mcfg, "params", "model", optional=True)
-    if isinstance(kind, str) and kind in MODEL_PARAMS:
-        _known(params, "model.params", [f.name for f in fields(MODEL_PARAMS[kind])])
     try:
         model = build_model(kind, params)
     except InputError as exc:  # a field's message starts with its name

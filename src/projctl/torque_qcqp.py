@@ -71,7 +71,6 @@ LS_BETA = 0.5
 MARGIN_SCALE = 1e-9
 # smoothed-max descent iterations allowed in phase 1
 PHASE1_MAX_ITER = 600
-_last_box_span = (None, None)  # (key, span) of the latest _box_span call, read and replaced whole
 
 
 def motor_weighting(R, K_t) -> np.ndarray:
@@ -240,7 +239,7 @@ class TorqueProgram:
 
     def scale(self) -> float:
         cone_off = np.abs(self.off[: 2 * self.k])
-        return max(1.0, _box_span(self.u_min, self.u_max), float(cone_off.max(initial=0.0)))
+        return max(1.0, float(np.abs(self.u_max - self.u_min).max()), float(cone_off.max(initial=0.0)))
 
 
 @lru_cache(maxsize=None)
@@ -249,17 +248,6 @@ def _box_rows(p: int) -> np.ndarray:
     rows = np.vstack([-np.eye(p), np.eye(p)])
     rows.flags.writeable = False
     return rows
-
-
-def _box_span(u_min: np.ndarray, u_max: np.ndarray) -> float:
-    """max |u_max - u_min|, kept for the last box: every program of a run has its model's box."""
-    global _last_box_span
-    key = (u_min.tobytes(), u_max.tobytes())
-    last_key, span = _last_box_span
-    if key != last_key:
-        span = float(np.abs(u_max - u_min).max())
-        _last_box_span = (key, span)
-    return span
 
 
 def assemble_program(

@@ -74,6 +74,13 @@ class TestBuildFrame:
         with pytest.raises(InputError):
             build_frame(arm, state, nu=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_actuation(self, arm, bad):
+        B = np.array(arm.actuation)
+        B[1, 2] = bad
+        with pytest.raises(InputError, match="actuation matrix entries must be finite"):
+            replace(arm, actuation=B)
+
 
 class TestInertiaProperties:
     def test_random_matrix_suite(self, rng):

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projctl.constraint_geometry import (
-    _pinv_from_svd,
     _projector,
-    _svd_cutoff,
     jacobian_rate,
     null_projector,
     projector_rate,
@@ -274,43 +272,3 @@ class TestKeptProjector:
         for got in (kept, again):
             assert all(np.array_equal(x, y) for x, y in zip(got, projector_reference(original)))
 
-
-def padded_pinv(U, s, Vt, rank):
-    """A^+ from a thin SVD with s[rank:] zeroed by padding, at every rank."""
-    if rank == 0:
-        return np.zeros((Vt.shape[1], U.shape[0]))
-    inv_s = np.zeros_like(s)
-    inv_s[:rank] = 1.0 / s[:rank]
-    return (Vt.T * inv_s) @ U.T
-
-
-class TestPinvFromSvd:
-    """At full rank _pinv_from_svd divides without padding; the result is the padded formula's, bit for bit."""
-
-    @staticmethod
-    def assert_padded_bits(A):
-        U, s, Vt, rank = _svd_cutoff(A)
-        got, want = _pinv_from_svd(U, s, Vt, rank), padded_pinv(U, s, Vt, rank)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        return 0 < rank == s.size  # the full-rank branch ran
-
-    def test_model_stacks_and_actuation_maps(self):
-        # the contact stacks (3x3 arm, 3x5 and 6x5 biped, a rank-3 6x5 coincident pair; none full
-        # rank), the actuation maps P B, and the full-rank copies a small perturbation gives
-        arm, biped = planar_arm_contact(), floating_biped()
-        rng = np.random.default_rng(11)
-        full = []
-        for A in contact_stacks().values():
-            B = arm.actuation if A.shape[1] == arm.n else biped.actuation
-            for M in (A, null_projector(A).P @ B, A + 1e-3 * rng.standard_normal(A.shape)):
-                full.append(self.assert_padded_bits(M))
-        assert any(full) and not all(full)
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(3, 3), (6, 5), None]), deficient=st.booleans())
-    def test_random_stacks(self, seed, shape, deficient):
-        rng = np.random.default_rng(seed)
-        m, n = shape if shape else (None, None)
-        A = random_stack(rng, n=n, m=m, force_deficient=deficient)
-        A *= 10.0 ** rng.uniform(-6, 6)
-        self.assert_padded_bits(A)

@@ -137,6 +137,8 @@ class TestBipedModel:
         assert model.name == "floating_biped"
         with pytest.raises(InputError):
             build_model("hexapod")
+        with pytest.raises(InputError, match=r"^leg_mas is not a parameter of 'floating_biped'"):
+            build_model("floating_biped", {"leg_mas": 1.0})
 
 
 class TestStep:
