@@ -154,7 +154,7 @@ class RobotModel:
 
 @dataclass(frozen=True)
 class RobotState:
-    """Time, configuration, velocity and the indices of active contacts."""
+    """Time, configuration, velocity and the distinct indices of active contacts."""
 
     t: float
     q: np.ndarray
@@ -166,9 +166,12 @@ class RobotState:
         qd = np.asarray(self.q_dot, dtype=float)
         if q.shape != qd.shape or q.ndim != 1:
             raise InputError("q and q_dot must be 1-d vectors of equal length")
+        active = tuple(self.active_contacts)
+        if len(set(active)) != len(active):  # a repeat stacks one contact twice, splitting its force
+            raise InputError(f"active_contacts {active} repeats a contact")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "q_dot", qd)
-        object.__setattr__(self, "active_contacts", tuple(self.active_contacts))
+        object.__setattr__(self, "active_contacts", active)
 
 
 @dataclass

@@ -95,9 +95,11 @@ def _as_vector(value, path: str, sizes: Tuple[int, ...] = ()) -> np.ndarray:
 
 
 def _is_index_list(value, k: int) -> bool:
-    """A JSON list of contact indices: integers (not booleans) in [0, k)."""
-    return isinstance(value, list) and all(
-        isinstance(i, int) and not isinstance(i, bool) and 0 <= i < k for i in value
+    """A JSON list of distinct contact indices: integers (not booleans) in [0, k)."""
+    return (
+        isinstance(value, list)
+        and all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < k for i in value)
+        and len(set(value)) == len(value)
     )
 
 
@@ -159,9 +161,10 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     q_dot = _as_vector(_require(scfg, "q_dot", "initial_state"), "initial_state.q_dot")
     if q.size != model.n or q_dot.size != model.n:
         raise ConfigError("initial_state.q", f"model '{kind}' has n={model.n} coordinates")
+    index_rule = f"contact indices must be distinct integers in [0, {model.k})"
     active = scfg.get("active_contacts", [])
     if not _is_index_list(active, model.k):
-        raise ConfigError("initial_state.active_contacts", f"contact indices must be integers in [0, {model.k})")
+        raise ConfigError("initial_state.active_contacts", index_rule)
     initial = RobotState(t=0.0, q=q, q_dot=q_dot, active_contacts=tuple(active))
 
     tcfg = _section(cfg, "task", "", ("type", "indices", "reference"))
@@ -222,7 +225,7 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
         t_sw = _as_number(entry[0], f"{p}[0]")
         ids = entry[1]
         if not _is_index_list(ids, model.k):
-            raise ConfigError(f"{p}[1]", f"contact indices must be integers in [0, {model.k})")
+            raise ConfigError(f"{p}[1]", index_rule)
         schedule.append((t_sw, tuple(sorted(ids))))
 
     duration = _as_number(_require(cfg, "duration", ""), "duration", positive=True)
@@ -391,12 +394,17 @@ def compare_controllers(config_path, out_dir: Optional[str] = None, quiet: bool 
     kinds = ocfg.get("types")
     if not isinstance(kinds, list) or len(kinds) < 2:
         raise ConfigError("optimizer.types", "compare needs a list of at least two optimizer types")
+    for i, kind in enumerate(kinds):  # every entry is checked before the first run writes a file
+        try:
+            OptimizerSpec(kind=kind)
+        except InputError as exc:
+            raise ConfigError(f"optimizer.types[{i}]", str(exc)) from None
+        if kind in kinds[:i]:  # a second run would write over the first one's trace
+            raise ConfigError(f"optimizer.types[{i}]", f"'{kind}' is listed twice")
     directory, prefix = output_paths(cfg, out_dir, Path(str(config_path)).stem)
 
     rows, summaries, traces = [], [], {}
     for kind in kinds:
-        if not isinstance(kind, str):
-            raise ConfigError("optimizer.types", "entries must be strings")
         trace_path = directory / f"{prefix}_{kind}_trace.csv"
         traces[kind], summary = _run(cfg, f"{prefix}_{kind}", trace_path, optimizer_kind=kind)
         summaries.append(summary)

@@ -241,8 +241,8 @@ def step(
     Each of the four stages builds a frame at its own (q, q_dot).  B u is
     formed once per step, since u is held over it, and each stage velocity
     qd + c dt k_v once: it is both that stage's velocity argument and its k_q.
-    The post-state satisfies ||A(q) q_dot|| <= DRIFT_HARD_LIMIT or a
-    SimulationError is raised.
+    The post-state is finite and satisfies ||A(q) q_dot|| <= DRIFT_HARD_LIMIT,
+    or a SimulationError is raised.
     """
     u = np.asarray(u, dtype=float)
     if (u < model.u_min - 1e-9).any() or (u > model.u_max + 1e-9).any():
@@ -264,6 +264,8 @@ def step(
     k4v = accel(q + dt * k3q, k4q)
     q_new = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
     qd_new = qd + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    if not (np.isfinite(q_new).all() and np.isfinite(qd_new).all()):
+        raise SimulationError(f"non-finite state at t={state.t + dt:.4f}")
 
     A_new = model.contact_stack(q_new, active)
     if A_new.shape[0]:
@@ -271,7 +273,7 @@ def step(
         qd_new = P_new @ qd_new
         r = A_new @ qd_new
         drift = math.sqrt(r.dot(r))
-        if drift > DRIFT_HARD_LIMIT:
+        if not drift <= DRIFT_HARD_LIMIT:
             raise SimulationError(
                 f"constraint drift {drift:.3e} exceeds {DRIFT_HARD_LIMIT:.1e} at t={state.t + dt:.4f}"
             )

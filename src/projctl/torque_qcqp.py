@@ -377,8 +377,8 @@ def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] =
 
     Tries cheap candidates first (the seed, the least-squares equality
     solution, B^T tau_c via the equality data, the box center), then descends
-    a smoothed max of the violated constraints; afterwards it pulls toward the
-    equality set while preserving strict feasibility.
+    a smoothed max of the violated constraints.  The start need not meet the
+    equality rows: solve_barrier's infeasible-start Newton method reaches them.
     """
     margin = MARGIN_SCALE * program.scale()
     p = program.p
@@ -404,8 +404,7 @@ def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] =
         if worst > best_margin:
             best, best_margin = cand, worst
         if worst > 2 * margin:
-            u = _equality_pull(program, cand, margin)
-            return PhaseOneResult(u=u, feasible=True, margin=float(program.constraint_values(u).min()), iters=0)
+            return PhaseOneResult(u=cand, feasible=True, margin=worst, iters=0)
 
     # smoothed-max descent on f(u) = s * log sum exp(-c_i(u)/s)
     u = best.copy()
@@ -439,35 +438,8 @@ def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] =
                 s *= 0.2
             else:
                 break
-    c = program.constraint_values(u)
-    worst = float(c.min())
-    if worst <= margin:
-        return PhaseOneResult(u=u, feasible=False, margin=worst, iters=iters)
-    u = _equality_pull(program, u, margin)
-    return PhaseOneResult(u=u, feasible=True, margin=float(program.constraint_values(u).min()), iters=iters)
-
-
-def _equality_pull(program: TorqueProgram, u: np.ndarray, margin: float) -> np.ndarray:
-    """Reduce ||eq_mat u - eq_rhs|| while keeping strict inequality margin."""
-    if program.eq_mat.shape[0] == 0:
-        return u
-    for _ in range(60):
-        resid = program.eq_rhs - program.eq_mat @ u
-        if np.linalg.norm(resid) <= 1e-12:
-            break
-        du, *_ = np.linalg.lstsq(program.eq_mat, resid, rcond=None)
-        t = 1.0
-        moved = False
-        for _ in range(30):
-            u_try = u + t * du
-            if program.constraint_values(u_try).min() > 0.5 * margin:
-                u = u_try
-                moved = True
-                break
-            t *= 0.5
-        if not moved or t < 1e-9:
-            break
-    return u
+    worst = float(program.constraint_values(u).min())
+    return PhaseOneResult(u=u, feasible=worst > margin, margin=worst, iters=iters)
 
 
 # The barrier formulas take a program's arrays (TorqueProgram.lin, off, G, G_flat, quad, obj_hess,

@@ -59,6 +59,13 @@ class TestConfigValidation:
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--quiet"]) == 2
 
+    def test_repeated_scheduled_contact_index(self, tmp_path, capsys):
+        # as for initial_state.active_contacts, a repeated index would split a contact's force
+        schedule = [[1.0, [0]], [1.3, [1, 1]]]
+        path, _ = short_config(tmp_path, base="biped_switch.json", **{"contacts.schedule": schedule})
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert "config error: contacts.schedule[1][1]: contact indices must be distinct" in capsys.readouterr().err
+
     def test_integrator_method_must_be_rk4(self, tmp_path):
         path, cfg = short_config(tmp_path)
         assert load_scenario(cfg).dt == cfg["integrator"]["dt"]  # bundled "rk4" loads
@@ -101,6 +108,8 @@ class TestConfigValidation:
             ("contacts.schedul", []),
             ("model.params.mases", [1.0, 1.0, 1.0]),
             ("model.params.leg_mas", 1.0),  # on the biped, below
+            # a repeated index would stack one contact twice, and the copies would split its force
+            ("initial_state.active_contacts", [0, 0]),
         ],
     )
     def test_rejected_at_load_with_field_path(self, tmp_path, capsys, dotted, value):
@@ -402,6 +411,22 @@ class TestCompare:
     def test_compare_requires_types(self, tmp_path):
         path, cfg = short_config(tmp_path)
         assert main(["compare", str(path), "--quiet"]) == 2
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (5, "unknown optimizer '5'"),
+            ("qcqp_x", "unknown optimizer 'qcqp_x'"),
+            ("min_norm", "'min_norm' is listed twice"),
+        ],
+        ids=["number", "unknown", "repeat"],
+    )
+    def test_every_type_is_checked_before_any_run(self, tmp_path, capsys, second, message):
+        path, _ = short_config(tmp_path, base="compare_cone.json", **{"optimizer.types": ["min_norm", second]})
+        assert main(["compare", str(path), "--quiet"]) == 2
+        assert f"config error: optimizer.types[1]: {message}" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_equal_weights_equal_energy(self, tmp_path):
         # W = I with inactive cones: both allocators solve the same program

@@ -74,6 +74,11 @@ class TestBuildFrame:
         with pytest.raises(InputError):
             build_frame(arm, state, nu=-1.0)
 
+    def test_state_rejects_a_repeated_contact(self):
+        # a repeat stacks one contact twice and splits its force; a Scenario's initial state is a RobotState too
+        with pytest.raises(InputError, match=r"active_contacts \(0, 0\) repeats a contact"):
+            RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=(0, 0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_actuation(self, arm, bad):
         B = np.array(arm.actuation)

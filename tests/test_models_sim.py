@@ -39,7 +39,7 @@ from projctl.torque_qcqp import assemble_program, solve_barrier
 from projctl.control_laws import tracking_torque
 from projctl.task_space import build_task
 
-from conftest import ARM_HOME, BIPED_HOME, manifold_state, random_manifold_state, short_scenario
+from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, random_manifold_state, short_scenario
 from oracles import (
     floating_biped_reference,
     integrate_saddle,
@@ -230,6 +230,18 @@ class TestStep:
         assert bits(got.q) == bits(want.q)
         assert bits(got.q_dot) == bits(want.q_dot)
         assert (got.t, got.active_contacts) == (want.t, want.active_contacts)
+
+    @pytest.mark.parametrize("callback", ["mass_matrix", "gravity"])
+    @pytest.mark.parametrize("active", [(), (0,)], ids=["free", "contact"])
+    def test_non_finite_state_raises(self, callback, active):
+        # without contacts no drift test runs; with one the drift is NaN.  An infinite mass matrix
+        # would make numpy warn first, which filterwarnings = error turns into a failure
+        model = point_mass_model()
+        nan = {"mass_matrix": lambda q: np.full((3, 3), np.nan), "gravity": lambda q: np.array([0.0, np.nan, -1.0])}
+        model = dataclasses.replace(model, **{callback: nan[callback]})
+        state = RobotState(t=0.25, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=active)
+        with pytest.raises(SimulationError, match=r"non-finite state at t=0\.2510"):
+            step(model, state, np.zeros(3), 1e-3, nu=2.0)
 
 
 class TestLeanControlTick:
@@ -542,6 +554,12 @@ class TestSwitchContacts:
         state = manifold_state(biped, BIPED_HOME, scale=0.0)
         with pytest.raises(InputError):
             switch_contacts(state, (3,), biped)
+
+    def test_repeated_contact_rejected(self, biped):
+        # a repeated index stacks one contact twice, and the copies would split its force
+        state = manifold_state(biped, BIPED_HOME, scale=0.0, active=(0,))
+        with pytest.raises(InputError, match=r"active_contacts \(1, 1\) repeats a contact"):
+            switch_contacts(state, (1, 1), biped)
 
 
 class TestSimulate:
