@@ -18,7 +18,6 @@ from .constrained_dynamics import (
 )
 from .constraint_geometry import (
     ProjectorBundle,
-    jacobian_rate,
     null_projector,
     projector_rate,
     pseudo_inverse,
@@ -71,8 +70,6 @@ from .torque_qcqp import (
     ConeConstraint,
     SolverReport,
     TorqueProgram,
-    add_force_regulation,
-    add_moment_constraints,
     assemble_cone_constraints,
     assemble_program,
     motor_weighting,

@@ -49,7 +49,6 @@ from .constraint_geometry import (  # noqa: F401
     _identity,
     _projector,
     _rate,
-    jacobian_rate,
     null_projector,
     projector_rate,
 )
@@ -63,14 +62,14 @@ class ContactSpec:
     jacobian(q) returns the 3xn row block (x, y, z) mapping generalized
     velocity to the negative contact-point velocity, so that the associated
     multipliers are the force applied to the robot with z along the outward
-    normal.  jacobian_rate(q, qd), when given, must return d/dt of that block.
-    point(q), when given, returns the 3-vector contact-point position; only
-    the run report's slip measure (runner.contact_slip) reads it.
+    normal.  jacobian_rate(q, qd) returns d/dt of that block.  point(q), when
+    given, returns the 3-vector contact-point position; only the run report's
+    slip measure (runner.contact_slip) reads it.
     """
 
     jacobian: Callable[[np.ndarray], np.ndarray]
     friction: float
-    jacobian_rate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    jacobian_rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     point: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
@@ -144,11 +143,10 @@ class RobotModel:
         return np.asarray(blocks[0]) if len(blocks) == 1 else np.concatenate(blocks)
 
     def contact_stack_rate(self, q: np.ndarray, q_dot: np.ndarray, active: Sequence[int]) -> np.ndarray:
-        """d/dt of contact_stack: analytic block rates where given, else central differences."""
+        """d/dt of contact_stack, stacked from each active contact's jacobian_rate."""
         if len(active) == 0:
             return np.zeros((0, self.n))
-        blocks = [c.jacobian_rate(q, q_dot) if c.jacobian_rate is not None else jacobian_rate(c.jacobian, q, q_dot)
-                  for c in (self.contacts[i] for i in active)]
+        blocks = [self.contacts[i].jacobian_rate(q, q_dot) for i in active]
         return np.asarray(blocks[0]) if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -256,6 +254,13 @@ def cone_margins(forces: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return mu * lam[:, 2] - np.hypot(lam[:, 0], lam[:, 1])
 
 
+def _default_nu(M: np.ndarray) -> float:
+    """trace(M)/n, the default nu; raises InputError when M is not finite."""
+    if not np.isfinite(M).all():
+        raise InputError("mass_matrix returned non-finite entries")
+    return float(np.trace(M)) / M.shape[0]
+
+
 def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None) -> ConstraintFrame:
     """Assemble the constraint frame at a state.
 
@@ -263,8 +268,9 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
     callbacks return (shapes, finite A and A_dot) and nu > 0, then forms
     A^+, P, L and M_bar, M_bar^-1, C_bar, with the product P M they share
     formed once.
-    nu defaults to trace(M(q))/n; callers that integrate over time should fix
-    it once at the initial state so M_bar stays smooth in time.
+    nu defaults to trace(M(q))/n, for which M must be finite; callers that
+    integrate over time should fix it once at the initial state so M_bar stays
+    smooth in time.
     """
     q, qd, active = state.q, state.q_dot, state.active_contacts
     M = np.asarray(model.mass_matrix(q), dtype=float)
@@ -282,7 +288,7 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
         raise InputError("contact stack or its rate contains non-finite entries")
 
     if nu is None:
-        nu = float(np.trace(M)) / n
+        nu = _default_nu(M)
     if not nu > 0:
         raise InputError(f"nu must be positive, got {nu}")
 

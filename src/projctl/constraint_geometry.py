@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .errors import InputError
 
 # singular values below RANK_TOL * sigma_max count as zero
 RANK_TOL = 1e-10
-# central-difference step for Jacobian rates without an analytic form
-FD_STEP = 1e-6
 _last_projector = (None, None)  # (key, result) of the latest _projector call, read and replaced whole
 
 
@@ -148,16 +146,3 @@ def _rate(A_pinv: np.ndarray, A_dot: np.ndarray, P: np.ndarray):
     L = -A_pinv @ A_dot @ P
     return L, L - L.T, L + L.T
 
-
-def jacobian_rate(jac_fn: Callable[[np.ndarray], np.ndarray], q, q_dot) -> np.ndarray:
-    """Time derivative of a configuration-dependent Jacobian A(q).
-
-    A_dot = sum_j (dA/dq_j) qd_j is the derivative of A along qd, taken as the
-    one directional central difference (A(q + h qd) - A(q - h qd)) / 2h with
-    h = FD_STEP.
-    """
-    q = np.asarray(q, dtype=float)
-    step = FD_STEP * np.asarray(q_dot, dtype=float)
-    A_plus = _as_matrix(jac_fn(q + step), "A(q)")
-    A_minus = _as_matrix(jac_fn(q - step), "A(q)")
-    return (A_plus - A_minus) / (2.0 * FD_STEP)

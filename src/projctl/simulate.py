@@ -29,6 +29,7 @@ from .constrained_dynamics import (
     RobotModel,
     RobotState,
     _accel,
+    _default_nu,
     build_frame,
     contact_forces,
 )
@@ -103,6 +104,8 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in ("min_norm", "qcqp", "qcqp_relaxed"):
             raise InputError(f"unknown optimizer '{self.kind}'")
+        if not 0 < self.rho < math.inf:
+            raise InputError(f"rho must be positive and finite, got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,8 @@ class Scenario:
             raise InputError(f"unknown controller '{self.controller}'")
         if not 0 < self.dt < np.inf:
             raise InputError(f"dt must be positive and finite, got {self.dt}")
-        if self.duration <= 0:
-            raise InputError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise InputError(f"duration must be positive and finite, got {self.duration}")
         if abs(self.n_steps * self.dt - self.duration) > 1e-9:
             raise InputError(f"duration must be an integer multiple of integrator.dt = {self.dt}")
         if any(i < 0 or i >= self.model.k for i in self.initial.active_contacts):
@@ -136,6 +139,8 @@ class Scenario:
                 f"(k={self.model.k})"
             )
         times = [t for t, _ in self.schedule]
+        if not all(math.isfinite(t) for t in times):
+            raise InputError(f"schedule times must be finite, got {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InputError("schedule times must be strictly increasing")
 
@@ -319,7 +324,7 @@ def simulate(scenario: Scenario) -> SimTrace:
         P0 = null_projector(model.contact_stack(state.q, state.active_contacts)).P
         state = replace(state, q_dot=P0 @ state.q_dot)
 
-    nu = float(np.trace(model.mass_matrix(state.q))) / model.n
+    nu = _default_nu(np.asarray(model.mass_matrix(state.q), dtype=float))
 
     cols: Dict[str, list] = {f.name: [] for f in fields(SimTrace) if f.name != "name"}
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
-from .constraint_geometry import FD_STEP, _pinv_from_svd, _svd_cutoff, jacobian_rate
+from .constraint_geometry import _pinv_from_svd, _svd_cutoff
 from .errors import InputError, TaskInconsistencyError
 
 _last_jacobian_norm = (None, None)  # (key, ||J||_2) of the latest build_task J, read and replaced whole
@@ -28,13 +28,13 @@ _last_jacobian_norm = (None, None)  # (key, ||J||_2) of the latest build_task J,
 
 @dataclass(frozen=True)
 class TaskDef:
-    """Task geometry: value x(q), optional analytic Jacobian and its rate."""
+    """Task geometry: value x(q), its Jacobian J(q) = dx/dq and the rate J_dot(q, qd)."""
 
     name: str
     dim: int
     value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jacobian_rate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
+    jacobian_rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -88,42 +88,6 @@ class FeasibilityReport:
     rank_B: int
 
 
-def _task_jacobian(task: TaskDef, q: np.ndarray) -> np.ndarray:
-    if task.jacobian is not None:
-        return np.asarray(task.jacobian(q), dtype=float)
-    J = np.zeros((task.dim, q.size))
-    for j in range(q.size):
-        dq = np.zeros_like(q)
-        dq[j] = FD_STEP
-        J[:, j] = (
-            np.asarray(task.value(q + dq), dtype=float)
-            - np.asarray(task.value(q - dq), dtype=float)
-        ) / (2.0 * FD_STEP)
-    return J
-
-
-def _task_jacobian_rate(task: TaskDef, q, q_dot) -> np.ndarray:
-    if task.jacobian_rate is not None:
-        return np.asarray(task.jacobian_rate(q, q_dot), dtype=float)
-    if task.jacobian is not None:
-        return jacobian_rate(task.jacobian, q, q_dot)
-    # value-only task: mixed second partials d2x/(dq_j ds) along s = q_dot
-    # with a wider step, since nesting two first-order differences at FD_STEP
-    # loses half the digits
-    hm = max(np.sqrt(FD_STEP), 1e-4)
-    J_dot = np.zeros((task.dim, q.size))
-    sv = hm * q_dot
-    for j in range(q.size):
-        ej = np.zeros_like(q)
-        ej[j] = hm
-        fpp = np.asarray(task.value(q + ej + sv), dtype=float)
-        fpm = np.asarray(task.value(q + ej - sv), dtype=float)
-        fmp = np.asarray(task.value(q - ej + sv), dtype=float)
-        fmm = np.asarray(task.value(q - ej - sv), dtype=float)
-        J_dot[:, j] = (fpp - fpm - fmp + fmm) / (4.0 * hm * hm)
-    return J_dot
-
-
 def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     """Evaluate the task map at the frame's state.
 
@@ -139,7 +103,7 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     x = np.asarray(task.value(q), dtype=float)
     if x.shape != (l,):
         raise InputError(f"task value must have shape ({l},), got {x.shape}")
-    J = _task_jacobian(task, q)
+    J = np.asarray(task.jacobian(q), dtype=float)
     if J.shape != (l, n):
         raise InputError(f"task Jacobian must be {l}x{n}, got {J.shape}")
     if not (np.isfinite(x).all() and np.isfinite(J).all()):
@@ -163,7 +127,7 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
         )
     # sv[l - 1] > 1e-9 ||J|| >= 1e-9 ||Lam||, so this is pseudo_inverse(Lam)
     Lam_pinv = _pinv_from_svd(U, sv, Vt, rank)
-    J_dot = _task_jacobian_rate(task, q, qd)
+    J_dot = np.asarray(task.jacobian_rate(q, qd), dtype=float)
     Lam_dot = J_dot @ P + J @ frame.bundle.P_dot
     Gamma = Lam_pinv @ Lam_dot - frame.bundle.Omega
     return TaskMap(

@@ -8,13 +8,12 @@ The program over actuator torques u is
 
 where c(u) stacks, per contact, the linear normal-force row
 z_i^T u + alpha_i and the quadratic cone row u^T G_i u + gamma_i^T u + beta_i,
-followed by the box rows u_max - u and u - u_min, plus any appended moment
-rows.  The builders take the ConstraintFrame alone: its model gives B, W, the
-box and the friction coefficients, its state the active contacts.  Every
-contact row, and each force-regulation equality, is read from the affine force
-map lambda(u) = F u + f0, formed once per frame (force_map); a TorqueProgram
-stacks its rows on first read.  It is solved
-by following the central path of the barrier problem
+followed by the box rows u_max - u and u - u_min.  The builders take the
+ConstraintFrame alone: its model gives B, W, the box and the friction
+coefficients, its state the active contacts.  Every contact row is read from
+the affine force map lambda(u) = F u + f0, formed once per frame (force_map);
+a TorqueProgram stacks its rows on first read.  It is solved by following the
+central path of the barrier problem
 
     minimize    u^T W u - eta * sum_i log c_i(u)    s.t.  P B u = tau_c
 
@@ -39,7 +38,7 @@ d(u) = M_bar^-1 (tau_c - P B u), trading task fidelity against power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -152,10 +151,10 @@ class Relaxation:
 class TorqueProgram:
     """Data of one torque-allocation instance.
 
-    Constraint stack order (length r = 2(k + p) + extra rows): per contact the
-    linear row then the quadratic row, box upper u_max - u, box lower
-    u - u_min, then appended linear extension rows.  The stack is built on
-    first read: c(u) = lin u + off, plus u^T G_j u on quadratic row 2j + 1.
+    Constraint stack order (length r = 2(k + p)): per contact the linear row
+    then the quadratic row, then box upper u_max - u and box lower u - u_min.
+    The stack is built on first read: c(u) = lin u + off, plus u^T G_j u on
+    quadratic row 2j + 1.
     """
 
     W: np.ndarray
@@ -164,24 +163,17 @@ class TorqueProgram:
     cones: Tuple[ConeConstraint, ...]
     u_min: np.ndarray
     u_max: np.ndarray
-    extra_z: np.ndarray = field(default=None)  # (j, p)
-    extra_alpha: np.ndarray = field(default=None)  # (j,)
     relaxation: Optional[Relaxation] = None
-
-    def __post_init__(self):
-        if self.extra_z is None:
-            self.extra_z = np.zeros((0, self.p))
-            self.extra_alpha = np.zeros(0)
 
     @cached_property
     def lin(self) -> np.ndarray:  # (r, p)
         cone_lin = np.array([(c.z, c.gamma) for c in self.cones], dtype=float).reshape(2 * self.k, self.p)
-        return np.vstack([cone_lin, _box_rows(self.p), self.extra_z])
+        return np.vstack([cone_lin, _box_rows(self.p)])
 
     @cached_property
     def off(self) -> np.ndarray:  # (r,)
         cone_off = np.array([(c.alpha, c.beta) for c in self.cones], dtype=float).reshape(2 * self.k)
-        return np.concatenate([cone_off, self.u_max, -self.u_min, self.extra_alpha])
+        return np.concatenate([cone_off, self.u_max, -self.u_min])
 
     @cached_property
     def G(self) -> np.ndarray:  # (k, p, p)
@@ -285,8 +277,8 @@ def relax_program(program: TorqueProgram, frame: ConstraintFrame, rho: float) ->
     Minv2 = M_bar^-2, the exact expansion of ||u||_W^2 + rho ||d(u)||^2 up to
     a constant.
     """
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise InputError(f"rho must be positive and finite, got {rho}")
     Minv2 = frame.M_bar_inv @ frame.M_bar_inv
     E = program.eq_mat  # P B
     W_prime = program.W + rho * (E.T @ Minv2 @ E)
@@ -297,52 +289,6 @@ def relax_program(program: TorqueProgram, frame: ConstraintFrame, rho: float) ->
         relaxation=Relaxation(rho=float(rho), W_prime=W_prime, b=b),
         eq_mat=np.zeros((0, program.p)),
         eq_rhs=np.zeros(0),
-    )
-
-
-def add_moment_constraints(program: TorqueProgram, frame: ConstraintFrame, selector: np.ndarray) -> TorqueProgram:
-    """Append rows enforcing selected multiplier combinations to be <= 0.
-
-    selector maps the stacked multipliers to the moments of interest
-    (lambda_m = selector @ lambda); each appended row is -lambda_m(u) >= 0.
-    """
-    selector = np.atleast_2d(np.asarray(selector, dtype=float))
-    m = frame.bundle.m
-    if selector.shape[0] == 0:
-        return program
-    if selector.shape[1] != m:
-        raise InputError(f"selector must have {m} columns, got {selector.shape[1]}")
-    F, f0 = frame.force_map
-    return replace(
-        program,
-        extra_z=np.vstack([program.extra_z, -(selector @ F)]),
-        extra_alpha=np.concatenate([program.extra_alpha, -(selector @ f0)]),
-    )
-
-
-def add_force_regulation(
-    program: TorqueProgram,
-    frame: ConstraintFrame,
-    selector: np.ndarray,
-    lambda_desired: np.ndarray,
-) -> TorqueProgram:
-    """Append equality rows pinning selected multipliers to desired values.
-
-    lambda_e(u) = selector @ lambda(u) = lambda_desired joins the equality
-    block; infeasible targets surface as infeasible_equality at solve time.
-    """
-    selector = np.atleast_2d(np.asarray(selector, dtype=float))
-    lambda_desired = np.atleast_1d(np.asarray(lambda_desired, dtype=float))
-    m = frame.bundle.m
-    if selector.shape[1] != m:
-        raise InputError(f"selector must have {m} columns, got {selector.shape[1]}")
-    if lambda_desired.shape != (selector.shape[0],):
-        raise InputError("lambda_desired length must match selector row count")
-    F, f0 = frame.force_map
-    return replace(
-        program,
-        eq_mat=np.vstack([program.eq_mat, selector @ F]),
-        eq_rhs=np.concatenate([program.eq_rhs, lambda_desired - selector @ f0]),
     )
 
 

@@ -194,13 +194,6 @@ def cone_rows_reference(frame, model, state):
     return rows
 
 
-def selected_force_rows(frame, model, state, selector):
-    """(T B, T w0) with T = selector A^+T S and w0 = tau_g - Q qd: selector @ lambda(u)
-    is T B u + T w0."""
-    T = selector @ frame.bundle.A_pinv.T @ frame.S
-    return T @ model.actuation, T @ (frame.tau_g - frame.Q @ state.q_dot)
-
-
 def task_identities_reference(frame, task):
     """The task map's projector-identity residuals, formed eagerly from the frame."""
     P, Lam, Lam_pinv = frame.P, task.Lambda, task.Lambda_pinv
@@ -228,9 +221,6 @@ def constraint_rows(program, u):
     for j in range(program.p):
         vals.append(u[j] - program.u_min[j])
         grads.append(eye[j])
-    for z, alpha in zip(program.extra_z, program.extra_alpha):
-        vals.append(z @ u + alpha)
-        grads.append(z)
     return np.array(vals), np.array(grads).reshape(len(vals), program.p)
 
 

@@ -74,6 +74,16 @@ class TestBuildFrame:
         with pytest.raises(InputError):
             build_frame(arm, state, nu=-1.0)
 
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_default_nu_names_a_non_finite_mass_matrix(self, entry):
+        # with a NaN off the diagonal trace(M)/n is finite, and only the check on M stops a NaN frame
+        M = np.eye(3)
+        M[entry] = M[entry[::-1]] = np.nan
+        model = replace(point_mass_model(), mass_matrix=lambda q: M)
+        state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=())
+        with pytest.raises(InputError, match="mass_matrix returned non-finite entries"):
+            build_frame(model, state)
+
     def test_state_rejects_a_repeated_contact(self):
         # a repeat stacks one contact twice and splits its force; a Scenario's initial state is a RobotState too
         with pytest.raises(InputError, match=r"active_contacts \(0, 0\) repeats a contact"):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from projctl.constraint_geometry import (
     _projector,
-    jacobian_rate,
     null_projector,
     projector_rate,
     pseudo_inverse,
@@ -194,20 +193,6 @@ class TestProjectorRate:
         other = null_projector(2.0 * np.eye(2))
         with pytest.raises(InputError):
             projector_rate(A, np.zeros_like(A), other)
-
-
-class TestJacobianRate:
-    def test_constant_jacobian(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = jacobian_rate(lambda q: A, np.zeros(2), np.array([1.0, -1.0]))
-        assert np.allclose(out, 0.0, atol=1e-9)
-
-    def test_linear_in_q(self):
-        jac = lambda q: np.array([[q[1], q[0]]])
-        out = jacobian_rate(jac, np.array([0.3, 0.7]), np.array([1.0, 2.0]))
-        assert np.allclose(out, np.array([[2.0, 1.0]]), atol=1e-9)
-
-
 
 
 STACK_CASES = ("arm", (0,), (1,), (0, 1), "coincident", "empty")

@@ -491,8 +491,6 @@ class TestFrameIsThePerStateInput:
         ("constrained_dynamics", "contact_forces"),
         ("torque_qcqp", "assemble_cone_constraints"),
         ("torque_qcqp", "assemble_program"),
-        ("torque_qcqp", "add_moment_constraints"),
-        ("torque_qcqp", "add_force_regulation"),
         ("task_space", "build_task"),
         ("task_space", "check_feasibility"),
         ("task_space", "task_accel_decompose"),
@@ -650,6 +648,31 @@ class TestSimulate:
         scn = self.arm_scenario(arm)
         with pytest.raises(InputError, match="dt must be positive and finite"):
             Scenario(**{**scn.__dict__, "dt": dt})
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_duration_must_be_positive_and_finite(self, arm, duration):
+        scn = self.arm_scenario(arm)
+        with pytest.raises(InputError, match="duration must be positive and finite"):
+            Scenario(**{**scn.__dict__, "duration": duration})
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_schedule_times_must_be_finite(self, arm, t):
+        # a switch at t = NaN would never fire
+        scn = self.arm_scenario(arm)
+        with pytest.raises(InputError, match="schedule times must be finite"):
+            Scenario(**{**scn.__dict__, "schedule": ((t, (0,)),)})
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -1.0])
+    def test_rho_must_be_positive_and_finite(self, rho):
+        with pytest.raises(InputError, match="rho must be positive and finite"):
+            OptimizerSpec("qcqp_relaxed", rho=rho)
+
+    def test_non_finite_mass_matrix_is_named(self, arm):
+        # simulate fixes nu = trace(M)/n at the initial state
+        model = dataclasses.replace(arm, mass_matrix=lambda q: np.full((3, 3), np.nan))
+        scn = dataclasses.replace(self.arm_scenario(arm), model=model)
+        with pytest.raises(InputError, match="mass_matrix returned non-finite entries"):
+            simulate(scn)
 
     def test_unknown_initial_contact_rejected(self, arm):
         scn = self.arm_scenario(arm)

@@ -121,8 +121,12 @@ class TestViolationCount:
 class TestContactSlip:
     def test_offset_within_a_run_and_a_fresh_anchor_after_lift_off(self):
         # contact 0's point is q itself; contact 1 has no point and is skipped
-        pin = ContactSpec(jacobian=lambda q: -np.eye(3), friction=1.0, point=lambda q: np.asarray(q, dtype=float))
-        pointless = ContactSpec(jacobian=lambda q: -np.eye(3), friction=1.0)
+        def zero_rate(q, qd):
+            return np.zeros((3, 3))
+
+        pin = ContactSpec(jacobian=lambda q: -np.eye(3), friction=1.0, jacobian_rate=zero_rate,
+                          point=lambda q: np.asarray(q, dtype=float))
+        pointless = ContactSpec(jacobian=lambda q: -np.eye(3), friction=1.0, jacobian_rate=zero_rate)
         p0 = np.array([0.2, 0.0, -0.1])
         d = np.array([3e-4, 0.0, -4e-4])  # |d| = 5e-4
         lifted, elsewhere = p0 + [0.0, 0.0, 0.5], p0 + [1.0, 0.0, 0.0]

@@ -44,13 +44,18 @@ class TestBuildTask:
             assert np.abs(task.Lambda_pinv @ task.Lambda - frame.P).max() <= 1e-10
 
     def test_constrained_direction_rejected(self, arm, rng):
-        # the tip height is pinned by the contact, so it cannot be a task
-        def tip_z(q):
-            return np.array([arm.contacts[0].point(q)[2]])
-
+        # the tip height is pinned by the contact, so it cannot be a task; the contact
+        # Jacobian maps to the negative tip velocity, so dz/dq = -A[2] and its rate -A_dot[2]
+        tip = arm.contacts[0]
         state = random_manifold_state(arm, rng, ARM_HOME)
         frame = build_frame(arm, state)
-        bad = TaskDef(name="tip_height", dim=1, value=tip_z)
+        bad = TaskDef(
+            name="tip_height",
+            dim=1,
+            value=lambda q: np.array([tip.point(q)[2]]),
+            jacobian=lambda q: -tip.jacobian(q)[2:3],
+            jacobian_rate=lambda q, qd: -tip.jacobian_rate(q, qd)[2:3],
+        )
         with pytest.raises(TaskInconsistencyError):
             build_task(frame, bad)
 
@@ -83,18 +88,10 @@ class TestBuildTask:
             dim=1,
             value=lambda q: np.array([np.inf if bad == "value" else float(np.sum(q))]),
             jacobian=lambda q: np.array([[1.0, np.nan if bad == "jacobian" else 1.0, 1.0]]),
+            jacobian_rate=lambda q, qd: np.zeros((1, 3)),
         )
         with pytest.raises(InputError, match="non-finite"):
             build_task(frame, task)
-
-    def test_fd_jacobian_matches_analytic(self, arm, rng):
-        state = random_manifold_state(arm, rng, ARM_HOME)
-        frame = build_frame(arm, state)
-        analytic = build_task(frame, link_orientation_task(3))
-        fd_def = TaskDef(name="fd", dim=1, value=lambda q: np.array([float(np.sum(q))]))
-        numeric = build_task(frame, fd_def)
-        assert np.abs(analytic.Lambda - numeric.Lambda).max() <= 1e-7
-        assert np.abs(analytic.Lambda_dot - numeric.Lambda_dot).max() <= 1e-5
 
 
 def constant_task(name, J):

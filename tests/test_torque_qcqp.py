@@ -22,8 +22,6 @@ from projctl.torque_qcqp import (
     NEWTON_TOL,
     ConeConstraint,
     TorqueProgram,
-    add_force_regulation,
-    add_moment_constraints,
     assemble_cone_constraints,
     assemble_program,
     barrier_gradient,
@@ -51,7 +49,6 @@ from oracles import (
     constraint_rows,
     contact_forces_reference,
     grid_polish_optimum,
-    selected_force_rows,
     solve_barrier_reference,
 )
 
@@ -144,15 +141,14 @@ def assert_close(got, want):
 
 
 class TestForceMapMatchesOracle:
-    """Contact forces, cone rows, moment rows and force-regulation rows, all read
-    from the affine map lambda(u) = F u + f0, agree with the expressions that
-    expand A^+T S (B u + tau_g - Q qd) directly."""
+    """Contact forces and cone rows, both read from the affine map
+    lambda(u) = F u + f0, agree with the expressions that expand
+    A^+T S (B u + tau_g - Q qd) directly."""
 
     @staticmethod
     def check(model, state, seed):
         rng = np.random.default_rng(seed)
         frame = build_frame(model, state)
-        m, p = frame.bundle.m, model.p
         for _ in range(5):
             u = rng.uniform(2 * model.u_min, 2 * model.u_max)
             want = contact_forces_reference(frame, model, state, u)
@@ -162,16 +158,6 @@ class TestForceMapMatchesOracle:
         ):
             for got, want in ((cone.z, z), (cone.alpha, alpha), (cone.G, G), (cone.gamma, gamma), (cone.beta, beta)):
                 assert_close(got, want)
-        empty = synthetic_program(np.eye(p))
-        selector = rng.standard_normal((2, m))
-        sel_F, sel_f0 = selected_force_rows(frame, model, state, selector)
-        moment = add_moment_constraints(empty, frame, selector)
-        assert_close(moment.extra_z, -sel_F)
-        assert_close(moment.extra_alpha, -sel_f0)
-        target = rng.standard_normal(2)
-        regulated = add_force_regulation(empty, frame, selector, target)
-        assert_close(regulated.eq_mat, sel_F)
-        assert_close(regulated.eq_rhs, target - sel_f0)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -202,20 +188,6 @@ class TestAssembleProgram:
         assert program.r == 8
         assert program.constraint_values(np.zeros(3)).shape == (8,)
 
-    def test_moment_rows_extend_count(self, biped, rng):
-        state = random_manifold_state(biped, rng, BIPED_HOME)
-        frame = build_frame(biped, state)
-        task = build_task(frame, make_task(biped, "base_pitch"))
-        gains = ControllerGains.critically_damped(1, 4.0)
-        cmd = tracking_torque(frame, task, task.x, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(frame, cmd.tau_c)
-        assert program.r == 2 * (2 + 2)
-        sel = np.zeros((2, 6))
-        sel[0, 2], sel[0, 5] = -0.2, 0.2
-        sel[1, 2], sel[1, 5] = 0.1, -0.1
-        extended = add_moment_constraints(program, frame, sel)
-        assert extended.r == program.r + 2
-
     def test_stack_matches_direct_inequalities(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
         frame, program = arm_program(arm, state)
@@ -233,8 +205,7 @@ class TestAssembleProgram:
             assert np.allclose(c[5:8], u - arm.u_min)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
-    @pytest.mark.parametrize("moment_rows", [0, 2])
-    def test_stacked_rows_match_per_row_oracle(self, arm, biped, rng, k, moment_rows):
+    def test_stacked_rows_match_per_row_oracle(self, arm, biped, rng, k):
         if k == 1:
             model, home, task_name = arm, ARM_HOME, "link_orientation"
         else:
@@ -246,10 +217,7 @@ class TestAssembleProgram:
         cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
         program = assemble_program(frame, cmd.tau_c, cones=None if k else ())
         assert program.k == k
-        program = add_moment_constraints(
-            program, frame, rng.standard_normal((moment_rows, frame.bundle.m))
-        )
-        assert program.r == 2 * (k + model.p) + moment_rows
+        assert program.r == 2 * (k + model.p)
         for _ in range(20):
             u = rng.uniform(2 * model.u_min, 2 * model.u_max)
             for stacked, rows in zip(
@@ -306,6 +274,17 @@ class TestPhaseOne:
         res = phase1_feasible_point(program)
         assert res.feasible
         assert np.all(program.constraint_values(res.u) > 0)
+
+
+def with_force_equality(program, frame, selector, target):
+    """program with the equality rows selector @ lambda(u) = target appended, read from the
+    frame's force map lambda(u) = F u + f0."""
+    F, f0 = frame.force_map
+    return dataclasses.replace(
+        program,
+        eq_mat=np.vstack([program.eq_mat, selector @ F]),
+        eq_rhs=np.concatenate([program.eq_rhs, target - selector @ f0]),
+    )
 
 
 def synthetic_program(W, u_box=5.0, eq=None, cones=()):
@@ -501,7 +480,7 @@ def same_value(a, b) -> bool:
 class TestSolverMatchesReference:
     """solve_barrier returns, field for field, the same report as the plain
     loop in oracles.solve_barrier_reference: every iterate is bit for bit the
-    same, from any start and on extended programs."""
+    same, from any start and with appended equality rows."""
 
     CASES = {
         "arm": ("link_orientation", (0,)),
@@ -515,7 +494,7 @@ class TestSolverMatchesReference:
         seed=st.integers(0, 2**32 - 1),
         relaxed=st.booleans(),
         start=st.sampled_from(["none", "warm", "infeasible"]),
-        extension=st.sampled_from(["none", "moment", "force"]),
+        extension=st.sampled_from(["none", "force"]),
         error=st.floats(-0.3, 0.3),
     )
     def test_reports_bit_identical(self, arm, biped, case, seed, relaxed, start, extension, error):
@@ -530,19 +509,14 @@ class TestSolverMatchesReference:
         program = assemble_program(frame, cmd.tau_c)
         if relaxed:
             program = relax_program(program, frame, 10.0)
-        m = frame.bundle.m
-        if extension == "moment":
-            # lambda_z of the first contact plus a small mix of the others stays >= 0
-            selector = -0.05 * rng.standard_normal((1, m))
-            selector[0, 2] -= 1.0
-            program = add_moment_constraints(program, frame, selector)
-        elif extension == "force":
-            # pin lambda_z of the first contact near its value at a feasible point
-            selector = np.zeros((1, m))
+        if extension == "force":
+            # pin lambda_z of the first contact near its value at a feasible point: one more
+            # equality row, so the strict arm's block has rank 2
+            selector = np.zeros((1, frame.bundle.m))
             selector[0, 2] = 1.0
             base = phase1_feasible_point(program).u
             target = (selector @ contact_forces(frame, base).forces) * rng.uniform(0.9, 1.1)
-            program = add_force_regulation(program, frame, selector, target)
+            program = with_force_equality(program, frame, selector, target)
         if start == "none":
             u0 = None
         elif start == "warm":
@@ -565,12 +539,12 @@ class TestSolverMatchesReference:
 
     @pytest.mark.parametrize("target, status", [(0.0, "relaxed"), (1.0, "infeasible_equality")])
     def test_equality_rows_of_rank_zero(self, target, status):
-        # a relaxed program has no equality rows; an all-zero force-regulation
-        # row adds one of rank 0, consistent only with a zero target
+        # a relaxed program has no equality rows; an all-zero row adds one of
+        # rank 0, consistent only with a zero target
         scenario = short_scenario("biped_switch.json", 0.001)
         frame, program = first_tick_program(scenario)
         program = relax_program(program, frame, scenario.optimizer.rho)
-        program = add_force_regulation(program, frame, np.zeros((1, frame.bundle.m)), np.array([target]))
+        program = dataclasses.replace(program, eq_mat=np.zeros((1, program.p)), eq_rhs=np.array([target]))
         assert program.eq_mat.shape == (1, program.p) and not program.eq_mat.any()
         report = solve_barrier(program)
         assert report.status == status
@@ -716,6 +690,12 @@ class TestRelaxation:
             assert gap <= rho * np.abs(frame.M_bar_inv).max() ** 2 * 100
         assert np.abs(relax_program(program, frame, 1e-9).relaxation.W_prime - program.W).max() <= 1e-6
 
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0])
+    def test_rho_must_be_positive_and_finite(self, biped, rng, rho):
+        frame, program, _ = self.biped_single_support(biped, rng)
+        with pytest.raises(InputError, match="rho must be positive and finite"):
+            relax_program(program, frame, rho)
+
     def test_disturbance_decreases_with_rho(self, biped, rng):
         frame, program, tau_c = self.biped_single_support(biped, rng)
         norms = []
@@ -752,6 +732,9 @@ class TestRelaxation:
 
 
 class TestExtensions:
+    """Equality rows appended to a strict program: a reachable force target is met, an
+    unreachable one is reported as infeasible_equality."""
+
     def standing_setup(self, biped):
         state = manifold_state(biped, BIPED_HOME, scale=0.0)
         frame = build_frame(biped, state)
@@ -760,35 +743,6 @@ class TestExtensions:
         cmd = tracking_torque(frame, task, task.x, np.zeros(1), np.zeros(1), gains)
         program = assemble_program(frame, cmd.tau_c)
         return state, frame, program
-
-    def test_empty_selector_unchanged(self, biped):
-        state, frame, program = self.standing_setup(biped)
-        out = add_moment_constraints(program, frame, np.zeros((0, 6)))
-        assert out.r == program.r
-
-    def test_moment_row_roundtrip(self, biped, rng):
-        state, frame, program = self.standing_setup(biped)
-        w = 0.19792317
-        sel = np.zeros((1, 6))
-        sel[0, 2], sel[0, 5] = -w, w  # pitch moment about the base midpoint
-        extended = add_moment_constraints(program, frame, sel)
-        for _ in range(10):
-            u = rng.uniform(biped.u_min, biped.u_max)
-            lam = contact_forces(frame, u).forces
-            lam_m = (sel @ lam).item()
-            c = extended.constraint_values(u)
-            assert c[-1] == pytest.approx(-lam_m, abs=1e-8 * max(1.0, abs(lam_m)))
-
-    def test_symmetric_load_is_boundary(self, biped):
-        state, frame, program = self.standing_setup(biped)
-        w = 0.19792317
-        sel = np.zeros((1, 6))
-        sel[0, 2], sel[0, 5] = -w, w
-        extended = add_moment_constraints(program, frame, sel)
-        u_sym = np.zeros(2)
-        c = extended.constraint_values(u_sym)
-        assert abs(c[-1]) <= 1e-9  # exactly on the constraint boundary
-        assert not np.all(c > 1e-9)
 
     def test_force_regulation_roundtrip(self, biped, rng):
         state, frame, program = self.standing_setup(biped)
@@ -803,27 +757,16 @@ class TestExtensions:
         null_dir = Vt[rank:].T[:, 0]
         u_probe = base.u_star + 0.8 * null_dir
         target = np.array([(sel @ contact_forces(frame, u_probe).forces).item()])
-        regulated = add_force_regulation(program, frame, sel, target)
+        regulated = with_force_equality(program, frame, sel, target)
         report = solve_barrier(regulated)
         assert report.status == "optimal"
         achieved = (sel @ contact_forces(frame, report.u_star).forces).item()
         assert abs(achieved - target[0]) <= 1e-6 * max(1.0, abs(target[0]))
 
-    def test_force_regulation_passthrough(self, biped):
-        state, frame, program = self.standing_setup(biped)
-        base = solve_barrier(program)
-        sel = np.zeros((1, 6))
-        sel[0, 2] = 1.0
-        current = np.array([(sel @ contact_forces(frame, base.u_star).forces).item()])
-        regulated = add_force_regulation(program, frame, sel, current)
-        # the previous optimum still satisfies the enlarged equality block
-        resid = regulated.eq_mat @ base.u_star - regulated.eq_rhs
-        assert np.abs(resid).max() <= 1e-8
-
     def test_force_regulation_unreachable(self, biped):
         state, frame, program = self.standing_setup(biped)
         sel = np.zeros((1, 6))
         sel[0, 2] = 1.0
-        regulated = add_force_regulation(program, frame, sel, np.array([1e6]))
+        regulated = with_force_equality(program, frame, sel, np.array([1e6]))
         report = solve_barrier(regulated)
         assert report.status == "infeasible_equality"
