@@ -14,7 +14,7 @@ from typing import Callable, List
 import numpy as np
 
 from .constrained_dynamics import RobotState, build_frame, contact_forces
-from .constraint_geometry import null_projector, projector_rate, pseudo_inverse
+from .constraint_geometry import RANK_TOL, null_projector, projector_rate, pseudo_inverse
 from .control_laws import ControllerGains, tracking_torque
 from .models import make_task, planar_arm_contact
 from .task_space import build_task, task_accel_decompose
@@ -189,7 +189,7 @@ def _arm_states(rng, arm, count: int):
         q = ARM_HOME + 0.2 * rng.standard_normal(3)
         A = arm.contact_stack(q, (0,))
         s = np.linalg.svd(A, compute_uv=False)
-        if s[s > 1e-10 * s[0]].min() < 0.2:
+        if s[s > RANK_TOL * s[0]].min() < 0.2:
             continue
         P = null_projector(A).P
         states.append(RobotState(t=0.0, q=q, q_dot=P @ (0.3 * rng.standard_normal(3)), active_contacts=(0,)))
@@ -297,7 +297,7 @@ def relaxation_tradeoff(seed: int = 0) -> CheckResult:
     norms = []
     for rho in (1.0, 10.0, 100.0):
         relaxed = relax_program(program, frame, rho)
-        if np.linalg.eigvalsh(relaxed.relaxation.W_prime).min() <= 0:
+        if np.linalg.eigvalsh(relaxed.obj_quad).min() <= 0:
             return CheckResult("relaxation_tradeoff", False, f"W' lost definiteness at rho={rho}")
         report = solve_barrier(relaxed)
         if report.status != "relaxed":

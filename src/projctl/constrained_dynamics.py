@@ -36,7 +36,7 @@ SVD and its read-only A^+ and P.  L, Omega and P_dot come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -96,6 +96,8 @@ class RobotModel:
         u_min, u_max: (p,) actuator torque box.
         motor_resistance: (p,) winding resistances (ohm).
         torque_constant: (p,) torque constants (N*m/A).
+        W: (p, p) motor weighting diag(R / K_t^2), so u^T W u is the copper
+            loss; formed from the two above.
     """
 
     n: int
@@ -110,6 +112,7 @@ class RobotModel:
     motor_resistance: np.ndarray
     torque_constant: np.ndarray
     name: str = "robot"
+    W: np.ndarray = field(init=False)
 
     def __post_init__(self):
         B = np.asarray(self.actuation, dtype=float)
@@ -130,6 +133,7 @@ class RobotModel:
             raise InputError("torque_constant entries must be nonzero")
         if np.any(self.motor_resistance <= 0.0):
             raise InputError("motor_resistance entries must be positive")
+        object.__setattr__(self, "W", np.diag(self.motor_resistance / self.torque_constant**2))
 
     @property
     def k(self) -> int:

@@ -46,7 +46,6 @@ from .task_space import TaskDef, build_task
 from .torque_qcqp import (
     assemble_cone_constraints,
     assemble_program,
-    motor_weighting,
     relax_program,
     solve_barrier,
 )
@@ -221,9 +220,14 @@ def switch_contacts(state: RobotState, new_active: Sequence[int], model: RobotMo
         return state
     q_dot = state.q_dot
     if set(new) - set(state.active_contacts):
-        P = null_projector(model.contact_stack(state.q, new)).P
-        q_dot = P @ q_dot
+        _, q_dot = _project_velocity(model, state.q, new, q_dot)
     return RobotState(t=state.t, q=state.q, q_dot=q_dot, active_contacts=new)
+
+
+def _project_velocity(model: RobotModel, q: np.ndarray, active: Sequence[int], q_dot: np.ndarray):
+    """(A, P q_dot): the active contacts' stack A at q, and q_dot projected onto its null space."""
+    A = model.contact_stack(q, active)
+    return A, null_projector(A).P @ q_dot
 
 
 def _unchecked(state: RobotState, **changes) -> RobotState:
@@ -272,10 +276,8 @@ def step(
     if not (np.isfinite(q_new).all() and np.isfinite(qd_new).all()):
         raise SimulationError(f"non-finite state at t={state.t + dt:.4f}")
 
-    A_new = model.contact_stack(q_new, active)
-    if A_new.shape[0]:
-        P_new = null_projector(A_new).P
-        qd_new = P_new @ qd_new
+    if active:
+        A_new, qd_new = _project_velocity(model, q_new, active, qd_new)
         r = A_new @ qd_new
         drift = math.sqrt(r.dot(r))
         if not drift <= DRIFT_HARD_LIMIT:
@@ -321,14 +323,13 @@ def simulate(scenario: Scenario) -> SimTrace:
     state = scenario.initial
     # enforce the velocity-level constraint at the start
     if state.active_contacts:
-        P0 = null_projector(model.contact_stack(state.q, state.active_contacts)).P
-        state = replace(state, q_dot=P0 @ state.q_dot)
+        _, q_dot = _project_velocity(model, state.q, state.active_contacts, state.q_dot)
+        state = replace(state, q_dot=q_dot)
 
     nu = _default_nu(np.asarray(model.mass_matrix(state.q), dtype=float))
 
     cols: Dict[str, list] = {f.name: [] for f in fields(SimTrace) if f.name != "name"}
 
-    W = motor_weighting(model.motor_resistance, model.torque_constant)
     pending = list(scenario.schedule)
     prev_u = None
     try:
@@ -369,7 +370,7 @@ def simulate(scenario: Scenario) -> SimTrace:
             cols["u"].append(u.copy())
             cols["lam"].append(lam_row)
             cols["margins"].append(margin_row)
-            cols["p_loss"].append(float(u @ W @ u))
+            cols["p_loss"].append(float(u @ model.W @ u))
             cols["lyapunov"].append(regulation_lyapunov(frame, cmd.e, scenario.gains.K_P))
             cols["phi_norm"].append(math.sqrt(cmd.phi.dot(cmd.phi)))
             cols["d_norm"].append(math.sqrt(cmd.d.dot(cmd.d)))

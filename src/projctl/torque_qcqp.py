@@ -12,7 +12,8 @@ followed by the box rows u_max - u and u - u_min.  The builders take the
 ConstraintFrame alone: its model gives B, W, the box and the friction
 coefficients, its state the active contacts.  Every contact row is read from
 the affine force map lambda(u) = F u + f0, formed once per frame (force_map);
-a TorqueProgram stacks its rows on first read.  It is solved by following the
+TorqueProgram.from_cones stacks the rows once, where assemble_program builds
+the program, and relax_program keeps them.  It is solved by following the
 central path of the barrier problem
 
     minimize    u^T W u - eta * sum_i log c_i(u)    s.t.  P B u = tau_c
@@ -39,13 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
-from .constraint_geometry import _identity
+from .constraint_geometry import RANK_TOL, _identity
 from .errors import InputError
 
 # relative tolerance on the component of tau_c outside range(P)
@@ -82,11 +83,6 @@ def motor_weighting(R, K_t) -> np.ndarray:
         raise InputError("torque constants must be nonzero")
     if np.any(R <= 0.0):
         raise InputError("winding resistances must be positive")
-    return _motor_weighting(R, K_t)
-
-
-def _motor_weighting(R: np.ndarray, K_t: np.ndarray) -> np.ndarray:
-    """diag(R / K_t^2) from checked float vectors, such as a RobotModel's."""
     return np.diag(R / K_t**2)
 
 
@@ -141,61 +137,50 @@ def assemble_cone_constraints(frame: ConstraintFrame) -> List[ConeConstraint]:
 
 
 @dataclass
-class Relaxation:
-    rho: float
-    W_prime: np.ndarray
-    b: np.ndarray
-
-
-@dataclass
 class TorqueProgram:
-    """Data of one torque-allocation instance.
+    """Data of one torque-allocation instance: minimize u^T obj_quad u + obj_lin^T u
+    s.t. eq_mat u = eq_rhs and c(u) = lin u + off (plus u^T G_j u on row 2j + 1) >= 0.
 
-    Constraint stack order (length r = 2(k + p)): per contact the linear row
-    then the quadratic row, then box upper u_max - u and box lower u - u_min.
-    The stack is built on first read: c(u) = lin u + off, plus u^T G_j u on
-    quadratic row 2j + 1.
+    from_cones states the row order (r = 2(k + p) rows): per contact the linear
+    row then the quadratic row, then box upper u_max - u and box lower u - u_min.
+    relax_program replaces the objective (W, 0) and the equality rows, not the rows.
     """
 
     W: np.ndarray
     eq_mat: np.ndarray
     eq_rhs: np.ndarray
-    cones: Tuple[ConeConstraint, ...]
+    lin: np.ndarray  # (r, p)
+    off: np.ndarray  # (r,)
+    G: np.ndarray  # (k, p, p)
     u_min: np.ndarray
     u_max: np.ndarray
-    relaxation: Optional[Relaxation] = None
+    obj_quad: np.ndarray  # (p, p): W, or W' when relaxed
+    obj_lin: np.ndarray  # (p,)
+    rho: Optional[float] = None
 
-    @cached_property
-    def lin(self) -> np.ndarray:  # (r, p)
-        cone_lin = np.array([(c.z, c.gamma) for c in self.cones], dtype=float).reshape(2 * self.k, self.p)
-        return np.vstack([cone_lin, _box_rows(self.p)])
+    @classmethod
+    def from_cones(cls, W, eq_mat, eq_rhs, cones: Sequence[ConeConstraint], u_min, u_max) -> "TorqueProgram":
+        """The strict program with the cones' rows, then the box rows, stacked in order."""
+        p, k = W.shape[0], len(cones)
+        cone_lin = np.array([(c.z, c.gamma) for c in cones], dtype=float).reshape(2 * k, p)
+        cone_off = np.array([(c.alpha, c.beta) for c in cones], dtype=float).reshape(2 * k)
+        return cls(
+            W=W, eq_mat=eq_mat, eq_rhs=eq_rhs,
+            lin=np.vstack([cone_lin, _box_rows(p)]),
+            off=np.concatenate([cone_off, u_max, -u_min]),
+            G=np.array([c.G for c in cones], dtype=float).reshape(k, p, p),
+            u_min=u_min, u_max=u_max, obj_quad=W, obj_lin=np.zeros(p),
+        )
 
-    @cached_property
-    def off(self) -> np.ndarray:  # (r,)
-        cone_off = np.array([(c.alpha, c.beta) for c in self.cones], dtype=float).reshape(2 * self.k)
-        return np.concatenate([cone_off, self.u_max, -self.u_min])
-
-    @cached_property
-    def G(self) -> np.ndarray:  # (k, p, p)
-        return np.array([c.G for c in self.cones], dtype=float).reshape(self.k, self.p, self.p)
-
-    @cached_property
+    @property
     def G_flat(self) -> np.ndarray:  # G as (k, p * p)
         return self.G.reshape(self.k, self.p * self.p)
 
-    @cached_property
-    def obj_quad(self) -> np.ndarray:  # (p, p): W, or W' when relaxed
-        return self.W if self.relaxation is None else self.relaxation.W_prime
-
-    @cached_property
-    def obj_lin(self) -> np.ndarray:  # (p,)
-        return np.zeros(self.p) if self.relaxation is None else -self.relaxation.rho * self.relaxation.b
-
-    @cached_property
+    @property
     def obj_hess(self) -> np.ndarray:  # 2 obj_quad
         return 2.0 * self.obj_quad
 
-    @cached_property
+    @property
     def quad(self) -> slice:  # the quadratic rows 1, 3, ..., 2k - 1 of the stack
         return slice(1, 2 * self.k, 2)
 
@@ -205,23 +190,14 @@ class TorqueProgram:
 
     @property
     def k(self) -> int:
-        return len(self.cones)
+        return self.G.shape[0]
 
     @property
     def r(self) -> int:
         return self.lin.shape[0]
 
-    @property
-    def relaxed(self) -> bool:
-        return self.relaxation is not None
-
-    # objective in the active mode (power, or power + rho ||d||^2 expansion)
-    def objective_quad(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.obj_quad, self.obj_lin
-
     def objective(self, u: np.ndarray) -> float:
-        Wq, lin = self.objective_quad()
-        return float(u @ Wq @ u + lin @ u)
+        return float(u @ self.obj_quad @ u + self.obj_lin @ u)
 
     def constraint_values(self, u: np.ndarray) -> np.ndarray:
         return _values(self.lin, self.off, self.G, self.quad, np.asarray(u, dtype=float))
@@ -259,12 +235,11 @@ def assemble_program(
     off = math.sqrt(r.dot(r))
     if off > TAU_C_TOL * max(1.0, math.sqrt(tau_c.dot(tau_c))):
         raise InputError(f"tau_c has a component outside range(P): {off:.3e}")
-    cones = list(cones) if cones is not None else assemble_cone_constraints(frame)
-    return TorqueProgram(
-        W=_motor_weighting(model.motor_resistance, model.torque_constant),
+    return TorqueProgram.from_cones(
+        W=model.W,
         eq_mat=frame.P @ model.actuation,
         eq_rhs=tau_c,
-        cones=tuple(cones),
+        cones=assemble_cone_constraints(frame) if cones is None else cones,
         u_min=model.u_min.copy(),
         u_max=model.u_max.copy(),
     )
@@ -284,11 +259,9 @@ def relax_program(program: TorqueProgram, frame: ConstraintFrame, rho: float) ->
     W_prime = program.W + rho * (E.T @ Minv2 @ E)
     W_prime = 0.5 * (W_prime + W_prime.T)
     b = 2.0 * (E.T @ (Minv2 @ program.eq_rhs))
+    rho = float(rho)
     return replace(
-        program,
-        relaxation=Relaxation(rho=float(rho), W_prime=W_prime, b=b),
-        eq_mat=np.zeros((0, program.p)),
-        eq_rhs=np.zeros(0),
+        program, obj_quad=W_prime, obj_lin=-rho * b, rho=rho, eq_mat=np.zeros((0, program.p)), eq_rhs=np.zeros(0)
     )
 
 
@@ -455,14 +428,13 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
 
     Each quantity is formed where its inputs change:
 
-    - once per program, on first read: the rows lin, off and G (also as a
-      (k, p^2) matrix), the objective pair and its doubled quadratic term;
-    - once per solve: those arrays and the quadratic-row slice, bound to
-      locals; when the program has equality rows, their SVD, the
-      reduced block E and its transpose; when rank > 0, the KKT matrix
-      [[H, E^T], [E, 0]]; at the start, c(u) (for a warm start, the rows its
-      feasibility test computed), grad c(u), the eta-free terms below and,
-      when rank > 0, the residual's equality rows E u - rhs;
+    - once per solve: the program's rows lin, off and G (also as a (k, p^2)
+      matrix), the quadratic-row slice, the objective's linear term and its
+      doubled quadratic term, bound to locals; when the program has equality
+      rows, their SVD, the reduced block E and its transpose; when rank > 0,
+      the KKT matrix [[H, E^T], [E, 0]]; at the start, c(u) (for a warm
+      start, the rows its feasibility test computed), grad c(u), the eta-free
+      terms below and, when rank > 0, the residual's equality rows E u - rhs;
     - once per centering step: the residual's gradient rows at the new eta,
       from the carried eta-free terms, and the residual norm;
     - once per Newton step: the Hessian H (written into the KKT matrix when
@@ -504,7 +476,7 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
     if program.eq_mat.shape[0]:
         U, s, _ = np.linalg.svd(program.eq_mat)
         smax = s[0] if s.size and s[0] > 0 else 1.0
-        rank = int(np.sum(s > 1e-10 * smax))
+        rank = int(np.sum(s > RANK_TOL * smax))
         lift = U[:, :rank]
         E = lift.T @ program.eq_mat
         E_T = E.T
@@ -602,7 +574,7 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
             status = "failed"
             break
         if r * eta <= EPS:
-            status = "relaxed" if program.relaxed else "optimal"
+            status = "optimal" if program.rho is None else "relaxed"
             break
         if centering >= MAX_CENTERING:  # stopped without the gap certificate
             status = "failed"

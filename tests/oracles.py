@@ -207,11 +207,11 @@ def task_identities_reference(frame, task):
     return TaskIdentities(range_in_null=r_range, pinv_in_null=r_pinv, pinv_product=r_prod)
 
 
-def constraint_rows(program, u):
-    """c(u) and its gradient rows written out row by row, one contact at a time."""
+def constraint_rows(cones, program, u):
+    """c(u) and its gradient rows written out row by row: one cone at a time, then the program's box."""
     u = np.asarray(u, dtype=float)
     vals, grads = [], []
-    for cone in program.cones:
+    for cone in cones:
         vals += [cone.z @ u + cone.alpha, u @ cone.G @ u + cone.gamma @ u + cone.beta]
         grads += [cone.z, 2.0 * (cone.G @ u) + cone.gamma]
     eye = np.eye(program.p)
@@ -277,12 +277,12 @@ def solve_barrier_reference(program, u0=None):
     kkt_res = float("inf")
 
     def residual(u, nu, c, grads):
-        Wq, lin = program.objective_quad()
+        Wq, lin = program.obj_quad, program.obj_lin
         grad = 2.0 * (Wq @ u) + lin - eta * (grads.T @ (1.0 / c))
         return np.concatenate([grad + E.T @ nu, E @ u - rhs])
 
     def hessian(c, grads):
-        Wq, _ = program.objective_quad()
+        Wq = program.obj_quad
         quad = eta / c[1 : 2 * program.k : 2]
         H = 2.0 * Wq + eta * ((grads.T * (1.0 / c**2)) @ grads) - 2.0 * np.tensordot(quad, program.G, axes=1)
         return 0.5 * (H + H.T)
@@ -324,14 +324,14 @@ def solve_barrier_reference(program, u0=None):
                 break
         centering += 1
         if not converged:
-            Wq, lin = program.objective_quad()
+            Wq, lin = program.obj_quad, program.obj_lin
             grad_scale = max(1.0, float(np.linalg.norm(2.0 * (Wq @ u) + lin)))
             converged = kkt_res <= 1e3 * torque_qcqp.NEWTON_TOL * grad_scale
         if not converged:
             status = "failed"
             break
         if r * eta <= torque_qcqp.EPS:
-            status = "relaxed" if program.relaxed else "optimal"
+            status = "optimal" if program.rho is None else "relaxed"
             break
         if centering >= MAX_CENTERING:
             status = "failed"

@@ -5,7 +5,6 @@ lines; the whole suite takes about two minutes because several criteria run
 full desk-scale simulations through the bundled configs.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -207,9 +206,9 @@ def bundled_programs(arm, biped, rng):
     def toy(W, u_box, eq=None, cones=()):
         p = np.asarray(W).shape[0]
         eq_mat, eq_rhs = (np.zeros((0, p)), np.zeros(0)) if eq is None else eq
-        return TorqueProgram(
+        return TorqueProgram.from_cones(
             W=np.asarray(W, float), eq_mat=np.asarray(eq_mat, float),
-            eq_rhs=np.asarray(eq_rhs, float), cones=tuple(cones),
+            eq_rhs=np.asarray(eq_rhs, float), cones=cones,
             u_min=-u_box * np.ones(p), u_max=u_box * np.ones(p),
         )
 
@@ -345,7 +344,7 @@ def test_criterion_12_tradeoff_relaxation(biped, outdir):
     norms = []
     for rho in (1.0, 10.0, 100.0):
         relaxed = relax_program(program, frame, rho)
-        assert np.linalg.eigvalsh(relaxed.relaxation.W_prime).min() > 0
+        assert np.linalg.eigvalsh(relaxed.obj_quad).min() > 0
         rep = solve_barrier(relaxed)
         assert rep.status == "relaxed"
         d = frame.M_bar_inv @ (cmd.tau_c - program.eq_mat @ rep.u_star)
@@ -369,7 +368,7 @@ def test_criterion_12_tradeoff_relaxation(biped, outdir):
     # relaxed-objective gradient vs finite differences
     rho = 10.0
     relaxed = relax_program(program, frame, rho)
-    Wp, lin = relaxed.objective_quad()
+    Wp, lin = relaxed.obj_quad, relaxed.obj_lin
     rng2 = np.random.default_rng(5)
     worst_grad = 0.0
     for _ in range(5):

@@ -14,7 +14,7 @@ from projctl.constrained_dynamics import (
 from projctl.constraint_geometry import null_projector, projector_rate
 from projctl.errors import InputError
 
-from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, random_manifold_state
+from conftest import ARM_HOME, BIPED_HOME, point_mass_model, random_manifold_state
 from oracles import integrate_saddle, saddle_point_state
 
 

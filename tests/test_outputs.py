@@ -5,7 +5,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 

@@ -215,13 +215,14 @@ class TestAssembleProgram:
         task = build_task(frame, make_task(model, task_name))
         gains = ControllerGains.critically_damped(1, 5.0)
         cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
-        program = assemble_program(frame, cmd.tau_c, cones=None if k else ())
+        cones = assemble_cone_constraints(frame) if k else ()
+        program = assemble_program(frame, cmd.tau_c, cones=cones)
         assert program.k == k
         assert program.r == 2 * (k + model.p)
         for _ in range(20):
             u = rng.uniform(2 * model.u_min, 2 * model.u_max)
             for stacked, rows in zip(
-                (program.constraint_values(u), program.constraint_gradients(u)), constraint_rows(program, u)
+                (program.constraint_values(u), program.constraint_gradients(u)), constraint_rows(cones, program, u)
             ):
                 assert np.all(np.abs(stacked - rows) <= 1e-12 * np.maximum(1.0, np.abs(rows)))
 
@@ -243,7 +244,7 @@ class TestPhaseOne:
 
     def test_empty_box_certificate(self):
         W = np.eye(2)
-        program = TorqueProgram(
+        program = TorqueProgram.from_cones(
             W=W,
             eq_mat=np.zeros((0, 2)),
             eq_rhs=np.zeros(0),
@@ -263,7 +264,7 @@ class TestPhaseOne:
             gamma=np.array([4.0, 0.0]),
             beta=-3.0,
         )
-        program = TorqueProgram(
+        program = TorqueProgram.from_cones(
             W=np.eye(2),
             eq_mat=np.zeros((0, 2)),
             eq_rhs=np.zeros(0),
@@ -290,11 +291,11 @@ def with_force_equality(program, frame, selector, target):
 def synthetic_program(W, u_box=5.0, eq=None, cones=()):
     p = W.shape[0]
     eq_mat, eq_rhs = (np.zeros((0, p)), np.zeros(0)) if eq is None else eq
-    return TorqueProgram(
+    return TorqueProgram.from_cones(
         W=np.asarray(W, dtype=float),
         eq_mat=np.asarray(eq_mat, dtype=float),
         eq_rhs=np.asarray(eq_rhs, dtype=float),
-        cones=tuple(cones),
+        cones=cones,
         u_min=-u_box * np.ones(p),
         u_max=u_box * np.ones(p),
     )
@@ -643,8 +644,7 @@ class TestBarrierConvexity:
         _, s, Vt = np.linalg.svd(program.eq_mat)
         Z = Vt[int(np.sum(s > 1e-10 * s.max(initial=0.0))) :].T  # basis of null(E); I when relaxed
         HZ = Z.T @ H @ Z
-        Wq, _ = program.objective_quad()
-        floor = np.linalg.eigvalsh(2.0 * Z.T @ Wq @ Z).min()  # the barrier part is PSD
+        floor = np.linalg.eigvalsh(2.0 * Z.T @ program.obj_quad @ Z).min()  # the barrier part is PSD
         assert floor > 0.0
         lo = TestBarrierConvexity.exact_hessian_on(program, u, eta, Z)
         assert lo > 0.0
@@ -686,15 +686,22 @@ class TestRelaxation:
         frame, program, _ = self.biped_single_support(biped, rng)
         for rho in (1e-2, 1e-4, 1e-6):
             relaxed = relax_program(program, frame, rho)
-            gap = np.abs(relaxed.relaxation.W_prime - program.W).max()
+            gap = np.abs(relaxed.obj_quad - program.W).max()
             assert gap <= rho * np.abs(frame.M_bar_inv).max() ** 2 * 100
-        assert np.abs(relax_program(program, frame, 1e-9).relaxation.W_prime - program.W).max() <= 1e-6
+        assert np.abs(relax_program(program, frame, 1e-9).obj_quad - program.W).max() <= 1e-6
 
     @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0])
     def test_rho_must_be_positive_and_finite(self, biped, rng, rho):
         frame, program, _ = self.biped_single_support(biped, rng)
         with pytest.raises(InputError, match="rho must be positive and finite"):
             relax_program(program, frame, rho)
+
+    def test_relaxed_program_shares_the_strict_rows(self, biped, rng):
+        frame, program, _ = self.biped_single_support(biped, rng)
+        relaxed = relax_program(program, frame, 10.0)
+        assert relaxed.lin is program.lin and relaxed.off is program.off and relaxed.G is program.G
+        assert (relaxed.rho, program.rho) == (10.0, None)
+        assert program.obj_quad is program.W and not program.obj_lin.any()
 
     def test_disturbance_decreases_with_rho(self, biped, rng):
         frame, program, tau_c = self.biped_single_support(biped, rng)
@@ -705,14 +712,14 @@ class TestRelaxation:
             assert report.status == "relaxed"
             d = frame.M_bar_inv @ (tau_c - program.eq_mat @ report.u_star)
             norms.append(np.linalg.norm(d))
-            assert np.linalg.eigvalsh(relaxed.relaxation.W_prime).min() > 0
+            assert np.linalg.eigvalsh(relaxed.obj_quad).min() > 0
         assert norms[0] > norms[1] > norms[2]
 
     def test_relaxed_gradient_matches_finite_differences(self, biped, rng):
         frame, program, tau_c = self.biped_single_support(biped, rng)
         rho = 10.0
         relaxed = relax_program(program, frame, rho)
-        Wp, lin = relaxed.objective_quad()
+        Wp, lin = relaxed.obj_quad, relaxed.obj_lin
 
         def full(u):
             d = frame.M_bar_inv @ (tau_c - program.eq_mat @ u)

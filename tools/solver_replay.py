@@ -6,8 +6,8 @@ CONFIG is a bundled config (a file name under configs/, or a path).  The run is
 cut to S simulated seconds (default: the config's own duration); S must be a
 whole number of steps.  Every `solve_barrier` call the simulator makes is
 recorded with its program and warm start.  Each recorded solve is
-then run again on a fresh copy of its program, so the program's rows are
-stacked inside the timed call as they are in the run, and timed with
+then run again on its program, whose rows were stacked where the program was
+built, outside the timed call as in the run, and timed with
 `time.perf_counter`.  The tool prints:
 
 - the number of solves and the median µs per Newton step (each solve's time
@@ -76,10 +76,9 @@ def record(config: Path, seconds: Optional[float] = None) -> List[Solve]:
 
 
 def replay(calls: Sequence[Solve]) -> Tuple[List[SolverReport], List[float]]:
-    """Each solve run again on a fresh copy of its program: (reports, seconds per solve)."""
+    """Each solve run again on its program: (reports, seconds per solve)."""
     reports, seconds = [], []
     for program, u0 in calls:
-        program = dataclasses.replace(program)  # no rows stacked yet, as in the run
         start = time.perf_counter()
         report = solve_barrier(program, u0=u0)
         seconds.append(time.perf_counter() - start)
