@@ -67,7 +67,6 @@ from .task_space import (
     task_accel_decompose,
 )
 from .torque_qcqp import (
-    ConeConstraint,
     SolverReport,
     TorqueProgram,
     assemble_cone_constraints,

@@ -59,7 +59,7 @@ def main(argv=None) -> int:
                 print(f"all {len(results)} checks passed")
             return 0
         if args.command == "list-models":
-            for name, blurb in sorted(MODEL_CATALOG.items()):
+            for name, (_, _, blurb) in sorted(MODEL_CATALOG.items()):
                 print(f"{name}: {blurb}")
             return 0
         raise AssertionError(f"unhandled command {args.command}")

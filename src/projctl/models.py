@@ -273,18 +273,18 @@ def make_task(model: RobotModel, kind: str, **kwargs) -> TaskDef:
     raise InputError(f"unknown task type '{kind}'")
 
 
+# model kind -> (params dataclass, builder, description)
 MODEL_CATALOG = {
-    "planar_arm": "3-link planar arm, tip pressing on a surface (n=3, p=3, k=1)",
-    "floating_biped": "planar floating-base biped with two point feet (n=5, p=2, k=2)",
+    "planar_arm": (ArmParams, planar_arm_contact, "3-link planar arm, tip pressing on a surface (n=3, p=3, k=1)"),
+    "floating_biped": (BipedParams, floating_biped, "planar floating-base biped with two point feet (n=5, p=2, k=2)"),
 }
 
 
 def build_model(kind: str, params: Optional[dict] = None) -> RobotModel:
     params = params or {}
-    builders = {"planar_arm": (ArmParams, planar_arm_contact), "floating_biped": (BipedParams, floating_biped)}
-    if not (isinstance(kind, str) and kind in builders):
+    if not (isinstance(kind, str) and kind in MODEL_CATALOG):
         raise InputError(f"unknown model '{kind}'; known: {sorted(MODEL_CATALOG)}")
-    params_cls, build = builders[kind]
+    params_cls, build, _ = MODEL_CATALOG[kind]
     known = {f.name for f in fields(params_cls)}
     for key in params:
         if key not in known:

@@ -10,10 +10,11 @@ where c(u) stacks, per contact, the linear normal-force row
 z_i^T u + alpha_i and the quadratic cone row u^T G_i u + gamma_i^T u + beta_i,
 followed by the box rows u_max - u and u - u_min.  The builders take the
 ConstraintFrame alone: its model gives B, W, the box and the friction
-coefficients, its state the active contacts.  Every contact row is read from
-the affine force map lambda(u) = F u + f0, formed once per frame (force_map);
-TorqueProgram.from_cones stacks the rows once, where assemble_program builds
-the program, and relax_program keeps them.  It is solved by following the
+coefficients, its state the active contacts.  assemble_cone_constraints reads
+every contact row from the affine force map lambda(u) = F u + f0, formed once
+per frame (force_map), and returns them as the program's arrays; its docstring
+states their row order.  TorqueProgram.from_cones appends the box rows below
+them, and relax_program keeps the rows.  It is solved by following the
 central path of the barrier problem
 
     minimize    u^T W u - eta * sum_i log c_i(u)    s.t.  P B u = tau_c
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -95,45 +96,28 @@ def power_loss(u, W) -> float:
     return float(u @ W @ u)
 
 
-@dataclass
-class ConeConstraint:
-    """Per-contact cone data in torque space.
+def assemble_cone_constraints(frame: ConstraintFrame) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cone rows (lin (2k, p), off (2k,), G (k, p, p)) of the k active contacts, in program row order.
 
-    z^T u + alpha reproduces the normal force lambda_z(u); the quadratic form
-    u^T G u + gamma^T u + beta reproduces mu^2 lambda_z^2 - lambda_x^2
-    - lambda_y^2 (assemble_cone_constraints reads both from lambda(u) = F u + f0).
-    """
-
-    z: np.ndarray
-    alpha: float
-    G: np.ndarray
-    gamma: np.ndarray
-    beta: float
-
-
-def assemble_cone_constraints(frame: ConstraintFrame) -> List[ConeConstraint]:
-    """Cone coefficients for every active contact of the frame's state.
-
-    With F_i, f_i the contact's three rows of the force map
-    lambda(u) = F u + f0 (x, y, z) and D = diag(-1, -1, mu^2):
-    z = F_i[2], alpha = f_i[2], G = F_i^T D F_i, gamma = 2 F_i^T D f_i and
-    beta = f_i^T D f_i, so u^T G u + gamma^T u + beta = lambda_i^T D lambda_i.
+    With F_i, f_i contact i's three rows of the force map lambda(u) = F u + f0
+    (x, y, z) and D = diag(-1, -1, mu^2): row 2i is the normal force, lin = F_i[2]
+    and off = f_i[2]; row 2i + 1 is the cone, lin = 2 F_i^T D f_i, off = f_i^T D f_i
+    and G[i] = F_i^T D F_i, so that u^T G[i] u + lin u + off = lambda_i^T D lambda_i.
     """
     active, contacts = frame.state.active_contacts, frame.model.contacts
     if len(active) == 0:
         raise InputError("cone constraints need at least one active contact")
     F, f0 = frame.force_map
-    out = []
+    k, p = len(active), F.shape[1]
+    lin, off, G = np.empty((2 * k, p)), np.empty(2 * k), np.empty((k, p, p))
     for idx, contact in enumerate(active):
         F_i, f_i = F[3 * idx : 3 * idx + 3], f0[3 * idx : 3 * idx + 3]
         D = np.array([-1.0, -1.0, contacts[contact].friction ** 2])
         DF_i, Df_i = D[:, None] * F_i, D * f_i
-        out.append(
-            ConeConstraint(
-                z=F_i[2], alpha=float(f_i[2]), G=F_i.T @ DF_i, gamma=2.0 * (F_i.T @ Df_i), beta=float(f_i @ Df_i)
-            )
-        )
-    return out
+        lin[2 * idx], off[2 * idx] = F_i[2], f_i[2]
+        lin[2 * idx + 1], off[2 * idx + 1] = 2.0 * (F_i.T @ Df_i), f_i @ Df_i
+        G[idx] = F_i.T @ DF_i
+    return lin, off, G
 
 
 @dataclass
@@ -141,9 +125,10 @@ class TorqueProgram:
     """Data of one torque-allocation instance: minimize u^T obj_quad u + obj_lin^T u
     s.t. eq_mat u = eq_rhs and c(u) = lin u + off (plus u^T G_j u on row 2j + 1) >= 0.
 
-    from_cones states the row order (r = 2(k + p) rows): per contact the linear
-    row then the quadratic row, then box upper u_max - u and box lower u - u_min.
-    relax_program replaces the objective (W, 0) and the equality rows, not the rows.
+    The r = 2(k + p) rows are the cone rows in the order assemble_cone_constraints
+    states (per contact the linear row, then the quadratic row), then box upper
+    u_max - u and box lower u - u_min, appended by from_cones.  relax_program
+    replaces the objective (W, 0) and the equality rows, not the rows.
     """
 
     W: np.ndarray
@@ -159,17 +144,15 @@ class TorqueProgram:
     rho: Optional[float] = None
 
     @classmethod
-    def from_cones(cls, W, eq_mat, eq_rhs, cones: Sequence[ConeConstraint], u_min, u_max) -> "TorqueProgram":
-        """The strict program with the cones' rows, then the box rows, stacked in order."""
-        p, k = W.shape[0], len(cones)
-        cone_lin = np.array([(c.z, c.gamma) for c in cones], dtype=float).reshape(2 * k, p)
-        cone_off = np.array([(c.alpha, c.beta) for c in cones], dtype=float).reshape(2 * k)
+    def from_cones(cls, W, eq_mat, eq_rhs, cones, u_min, u_max) -> "TorqueProgram":
+        """The strict program: the cone rows cones = (lin, off, G), as assemble_cone_constraints
+        returns them, with the box rows appended below."""
+        cone_lin, cone_off, G = cones
         return cls(
             W=W, eq_mat=eq_mat, eq_rhs=eq_rhs,
-            lin=np.vstack([cone_lin, _box_rows(p)]),
+            lin=np.vstack([cone_lin, _box_rows(W.shape[0])]),
             off=np.concatenate([cone_off, u_max, -u_min]),
-            G=np.array([c.G for c in cones], dtype=float).reshape(k, p, p),
-            u_min=u_min, u_max=u_max, obj_quad=W, obj_lin=np.zeros(p),
+            G=G, u_min=u_min, u_max=u_max, obj_quad=W, obj_lin=np.zeros(W.shape[0]),
         )
 
     @property
@@ -221,7 +204,7 @@ def _box_rows(p: int) -> np.ndarray:
 def assemble_program(
     frame: ConstraintFrame,
     tau_c: np.ndarray,
-    cones: Optional[Sequence[ConeConstraint]] = None,
+    cones: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> TorqueProgram:
     """Bundle the equality map, cone rows and torque box of the frame's model into a program.
 

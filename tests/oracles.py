@@ -207,13 +207,23 @@ def task_identities_reference(frame, task):
     return TaskIdentities(range_in_null=r_range, pinv_in_null=r_pinv, pinv_product=r_prod)
 
 
+def stack_cone_rows(rows, p):
+    """The program's cone rows (lin, off, G) from per-contact (z, alpha, G, gamma, beta):
+    contact i's linear row z, alpha at 2i, then its quadratic row gamma, beta at 2i + 1."""
+    k = len(rows)
+    lin = np.array([row for z, _, _, gamma, _ in rows for row in (z, gamma)], dtype=float).reshape(2 * k, p)
+    off = np.array([v for _, alpha, _, _, beta in rows for v in (alpha, beta)], dtype=float).reshape(2 * k)
+    return lin, off, np.array([G for _, _, G, _, _ in rows], dtype=float).reshape(k, p, p)
+
+
 def constraint_rows(cones, program, u):
-    """c(u) and its gradient rows written out row by row: one cone at a time, then the program's box."""
+    """c(u) and its gradient rows written out row by row: one cone (z, alpha, G, gamma, beta)
+    at a time, then the program's box."""
     u = np.asarray(u, dtype=float)
     vals, grads = [], []
-    for cone in cones:
-        vals += [cone.z @ u + cone.alpha, u @ cone.G @ u + cone.gamma @ u + cone.beta]
-        grads += [cone.z, 2.0 * (cone.G @ u) + cone.gamma]
+    for z, alpha, G, gamma, beta in cones:
+        vals += [z @ u + alpha, u @ G @ u + gamma @ u + beta]
+        grads += [z, 2.0 * (G @ u) + gamma]
     eye = np.eye(program.p)
     for j in range(program.p):
         vals.append(program.u_max[j] - u[j])

@@ -24,7 +24,6 @@ from projctl.runner import compare_controllers, contact_slip, load_config, load_
 from projctl.simulate import simulate
 from projctl.task_space import build_task
 from projctl.torque_qcqp import (
-    ConeConstraint,
     TorqueProgram,
     assemble_program,
     barrier_gradient,
@@ -34,7 +33,7 @@ from projctl.torque_qcqp import (
 )
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, random_manifold_state
-from oracles import grid_polish_optimum, saddle_point_state
+from oracles import grid_polish_optimum, saddle_point_state, stack_cone_rows
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -198,17 +197,15 @@ def test_criterion_08_regulation(outdir):
 
 def bundled_programs(arm, biped, rng):
     """Small program collection: synthetic toys plus model instances."""
-    corridor = ConeConstraint(
-        z=np.array([0.3, 1.0]), alpha=4.0,
-        G=np.diag([-0.5, -0.2]), gamma=np.array([0.8, -0.4]), beta=6.0,
-    )
+    # (z, alpha, G, gamma, beta)
+    corridor = (np.array([0.3, 1.0]), 4.0, np.diag([-0.5, -0.2]), np.array([0.8, -0.4]), 6.0)
 
     def toy(W, u_box, eq=None, cones=()):
         p = np.asarray(W).shape[0]
         eq_mat, eq_rhs = (np.zeros((0, p)), np.zeros(0)) if eq is None else eq
         return TorqueProgram.from_cones(
             W=np.asarray(W, float), eq_mat=np.asarray(eq_mat, float),
-            eq_rhs=np.asarray(eq_rhs, float), cones=cones,
+            eq_rhs=np.asarray(eq_rhs, float), cones=stack_cone_rows(cones, p),
             u_min=-u_box * np.ones(p), u_max=u_box * np.ones(p),
         )
 

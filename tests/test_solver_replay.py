@@ -37,6 +37,21 @@ def test_smoke_on_compare_cone(solver_replay, capsys):
     assert printed["report_sha256"] == solver_replay.report_digest(expected)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare_cone.json", "--seconds", "0.0015"], "duration"),
+        (["no_such_config.json"], "config file not found"),
+    ],
+    ids=["seconds_not_whole_steps", "missing_config"],
+)
+def test_config_error_exits_2(solver_replay, capsys, argv, message):
+    assert solver_replay.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
+
+
 def test_digest_sees_one_ulp_in_every_field(solver_replay):
     reports, _ = solver_replay.replay(solver_replay.record(CONFIGS / "compare_cone.json", 0.001))
     digest = solver_replay.report_digest(reports)

@@ -20,7 +20,6 @@ from projctl.torque_qcqp import (
     KAPPA,
     MAX_CENTERING,
     NEWTON_TOL,
-    ConeConstraint,
     TorqueProgram,
     assemble_cone_constraints,
     assemble_program,
@@ -50,6 +49,7 @@ from oracles import (
     contact_forces_reference,
     grid_polish_optimum,
     solve_barrier_reference,
+    stack_cone_rows,
 )
 
 
@@ -104,18 +104,18 @@ class TestConeConstraints:
             for _ in range(15):
                 state = random_manifold_state(model, rng, home)
                 frame = build_frame(model, state)
-                cones = assemble_cone_constraints(frame)
+                lin, off, G = assemble_cone_constraints(frame)
                 for _ in range(10):
                     u = rng.uniform(model.u_min, model.u_max)
                     wrench = contact_forces(frame, u)
                     lam = wrench.per_contact()
-                    for i, cone in enumerate(cones):
-                        mu = model.contacts[state.active_contacts[i]].friction
-                        lin = cone.z @ u + cone.alpha
-                        quad = u @ cone.G @ u + cone.gamma @ u + cone.beta
+                    for i, contact in enumerate(state.active_contacts):
+                        mu = model.contacts[contact].friction
+                        normal = lin[2 * i] @ u + off[2 * i]
+                        quad = u @ G[i] @ u + lin[2 * i + 1] @ u + off[2 * i + 1]
                         lam_x, lam_y, lam_z = lam[i]
                         scale = max(1.0, abs(lam_z))
-                        assert abs(lin - lam_z) <= 1e-8 * scale
+                        assert abs(normal - lam_z) <= 1e-8 * scale
                         expected = mu**2 * lam_z**2 - lam_x**2 - lam_y**2
                         assert abs(quad - expected) <= 1e-8 * max(1.0, abs(expected))
 
@@ -124,8 +124,8 @@ class TestConeConstraints:
         model = point_mass_model(mass=mass, g=g)
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
         frame = build_frame(model, state, nu=1.0)
-        (cone,) = assemble_cone_constraints(frame)
-        assert cone.z @ np.zeros(3) + cone.alpha == pytest.approx(mass * g, rel=1e-12)
+        lin, off, _ = assemble_cone_constraints(frame)
+        assert lin[0] @ np.zeros(3) + off[0] == pytest.approx(mass * g, rel=1e-12)
 
     def test_requires_active_contacts(self, arm):
         state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())
@@ -153,11 +153,17 @@ class TestForceMapMatchesOracle:
             u = rng.uniform(2 * model.u_min, 2 * model.u_max)
             want = contact_forces_reference(frame, model, state, u)
             assert_close(contact_forces(frame, u).forces, want)
-        for cone, (z, alpha, G, gamma, beta) in zip(
-            assemble_cone_constraints(frame), cone_rows_reference(frame, model, state), strict=True
-        ):
-            for got, want in ((cone.z, z), (cone.alpha, alpha), (cone.G, G), (cone.gamma, gamma), (cone.beta, beta)):
-                assert_close(got, want)
+        lin, off, G = assemble_cone_constraints(frame)
+        reference = cone_rows_reference(frame, model, state)
+        k = len(reference)
+        assert (lin.shape, off.shape, G.shape) == ((2 * k, model.p), (2 * k,), (k, model.p, model.p))
+        # row order: contact i's linear row at 2i, its quadratic row at 2i + 1
+        for i, (z, alpha, G_i, gamma, beta) in enumerate(reference):
+            assert_close(lin[2 * i], z)
+            assert_close(off[2 * i], alpha)
+            assert_close(lin[2 * i + 1], gamma)
+            assert_close(off[2 * i + 1], beta)
+            assert_close(G[i], G_i)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -215,16 +221,25 @@ class TestAssembleProgram:
         task = build_task(frame, make_task(model, task_name))
         gains = ControllerGains.critically_damped(1, 5.0)
         cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
-        cones = assemble_cone_constraints(frame) if k else ()
+        cones = assemble_cone_constraints(frame) if k else stack_cone_rows((), model.p)
+        reference = cone_rows_reference(frame, model, state) if k else ()
         program = assemble_program(frame, cmd.tau_c, cones=cones)
         assert program.k == k
         assert program.r == 2 * (k + model.p)
         for _ in range(20):
             u = rng.uniform(2 * model.u_min, 2 * model.u_max)
             for stacked, rows in zip(
-                (program.constraint_values(u), program.constraint_gradients(u)), constraint_rows(cones, program, u)
+                (program.constraint_values(u), program.constraint_gradients(u)), constraint_rows(reference, program, u)
             ):
                 assert np.all(np.abs(stacked - rows) <= 1e-12 * np.maximum(1.0, np.abs(rows)))
+
+    def test_keeps_the_given_cone_rows(self, biped, rng):
+        state = random_manifold_state(biped, rng, BIPED_HOME, active=(0, 1))
+        frame = build_frame(biped, state)
+        rows = assemble_cone_constraints(frame)
+        program = assemble_program(frame, frame.P @ rng.standard_normal(biped.n), cones=rows)
+        assert program.G is rows[2]
+        assert np.array_equal(program.lin[:4], rows[0]) and np.array_equal(program.off[:4], rows[1])
 
     def test_tau_c_outside_range_P(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
@@ -248,7 +263,7 @@ class TestPhaseOne:
             W=W,
             eq_mat=np.zeros((0, 2)),
             eq_rhs=np.zeros(0),
-            cones=(),
+            cones=stack_cone_rows((), 2),
             u_min=np.zeros(2),
             u_max=np.zeros(2) + 1e-15,
         )
@@ -257,18 +272,13 @@ class TestPhaseOne:
 
     def test_tight_cone_strictly_feasible(self):
         # one narrow quadratic corridor: 1 - (u0 - 2)^2 - u1^2 >= 0
-        cone = ConeConstraint(
-            z=np.array([0.0, 1.0]),
-            alpha=5.0,
-            G=-np.eye(2),
-            gamma=np.array([4.0, 0.0]),
-            beta=-3.0,
-        )
+        # (z, alpha, G, gamma, beta)
+        cone = (np.array([0.0, 1.0]), 5.0, -np.eye(2), np.array([4.0, 0.0]), -3.0)
         program = TorqueProgram.from_cones(
             W=np.eye(2),
             eq_mat=np.zeros((0, 2)),
             eq_rhs=np.zeros(0),
-            cones=(cone,),
+            cones=stack_cone_rows((cone,), 2),
             u_min=-6 * np.ones(2),
             u_max=6 * np.ones(2),
         )
@@ -295,7 +305,7 @@ def synthetic_program(W, u_box=5.0, eq=None, cones=()):
         W=np.asarray(W, dtype=float),
         eq_mat=np.asarray(eq_mat, dtype=float),
         eq_rhs=np.asarray(eq_rhs, dtype=float),
-        cones=cones,
+        cones=stack_cone_rows(cones, p),
         u_min=-u_box * np.ones(p),
         u_max=u_box * np.ones(p),
     )
@@ -351,10 +361,8 @@ class TestSolveBarrier:
 
     def test_grid_oracle_equivalence_toys(self, rng):
         # p <= 3 toy programs: relative objective gap <= 1e-3 vs grid + polish
-        corridor = ConeConstraint(
-            z=np.array([0.3, 1.0]), alpha=4.0,
-            G=np.diag([-0.5, -0.2]), gamma=np.array([0.8, -0.4]), beta=6.0,
-        )
+        # (z, alpha, G, gamma, beta)
+        corridor = (np.array([0.3, 1.0]), 4.0, np.diag([-0.5, -0.2]), np.array([0.8, -0.4]), 6.0)
         toys = [
             synthetic_program(np.diag([1.0, 2.0]), u_box=4.0, cones=(corridor,)),
             synthetic_program(

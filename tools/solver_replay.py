@@ -18,8 +18,14 @@ built, outside the timed call as in the run, and timed with
 Two checkouts whose solvers return the same reports bit for bit print the same
 digest on the same machine.  The digest is not portable across machines: the
 BLAS kernels behind numpy may round differently on another CPU.  The µs figure
-comes from one pass over the solves; on a shared machine it can move between
-runs by more than two solvers differ, so compare checkouts in alternating runs.
+comes from one pass over the solves, and it is bimodal across interpreter
+processes: on a shared 2-vCPU VM one tree read 35-44 µs in some processes and
+69-76 µs in others, steady within each.  One run per tree therefore cannot
+compare two solvers; medians over several processes, alternating between the
+trees, can.
+
+A config that cannot be loaded, or a --seconds that is not a whole number of
+steps, prints `config error: ...` to stderr and exits 2, as `projctl` does.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 sys.path.insert(0, str(ROOT / "src"))
 
+from projctl.errors import ConfigError  # noqa: E402
 from projctl.runner import load_config, load_scenario  # noqa: E402
 from projctl.torque_qcqp import SolverReport, TorqueProgram, solve_barrier  # noqa: E402
 
@@ -122,7 +129,11 @@ def main(argv=None) -> int:
     config = Path(args.config)
     if not config.exists():
         config = CONFIGS / args.config
-    calls = record(config, args.seconds)
+    try:
+        calls = record(config, args.seconds)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     for line in summary_lines(*replay(calls)):
         print(line)
     return 0
