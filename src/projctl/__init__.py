@@ -17,7 +17,6 @@ from .constrained_dynamics import (
     contact_forces,
 )
 from .constraint_geometry import (
-    ProjectorBundle,
     null_projector,
     projector_rate,
     pseudo_inverse,
@@ -71,7 +70,6 @@ from .torque_qcqp import (
     TorqueProgram,
     assemble_cone_constraints,
     assemble_program,
-    motor_weighting,
     phase1_feasible_point,
     power_loss,
     relax_program,

@@ -9,6 +9,14 @@ from .errors import RUN_ERRORS, ConfigError
 from .models import MODEL_CATALOG
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projctl",
@@ -28,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in (run_p, cmp_p):
         p.add_argument("--out", default=None, help="output directory override")
-    chk_p.add_argument("--seed", type=int, default=0, help="seed for the randomized property suites")
+    chk_p.add_argument("--seed", type=_seed, default=0, help="seed for the randomized property suites")
     for p in (run_p, cmp_p, chk_p):
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser

@@ -19,18 +19,18 @@ reads:
 - an integrator stage reads only the acceleration of :func:`constrained_accel`,
   qdd = M_bar^-1 (P (B u + tau_g) - C_bar qd), and never forms S, Q or (F, f0).
 
-The per-state records (the frame, its projector bundle, the contact wrench)
-are plain dataclasses: a frozen one sets each field through
-object.__setattr__, about three times the cost of building a plain one, and
-several are built at every RK4 stage.  Nothing assigns to them once built.
+The per-state records (the frame and the contact wrench) are plain
+dataclasses: a frozen one sets each field through object.__setattr__, about
+three times the cost of building a plain one, and several are built at every
+RK4 stage.  Nothing assigns to them once built.
 
 The contact forces are affine in the actuator torques, lambda(u) =
 A^+T S (B u + tau_g - Q qd) = F u + f0; ``ConstraintFrame.force_map`` alone
 forms (F, f0), and the contact forces and the torque program's rows read it.
 
-A^+ and P come from ``constraint_geometry._projector``, which keeps its last
-result keyed by a bytes copy of A, so frames at one q and active set share one
-SVD and its read-only A^+ and P.  L, Omega and P_dot come from
+A^+, P and rank come from ``constraint_geometry._projector``, which keeps its
+last result keyed by a bytes copy of A, so frames at one q and active set
+share one SVD and its read-only A^+ and P.  L, Omega and P_dot come from
 ``constraint_geometry._rate``, the formula ``projector_rate`` also uses.
 """
 
@@ -45,7 +45,6 @@ import numpy as np
 # build_frame calls _projector and _rate, not null_projector / projector_rate;
 # those two stay importable from this module for profilers that rebind them here.
 from .constraint_geometry import (  # noqa: F401
-    ProjectorBundle,
     _identity,
     _projector,
     _rate,
@@ -182,13 +181,21 @@ class ConstraintFrame:
 
     The frame is the one per-state input: model and state are the ones it was
     built from, so callers pass the frame alone and read the actuation, the
-    velocity and the active contacts through it.  M_bar_inv is formed with
-    the frame, as every caller reads it; S, Q and the force map (F, f0) are
-    computed on first use and then kept: an integrator stage reads none of
-    them, a control tick reads all three.
+    velocity and the active contacts through it.  A is the active contact
+    stack, with A_pinv, P and rank as null_projector(A) and L, Omega and P_dot
+    as projector_rate give them.  M_bar_inv is formed with the frame, as every
+    caller reads it; S, Q and the force map (F, f0) are computed on first use
+    and then kept: an integrator stage reads none of them, a control tick
+    reads all three.
     """
 
-    bundle: ProjectorBundle
+    A: np.ndarray
+    A_pinv: np.ndarray
+    P: np.ndarray
+    rank: int
+    L: np.ndarray
+    Omega: np.ndarray
+    P_dot: np.ndarray
     M: np.ndarray
     C: np.ndarray
     tau_g: np.ndarray
@@ -198,10 +205,6 @@ class ConstraintFrame:
     nu: float
     model: RobotModel
     state: RobotState
-
-    @property
-    def P(self) -> np.ndarray:
-        return self.bundle.P
 
     @property
     def n(self) -> int:
@@ -215,13 +218,13 @@ class ConstraintFrame:
     @cached_property
     def Q(self) -> np.ndarray:
         """Bias map M Omega + C."""
-        return self.M @ self.bundle.Omega + self.C
+        return self.M @ self.Omega + self.C
 
     @cached_property
     def force_map(self) -> Tuple[np.ndarray, np.ndarray]:
         """(F, f0) = (A^+T (S B), A^+T (S (tau_g - Q qd))): lambda(u) = F u + f0 is the minimum-norm
         solution of A^T lam = S (B u + tau_g - Q qd), which S keeps consistent."""
-        A_pinv_T = self.bundle.A_pinv.T
+        A_pinv_T = self.A_pinv.T
         F = A_pinv_T @ (self.S @ self.model.actuation)
         f0 = A_pinv_T @ (self.S @ (self.tau_g - self.Q @ self.state.q_dot))
         return F, f0
@@ -298,14 +301,19 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
 
     A_pinv, P, rank = _projector(A)
     L, Omega, P_dot = _rate(A_pinv, A_dot, P)
-    bundle = ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank, L=L, Omega=Omega, P_dot=P_dot)
 
     PM = P @ M
     M_bar = PM @ P + nu * (_identity(n) - P)
     M_bar = 0.5 * (M_bar + M_bar.T)
     C_bar = P @ C @ P + PM @ P_dot - nu * L
     return ConstraintFrame(
-        bundle=bundle,
+        A=A,
+        A_pinv=A_pinv,
+        P=P,
+        rank=rank,
+        L=L,
+        Omega=Omega,
+        P_dot=P_dot,
         M=M,
         C=C,
         tau_g=tau_g,
@@ -340,5 +348,5 @@ def contact_forces(frame: ConstraintFrame, u: np.ndarray) -> ContactWrench:
     F, f0 = frame.force_map
     lam = F @ np.asarray(u, dtype=float) + f0
     mu = np.array([frame.model.contacts[i].friction for i in active])
-    degenerate = frame.bundle.rank < frame.bundle.m
+    degenerate = frame.rank < frame.A.shape[0]
     return ContactWrench(forces=lam, margins=cone_margins(lam, mu), degenerate=degenerate)

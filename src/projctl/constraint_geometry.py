@@ -1,9 +1,11 @@
 """Projector algebra for stacked contact Jacobians.
 
 Everything here is pure dense linear algebra: Moore-Penrose pseudo-inverses,
-the orthogonal projector onto the null space of a constraint Jacobian, and the
-time derivative of that projector split into its lower-triangular-like factor
-L, its skew part Omega, and the full rate P_dot.
+the orthogonal projector onto the null space of a constraint Jacobian
+(:func:`null_projector`: A^+, P and rank), and the time derivative of that
+projector split into its lower-triangular-like factor L, its skew part Omega,
+and the full rate P_dot (:func:`projector_rate`).  ``build_frame`` keeps all
+six on the frame, from ``_projector`` and ``_rate``.
 
 ``_projector`` keeps its last A and result: A depends only on q and the active
 set, so the post-step velocity projection, the next control frame and the next
@@ -13,9 +15,8 @@ caller cannot mutate, and the kept A^+ and P are read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,30 +54,12 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-@dataclass
-class ProjectorBundle:
-    """Projector quantities derived from one constraint Jacobian.
+class Projector(NamedTuple):
+    """A^+, the orthogonal projector P onto null(A) and the numerical rank of one A."""
 
-    A_pinv is the Moore-Penrose pseudo-inverse, P the orthogonal projector onto
-    null(A) and rank the numerical rank of A.  L, Omega and P_dot are filled in
-    by :func:`projector_rate` and stay None until then.
-    """
-
-    A: np.ndarray
     A_pinv: np.ndarray
     P: np.ndarray
     rank: int
-    L: Optional[np.ndarray] = None
-    Omega: Optional[np.ndarray] = None
-    P_dot: Optional[np.ndarray] = None
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
 
 
 def pseudo_inverse(A) -> np.ndarray:
@@ -97,15 +80,14 @@ def _pinv_from_svd(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, rank: int) -> n
     return (Vt.T * inv_s) @ U.T
 
 
-def null_projector(A) -> ProjectorBundle:
-    """Orthogonal projector P = I - A^+ A onto null(A), plus A^+ and rank.
+def null_projector(A) -> Projector:
+    """Orthogonal projector P = I - A^+ A onto null(A), with A^+ and rank, as a Projector.
 
     P is assembled from the right singular vectors of the range so that it is
     symmetric and idempotent to machine precision even for rank-deficient A.
+    A^+ and P are read-only.
     """
-    A = _as_matrix(A)
-    A_pinv, P, rank = _projector(A)
-    return ProjectorBundle(A=A, A_pinv=A_pinv, P=P, rank=rank)
+    return Projector(*_projector(_as_matrix(A)))
 
 
 def _projector(A: np.ndarray):
@@ -125,20 +107,19 @@ def _projector(A: np.ndarray):
     return A_pinv, P, rank
 
 
-def projector_rate(A, A_dot, bundle: ProjectorBundle) -> ProjectorBundle:
-    """Complete a bundle with L = -A^+ A_dot P, P_dot = L + L^T and Omega.
+def projector_rate(A, A_dot):
+    """(L, Omega, P_dot) of A moving at rate A_dot: L = -A^+ A_dot P and P_dot = L + L^T.
 
     Omega = L - L^T is the skew matrix satisfying Omega qd = P_dot qd for any
-    qd in null(A); the sign follows from L^T P = 0.
+    qd in null(A); the sign follows from L^T P = 0.  A^+ and P are A's own,
+    from the same computation as :func:`null_projector`.
     """
     A = _as_matrix(A)
     A_dot = _as_matrix(A_dot, "A_dot")
     if A.shape != A_dot.shape:
         raise InputError(f"A_dot shape {A_dot.shape} does not match A shape {A.shape}")
-    if bundle.A.shape != A.shape or not np.allclose(bundle.A, A):
-        raise InputError("bundle was not computed from the supplied A")
-    L, Omega, P_dot = _rate(bundle.A_pinv, A_dot, bundle.P)
-    return replace(bundle, L=L, Omega=Omega, P_dot=P_dot)
+    A_pinv, P, _ = _projector(A)
+    return _rate(A_pinv, A_dot, P)
 
 
 def _rate(A_pinv: np.ndarray, A_dot: np.ndarray, P: np.ndarray):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -63,23 +62,15 @@ class ControllerGains:
 
 @dataclass
 class ControlCommand:
-    """Controller output plus allocation bookkeeping.
+    """A control law's output: the generalized torque tau_c and the task error e, e_dot.
 
-    tau_c is always populated; u, phi and d are filled in once an allocator
-    has run (phi = tau_c - P B u, d = M_bar^-1 phi).
+    An allocator turns tau_c into actuator torques u; the residual
+    phi = tau_c - P B u gives the disturbance tracking_disturbance(frame, phi).
     """
 
     tau_c: np.ndarray
     e: np.ndarray
     e_dot: np.ndarray
-    u: Optional[np.ndarray] = None
-    phi: Optional[np.ndarray] = None
-    d: Optional[np.ndarray] = None
-
-    def with_actuation(self, frame: ConstraintFrame, u: np.ndarray) -> "ControlCommand":
-        u = np.asarray(u, dtype=float)
-        phi = self.tau_c - frame.P @ (frame.model.actuation @ u)
-        return ControlCommand(self.tau_c, self.e, self.e_dot, u=u, phi=phi, d=tracking_disturbance(frame, phi))
 
 
 def tracking_torque(

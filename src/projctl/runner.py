@@ -252,9 +252,11 @@ def load_config(path) -> dict:
     if not path.exists():
         raise ConfigError(str(path), "config file not found")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(path), f"cannot read config: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "config root must be an object")
     return cfg
@@ -339,7 +341,7 @@ def atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -39,6 +39,7 @@ from .control_laws import (
     min_norm_actuation,
     regulation_lyapunov,
     regulation_torque,
+    tracking_disturbance,
     tracking_torque,
 )
 from .errors import RUN_ERRORS, InputError, SimulationError, SolverError
@@ -350,7 +351,8 @@ def simulate(scenario: Scenario) -> SimTrace:
                 cmd = regulation_torque(frame, task, x_d, scenario.gains)
             u, n_newton, n_center, eta, status = _allocate(scenario, frame, cmd.tau_c, prev_u)
             prev_u = u
-            cmd = cmd.with_actuation(frame, u)
+            phi = cmd.tau_c - frame.P @ (model.actuation @ u)
+            d = tracking_disturbance(frame, phi)
 
             lam_row = np.zeros(3 * model.k)
             margin_row = np.zeros(model.k)
@@ -372,13 +374,13 @@ def simulate(scenario: Scenario) -> SimTrace:
             cols["margins"].append(margin_row)
             cols["p_loss"].append(float(u @ model.W @ u))
             cols["lyapunov"].append(regulation_lyapunov(frame, cmd.e, scenario.gains.K_P))
-            cols["phi_norm"].append(math.sqrt(cmd.phi.dot(cmd.phi)))
-            cols["d_norm"].append(math.sqrt(cmd.d.dot(cmd.d)))
+            cols["phi_norm"].append(math.sqrt(phi.dot(phi)))
+            cols["d_norm"].append(math.sqrt(d.dot(d)))
             cols["newton_iters"].append(n_newton)
             cols["centering"].append(n_center)
             cols["eta"].append(eta)
             cols["status"].append(status)
-            r = frame.bundle.A @ state.q_dot  # empty with no active contact, so drift 0.0
+            r = frame.A @ state.q_dot  # empty with no active contact, so drift 0.0
             cols["drift"].append(math.sqrt(r.dot(r)))
             cols["active"].append(state.active_contacts)
 

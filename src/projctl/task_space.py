@@ -128,8 +128,8 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     # sv[l - 1] > 1e-9 ||J|| >= 1e-9 ||Lam||, so this is pseudo_inverse(Lam)
     Lam_pinv = _pinv_from_svd(U, sv, Vt, rank)
     J_dot = np.asarray(task.jacobian_rate(q, qd), dtype=float)
-    Lam_dot = J_dot @ P + J @ frame.bundle.P_dot
-    Gamma = Lam_pinv @ Lam_dot - frame.bundle.Omega
+    Lam_dot = J_dot @ P + J @ frame.P_dot
+    Gamma = Lam_pinv @ Lam_dot - frame.Omega
     return TaskMap(
         name=task.name,
         l=l,
@@ -140,7 +140,7 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
         Lambda_dot=Lam_dot,
         Gamma_ctl=Gamma,
         P=P,
-        full_span=l == n - frame.bundle.rank,
+        full_span=l == n - frame.rank,
     )
 
 
@@ -152,7 +152,7 @@ def check_feasibility(frame: ConstraintFrame, task: TaskMap) -> FeasibilityRepor
     inside range(B), tested by comparing rank([B | Lambda^T]) against rank(B).
     """
     B = frame.model.actuation
-    A = frame.bundle.A
+    A = frame.A
     scale = max(1.0, float(np.abs(A).max()) * float(np.abs(task.Lambda_pinv).max()))
     consistent = bool(A.size == 0 or np.abs(A @ task.Lambda_pinv).max() <= 1e-9 * scale)
     _, _, _, rank_B = _svd_cutoff(B)

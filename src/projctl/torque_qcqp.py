@@ -74,19 +74,6 @@ MARGIN_SCALE = 1e-9
 PHASE1_MAX_ITER = 600
 
 
-def motor_weighting(R, K_t) -> np.ndarray:
-    """Diagonal weighting with W_jj = R_j / K_t_j^2, so u^T W u = i^T R i."""
-    R = np.asarray(R, dtype=float)
-    K_t = np.asarray(K_t, dtype=float)
-    if R.shape != K_t.shape or R.ndim != 1:
-        raise InputError("R and K_t must be 1-d vectors of equal length")
-    if np.any(K_t == 0.0):
-        raise InputError("torque constants must be nonzero")
-    if np.any(R <= 0.0):
-        raise InputError("winding resistances must be positive")
-    return np.diag(R / K_t**2)
-
-
 def power_loss(u, W) -> float:
     """Instantaneous dissipated power u^T W u (watt)."""
     u = np.asarray(u, dtype=float)

@@ -177,13 +177,13 @@ def step_reference(model, state, u, dt, nu=None):
 def contact_forces_reference(frame, model, state, u):
     """Stacked contact forces A^+T S (B u + tau_g - Q qd), evaluated in that order."""
     w = frame.S @ (model.actuation @ np.asarray(u, dtype=float) + frame.tau_g - frame.Q @ state.q_dot)
-    return frame.bundle.A_pinv.T @ w
+    return frame.A_pinv.T @ w
 
 
 def cone_rows_reference(frame, model, state):
     """(z, alpha, G, gamma, beta) per active contact, expanded through the n x n form
     Pi = S^T (mu^2 a_z a_z^T - a_x a_x^T - a_y a_y^T) S with a_* the A^+ columns."""
-    B, S, A_pinv = model.actuation, frame.S, frame.bundle.A_pinv
+    B, S, A_pinv = model.actuation, frame.S, frame.A_pinv
     w0 = frame.tau_g - frame.Q @ state.q_dot
     rows = []
     for idx, contact in enumerate(state.active_contacts):
@@ -200,7 +200,7 @@ def task_identities_reference(frame, task):
     n = P.shape[0]
     r_range = float(np.abs(P @ Lam.T - Lam.T).max())
     r_pinv = float(np.abs((np.eye(n) - P) @ Lam_pinv).max())
-    if task.l == n - frame.bundle.rank:  # full span
+    if task.l == n - frame.rank:  # full span
         r_prod = float(np.abs(Lam_pinv @ Lam - P).max())
     else:
         r_prod = float(np.linalg.eigvalsh(P - Lam_pinv @ Lam).min())

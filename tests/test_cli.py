@@ -203,6 +203,16 @@ class TestConfigValidation:
     def test_missing_file(self):
         assert main(["run", "/nonexistent/config.json", "--quiet"]) == 2
 
+    @pytest.mark.parametrize("case", ["not_utf8", "directory"])
+    def test_unreadable_file(self, tmp_path, capsys, case):
+        path = tmp_path
+        if case == "not_utf8":
+            path = tmp_path / "latin1.json"
+            path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+        for command in ("run", "compare"):
+            assert main([command, str(path), "--quiet"]) == 2
+            assert f"config error: {path}: cannot read config" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "base, params, key",
         [
@@ -451,6 +461,12 @@ class TestCheckCommand:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--seed", "-1", "--quiet"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be non-negative" in capsys.readouterr().err
 
     def test_list_models(self, capsys):
         assert main(["list-models"]) == 0

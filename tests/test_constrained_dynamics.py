@@ -198,7 +198,7 @@ class TestConstrainedAccel:
             frame = build_frame(arm, state)
             qdd = constrained_accel(frame, u)
             lhs = (np.eye(arm.n) - frame.P) @ qdd
-            rhs = frame.bundle.Omega @ state.q_dot
+            rhs = frame.Omega @ state.q_dot
             assert np.abs(lhs - rhs).max() <= 1e-8
 
 
@@ -211,19 +211,19 @@ def eager_frame(model, state, u, nu=None):
     q, qd, active = state.q, state.q_dot, state.active_contacts
     M, C, tau_g = model.mass_matrix(q), model.coriolis_matrix(q, qd), model.gravity(q)
     A = model.contact_stack(q, active)
-    bundle = projector_rate(A, model.contact_stack_rate(q, qd, active), null_projector(A))
+    L, Omega, P_dot = projector_rate(A, model.contact_stack_rate(q, qd, active))
     nu = float(np.trace(M)) / model.n if nu is None else nu
-    P, I = bundle.P, np.eye(model.n)
+    P, I = null_projector(A).P, np.eye(model.n)
     M_bar = P @ M @ P + nu * (I - P)
     M_bar = 0.5 * (M_bar + M_bar.T)
-    C_bar = P @ C @ P + P @ M @ bundle.P_dot - nu * bundle.L
+    C_bar = P @ C @ P + P @ M @ P_dot - nu * L
     M_bar_inv = np.linalg.inv(M_bar)
     return {
         "M_bar": M_bar,
         "C_bar": C_bar,
         "M_bar_inv": M_bar_inv,
         "S": I - M @ M_bar_inv @ P,
-        "Q": M @ bundle.Omega + C,
+        "Q": M @ Omega + C,
         "qdd": M_bar_inv @ (P @ (model.actuation @ u + tau_g) - C_bar @ qd),
     }
 

@@ -497,7 +497,6 @@ class TestFrameIsThePerStateInput:
         ("control_laws", "regulation_torque"),
         ("control_laws", "regulation_lyapunov"),
         ("control_laws", "min_norm_actuation"),
-        ("control_laws", "ControlCommand.with_actuation"),
         ("simulate", "_allocate"),
     ]
 
