@@ -58,11 +58,9 @@ from .simulate import (
     switch_contacts,
 )
 from .task_space import (
-    FeasibilityReport,
     TaskDef,
     TaskMap,
     build_task,
-    check_feasibility,
     task_accel_decompose,
 )
 from .torque_qcqp import (
@@ -71,7 +69,6 @@ from .torque_qcqp import (
     assemble_cone_constraints,
     assemble_program,
     phase1_feasible_point,
-    power_loss,
     relax_program,
     solve_barrier,
 )

@@ -182,8 +182,8 @@ class ConstraintFrame:
     The frame is the one per-state input: model and state are the ones it was
     built from, so callers pass the frame alone and read the actuation, the
     velocity and the active contacts through it.  A is the active contact
-    stack, with A_pinv, P and rank as null_projector(A) and L, Omega and P_dot
-    as projector_rate give them.  M_bar_inv is formed with the frame, as every
+    stack, with A_pinv, P and rank as null_projector(A) and Omega and P_dot as
+    projector_rate gives them.  M_bar_inv is formed with the frame, as every
     caller reads it; S, Q and the force map (F, f0) are computed on first use
     and then kept: an integrator stage reads none of them, a control tick
     reads all three.
@@ -193,7 +193,6 @@ class ConstraintFrame:
     A_pinv: np.ndarray
     P: np.ndarray
     rank: int
-    L: np.ndarray
     Omega: np.ndarray
     P_dot: np.ndarray
     M: np.ndarray
@@ -202,7 +201,6 @@ class ConstraintFrame:
     M_bar: np.ndarray
     M_bar_inv: np.ndarray
     C_bar: np.ndarray
-    nu: float
     model: RobotModel
     state: RobotState
 
@@ -236,13 +234,11 @@ class ContactWrench:
 
     margin_i = mu_i * lambda_z_i - sqrt(lambda_x_i^2 + lambda_y_i^2); the
     unilateral and friction-cone conditions hold iff lambda_z_i > 0 and
-    margin_i > 0.  degenerate is set when the contact stack is rank-deficient
-    and the forces are therefore the minimum-norm representative.
+    margin_i > 0.
     """
 
     forces: np.ndarray
     margins: np.ndarray
-    degenerate: bool = False
 
     @property
     def k(self) -> int:
@@ -250,10 +246,6 @@ class ContactWrench:
 
     def per_contact(self) -> np.ndarray:
         return self.forces.reshape(self.k, 3)
-
-    @property
-    def normal(self) -> np.ndarray:
-        return self.per_contact()[:, 2]
 
 
 def cone_margins(forces: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -311,7 +303,6 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
         A_pinv=A_pinv,
         P=P,
         rank=rank,
-        L=L,
         Omega=Omega,
         P_dot=P_dot,
         M=M,
@@ -320,7 +311,6 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
         M_bar=M_bar,
         M_bar_inv=np.linalg.inv(M_bar),
         C_bar=C_bar,
-        nu=float(nu),
         model=model,
         state=state,
     )
@@ -341,12 +331,11 @@ def _accel(frame: ConstraintFrame, Bu: np.ndarray) -> np.ndarray:
 
 
 def contact_forces(frame: ConstraintFrame, u: np.ndarray) -> ContactWrench:
-    """Contact forces F u + f0 (ConstraintFrame.force_map); degenerate when A is rank-deficient."""
+    """Contact forces F u + f0 (ConstraintFrame.force_map), the minimum-norm solution when A is rank-deficient."""
     active = frame.state.active_contacts
     if len(active) == 0:
         raise InputError("contact_forces requires a nonempty active contact set")
     F, f0 = frame.force_map
     lam = F @ np.asarray(u, dtype=float) + f0
     mu = np.array([frame.model.contacts[i].friction for i in active])
-    degenerate = frame.rank < frame.A.shape[0]
-    return ContactWrench(forces=lam, margins=cone_margins(lam, mu), degenerate=degenerate)
+    return ContactWrench(forces=lam, margins=cone_margins(lam, mu))

@@ -3,10 +3,9 @@
 A task is a smooth map x(q) of dimension l; its effective Jacobian is
 Lambda = (dx/dq) P, which by construction maps only admissible velocities.
 This module builds Lambda together with its pseudo-inverse, its time
-derivative and the feedforward matrix Gamma = Lambda^+ Lambda_dot - Omega,
-and checks the feasibility set relations between task, constraints and
-actuation.  One SVD of Lambda gives its rank and Lambda^+; the projector
-identities are evaluated only when a caller reads ``TaskMap.identities``.
+derivative and the feedforward matrix Gamma = Lambda^+ Lambda_dot - Omega.
+One SVD of Lambda gives its rank and Lambda^+; the projector identities are
+evaluated only when a caller reads ``TaskMap.identities``.
 The rank cut-off scales with ||J||_2, which is kept for the last J seen (every
 bundled task has a constant J), so a control tick takes the one SVD of Lambda.
 """
@@ -20,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
-from .constraint_geometry import _pinv_from_svd, _svd_cutoff
+from .constraint_geometry import _pinv_from_svd
 from .errors import InputError, TaskInconsistencyError
 
 _last_jacobian_norm = (None, None)  # (key, ||J||_2) of the latest build_task J, read and replaced whole
@@ -79,15 +78,6 @@ class TaskMap:
         return TaskIdentities(r_range, r_pinv, r_prod)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    task_consistent: bool
-    actuation_sufficient: bool
-    full_span: bool
-    rank_Lambda: int
-    rank_B: int
-
-
 def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     """Evaluate the task map at the frame's state.
 
@@ -141,28 +131,6 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
         Gamma_ctl=Gamma,
         P=P,
         full_span=l == n - frame.rank,
-    )
-
-
-def check_feasibility(frame: ConstraintFrame, task: TaskMap) -> FeasibilityReport:
-    """Report task/constraint consistency and actuation sufficiency.
-
-    task_consistent: range(Lambda^T) inside null(A), tested as
-    ||A Lambda^+|| <= 1e-9 (relative).  actuation_sufficient: range(Lambda^T)
-    inside range(B), tested by comparing rank([B | Lambda^T]) against rank(B).
-    """
-    B = frame.model.actuation
-    A = frame.A
-    scale = max(1.0, float(np.abs(A).max()) * float(np.abs(task.Lambda_pinv).max()))
-    consistent = bool(A.size == 0 or np.abs(A @ task.Lambda_pinv).max() <= 1e-9 * scale)
-    _, _, _, rank_B = _svd_cutoff(B)
-    _, _, _, rank_aug = _svd_cutoff(np.hstack([B, task.Lambda.T]))
-    return FeasibilityReport(
-        task_consistent=consistent,
-        actuation_sufficient=bool(rank_aug == rank_B),
-        full_span=task.full_span,
-        rank_Lambda=task.l,
-        rank_B=rank_B,
     )
 
 

@@ -74,15 +74,6 @@ MARGIN_SCALE = 1e-9
 PHASE1_MAX_ITER = 600
 
 
-def power_loss(u, W) -> float:
-    """Instantaneous dissipated power u^T W u (watt)."""
-    u = np.asarray(u, dtype=float)
-    W = np.asarray(W, dtype=float)
-    if W.shape != (u.size, u.size):
-        raise InputError(f"W must be {u.size}x{u.size}, got {W.shape}")
-    return float(u @ W @ u)
-
-
 def assemble_cone_constraints(frame: ConstraintFrame) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cone rows (lin (2k, p), off (2k,), G (k, p, p)) of the k active contacts, in program row order.
 
@@ -434,7 +425,7 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
             newton_iters=0,
             centering_steps=0,
             duality_gap=float("inf"),
-            objective=float("nan") if u is None else power_loss(u, program.W),
+            objective=float("nan") if u is None else float(u @ program.W @ u),
             kkt_residual=float("inf"),
             constraint_margins=None if u is None else program.constraint_values(u),
             status=status,

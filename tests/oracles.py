@@ -37,7 +37,6 @@ from projctl.torque_qcqp import (
     MAX_NEWTON,
     SolverReport,
     phase1_feasible_point,
-    power_loss,
 )
 
 
@@ -252,7 +251,7 @@ def solve_barrier_reference(program, u0=None):
             newton_iters=0,
             centering_steps=0,
             duality_gap=float("inf"),
-            objective=float("nan") if u is None else power_loss(u, program.W),
+            objective=float("nan") if u is None else float(u @ program.W @ u),
             kkt_residual=float("inf"),
             constraint_margins=None if u is None else program.constraint_values(u),
             status=status,
@@ -355,7 +354,7 @@ def solve_barrier_reference(program, u0=None):
         newton_iters=total_newton,
         centering_steps=centering,
         duality_gap=r * eta,
-        objective=power_loss(u, program.W),
+        objective=float(u @ program.W @ u),
         kkt_residual=kkt_res,
         constraint_margins=program.constraint_values(u),
         status=status,

@@ -289,7 +289,7 @@ class TestContactForces:
         wrench = contact_forces(frame, np.zeros(3))
         assert np.allclose(wrench.forces, [0.0, 0.0, mass * g], atol=1e-10)
         assert wrench.margins[0] > 0
-        assert not wrench.degenerate
+        assert frame.rank == frame.A.shape[0]
 
     def test_matches_saddle_point_oracle(self, arm, biped, rng):
         for model, home in ((arm, ARM_HOME), (biped, BIPED_HOME)):
@@ -304,8 +304,22 @@ class TestContactForces:
     def test_planar_stack_flagged_degenerate(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
         frame = build_frame(arm, state)
-        wrench = contact_forces(frame, np.zeros(3))
-        assert wrench.degenerate  # the y row of a planar contact is zero
+        assert frame.rank < frame.A.shape[0]  # the y row of a planar contact is zero
+
+    @pytest.mark.parametrize("active", [(0,), (1,), (0, 1)])
+    def test_every_planar_contact_set_is_rank_deficient(self, biped, rng, active):
+        state = random_manifold_state(biped, rng, BIPED_HOME, active=active)
+        frame = build_frame(biped, state)
+        assert frame.rank < frame.A.shape[0]
+
+    def test_rank_deficient_forces_are_minimum_norm(self, arm, biped, rng):
+        # the minimum-norm forces lie in range(A): nothing on a planar contact's zero y row
+        for model, home in ((arm, ARM_HOME), (biped, BIPED_HOME)):
+            for _ in range(10):
+                state = random_manifold_state(model, rng, home)
+                frame = build_frame(model, state)
+                wrench = contact_forces(frame, rng.uniform(model.u_min, model.u_max))
+                assert np.abs(wrench.per_contact()[:, 1]).max() <= 1e-10 * max(1.0, np.abs(wrench.forces).max())
 
     def test_requires_active_contacts(self, arm):
         state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())

@@ -10,7 +10,7 @@ from projctl.control_laws import (
     tracking_torque,
 )
 from projctl.errors import ActuationError, InputError
-from projctl.models import link_orientation_task, make_task
+from projctl.models import joint_task, link_orientation_task, make_task
 from projctl.task_space import build_task
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, random_manifold_state
@@ -169,14 +169,54 @@ class TestMinNormActuation:
                 assert np.abs(PB @ u_alt - cmd.tau_c).max() <= 1e-9
                 assert np.linalg.norm(u_alt) >= np.linalg.norm(u) - 1e-12
 
-    def test_underactuated_raises(self, biped, rng):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda biped: make_task(biped, "base_pitch"), id="base_pitch"),
+            # a 3-d task with 2 actuated hips: range(Lambda^T) is not inside range(B)
+            pytest.param(lambda biped: joint_task([0, 2, 4], 5), id="three_joints"),
+        ],
+    )
+    def test_underactuated_raises(self, biped, rng, make):
         # single support: admissible force space is 3-d but only 2 actuators
         state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
         frame = build_frame(biped, state)
-        task = build_task(frame, make_task(biped, "base_pitch"))
-        cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), GAINS1)
+        task = build_task(frame, make(biped))
+        l = task.l
+        gains = ControllerGains.critically_damped(l, 5.0)
+        cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(l), np.zeros(l), gains)
         with pytest.raises(ActuationError):
             min_norm_actuation(frame, cmd.tau_c)
+
+    @pytest.mark.parametrize(
+        "case, sufficient",
+        [("arm_link_orientation", True), ("biped_three_joints", False)],
+    )
+    def test_rank_criterion_matches_actuation_error(self, arm, biped, rng, case, sufficient):
+        # range(Lambda^T) inside range(B) iff rank([B | Lambda^T]) = rank(B); the
+        # run-time test of the same fact is min_norm_actuation's ActuationError
+        if case == "arm_link_orientation":
+            model, state = arm, random_manifold_state(arm, rng, ARM_HOME)
+            tdef = link_orientation_task(3)
+        else:
+            model, state = biped, random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
+            tdef = joint_task([0, 2, 4], 5)
+        frame = build_frame(model, state)
+        task = build_task(frame, tdef)
+        B = model.actuation
+        rank_B = np.linalg.matrix_rank(B)
+        assert (np.linalg.matrix_rank(np.hstack([B, task.Lambda.T])) == rank_B) == sufficient
+        if not sufficient:
+            assert rank_B == 2
+        gains = ControllerGains.critically_damped(task.l, 5.0)
+        zero = np.zeros(task.l)
+        cmd = tracking_torque(frame, task, task.x + 0.1, zero, zero, gains)
+        if sufficient:
+            u = min_norm_actuation(frame, cmd.tau_c)
+            assert np.abs(frame.P @ B @ u - cmd.tau_c).max() <= 1e-9
+        else:
+            with pytest.raises(ActuationError):
+                min_norm_actuation(frame, cmd.tau_c)
 
     @pytest.mark.parametrize("shape", [(2,), (3, 3), (3, 1)])
     def test_tau_c_must_be_an_n_vector(self, arm, shape):

@@ -9,7 +9,7 @@ from projctl.constrained_dynamics import RobotState, build_frame, constrained_ac
 from projctl.constraint_geometry import pseudo_inverse
 from projctl.errors import InputError, TaskInconsistencyError
 from projctl.models import base_pose_task, joint_task, link_orientation_task, make_task
-from projctl.task_space import TaskDef, build_task, check_feasibility, task_accel_decompose
+from projctl.task_space import TaskDef, build_task, task_accel_decompose
 
 from conftest import ARM_HOME, BIPED_HOME, manifold_state, random_manifold_state
 from oracles import task_identities_reference
@@ -58,6 +58,14 @@ class TestBuildTask:
         )
         with pytest.raises(TaskInconsistencyError):
             build_task(frame, bad)
+
+    def test_base_pose_unreachable_in_single_support(self, biped, rng):
+        # a pinned point foot ties base x and z to the stance-leg angle, so
+        # the 3-d base pose is not an independent task
+        state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
+        frame = build_frame(biped, state)
+        with pytest.raises(TaskInconsistencyError):
+            build_task(frame, base_pose_task(5))
 
     def test_eq13_identities(self, arm, biped, rng):
         for model, home, tdef in (
@@ -160,41 +168,16 @@ class TestTaskMapMatchesOracle:
         assert task.full_span == (kind == "joints" or active == (0, 1))
 
 
-class TestCheckFeasibility:
-    def test_fully_actuated(self, arm, rng):
-        state = random_manifold_state(arm, rng, ARM_HOME)
-        frame = build_frame(arm, state)
-        task = build_task(frame, link_orientation_task(3))
-        report = check_feasibility(frame, task)
-        assert report.task_consistent
-        assert report.actuation_sufficient
-
-    def test_underactuated_three_dof_task(self, biped, rng):
-        # 3-d task in single support, but only 2 hips actuated:
-        # rank([B | Lambda^T]) > rank(B)
-        state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
-        frame = build_frame(biped, state)
-        task = build_task(frame, joint_task([0, 2, 4], 5))
-        report = check_feasibility(frame, task)
-        assert report.task_consistent
-        assert not report.actuation_sufficient
-        assert report.rank_B == 2
-
-    def test_base_pose_unreachable_in_single_support(self, biped, rng):
-        # a pinned point foot ties base x and z to the stance-leg angle, so
-        # the 3-d base pose is not an independent task
-        state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
-        frame = build_frame(biped, state)
-        with pytest.raises(TaskInconsistencyError):
-            build_task(frame, base_pose_task(5))
-
+class TestTaskConsistency:
     def test_built_tasks_always_consistent(self, arm, biped, rng):
+        # range(Lambda^T) inside null(A): the contact stack annihilates Lambda^+
         for model, home, kind in ((arm, ARM_HOME, "link_orientation"), (biped, BIPED_HOME, "base_pitch")):
             for _ in range(10):
                 state = random_manifold_state(model, rng, home)
                 frame = build_frame(model, state)
                 task = build_task(frame, make_task(model, kind))
-                assert check_feasibility(frame, task).task_consistent
+                scale = max(1.0, float(np.abs(frame.A).max()) * float(np.abs(task.Lambda_pinv).max()))
+                assert np.abs(frame.A @ task.Lambda_pinv).max() <= 1e-9 * scale
 
 
 class TestTaskAccelDecompose:

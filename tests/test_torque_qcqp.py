@@ -26,7 +26,6 @@ from projctl.torque_qcqp import (
     barrier_gradient,
     barrier_value,
     phase1_feasible_point,
-    power_loss,
     relax_program,
     solve_barrier,
 )
@@ -92,19 +91,31 @@ class TestMotorWeighting:
             model_weighting(np.ones(2), np.array([1.0, 0.0]))
 
 
-class TestPowerLoss:
-    def test_zero(self):
-        assert power_loss(np.zeros(2), np.eye(2)) == 0.0
+class TestReportedObjective:
+    """The report's objective is the dissipated power u^T W u (watt) at its u_star."""
 
-    def test_pythagorean(self):
-        assert power_loss(np.array([3.0, 4.0]), np.eye(2)) == pytest.approx(25.0)
+    def test_zero_torque_dissipates_nothing(self):
+        # a zero target pins u = 0
+        program = synthetic_program(np.eye(2), eq=(np.eye(2), np.zeros(2)))
+        report = solve_barrier(program)
+        assert report.status == "optimal"
+        assert report.objective == pytest.approx(0.0, abs=1e-14)
 
-    def test_componentwise(self, rng):
-        R = np.array([1.5, 0.5, 2.0])
-        K_t = np.array([0.8, 1.0, 1.2])
-        u = rng.uniform(-5, 5, 3)
-        expected = float(np.sum(R * (u / K_t) ** 2))
-        assert power_loss(u, model_weighting(R, K_t)) == pytest.approx(expected, rel=1e-12)
+    def test_componentwise_copper_loss(self, arm, rng):
+        # u^T W u = sum_j R_j (u_j / K_t_j)^2 with the arm's own motors
+        state = random_manifold_state(arm, rng, ARM_HOME)
+        _, program = arm_program(arm, state)
+        report = solve_barrier(program)
+        assert report.status == "optimal"
+        i = report.u_star / arm.torque_constant
+        assert report.objective == pytest.approx(float(np.sum(arm.motor_resistance * i**2)), rel=1e-12)
+
+    def test_failure_reports_the_power_at_the_phase_one_point(self):
+        program = synthetic_program(np.diag([2.0, 3.0]), u_box=1e-16)
+        report = solve_barrier(program)
+        assert report.status == "infeasible_inequality"
+        u = report.u_star
+        assert report.objective == float(u @ program.W @ u)
 
 
 def arm_program(arm, state, error=0.1):

@@ -16,6 +16,13 @@ Quartiles are those of statistics.quantiles(n=4) (its default "exclusive"
 method).  A pair in which either run printed no result line is reported and
 left out of the summary.  The exit status is 1 when a run printed no result
 line or reported `correct` other than true.
+
+One set of pairs can show a shift that is not there.  On a 2-vCPU VM, ten
+pairs of identical per-step code (seeds 401-410) put the change's `step_ref`
+on `arm_track_minnorm` higher in 10 of 10 pairs, its median 2.8 % above the
+base's and beyond the base's IQR, while seeds 901-910 showed no difference;
+the machine's speed moved about 2.5x within that set.  Repeat a few-percent
+move on fresh seeds before believing it.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ def format_summary(summary: Dict[str, MetricSummary]) -> List[str]:
 
 
 def better_directions() -> Dict[str, str]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
@@ -111,7 +118,7 @@ def run_once(tree: Path, args, seed: int) -> Tuple[Optional[Dict[str, float]], s
     """(metrics of the run's result line, or None, and a note, empty when the run is correct)."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", args.workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, encoding="utf-8")
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])

@@ -78,9 +78,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     text = generate()
     if not args.check:
-        TARGET.write_text(text)
+        TARGET.write_text(text, encoding="utf-8")
         return 0
-    if TARGET.is_file() and TARGET.read_text() == text:
+    if TARGET.is_file() and TARGET.read_text(encoding="utf-8") == text:
         return 0
     print(f"{TARGET} differs from a fresh generation (sympy {sympy.__version__}); "
           f"run python tools/generate_dynamics.py", file=sys.stderr)

@@ -45,7 +45,7 @@ def run_all(out: Path) -> None:
     """Write every bundled run's outputs under out."""
     for path in sorted(CONFIGS.glob("*.json")):
         run_scenario(path, out_dir=str(out), quiet=True)
-        if "types" in json.loads(path.read_text())["optimizer"]:
+        if "types" in json.loads(path.read_text(encoding="utf-8"))["optimizer"]:
             compare_controllers(path, out_dir=str(out), quiet=True)
 
 
@@ -62,7 +62,7 @@ def differing_paths(base: Dict[str, str], change: Dict[str, str]) -> List[str]:
 def listing_of(tree: Path, workdir: Path) -> Dict[str, str]:
     """The listing of tree's own copy of this script, run into workdir in a fresh process."""
     proc = subprocess.run([sys.executable, str(tree / "tools" / "output_digests.py"), str(workdir)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, encoding="utf-8")
     if proc.returncode:
         sys.exit(f"{tree}: output_digests.py exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
     return parse_listing(proc.stdout)
