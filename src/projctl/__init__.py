@@ -4,6 +4,14 @@ Constrained rigid-body dynamics through null-space projectors, operational
 space control in the admissible motion space, and actuator torque allocation
 posed as a log-barrier QCQP that keeps contact forces strictly inside their
 friction cones while minimizing motor power loss.
+
+The per-state modules (constraint_geometry, constrained_dynamics, task_space,
+control_laws, simulate, torque_qcqp) form products of 1-d and 2-d arrays with
+ndarray.dot: on such small operands ``@`` (numpy's matmul gufunc) costs about
+twice as much for the same BLAS call.  Only products that .dot rounds
+differently keep ``@``: those with the batched (k, p, p) cone matrices G and
+those with solve_barrier's column slice ``lift``.  Each ends in a
+``# keeps @:`` comment naming its reason; tests/test_matmul.py enforces this.
 """
 
 from .constrained_dynamics import (

@@ -211,20 +211,20 @@ class ConstraintFrame:
     @cached_property
     def S(self) -> np.ndarray:
         """Oblique force projector I - M M_bar^-1 P."""
-        return _identity(self.n) - self.M @ self.M_bar_inv @ self.P
+        return _identity(self.n) - self.M.dot(self.M_bar_inv).dot(self.P)
 
     @cached_property
     def Q(self) -> np.ndarray:
         """Bias map M Omega + C."""
-        return self.M @ self.Omega + self.C
+        return self.M.dot(self.Omega) + self.C
 
     @cached_property
     def force_map(self) -> Tuple[np.ndarray, np.ndarray]:
         """(F, f0) = (A^+T (S B), A^+T (S (tau_g - Q qd))): lambda(u) = F u + f0 is the minimum-norm
         solution of A^T lam = S (B u + tau_g - Q qd), which S keeps consistent."""
         A_pinv_T = self.A_pinv.T
-        F = A_pinv_T @ (self.S @ self.model.actuation)
-        f0 = A_pinv_T @ (self.S @ (self.tau_g - self.Q @ self.state.q_dot))
+        F = A_pinv_T.dot(self.S.dot(self.model.actuation))
+        f0 = A_pinv_T.dot(self.S.dot(self.tau_g - self.Q.dot(self.state.q_dot)))
         return F, f0
 
 
@@ -294,10 +294,10 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
     A_pinv, P, rank = _projector(A)
     L, Omega, P_dot = _rate(A_pinv, A_dot, P)
 
-    PM = P @ M
-    M_bar = PM @ P + nu * (_identity(n) - P)
+    PM = P.dot(M)
+    M_bar = PM.dot(P) + nu * (_identity(n) - P)
     M_bar = 0.5 * (M_bar + M_bar.T)
-    C_bar = P @ C @ P + PM @ P_dot - nu * L
+    C_bar = P.dot(C).dot(P) + PM.dot(P_dot) - nu * L
     return ConstraintFrame(
         A=A,
         A_pinv=A_pinv,
@@ -322,12 +322,12 @@ def constrained_accel(frame: ConstraintFrame, u: np.ndarray) -> np.ndarray:
     qdd = M_bar^-1 (P B u + P tau_g - C_bar qd); the component outside the
     admissible subspace automatically satisfies (I - P) qdd = Omega qd.
     """
-    return _accel(frame, frame.model.actuation @ np.asarray(u, dtype=float))
+    return _accel(frame, frame.model.actuation.dot(np.asarray(u, dtype=float)))
 
 
 def _accel(frame: ConstraintFrame, Bu: np.ndarray) -> np.ndarray:
     """constrained_accel from the generalized actuation force B u, which an RK4 step forms once."""
-    return frame.M_bar_inv @ (frame.P @ (Bu + frame.tau_g) - frame.C_bar @ frame.state.q_dot)
+    return frame.M_bar_inv.dot(frame.P.dot(Bu + frame.tau_g) - frame.C_bar.dot(frame.state.q_dot))
 
 
 def contact_forces(frame: ConstraintFrame, u: np.ndarray) -> ContactWrench:
@@ -336,6 +336,6 @@ def contact_forces(frame: ConstraintFrame, u: np.ndarray) -> ContactWrench:
     if len(active) == 0:
         raise InputError("contact_forces requires a nonempty active contact set")
     F, f0 = frame.force_map
-    lam = F @ np.asarray(u, dtype=float) + f0
+    lam = F.dot(np.asarray(u, dtype=float)) + f0
     mu = np.array([frame.model.contacts[i].friction for i in active])
     return ContactWrench(forces=lam, margins=cone_margins(lam, mu))

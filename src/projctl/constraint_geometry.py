@@ -77,7 +77,7 @@ def _pinv_from_svd(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, rank: int) -> n
         return np.zeros((Vt.shape[1], U.shape[0]))
     inv_s = np.zeros_like(s)
     inv_s[:rank] = 1.0 / s[:rank]
-    return (Vt.T * inv_s) @ U.T
+    return (Vt.T * inv_s).dot(U.T)
 
 
 def null_projector(A) -> Projector:
@@ -100,7 +100,7 @@ def _projector(A: np.ndarray):
     U, s, Vt, rank = _svd_cutoff(A)
     A_pinv = _pinv_from_svd(U, s, Vt, rank)
     V1 = Vt[:rank].T
-    P = _identity(A.shape[1]) - V1 @ V1.T
+    P = _identity(A.shape[1]) - V1.dot(V1.T)
     P = 0.5 * (P + P.T)
     A_pinv.flags.writeable = P.flags.writeable = False
     _last_projector = (key, (A_pinv, P, rank))
@@ -124,6 +124,6 @@ def projector_rate(A, A_dot):
 
 def _rate(A_pinv: np.ndarray, A_dot: np.ndarray, P: np.ndarray):
     """(L, Omega, P_dot) of projector_rate from A^+, A_dot and P, with no validation."""
-    L = -A_pinv @ A_dot @ P
+    L = (-A_pinv).dot(A_dot).dot(P)
     return L, L - L.T, L + L.T
 

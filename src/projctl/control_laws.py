@@ -98,11 +98,11 @@ def tracking_torque(
 
     e = x_d - task.x
     e_dot = x_d_dot - task.x_dot
-    x_cmd = x_d_ddot + K_D @ e_dot + K_P @ e
+    x_cmd = x_d_ddot + K_D.dot(e_dot) + K_P.dot(e)
     qd = frame.state.q_dot
     P = frame.P
-    tau_c = P @ (frame.C @ qd) - P @ frame.tau_g + P @ frame.M @ (
-        task.Lambda_pinv @ x_cmd - task.Gamma_ctl @ qd
+    tau_c = P.dot(frame.C.dot(qd)) - P.dot(frame.tau_g) + P.dot(frame.M).dot(
+        task.Lambda_pinv.dot(x_cmd) - task.Gamma_ctl.dot(qd)
     )
     return ControlCommand(tau_c=tau_c, e=e, e_dot=e_dot)
 
@@ -124,7 +124,7 @@ def regulation_torque(
     if x_d.shape != (task.l,) or not np.isfinite(x_d).all():
         raise InputError(f"x_d must be a finite vector of length {task.l}")
     e = x_d - task.x
-    tau_c = frame.P @ (-frame.tau_g - K_D @ frame.state.q_dot + task.Lambda.T @ (K_P @ e))
+    tau_c = frame.P.dot(-frame.tau_g - K_D.dot(frame.state.q_dot) + task.Lambda.T.dot(K_P.dot(e)))
     return ControlCommand(tau_c=tau_c, e=e, e_dot=-task.x_dot)
 
 
@@ -132,7 +132,7 @@ def regulation_lyapunov(frame: ConstraintFrame, e: np.ndarray, K_P: np.ndarray) 
     """V = qd^T M_bar qd / 2 + e^T K_P e / 2 at the frame's velocity qd."""
     q_dot = frame.state.q_dot
     e = np.asarray(e, dtype=float)
-    return float(0.5 * q_dot @ frame.M_bar @ q_dot + 0.5 * e @ np.asarray(K_P, dtype=float) @ e)
+    return float((0.5 * q_dot).dot(frame.M_bar).dot(q_dot) + (0.5 * e).dot(np.asarray(K_P, dtype=float)).dot(e))
 
 
 def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
@@ -145,9 +145,9 @@ def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
     tau_c = np.asarray(tau_c, dtype=float)
     if tau_c.shape != (frame.n,):
         raise InputError(f"tau_c must have shape ({frame.n},), got {tau_c.shape}")
-    PB = frame.P @ frame.model.actuation  # finite, as P and B are (RobotModel checks B): no re-validation
-    u = _pinv_from_svd(*_svd_cutoff(PB)) @ tau_c
-    r = tau_c - PB @ u
+    PB = frame.P.dot(frame.model.actuation)  # finite, as P and B are (RobotModel checks B): no re-validation
+    u = _pinv_from_svd(*_svd_cutoff(PB)).dot(tau_c)
+    r = tau_c - PB.dot(u)
     residual = math.sqrt(r.dot(r))
     if residual > 1e-8 * max(1.0, math.sqrt(tau_c.dot(tau_c))):
         raise ActuationError(
@@ -163,4 +163,4 @@ def tracking_disturbance(frame: ConstraintFrame, phi: np.ndarray) -> np.ndarray:
     With the tracking law in closed loop, Lambda^+ (edd + K_D ed + K_P e) = d.
     """
     phi = np.asarray(phi, dtype=float)
-    return frame.M_bar_inv @ phi
+    return frame.M_bar_inv.dot(phi)

@@ -69,12 +69,12 @@ class TaskMap:
     def identities(self) -> TaskIdentities:
         """Projector-identity residuals, computed on first read."""
         P, Lam, Lam_pinv = self.P, self.Lambda, self.Lambda_pinv
-        r_range = float(np.abs(P @ Lam.T - Lam.T).max())
-        r_pinv = float(np.abs((np.eye(P.shape[0]) - P) @ Lam_pinv).max())
+        r_range = float(np.abs(P.dot(Lam.T) - Lam.T).max())
+        r_pinv = float(np.abs((np.eye(P.shape[0]) - P).dot(Lam_pinv)).max())
         if self.full_span:
-            r_prod = float(np.abs(Lam_pinv @ Lam - P).max())
+            r_prod = float(np.abs(Lam_pinv.dot(Lam) - P).max())
         else:
-            r_prod = float(np.linalg.eigvalsh(P - Lam_pinv @ Lam).min())
+            r_prod = float(np.linalg.eigvalsh(P - Lam_pinv.dot(Lam)).min())
         return TaskIdentities(r_range, r_pinv, r_prod)
 
 
@@ -100,7 +100,7 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
         raise InputError(f"task '{task.name}' value or Jacobian contains non-finite entries")
 
     P = frame.P
-    Lam = J @ P
+    Lam = J.dot(P)
     # rank relative to the raw Jacobian scale ||J||_2 (its largest singular value): a direction
     # the projector annihilates must count as lost even though Lam is not exactly zero
     key = (J.shape, J.tobytes())
@@ -118,13 +118,13 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     # sv[l - 1] > 1e-9 ||J|| >= 1e-9 ||Lam||, so this is pseudo_inverse(Lam)
     Lam_pinv = _pinv_from_svd(U, sv, Vt, rank)
     J_dot = np.asarray(task.jacobian_rate(q, qd), dtype=float)
-    Lam_dot = J_dot @ P + J @ frame.P_dot
-    Gamma = Lam_pinv @ Lam_dot - frame.Omega
+    Lam_dot = J_dot.dot(P) + J.dot(frame.P_dot)
+    Gamma = Lam_pinv.dot(Lam_dot) - frame.Omega
     return TaskMap(
         name=task.name,
         l=l,
         x=x,
-        x_dot=Lam @ qd,
+        x_dot=Lam.dot(qd),
         Lambda=Lam,
         Lambda_pinv=Lam_pinv,
         Lambda_dot=Lam_dot,
@@ -142,4 +142,4 @@ def task_accel_decompose(task: TaskMap, frame: ConstraintFrame, x_ddot: np.ndarr
     full-spanning tasks.
     """
     x_ddot = np.asarray(x_ddot, dtype=float)
-    return task.Lambda_pinv @ x_ddot - task.Gamma_ctl @ frame.state.q_dot
+    return task.Lambda_pinv.dot(x_ddot) - task.Gamma_ctl.dot(frame.state.q_dot)

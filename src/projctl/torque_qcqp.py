@@ -93,8 +93,8 @@ def assemble_cone_constraints(frame: ConstraintFrame) -> Tuple[np.ndarray, np.nd
         D = np.array([-1.0, -1.0, contacts[contact].friction ** 2])
         DF_i, Df_i = D[:, None] * F_i, D * f_i
         lin[2 * idx], off[2 * idx] = F_i[2], f_i[2]
-        lin[2 * idx + 1], off[2 * idx + 1] = 2.0 * (F_i.T @ Df_i), f_i @ Df_i
-        G[idx] = F_i.T @ DF_i
+        lin[2 * idx + 1], off[2 * idx + 1] = 2.0 * F_i.T.dot(Df_i), f_i.dot(Df_i)
+        G[idx] = F_i.T.dot(DF_i)
     return lin, off, G
 
 
@@ -158,7 +158,7 @@ class TorqueProgram:
         return self.lin.shape[0]
 
     def objective(self, u: np.ndarray) -> float:
-        return float(u @ self.obj_quad @ u + self.obj_lin @ u)
+        return float(u.dot(self.obj_quad).dot(u) + self.obj_lin.dot(u))
 
     def constraint_values(self, u: np.ndarray) -> np.ndarray:
         return _values(self.lin, self.off, self.G, self.quad, np.asarray(u, dtype=float))
@@ -192,13 +192,13 @@ def assemble_program(
     tau_c = np.asarray(tau_c, dtype=float)
     if tau_c.shape != (n,):
         raise InputError(f"tau_c must have shape ({n},)")
-    r = (_identity(n) - frame.P) @ tau_c
+    r = (_identity(n) - frame.P).dot(tau_c)
     off = math.sqrt(r.dot(r))
     if off > TAU_C_TOL * max(1.0, math.sqrt(tau_c.dot(tau_c))):
         raise InputError(f"tau_c has a component outside range(P): {off:.3e}")
     return TorqueProgram.from_cones(
         W=model.W,
-        eq_mat=frame.P @ model.actuation,
+        eq_mat=frame.P.dot(model.actuation),
         eq_rhs=tau_c,
         cones=assemble_cone_constraints(frame) if cones is None else cones,
         u_min=model.u_min.copy(),
@@ -215,11 +215,11 @@ def relax_program(program: TorqueProgram, frame: ConstraintFrame, rho: float) ->
     """
     if not 0 < rho < math.inf:
         raise InputError(f"rho must be positive and finite, got {rho}")
-    Minv2 = frame.M_bar_inv @ frame.M_bar_inv
+    Minv2 = frame.M_bar_inv.dot(frame.M_bar_inv)
     E = program.eq_mat  # P B
-    W_prime = program.W + rho * (E.T @ Minv2 @ E)
+    W_prime = program.W + rho * E.T.dot(Minv2).dot(E)
     W_prime = 0.5 * (W_prime + W_prime.T)
-    b = 2.0 * (E.T @ (Minv2 @ program.eq_rhs))
+    b = 2.0 * E.T.dot(Minv2.dot(program.eq_rhs))
     rho = float(rho)
     return replace(
         program, obj_quad=W_prime, obj_lin=-rho * b, rho=rho, eq_mat=np.zeros((0, program.p)), eq_rhs=np.zeros(0)
@@ -272,7 +272,7 @@ def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] =
     if program.eq_mat.shape[0]:
         sol, *_ = np.linalg.lstsq(program.eq_mat, program.eq_rhs, rcond=None)
         candidates.append(sol)
-        candidates.append(program.eq_mat.T @ program.eq_rhs)
+        candidates.append(program.eq_mat.T.dot(program.eq_rhs))
     candidates.append(center)
     candidates.append(np.zeros(p))
 
@@ -297,8 +297,8 @@ def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] =
             break
         w = np.exp(-(c - c.min()) / s)
         w /= w.sum()
-        grad = -(program.constraint_gradients(u).T @ w)
-        gnorm2 = float(grad @ grad)
+        grad = -program.constraint_gradients(u).T.dot(w)
+        gnorm2 = float(grad.dot(grad))
         if gnorm2 <= 1e-24:
             break
         step = min(1.0, program.scale() / np.sqrt(gnorm2))
@@ -328,15 +328,15 @@ def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] =
 
 def _values(lin: np.ndarray, off: np.ndarray, G: np.ndarray, quad: slice, u: np.ndarray) -> np.ndarray:
     """c(u) = lin u + off, plus u^T G_j u on quadratic row j, of a float vector u."""
-    vals = lin @ u
-    vals[quad] += (u @ G) @ u
+    vals = lin.dot(u)
+    vals[quad] += (u @ G) @ u  # keeps @: batched G
     return vals + off
 
 
 def _gradients(lin: np.ndarray, G: np.ndarray, quad: slice, u: np.ndarray) -> np.ndarray:
     """grad c(u) of a float vector u."""
     grads = lin.copy()
-    grads[quad] += 2.0 * (G @ u)
+    grads[quad] += 2.0 * (G @ u)  # keeps @: batched G
     return grads
 
 
@@ -346,7 +346,7 @@ def _gradient_parts(obj_hess: np.ndarray, obj_lin: np.ndarray, u: np.ndarray, c:
     a = 2 obj_quad u + obj_lin is the objective's gradient, formed as obj_hess u (doubling
     is exact, so it rounds as 2 (obj_quad u)), and b = grad c^T (1 / c).
     """
-    return obj_hess @ u + obj_lin, grads.T @ (1.0 / c)
+    return obj_hess.dot(u) + obj_lin, grads.T.dot(1.0 / c)
 
 
 def _barrier_hessian(
@@ -355,7 +355,7 @@ def _barrier_hessian(
     """Hessian of the barrier objective; positive definite for second-order-cone rows."""
     # 2 sum_j (eta / c_j) G_j by np.tensordot's product; doubling is exact unless 2 eta / c_j is subnormal or inf
     G_term = np.dot(((2.0 * eta) / c[quad])[None], G_flat).reshape(obj_hess.shape)
-    H = obj_hess + eta * ((grads.T * (1.0 / c**2)) @ grads) - G_term
+    H = obj_hess + eta * (grads.T * (1.0 / c**2)).dot(grads) - G_term
     return 0.5 * (H + H.T)
 
 
@@ -425,7 +425,7 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
             newton_iters=0,
             centering_steps=0,
             duality_gap=float("inf"),
-            objective=float("nan") if u is None else float(u @ program.W @ u),
+            objective=float("nan") if u is None else float(u.dot(program.W).dot(u)),
             kkt_residual=float("inf"),
             constraint_margins=None if u is None else program.constraint_values(u),
             status=status,
@@ -439,10 +439,10 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
         smax = s[0] if s.size and s[0] > 0 else 1.0
         rank = int(np.sum(s > RANK_TOL * smax))
         lift = U[:, :rank]
-        E = lift.T @ program.eq_mat
+        E = lift.T @ program.eq_mat  # keeps @: column slice lift
         E_T = E.T
-        rhs = lift.T @ program.eq_rhs
-        resid = program.eq_rhs - lift @ rhs
+        rhs = lift.T @ program.eq_rhs  # keeps @: column slice lift
+        resid = program.eq_rhs - lift @ rhs  # keeps @: column slice lift
         if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
             return failure("infeasible_equality")
 
@@ -473,11 +473,11 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
     grads = _gradients(lin, G, quad, u)
     a, b = _gradient_parts(obj_hess, obj_lin, u, c, grads)
     if rank:
-        res = np.concatenate((np.empty(p), E @ u - rhs))
+        res = np.concatenate((np.empty(p), E.dot(u) - rhs))
     while True:
         converged = False
         if rank:  # only the gradient rows of the residual depend on eta
-            np.add(a - eta * b, E_T @ nu_dual, out=res[:p])
+            np.add(a - eta * b, E_T.dot(nu_dual), out=res[:p])
         else:
             res = a - eta * b
         res_norm = math.sqrt(res.dot(res))  # then carried from each accepted trial
@@ -512,8 +512,8 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
                 if rank:
                     nu_try = nu_dual - (dnu if t == 1.0 else t * dnu)
                     res_try = np.empty(p + rank)
-                    np.add(a_try - eta * b_try, E_T @ nu_try, out=res_try[:p])
-                    np.subtract(E @ u_try, rhs, out=res_try[p:])
+                    np.add(a_try - eta * b_try, E_T.dot(nu_try), out=res_try[:p])
+                    np.subtract(E.dot(u_try), rhs, out=res_try[p:])
                 else:
                     nu_try, res_try = nu_dual, a_try - eta * b_try
                 norm_try = math.sqrt(res_try.dot(res_try))
@@ -544,12 +544,12 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
 
     return SolverReport(
         u_star=u,
-        omega=lift @ nu_dual,
+        omega=lift @ nu_dual,  # keeps @: column slice lift
         eta_final=eta,
         newton_iters=total_newton,
         centering_steps=centering,
         duality_gap=r * eta,
-        objective=float(u @ program.W @ u),
+        objective=float(u.dot(program.W).dot(u)),
         kkt_residual=kkt_res,
         constraint_margins=c,
         status=status,

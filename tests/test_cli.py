@@ -21,7 +21,7 @@ CONFIGS = REPO / "configs"
 
 
 def short_config(tmp_path, base="arm_tracking.json", **overrides):
-    cfg = json.loads((CONFIGS / base).read_text())
+    cfg = json.loads((CONFIGS / base).read_text(encoding="utf-8"))
     cfg["duration"] = overrides.pop("duration", 0.2)
     cfg.setdefault("output", {})["dir"] = str(tmp_path / "out")
     for dotted, value in overrides.items():
@@ -31,7 +31,7 @@ def short_config(tmp_path, base="arm_tracking.json", **overrides):
             node = node[key]
         node[leaf] = value
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     return path, cfg
 
 
@@ -45,7 +45,7 @@ class TestConfigValidation:
     def test_missing_field_path_reported(self, tmp_path, capsys):
         path, cfg = short_config(tmp_path)
         cfg.pop("controller")
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["run", str(path), "--quiet"]) == 2
         assert "controller" in capsys.readouterr().err
 
@@ -56,7 +56,7 @@ class TestConfigValidation:
     def test_bad_contact_index(self, tmp_path):
         path, cfg = short_config(tmp_path)
         cfg["initial_state"]["active_contacts"] = [5]
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["run", str(path), "--quiet"]) == 2
 
     def test_repeated_scheduled_contact_index(self, tmp_path, capsys):
@@ -196,7 +196,7 @@ class TestConfigValidation:
 
     def test_non_object_root_exit_2(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text("[]")
+        path.write_text("[]", encoding="utf-8")
         assert main(["run", str(path), "--quiet"]) == 2
         assert main(["compare", str(path), "--quiet"]) == 2
 
@@ -318,7 +318,7 @@ class TestConfigValidation:
     def test_field_paths_in_exception(self, tmp_path):
         path, cfg = short_config(tmp_path)
         cfg["task"]["reference"] = {"type": "sinusoid", "center": [0.0]}
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         with pytest.raises(ConfigError) as err:
             load_scenario(load_config(path))
         assert "task.reference" in str(err.value)
@@ -332,11 +332,11 @@ class TestRun:
         trace_file = out / "arm_tracking_trace.csv"
         report_file = out / "arm_tracking_report.json"
         assert trace_file.exists() and report_file.exists()
-        lines = trace_file.read_text().splitlines()
+        lines = trace_file.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 201  # header + duration/dt + 1 records
         header = lines[0].split(",")
         assert header[0] == "t" and header[-1] == "status"
-        report = json.loads(report_file.read_text())
+        report = json.loads(report_file.read_text(encoding="utf-8"))
         assert report["exit_status"] == "ok"
         assert report["violation_count"] == 0
 
@@ -365,7 +365,7 @@ class TestRun:
         path, cfg = short_config(tmp_path)
         run_scenario(path, quiet=True)
         out = Path(cfg["output"]["dir"])
-        header = (out / "arm_tracking_trace.csv").read_text().splitlines()[0].split(",")
+        header = (out / "arm_tracking_trace.csv").read_text(encoding="utf-8").splitlines()[0].split(",")
         # n = p = 3, l = 1, k = 1
         expected = (
             ["t"] + [f"q{i}" for i in range(3)] + [f"dq{i}" for i in range(3)]
@@ -379,7 +379,7 @@ class TestRun:
         # pure qcqp in single support is equality-infeasible
         path, cfg = short_config(tmp_path, base="biped_single_relaxed.json", duration=0.05)
         cfg["optimizer"] = {"type": "qcqp"}
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["run", str(path), "--quiet"]) == 3
 
     def test_task_inconsistency_exit_3(self, tmp_path, capsys, monkeypatch):
@@ -397,7 +397,7 @@ class TestCompare:
         path, cfg = short_config(tmp_path, base="compare_hetero.json", duration=0.2)
         traces, report, report_path = compare_controllers(path, quiet=True)
         assert set(traces) == {"min_norm", "qcqp"}
-        body = json.loads(Path(report_path).read_text())
+        body = json.loads(Path(report_path).read_text(encoding="utf-8"))
         kinds = [row["optimizer"] for row in body["rows"]]
         assert kinds == ["min_norm", "qcqp"]
         assert body["power_dominance_ok"] is True
@@ -442,7 +442,7 @@ class TestCompare:
         # W = I with inactive cones: both allocators solve the same program
         path, cfg = short_config(tmp_path, base="compare_hetero.json", duration=0.2)
         cfg["model"]["params"]["motor_resistance"] = [1.0, 1.0, 1.0]
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         traces, report, _ = compare_controllers(path, quiet=True)
         by = {row.optimizer: row.dissipated_energy for row in report.rows}
         assert by["qcqp"] == pytest.approx(by["min_norm"], rel=1e-6)

@@ -40,20 +40,20 @@ def test_trig_is_math():
     ids=["coefficient", "trailing_line"],
 )
 def test_check_fails_after_a_hand_edit(generator, monkeypatch, tmp_path, capsys, edit):
-    committed = generator.TARGET.read_text()
+    committed = generator.TARGET.read_text(encoding="utf-8")
     edited = tmp_path / "_planar_dynamics.py"
-    edited.write_text(edit(committed))
-    assert edited.read_text() != committed
+    edited.write_text(edit(committed), encoding="utf-8")
+    assert edited.read_text(encoding="utf-8") != committed
     monkeypatch.setattr(generator, "TARGET", edited)
     assert generator.main(["--check"]) == 1
     assert "differs from a fresh generation" in capsys.readouterr().err
 
 
 def test_a_run_imports_no_sympy(tmp_path):
-    cfg = json.loads((CONFIGS / "arm_tracking.json").read_text())
+    cfg = json.loads((CONFIGS / "arm_tracking.json").read_text(encoding="utf-8"))
     cfg["duration"] = 0.01
     config = tmp_path / "arm_tracking.json"
-    config.write_text(json.dumps(cfg))
+    config.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "out"
     code = "\n".join([
         "import sys",
@@ -64,6 +64,6 @@ def test_a_run_imports_no_sympy(tmp_path):
         "assert not [name for name in sys.modules if name.startswith(('sympy.', 'mpmath.'))]",
     ])
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8", timeout=120)
     assert result.returncode == 0, result.stderr
     assert sorted(p.suffix for p in out.iterdir()) == [".csv", ".json"]

@@ -38,6 +38,6 @@ def test_every_imported_name_is_read():
     found = {
         str(path.relative_to(ROOT)): unused
         for path in modules
-        if path.name != "__init__.py" and (unused := unused_imports(path.read_text()))
+        if path.name != "__init__.py" and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}

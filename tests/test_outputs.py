@@ -152,9 +152,9 @@ class TestCompareRows:
         cfg = load_config(CONFIGS / "compare_cone.json")
         cfg.update(duration=0.02, output={"dir": str(tmp_path), "prefix": "cone"})
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         _, _, report_path = compare_controllers(path, quiet=True)
-        rows = json.loads(Path(report_path).read_text())["rows"]
+        rows = json.loads(Path(report_path).read_text(encoding="utf-8"))["rows"]
         assert [row["optimizer"] for row in rows] == cfg["optimizer"]["types"]
         for row in rows:
             kind = row["optimizer"]
@@ -165,4 +165,4 @@ class TestCompareRows:
             assert set(row) == own | set(shared)
             assert {key: row[key] for key in shared} == shared
             assert row["max_tracking_error"] == float(trace.e_norm.max())
-            assert Path(row["trace_file"]).read_text() == trace.to_csv()
+            assert Path(row["trace_file"]).read_text(encoding="utf-8") == trace.to_csv()

@@ -19,8 +19,10 @@ Two checkouts whose solvers return the same reports bit for bit print the same
 digest on the same machine.  The digest is not portable across machines: the
 BLAS kernels behind numpy may round differently on another CPU.  The µs figure
 comes from one pass over the solves, and it is bimodal across interpreter
-processes: on a shared 2-vCPU VM one tree read 35-44 µs in some processes and
-69-76 µs in others, steady within each.  One run per tree therefore cannot
+processes: on a shared 2-vCPU VM, `compare_cone.json --seconds 0.5` read
+37-43 µs in some processes and 72-79 µs in others, and `biped_switch.json
+--seconds 1.35` 34-40 µs and 63-69 µs, each steady within a process (five
+processes per config for each of two trees).  One run per tree therefore cannot
 compare two solvers; medians over several processes, alternating between the
 trees, can.
 
