@@ -17,7 +17,6 @@ those with solve_barrier's column slice ``lift``.  Each ends in a
 from .constrained_dynamics import (
     ConstraintFrame,
     ContactSpec,
-    ContactWrench,
     RobotModel,
     RobotState,
     build_frame,

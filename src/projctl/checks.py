@@ -9,15 +9,15 @@ cover the algebraic core in a few seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .constrained_dynamics import RobotState, build_frame, contact_forces
+from .constrained_dynamics import ConstraintFrame, RobotState, build_frame, contact_forces
 from .constraint_geometry import RANK_TOL, null_projector, projector_rate, pseudo_inverse
 from .control_laws import ControllerGains, tracking_torque
 from .models import make_task, planar_arm_contact
-from .task_space import build_task, task_accel_decompose
+from .task_space import TaskMap, build_task, task_accel_decompose
 from .torque_qcqp import (
     EPS,
     NEWTON_TOL,
@@ -56,8 +56,9 @@ def _random_stack(rng) -> np.ndarray:
     return A
 
 
-def projection_algebra(seed: int = 0, samples: int = 1000) -> CheckResult:
+def projection_algebra(seed: int = 0) -> CheckResult:
     """P^2 = P, P = P^T, P A^T = 0, trace(P) = n - r, Moore-Penrose identities."""
+    samples = 1000
     rng = np.random.default_rng(seed)
     worst = 0.0
     deficient = 0
@@ -85,8 +86,9 @@ def projection_algebra(seed: int = 0, samples: int = 1000) -> CheckResult:
     )
 
 
-def rate_identities(seed: int = 0, samples: int = 100) -> CheckResult:
+def rate_identities(seed: int = 0) -> CheckResult:
     """P_dot = L + L^T vs central differences; Omega qd = P_dot qd on null(A)."""
+    samples = 100
     rng = np.random.default_rng(seed)
     h = 1e-6
     worst = 0.0
@@ -110,8 +112,9 @@ def rate_identities(seed: int = 0, samples: int = 100) -> CheckResult:
     return _result("rate_identities", worst, 1e-6, f"{samples} smooth stacks, h = 1e-6")
 
 
-def tikhonov_limit(seed: int = 0, samples: int = 50) -> CheckResult:
+def tikhonov_limit(seed: int = 0) -> CheckResult:
     """||A^T (A A^T + eps I)^-1 - A^+|| decreases monotonically as eps -> 0."""
+    samples = 50
     rng = np.random.default_rng(seed)
     ok = True
     for _ in range(samples):
@@ -129,8 +132,9 @@ def tikhonov_limit(seed: int = 0, samples: int = 50) -> CheckResult:
     return CheckResult("tikhonov_limit", ok, f"{samples} full-row-rank samples, eps = 1e-2..1e-6")
 
 
-def constrained_inertia(seed: int = 0, samples: int = 400) -> CheckResult:
+def constrained_inertia(seed: int = 0) -> CheckResult:
     """Positive-definiteness, the norm bound and the spectrum-union property."""
+    samples = 400
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -154,8 +158,9 @@ def constrained_inertia(seed: int = 0, samples: int = 400) -> CheckResult:
     return _result("constrained_inertia", worst, 1e-8, f"{samples} random (M, A, nu)")
 
 
-def oblique_projector(seed: int = 0, samples: int = 200) -> CheckResult:
+def oblique_projector(seed: int = 0) -> CheckResult:
     """S^2 = S and P M_bar = M_bar P; S is generally non-symmetric."""
+    samples = 200
     rng = np.random.default_rng(seed)
     worst = 0.0
     witnessed = False
@@ -195,8 +200,23 @@ def _arm_states(rng, arm, count: int):
     return states
 
 
-def task_map_identities(seed: int = 0, samples: int = 40) -> CheckResult:
+def task_identities(frame: ConstraintFrame, task: TaskMap) -> Tuple[float, float, float]:
+    """(range_in_null, pinv_in_null, pinv_product) = (||P Lambda^T - Lambda^T||, ||(I - P) Lambda^+||,
+    ||Lambda^+ Lambda - P||), the task map's projector-identity residuals; for an under-spanning task
+    (l < n - rank(A)) pinv_product is the most negative eigenvalue of P - Lambda^+ Lambda instead."""
+    P, Lam, Lam_pinv = frame.P, task.Lambda, task.Lambda_pinv
+    r_range = float(np.abs(P.dot(Lam.T) - Lam.T).max())
+    r_pinv = float(np.abs((np.eye(frame.n) - P).dot(Lam_pinv)).max())
+    if task.l == frame.n - frame.rank:
+        r_prod = float(np.abs(Lam_pinv.dot(Lam) - P).max())
+    else:
+        r_prod = float(np.linalg.eigvalsh(P - Lam_pinv.dot(Lam)).min())
+    return r_range, r_pinv, r_prod
+
+
+def task_map_identities(seed: int = 0) -> CheckResult:
     """Range/annihilation identities of the task map plus the accel round trip."""
+    samples = 40
     rng = np.random.default_rng(seed)
     arm = planar_arm_contact()
     task_def = make_task(arm, "link_orientation")
@@ -204,9 +224,7 @@ def task_map_identities(seed: int = 0, samples: int = 40) -> CheckResult:
     for state in _arm_states(rng, arm, samples):
         frame = build_frame(arm, state)
         task = build_task(frame, task_def)
-        worst = max(worst, task.identities.range_in_null, task.identities.pinv_in_null)
-        if task.full_span:
-            worst = max(worst, task.identities.pinv_product)
+        worst = max(worst, *task_identities(frame, task))  # the 1-d task spans the arm's 1 admissible dof
         xdd = rng.standard_normal(1)
         qdd = task_accel_decompose(task, frame, xdd)
         back = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd
@@ -214,8 +232,9 @@ def task_map_identities(seed: int = 0, samples: int = 40) -> CheckResult:
     return _result("task_map_identities", worst, 1e-9, f"{samples} arm states")
 
 
-def cone_transcription(seed: int = 0, samples: int = 20) -> CheckResult:
+def cone_transcription(seed: int = 0) -> CheckResult:
     """Linear/quadratic cone rows reproduce the contact-force components."""
+    samples = 20
     rng = np.random.default_rng(seed)
     arm = planar_arm_contact()
     task_def = make_task(arm, "link_orientation")
@@ -229,7 +248,7 @@ def cone_transcription(seed: int = 0, samples: int = 20) -> CheckResult:
         mu = arm.contacts[0].friction
         for _ in range(5):
             u = rng.uniform(arm.u_min, arm.u_max)
-            lam = contact_forces(frame, u).per_contact()[0]
+            (lam,), _ = contact_forces(frame, u)  # the arm has one contact
             c = program.constraint_values(u)
             scale = max(1.0, abs(lam[2]), lam[2] ** 2)
             worst = max(worst, abs(c[0] - lam[2]) / scale)

@@ -19,10 +19,10 @@ reads:
 - an integrator stage reads only the acceleration of :func:`constrained_accel`,
   qdd = M_bar^-1 (P (B u + tau_g) - C_bar qd), and never forms S, Q or (F, f0).
 
-The per-state records (the frame and the contact wrench) are plain
-dataclasses: a frozen one sets each field through object.__setattr__, about
-three times the cost of building a plain one, and several are built at every
-RK4 stage.  Nothing assigns to them once built.
+The frame, the one per-state record, is a plain dataclass: a frozen one sets
+each field through object.__setattr__, about three times the cost, and one is
+built at every RK4 stage.  Nothing assigns to it once built.
+:func:`contact_forces` returns arrays: the (k, 3) forces and their margins.
 
 The contact forces are affine in the actuator torques, lambda(u) =
 A^+T S (B u + tau_g - Q qd) = F u + f0; ``ConstraintFrame.force_map`` alone
@@ -228,27 +228,8 @@ class ConstraintFrame:
         return F, f0
 
 
-@dataclass
-class ContactWrench:
-    """Stacked contact forces (x, y, z per contact) and cone margins.
-
-    margin_i = mu_i * lambda_z_i - sqrt(lambda_x_i^2 + lambda_y_i^2); the
-    unilateral and friction-cone conditions hold iff lambda_z_i > 0 and
-    margin_i > 0.
-    """
-
-    forces: np.ndarray
-    margins: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.forces.size // 3
-
-    def per_contact(self) -> np.ndarray:
-        return self.forces.reshape(self.k, 3)
-
-
 def cone_margins(forces: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """mu lambda_z - ||(lambda_x, lambda_y)|| per contact: in the cone iff it and lambda_z are positive."""
     lam = forces.reshape(-1, 3)
     return mu * lam[:, 2] - np.hypot(lam[:, 0], lam[:, 1])
 
@@ -330,12 +311,13 @@ def _accel(frame: ConstraintFrame, Bu: np.ndarray) -> np.ndarray:
     return frame.M_bar_inv.dot(frame.P.dot(Bu + frame.tau_g) - frame.C_bar.dot(frame.state.q_dot))
 
 
-def contact_forces(frame: ConstraintFrame, u: np.ndarray) -> ContactWrench:
-    """Contact forces F u + f0 (ConstraintFrame.force_map), the minimum-norm solution when A is rank-deficient."""
+def contact_forces(frame: ConstraintFrame, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(lam, margins): the (k, 3) contact forces F u + f0 (ConstraintFrame.force_map), one (x, y, z)
+    row per active contact and the minimum-norm solution when A is rank-deficient, and their cone_margins."""
     active = frame.state.active_contacts
     if len(active) == 0:
         raise InputError("contact_forces requires a nonempty active contact set")
     F, f0 = frame.force_map
-    lam = F.dot(np.asarray(u, dtype=float)) + f0
+    lam = (F.dot(np.asarray(u, dtype=float)) + f0).reshape(-1, 3)
     mu = np.array([frame.model.contacts[i].friction for i in active])
-    return ContactWrench(forces=lam, margins=cone_margins(lam, mu))
+    return lam, cone_margins(lam, mu)

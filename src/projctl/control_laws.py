@@ -138,13 +138,13 @@ def regulation_lyapunov(frame: ConstraintFrame, e: np.ndarray, K_P: np.ndarray) 
 def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
     """Least-norm actuator torques with P B u = tau_c.
 
-    u = (P B)^+ tau_c.  Raises InputError when tau_c is not an n-vector, and
+    u = (P B)^+ tau_c.  Raises InputError when tau_c is not a finite n-vector, and
     ActuationError when tau_c is outside the range of P B (relative residual
     above 1e-8), i.e. the actuators cannot span the admissible force space.
     """
     tau_c = np.asarray(tau_c, dtype=float)
-    if tau_c.shape != (frame.n,):
-        raise InputError(f"tau_c must have shape ({frame.n},), got {tau_c.shape}")
+    if tau_c.shape != (frame.n,) or not np.isfinite(tau_c).all():
+        raise InputError(f"tau_c must have shape ({frame.n},) and be finite, got {tau_c.tolist()}")
     PB = frame.P.dot(frame.model.actuation)  # finite, as P and B are (RobotModel checks B): no re-validation
     u = _pinv_from_svd(*_svd_cutoff(PB)).dot(tau_c)
     r = tau_c - PB.dot(u)

@@ -213,9 +213,10 @@ def floating_biped(params: Optional[BipedParams] = None) -> RobotModel:
     return _planar_model("floating_biped", "biped", prm, B, ("foot0", "foot1"), params)
 
 
-def standing_pose(params: Optional[BipedParams] = None, splay: float = 0.25) -> np.ndarray:
-    """Biped configuration with both feet on z = 0 and the base centered."""
+def standing_pose(params: Optional[BipedParams] = None) -> np.ndarray:
+    """Biped configuration with both feet on z = 0, each leg splayed 0.25 rad, and the base centered."""
     params = params or BipedParams()
+    splay = 0.25
     return np.array([0.0, params.leg_length * np.cos(splay), 0.0, -splay, splay])
 
 

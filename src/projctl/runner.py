@@ -51,6 +51,8 @@ from .simulate import (
     sinusoid_reference,
 )
 
+# a normal force or cone margin at or below this, or a torque this far outside its box, is a violation
+VIOLATION_TOL = 1e-9
 
 def _require(cfg: dict, key: str, path: str):
     if key not in cfg:
@@ -297,11 +299,11 @@ class RunReport(RunSummary):
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def count_violations(trace: SimTrace, u_min, u_max, tol: float = 1e-9) -> int:
+def count_violations(trace: SimTrace, u_min, u_max) -> int:
     """Steps violating unilaterality or the friction cone at an active contact, or the torque box."""
     active = trace.active_mask()
-    cone_bad = active & ((trace.lam[:, 2::3] <= tol) | (trace.margins <= tol))
-    box_bad = (trace.u < u_min - tol) | (trace.u > u_max + tol)
+    cone_bad = active & ((trace.lam[:, 2::3] <= VIOLATION_TOL) | (trace.margins <= VIOLATION_TOL))
+    box_bad = (trace.u < u_min - VIOLATION_TOL) | (trace.u > u_max + VIOLATION_TOL)
     return int(np.count_nonzero(cone_bad.any(axis=1) | box_bad.any(axis=1)))
 
 

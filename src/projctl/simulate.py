@@ -358,14 +358,10 @@ def simulate(scenario: Scenario) -> SimTrace:
             phi = cmd.tau_c - frame.P.dot(model.actuation.dot(u))
             d = tracking_disturbance(frame, phi)
 
-            lam_row = np.zeros(3 * model.k)
-            margin_row = np.zeros(model.k)
+            lam_row, margin_row = np.zeros(3 * model.k), np.zeros(model.k)
             if state.active_contacts:
-                wrench = contact_forces(frame, u)
-                per = wrench.per_contact()
-                for slot, idx in enumerate(state.active_contacts):
-                    lam_row[3 * idx : 3 * idx + 3] = per[slot]
-                    margin_row[idx] = wrench.margins[slot]
+                active = list(state.active_contacts)
+                lam_row.reshape(-1, 3)[active], margin_row[active] = contact_forces(frame, u)
 
             cols["t"].append(t)
             cols["q"].append(state.q.copy())

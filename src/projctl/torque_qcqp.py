@@ -186,12 +186,12 @@ def assemble_program(
 ) -> TorqueProgram:
     """Bundle the equality map, cone rows and torque box of the frame's model into a program.
 
-    tau_c must lie in the admissible force space (range of P).
+    tau_c must be finite and lie in the admissible force space (range of P).
     """
     model, n = frame.model, frame.n
     tau_c = np.asarray(tau_c, dtype=float)
-    if tau_c.shape != (n,):
-        raise InputError(f"tau_c must have shape ({n},)")
+    if tau_c.shape != (n,) or not np.isfinite(tau_c).all():
+        raise InputError(f"tau_c must have shape ({n},) and be finite, got {tau_c.tolist()}")
     r = (_identity(n) - frame.P).dot(tau_c)
     off = math.sqrt(r.dot(r))
     if off > TAU_C_TOL * max(1.0, math.sqrt(tau_c.dot(tau_c))):
@@ -234,8 +234,6 @@ def relax_program(program: TorqueProgram, frame: ConstraintFrame, rho: float) ->
 class PhaseOneResult:
     u: np.ndarray
     feasible: bool
-    margin: float
-    iters: int
 
 
 @dataclass
@@ -264,7 +262,7 @@ def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] =
     p = program.p
     center = 0.5 * (program.u_min + program.u_max)
     if np.any(program.u_max - program.u_min <= 2 * margin):
-        return PhaseOneResult(u=center, feasible=False, margin=float("-inf"), iters=0)
+        return PhaseOneResult(u=center, feasible=False)
 
     candidates = []
     if u_seed is not None:
@@ -284,13 +282,12 @@ def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] =
         if worst > best_margin:
             best, best_margin = cand, worst
         if worst > 2 * margin:
-            return PhaseOneResult(u=cand, feasible=True, margin=worst, iters=0)
+            return PhaseOneResult(u=cand, feasible=True)
 
     # smoothed-max descent on f(u) = s * log sum exp(-c_i(u)/s)
     u = best.copy()
     s = max(0.05 * program.scale(), 10 * margin)
-    iters = 0
-    for iters in range(1, PHASE1_MAX_ITER + 1):
+    for _ in range(PHASE1_MAX_ITER):
         c = program.constraint_values(u)
         worst = float(c.min())
         if worst > 2 * margin:
@@ -318,8 +315,7 @@ def phase1_feasible_point(program: TorqueProgram, u_seed: Optional[np.ndarray] =
                 s *= 0.2
             else:
                 break
-    worst = float(program.constraint_values(u).min())
-    return PhaseOneResult(u=u, feasible=worst > margin, margin=worst, iters=iters)
+    return PhaseOneResult(u=u, feasible=float(program.constraint_values(u).min()) > margin)
 
 
 # The barrier formulas take a program's arrays (TorqueProgram.lin, off, G, G_flat, quad, obj_hess,

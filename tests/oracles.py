@@ -28,7 +28,7 @@ from projctl.constrained_dynamics import ContactSpec, RobotModel, RobotState, bu
 from projctl.errors import InputError, SimulationError
 from projctl.models import ArmParams, BipedParams, _bind, _in_plane
 from projctl.simulate import DRIFT_HARD_LIMIT
-from projctl.task_space import TaskDef, TaskIdentities
+from projctl.task_space import TaskDef
 from projctl.torque_qcqp import (
     LS_ALPHA,
     LS_BETA,
@@ -194,7 +194,8 @@ def cone_rows_reference(frame, model, state):
 
 
 def task_identities_reference(frame, task):
-    """The task map's projector-identity residuals, formed eagerly from the frame."""
+    """The task map's projector-identity residuals (range_in_null, pinv_in_null, pinv_product),
+    formed eagerly from the frame."""
     P, Lam, Lam_pinv = frame.P, task.Lambda, task.Lambda_pinv
     n = P.shape[0]
     r_range = float(np.abs(P @ Lam.T - Lam.T).max())
@@ -203,7 +204,7 @@ def task_identities_reference(frame, task):
         r_prod = float(np.abs(Lam_pinv @ Lam - P).max())
     else:
         r_prod = float(np.linalg.eigvalsh(P - Lam_pinv @ Lam).min())
-    return TaskIdentities(range_in_null=r_range, pinv_in_null=r_pinv, pinv_product=r_prod)
+    return r_range, r_pinv, r_prod
 
 
 def stack_cone_rows(rows, p):

@@ -16,6 +16,7 @@ from projctl.checks import (
     oblique_projector,
     projection_algebra,
     rate_identities,
+    task_identities,
 )
 from projctl.constrained_dynamics import RobotState, build_frame, contact_forces
 from projctl.control_laws import ControllerGains, tracking_torque
@@ -70,7 +71,7 @@ def biped_switch_run(outdir):
 
 def test_criterion_01_projection_algebra():
     t0 = time.perf_counter()
-    res = projection_algebra(seed=0, samples=1000)
+    res = projection_algebra(seed=0)
     elapsed = time.perf_counter() - t0
     assert res.passed, res.detail
     assert elapsed <= 5.0
@@ -78,7 +79,7 @@ def test_criterion_01_projection_algebra():
 
 
 def test_criterion_02_rate_identities():
-    res = rate_identities(seed=0, samples=100)
+    res = rate_identities(seed=0)
     assert res.passed, res.detail
     announce(2, res.detail)
 
@@ -137,9 +138,9 @@ def test_criterion_05_contact_force_oracle(arm, biped, rng):
             state = random_manifold_state(model, rng, home, spread=0.2)
             u = rng.uniform(model.u_min, model.u_max)
             frame = build_frame(model, state)
-            wrench = contact_forces(frame, u)
+            lam, _ = contact_forces(frame, u)
             _, lam_oracle = saddle_point_state(model, state, u)
-            worst = max(worst, float(np.abs(wrench.forces - lam_oracle).max()))
+            worst = max(worst, float(np.abs(lam.ravel() - lam_oracle).max()))
     assert worst <= 1e-8
     announce(5, f"400 random (state, u) pairs, worst residual {worst:.2e} (bound 1e-8)")
 
@@ -155,9 +156,10 @@ def test_criterion_06_task_map_identities(arm, biped, rng):
             state = random_manifold_state(model, rng, home, active=active)
             frame = build_frame(model, state)
             task = build_task(frame, tdef)
-            worst = max(worst, task.identities.range_in_null, task.identities.pinv_in_null)
-            if task.full_span:
-                worst = max(worst, task.identities.pinv_product)
+            range_in_null, pinv_in_null, pinv_product = task_identities(frame, task)
+            worst = max(worst, range_in_null, pinv_in_null)
+            if task.l == frame.n - frame.rank:  # full span
+                worst = max(worst, pinv_product)
             xdd = rng.standard_normal(task.l)
             qdd = task.Lambda_pinv @ xdd - task.Gamma_ctl @ state.q_dot
             back = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd

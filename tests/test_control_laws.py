@@ -224,6 +224,13 @@ class TestMinNormActuation:
         with pytest.raises(InputError, match=r"tau_c must have shape \(3,\)"):
             min_norm_actuation(frame, np.ones(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tau_c_must_be_finite(self, arm, bad):
+        # a NaN residual is not above the tolerance, so only an explicit check rejects it
+        frame, _ = arm_setup(arm, manifold_state(arm, ARM_HOME))
+        with pytest.raises(InputError, match=r"tau_c must have shape \(3,\) and be finite"):
+            min_norm_actuation(frame, np.array([bad, 0.0, 0.0]))
+
 
 class TestTrackingDisturbance:
     def test_zero_phi(self, arm, rng):

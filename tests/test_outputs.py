@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from projctl.constrained_dynamics import ContactSpec
 from projctl.runner import (
+    VIOLATION_TOL,
     build_report,
     compare_controllers,
     contact_slip,
@@ -23,7 +24,7 @@ from conftest import short_scenario
 from oracles import count_violations_reference, trace_csv_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-TOL = 1e-9
+TOL = VIOLATION_TOL
 U_MIN, U_MAX = -1.0, 1.0
 # values on both sides of each test: lam_z and margins against TOL, u against the box [U_MIN, U_MAX]
 EDGES = (-1.0, 0.0, TOL, 2 * TOL, 0.5, U_MIN - 2 * TOL, U_MIN - 0.5 * TOL, U_MAX + 0.5 * TOL, U_MAX + 2 * TOL)
@@ -93,7 +94,7 @@ class TestViolationCount:
     @given(traces())
     def test_count_matches_the_per_step_loop(self, trace):
         u_min, u_max = np.full(trace.u.shape[1], U_MIN), np.full(trace.u.shape[1], U_MAX)
-        assert count_violations(trace, u_min, u_max, TOL) == count_violations_reference(trace, u_min, u_max, TOL)
+        assert count_violations(trace, u_min, u_max) == count_violations_reference(trace, u_min, u_max, TOL)
 
     def test_each_kind_counts_once_and_inactive_contacts_never(self):
         good = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]  # lam of contacts 0 and 1: inside the cone
@@ -113,7 +114,7 @@ class TestViolationCount:
                                 [0] * len(rows))
         trace.lam, trace.margins, trace.u = np.array(lam), np.array(margins), np.array(u)
         expected = sum(violated)
-        assert count_violations(trace, np.full(2, U_MIN), np.full(2, U_MAX), TOL) == expected == 5
+        assert count_violations(trace, np.full(2, U_MIN), np.full(2, U_MAX)) == expected == 5
         assert count_violations_reference(trace, np.full(2, U_MIN), np.full(2, U_MAX), TOL) == expected
 
 

@@ -1,10 +1,10 @@
 import dataclasses
-import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from projctl.checks import task_identities
 from projctl.constrained_dynamics import RobotState, build_frame, constrained_accel
 from projctl.constraint_geometry import pseudo_inverse
 from projctl.errors import InputError, TaskInconsistencyError
@@ -39,8 +39,8 @@ class TestBuildTask:
             state = random_manifold_state(arm, rng, ARM_HOME)
             frame = build_frame(arm, state)
             task = build_task(frame, link_orientation_task(3))
-            assert task.full_span
-            assert task.identities.pinv_product <= 1e-10
+            assert task.l == frame.n - frame.rank  # full span
+            assert task_identities(frame, task)[2] <= 1e-10  # pinv_product
             assert np.abs(task.Lambda_pinv @ task.Lambda - frame.P).max() <= 1e-10
 
     def test_constrained_direction_rejected(self, arm, rng):
@@ -75,17 +75,17 @@ class TestBuildTask:
             for _ in range(15):
                 state = random_manifold_state(model, rng, home)
                 frame = build_frame(model, state)
-                task = build_task(frame, tdef)
-                assert task.identities.range_in_null <= 1e-10
-                assert task.identities.pinv_in_null <= 1e-10
+                range_in_null, pinv_in_null, _ = task_identities(frame, build_task(frame, tdef))
+                assert range_in_null <= 1e-10
+                assert pinv_in_null <= 1e-10
 
     def test_underspan_projector_ordering(self, biped, rng):
         # single support leaves 3 admissible dofs; a 1-d task under-spans
         state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
         frame = build_frame(biped, state)
         task = build_task(frame, make_task(biped, "base_pitch"))
-        assert not task.full_span
-        assert task.identities.pinv_product >= -1e-9  # P - Lambda^+ Lambda >= 0
+        assert task.l < frame.n - frame.rank
+        assert task_identities(frame, task)[2] >= -1e-9  # P - Lambda^+ Lambda >= 0
 
     @pytest.mark.parametrize("bad", ["value", "jacobian"])
     def test_non_finite_task_rejected(self, arm, bad):
@@ -108,24 +108,17 @@ def constant_task(name, J):
                    jacobian_rate=lambda q, qd: np.zeros_like(J))
 
 
-class TestKeptJacobianNorm:
-    """build_task keeps ||J||_2 for the last J it saw; the kept norm follows J itself."""
+class TestNoStateBetweenCalls:
+    """build_task's rank cut-off, 1e-9 ||J||_F, comes from the call's own J, whatever was built before."""
 
-    def test_follows_the_jacobian(self, arm, monkeypatch):
-        task_space = importlib.import_module("projctl.task_space")
+    def test_small_singular_value_clears_its_own_cut_off(self, arm):
         frame = build_frame(arm, manifold_state(arm, ARM_HOME, active=()))  # P = I, so Lambda = J
         # one shape, norms 1e6 apart: B's smaller singular value, 1e-5, clears B's own rank
-        # cut-off (1e-9 ||J_B||) but not one taken from A's norm (1e-3)
+        # cut-off (1e-9 ||J_B||_F) but not one taken from A's norm (1.4e-3)
         a = constant_task("large", 1e6 * np.eye(2, 3))
         b = constant_task("small", np.diag([1.0, 1e-5]) @ np.eye(2, 3))
-
-        def cleared(task):
-            monkeypatch.setattr(task_space, "_last_jacobian_norm", (None, None))
-            return build_task(frame, task)
-
-        want = {task.name: cleared(task) for task in (a, b)}
-        monkeypatch.setattr(task_space, "_last_jacobian_norm", (None, None))
-        for task in (a, b, a):
+        want = {task.name: build_task(frame, task) for task in (b, a)}
+        for task in (a, b, a, b):
             got = build_task(frame, task)
             for f in dataclasses.fields(got):
                 g, w = getattr(got, f.name), getattr(want[task.name], f.name)
@@ -137,22 +130,21 @@ class TestKeptJacobianNorm:
 
 class TestTaskMapMatchesOracle:
     """Lambda^+ from build_task's one SVD is pseudo_inverse(Lambda) bit for bit,
-    and the identities read on demand equal the eager residuals."""
+    and checks.task_identities equals the oracle's residuals."""
 
     @staticmethod
     def check(model, state, tdef):
         frame = build_frame(model, state)
         task = build_task(frame, tdef)
-        assert "identities" not in vars(task)
         assert np.array_equal(task.Lambda_pinv, pseudo_inverse(task.Lambda))
-        assert task.identities == task_identities_reference(frame, task)
-        return task
+        assert task_identities(frame, task) == task_identities_reference(frame, task)
+        return task.l == frame.n - frame.rank  # full span
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_arm(self, arm, seed):
         state = random_manifold_state(arm, np.random.default_rng(seed), ARM_HOME)
-        assert self.check(arm, state, link_orientation_task(3)).full_span
+        assert self.check(arm, state, link_orientation_task(3))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -163,9 +155,8 @@ class TestTaskMapMatchesOracle:
         kind, active = case
         tdef = joint_task([0, 2, 4], 5) if kind == "joints" else make_task(biped, kind)
         state = random_manifold_state(biped, np.random.default_rng(seed), BIPED_HOME, active=active)
-        task = self.check(biped, state, tdef)
         # a 1-d task under-spans the 3 admissible dofs of single support
-        assert task.full_span == (kind == "joints" or active == (0, 1))
+        assert self.check(biped, state, tdef) == (kind == "joints" or active == (0, 1))
 
 
 class TestTaskConsistency:

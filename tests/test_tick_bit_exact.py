@@ -8,9 +8,17 @@ contact forces, the cone rows, the strict and relaxed program's matrices, and
 one RK4 step.  Each quantity is compared with np.array_equal against its
 eager expression, fed the library's own inputs, so a product whose rounding
 changes fails here by name.
+
+Both bundled models' B only selects columns (the arm's is I, the biped's
+picks the two hips), so a product with B is an exact column copy however it
+is associated.  Each model therefore also runs with a dense, well-conditioned
+B (gear coupling), under which re-associating such a product fails.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from projctl.constrained_dynamics import RobotState, build_frame, contact_forces
@@ -39,6 +47,11 @@ BIPED_CASES = [
     ((0,), base_pitch_task()),
     ((0, 1), base_pitch_task()),
 ]
+
+
+# coupled actuation maps of full column rank: singular values 0.44 to 1.39 (arm), 0.76 to 1.37 (biped)
+ARM_COUPLED = np.array([[1.0, 0.3, -0.2], [0.25, 1.0, 0.4], [-0.15, 0.35, 1.0]])
+BIPED_COUPLED = np.array([[0.2, -0.1], [0.15, 0.3], [-0.25, 0.1], [1.0, 0.35], [0.3, 1.0]])
 
 
 def unit_vectors(size):
@@ -161,7 +174,7 @@ def assert_tick_bit_exact(model, q, qd, case, u, nu, ref, rho):
         F, f0 = eager_force_map(frame)
         assert_equal(frame.force_map[0], F, "F")
         assert_equal(frame.force_map[1], f0, "f0")
-        assert_equal(contact_forces(frame, u).forces, F @ u + f0, "contact_forces")
+        assert_equal(contact_forces(frame, u)[0].ravel(), F @ u + f0, "contact_forces")
         for name, got, want in zip(("lin", "off", "G"), assemble_cone_constraints(frame), eager_cones(frame)):
             assert_equal(got, want, name)
         program = assemble_program(frame, tau_c)
@@ -177,7 +190,12 @@ def assert_tick_bit_exact(model, q, qd, case, u, nu, ref, rho):
     assert_equal(stepped.q_dot, qd_new, "step q_dot")
 
 
+def with_actuation(model, B):
+    return model if B is None else dataclasses.replace(model, actuation=B)
+
+
 class TestTickBitExact:
+    @pytest.mark.parametrize("B", [None, ARM_COUPLED], ids=["selecting", "coupled"])
     @settings(max_examples=40, deadline=None)
     @given(
         dq=unit_vectors(3),
@@ -188,9 +206,10 @@ class TestTickBitExact:
         ref=unit_vectors(2),
         rho=st.floats(1.0, 500.0),
     )
-    def test_arm(self, arm, dq, qd, du, case, nu, ref, rho):
-        assert_tick_bit_exact(arm, ARM_HOME + 0.3 * dq, qd, case, 5.0 * du, nu, ref, rho)
+    def test_arm(self, arm, B, dq, qd, du, case, nu, ref, rho):
+        assert_tick_bit_exact(with_actuation(arm, B), ARM_HOME + 0.3 * dq, qd, case, 5.0 * du, nu, ref, rho)
 
+    @pytest.mark.parametrize("B", [None, BIPED_COUPLED], ids=["selecting", "coupled"])
     @settings(max_examples=40, deadline=None)
     @given(
         dq=unit_vectors(5),
@@ -201,5 +220,5 @@ class TestTickBitExact:
         ref=unit_vectors(3),
         rho=st.floats(1.0, 500.0),
     )
-    def test_biped(self, biped, dq, qd, du, case, nu, ref, rho):
-        assert_tick_bit_exact(biped, BIPED_HOME + 0.2 * dq, qd, case, 20.0 * du, nu, ref, rho)
+    def test_biped(self, biped, B, dq, qd, du, case, nu, ref, rho):
+        assert_tick_bit_exact(with_actuation(biped, B), BIPED_HOME + 0.2 * dq, qd, case, 20.0 * du, nu, ref, rho)

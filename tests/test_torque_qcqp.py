@@ -135,8 +135,7 @@ class TestConeConstraints:
                 lin, off, G = assemble_cone_constraints(frame)
                 for _ in range(10):
                     u = rng.uniform(model.u_min, model.u_max)
-                    wrench = contact_forces(frame, u)
-                    lam = wrench.per_contact()
+                    lam, _ = contact_forces(frame, u)
                     for i, contact in enumerate(state.active_contacts):
                         mu = model.contacts[contact].friction
                         normal = lin[2 * i] @ u + off[2 * i]
@@ -180,7 +179,7 @@ class TestForceMapMatchesOracle:
         for _ in range(5):
             u = rng.uniform(2 * model.u_min, 2 * model.u_max)
             want = contact_forces_reference(frame, model, state, u)
-            assert_close(contact_forces(frame, u).forces, want)
+            assert_close(contact_forces(frame, u)[0].ravel(), want)
         lin, off, G = assemble_cone_constraints(frame)
         reference = cone_rows_reference(frame, model, state)
         k = len(reference)
@@ -228,8 +227,7 @@ class TestAssembleProgram:
         for _ in range(10):
             u = rng.uniform(arm.u_min, arm.u_max)
             c = program.constraint_values(u)
-            wrench = contact_forces(frame, u)
-            lam_x, lam_y, lam_z = wrench.per_contact()[0]
+            lam_x, lam_y, lam_z = contact_forces(frame, u)[0][0]
             mu = arm.contacts[0].friction
             assert c[0] == pytest.approx(lam_z, abs=1e-8 * max(1, abs(lam_z)))
             assert c[1] == pytest.approx(
@@ -275,6 +273,13 @@ class TestAssembleProgram:
         bad = (np.eye(3) - frame.P) @ np.array([1.0, 2.0, 3.0]) + 1e-3
         with pytest.raises(InputError):
             assemble_program(frame, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tau_c_must_be_finite(self, arm, rng, bad):
+        # a NaN or inf range(P) residual is not above the tolerance, so only an explicit check rejects it
+        frame = build_frame(arm, random_manifold_state(arm, rng, ARM_HOME))
+        with pytest.raises(InputError, match=r"tau_c must have shape \(3,\) and be finite"):
+            assemble_program(frame, np.array([bad, 0.0, 0.0]))
 
 
 class TestPhaseOne:
@@ -552,7 +557,7 @@ class TestSolverMatchesReference:
             selector = np.zeros((1, frame.A.shape[0]))
             selector[0, 2] = 1.0
             base = phase1_feasible_point(program).u
-            target = (selector @ contact_forces(frame, base).forces) * rng.uniform(0.9, 1.1)
+            target = (selector @ contact_forces(frame, base)[0].ravel()) * rng.uniform(0.9, 1.1)
             program = with_force_equality(program, frame, selector, target)
         if start == "none":
             u0 = None
@@ -799,11 +804,11 @@ class TestExtensions:
         rank = np.linalg.matrix_rank(program.eq_mat, tol=1e-10)
         null_dir = Vt[rank:].T[:, 0]
         u_probe = base.u_star + 0.8 * null_dir
-        target = np.array([(sel @ contact_forces(frame, u_probe).forces).item()])
+        target = np.array([(sel @ contact_forces(frame, u_probe)[0].ravel()).item()])
         regulated = with_force_equality(program, frame, sel, target)
         report = solve_barrier(regulated)
         assert report.status == "optimal"
-        achieved = (sel @ contact_forces(frame, report.u_star).forces).item()
+        achieved = (sel @ contact_forces(frame, report.u_star)[0].ravel()).item()
         assert abs(achieved - target[0]) <= 1e-6 * max(1.0, abs(target[0]))
 
     def test_force_regulation_unreachable(self, biped):
