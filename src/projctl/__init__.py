@@ -12,6 +12,10 @@ twice as much for the same BLAS call.  Only products that .dot rounds
 differently keep ``@``: those with the batched (k, p, p) cone matrices G and
 those with solve_barrier's column slice ``lift``.  Each ends in a
 ``# keeps @:`` comment naming its reason; tests/test_matmul.py enforces this.
+They factor with constraint_geometry's ``_svd``, ``_inv`` and ``_solve``, not
+np.linalg: each calls numpy's own gufunc, so the bits are the same, but skips
+the wrapper, which costs more than LAPACK on these matrices.  A vector norm is
+math.sqrt(x.dot(x)), norm's own arithmetic.  tests/test_lapack.py enforces this.
 """
 
 from .constrained_dynamics import (

@@ -16,7 +16,7 @@ import numpy as np
 from .constrained_dynamics import ConstraintFrame, RobotState, build_frame, contact_forces
 from .constraint_geometry import RANK_TOL, null_projector, projector_rate, pseudo_inverse
 from .control_laws import ControllerGains, tracking_torque
-from .models import make_task, planar_arm_contact
+from .models import floating_biped, make_task, planar_arm_contact, standing_pose
 from .task_space import TaskMap, build_task, task_accel_decompose
 from .torque_qcqp import (
     EPS,
@@ -187,16 +187,16 @@ def oblique_projector(seed: int = 0) -> CheckResult:
     return res
 
 
-def _arm_states(rng, arm, count: int):
+def _states(rng, model, home, count: int):
     states = []
     for _ in range(count):
-        q = ARM_HOME + 0.2 * rng.standard_normal(3)
-        A = arm.contact_stack(q, (0,))
+        q = home + 0.2 * rng.standard_normal(model.n)
+        A = model.contact_stack(q, (0,))
         s = np.linalg.svd(A, compute_uv=False)
         if s[s > RANK_TOL * s[0]].min() < 0.2:
             continue
         P = null_projector(A).P
-        states.append(RobotState(t=0.0, q=q, q_dot=P @ (0.3 * rng.standard_normal(3)), active_contacts=(0,)))
+        states.append(RobotState(t=0.0, q=q, q_dot=P @ (0.3 * rng.standard_normal(model.n)), active_contacts=(0,)))
     return states
 
 
@@ -214,22 +214,35 @@ def task_identities(frame: ConstraintFrame, task: TaskMap) -> Tuple[float, float
     return r_range, r_pinv, r_prod
 
 
+def identity_residual(frame: ConstraintFrame, task: TaskMap) -> float:
+    """The worst task_identities residual, an under-spanning task's min eig(P - Lambda^+ Lambda) as max(0, -eig)."""
+    r_range, r_pinv, r_prod = task_identities(frame, task)
+    return max(r_range, r_pinv, max(0.0, -r_prod) if task.l < frame.n - frame.rank else r_prod)
+
+
 def task_map_identities(seed: int = 0) -> CheckResult:
-    """Range/annihilation identities of the task map plus the accel round trip."""
+    """Range/annihilation identities of the task map plus the accel round trip, on the arm's link
+    orientation (spans its 1 admissible dof) and the single-support biped's base pitch (1 of 3)."""
     samples = 40
     rng = np.random.default_rng(seed)
-    arm = planar_arm_contact()
-    task_def = make_task(arm, "link_orientation")
     worst = 0.0
-    for state in _arm_states(rng, arm, samples):
-        frame = build_frame(arm, state)
-        task = build_task(frame, task_def)
-        worst = max(worst, *task_identities(frame, task))  # the 1-d task spans the arm's 1 admissible dof
-        xdd = rng.standard_normal(1)
-        qdd = task_accel_decompose(task, frame, xdd)
-        back = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd
-        worst = max(worst, float(np.abs(back - xdd).max()))
-    return _result("task_map_identities", worst, 1e-9, f"{samples} arm states")
+    counts = []
+    for model, home, task_name in (
+        (planar_arm_contact(), ARM_HOME, "link_orientation"),
+        (floating_biped(), standing_pose(), "base_pitch"),
+    ):
+        task_def = make_task(model, task_name)
+        states = _states(rng, model, home, samples)
+        counts.append(len(states))
+        for state in states:
+            frame = build_frame(model, state)
+            task = build_task(frame, task_def)
+            xdd = rng.standard_normal(1)
+            qdd = task_accel_decompose(task, frame, xdd)
+            back = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd
+            worst = max(worst, identity_residual(frame, task), float(np.abs(back - xdd).max()))
+    detail = "{} full-span arm states, {} under-spanning single-support biped states".format(*counts)
+    return _result("task_map_identities", worst, 1e-9, detail)
 
 
 def cone_transcription(seed: int = 0) -> CheckResult:
@@ -240,7 +253,7 @@ def cone_transcription(seed: int = 0) -> CheckResult:
     task_def = make_task(arm, "link_orientation")
     gains = ControllerGains.critically_damped(1, 5.0)
     worst = 0.0
-    for state in _arm_states(rng, arm, samples):
+    for state in _states(rng, arm, ARM_HOME, samples):
         frame = build_frame(arm, state)
         task = build_task(frame, task_def)
         cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
@@ -266,7 +279,7 @@ def solver_certificates(seed: int = 0) -> CheckResult:
     issues = []
     worst_gap = 0.0
     worst_grad = 0.0
-    for state in _arm_states(rng, arm, 6):
+    for state in _states(rng, arm, ARM_HOME, 6):
         frame = build_frame(arm, state)
         task = build_task(frame, task_def)
         cmd = tracking_torque(frame, task, task.x + 0.1, np.zeros(1), np.zeros(1), gains)
@@ -301,8 +314,6 @@ def solver_certificates(seed: int = 0) -> CheckResult:
 
 def relaxation_tradeoff(seed: int = 0) -> CheckResult:
     """W' stays positive-definite and ||d|| falls monotonically in rho."""
-    from .models import floating_biped, standing_pose
-
     biped = floating_biped()
     q0 = standing_pose()
     P = null_projector(biped.contact_stack(q0, (0,))).P

@@ -46,6 +46,7 @@ import numpy as np
 # those two stay importable from this module for profilers that rebind them here.
 from .constraint_geometry import (  # noqa: F401
     _identity,
+    _inv,
     _projector,
     _rate,
     null_projector,
@@ -290,7 +291,7 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
         C=C,
         tau_g=tau_g,
         M_bar=M_bar,
-        M_bar_inv=np.linalg.inv(M_bar),
+        M_bar_inv=_inv(M_bar),
         C_bar=C_bar,
         model=model,
         state=state,

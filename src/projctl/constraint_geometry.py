@@ -11,6 +11,10 @@ six on the frame, from ``_projector`` and ``_rate``.
 set, so the post-step velocity projection, the next control frame and the next
 step's first RK4 stage share one SVD.  The key is a bytes copy of A, which a
 caller cannot mutate, and the kept A^+ and P are read-only.
+
+``_svd``, ``_inv`` and ``_solve``, the per-state modules' LAPACK calls, call
+the gufuncs of ``np.linalg.svd``, ``inv`` and ``solve`` under the same error
+state: the same bits and LinAlgError, without the wrapper's conversions.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InputError
 
@@ -36,11 +41,37 @@ def _as_matrix(A, name: str = "A") -> np.ndarray:
     return A
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _raise_svd_nonconvergence(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+def _svd(a: np.ndarray, full: bool = False):
+    """(U, s, Vt) of a 2-d float64 a, as np.linalg.svd(a, full_matrices=full) returns them."""
+    with np.errstate(call=_raise_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return (_umath_linalg.svd_f if full else _umath_linalg.svd_s)(a, signature="d->ddd")
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(a) of a square 2-d float64 a."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.inv(a, signature="d->d")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) of a square 2-d float64 a and a 1-d float64 b."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _svd_cutoff(A: np.ndarray):
     """SVD with the relative singular-value cutoff RANK_TOL; returns (U, s, Vt, rank)."""
     if min(A.shape) == 0:
         return np.zeros((A.shape[0], 0)), np.zeros(0), np.zeros((0, A.shape[1])), 0
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, Vt = _svd(A)
     values = s.tolist()
     rank = sum(v > RANK_TOL * values[0] for v in values) if values[0] > 0 else 0
     return U, s, Vt, rank

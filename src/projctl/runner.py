@@ -42,6 +42,7 @@ from .control_laws import ControllerGains
 from .errors import ConfigError, InputError
 from .models import _is_number, build_model, make_task
 from .simulate import (
+    VIOLATION_TOL,
     OptimizerSpec,
     Reference,
     Scenario,
@@ -51,8 +52,6 @@ from .simulate import (
     sinusoid_reference,
 )
 
-# a normal force or cone margin at or below this, or a torque this far outside its box, is a violation
-VIOLATION_TOL = 1e-9
 
 def _require(cfg: dict, key: str, path: str):
     if key not in cfg:

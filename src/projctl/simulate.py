@@ -55,6 +55,8 @@ from .torque_qcqp import (
 
 # largest ||A(q) q_dot|| a step may leave after its velocity projection
 DRIFT_HARD_LIMIT = 1e-6
+# a normal force or cone margin at or below this, or a torque this far outside its box (step warns), is a violation
+VIOLATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -259,7 +261,7 @@ def step(
     or a SimulationError is raised.
     """
     u = np.asarray(u, dtype=float)
-    if (u < model.u_min - 1e-9).any() or (u > model.u_max + 1e-9).any():
+    if (u < model.u_min - VIOLATION_TOL).any() or (u > model.u_max + VIOLATION_TOL).any():
         warnings.warn("actuation outside its box limits", stacklevel=2)
     active = state.active_contacts
     Bu = model.actuation.dot(u)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
-from .constraint_geometry import _pinv_from_svd
+from .constraint_geometry import _pinv_from_svd, _svd
 from .errors import InputError, TaskInconsistencyError
 
 
@@ -67,7 +67,7 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     P = frame.P
     Lam = J.dot(P)
     # rank relative to the raw ||J||_F: a direction P annihilates is lost though Lam is not exactly 0
-    U, sv, Vt = np.linalg.svd(Lam, full_matrices=False)
+    U, sv, Vt = _svd(Lam)
     rank = int(np.sum(sv > 1e-9 * math.sqrt(np.vdot(J, J))))
     if rank < l:
         raise TaskInconsistencyError(

@@ -47,7 +47,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .constrained_dynamics import ConstraintFrame
-from .constraint_geometry import RANK_TOL, _identity
+from .constraint_geometry import RANK_TOL, _identity, _solve, _svd
 from .errors import InputError
 
 # relative tolerance on the component of tau_c outside range(P)
@@ -77,14 +77,14 @@ PHASE1_MAX_ITER = 600
 def assemble_cone_constraints(frame: ConstraintFrame) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cone rows (lin (2k, p), off (2k,), G (k, p, p)) of the k active contacts, in program row order.
 
+    With no active contact (k = 0) the arrays are empty and the program is its box and equality rows.
+
     With F_i, f_i contact i's three rows of the force map lambda(u) = F u + f0
     (x, y, z) and D = diag(-1, -1, mu^2): row 2i is the normal force, lin = F_i[2]
     and off = f_i[2]; row 2i + 1 is the cone, lin = 2 F_i^T D f_i, off = f_i^T D f_i
     and G[i] = F_i^T D F_i, so that u^T G[i] u + lin u + off = lambda_i^T D lambda_i.
     """
     active, contacts = frame.state.active_contacts, frame.model.contacts
-    if len(active) == 0:
-        raise InputError("cone constraints need at least one active contact")
     F, f0 = frame.force_map
     k, p = len(active), F.shape[1]
     lin, off, G = np.empty((2 * k, p)), np.empty(2 * k), np.empty((k, p, p))
@@ -431,7 +431,7 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
     # consistency; a program without equality rows has rank 0 and an empty lift
     rank, lift = 0, np.zeros((0, 0))
     if program.eq_mat.shape[0]:
-        U, s, _ = np.linalg.svd(program.eq_mat)
+        U, s, _ = _svd(program.eq_mat, full=True)
         smax = s[0] if s.size and s[0] > 0 else 1.0
         rank = int(np.sum(s > RANK_TOL * smax))
         lift = U[:, :rank]
@@ -439,7 +439,7 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
         E_T = E.T
         rhs = lift.T @ program.eq_rhs  # keeps @: column slice lift
         resid = program.eq_rhs - lift @ rhs  # keeps @: column slice lift
-        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(program.eq_rhs)):
+        if math.sqrt(resid.dot(resid)) > 1e-8 * max(1.0, math.sqrt(program.eq_rhs.dot(program.eq_rhs))):
             return failure("infeasible_equality")
 
     c = None if u0 is None else _values(lin, off, G, quad, np.asarray(u0, dtype=float))
@@ -489,7 +489,7 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
             # the Newton step is -(du, dnu): pivoting by |.| and round-to-nearest are
             # sign-symmetric, so the solution for res is exactly minus that for -res
             try:
-                sol = np.linalg.solve(KKT, res)
+                sol = _solve(KKT, res)
             except np.linalg.LinAlgError:
                 sol, *_ = np.linalg.lstsq(KKT, res, rcond=None)
             du, dnu = sol[:p], sol[p:]
@@ -525,7 +525,7 @@ def solve_barrier(program: TorqueProgram, u0: Optional[np.ndarray] = None) -> So
         if not converged:
             # round-off floor on badly scaled instances: accept when the
             # residual is small relative to the objective gradient magnitude
-            grad_scale = max(1.0, float(np.linalg.norm(a)))
+            grad_scale = max(1.0, math.sqrt(a.dot(a)))
             converged = kkt_res <= 1e3 * NEWTON_TOL * grad_scale
         if not converged:
             status = "failed"

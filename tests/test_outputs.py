@@ -1,10 +1,12 @@
 """The run's outputs: trace CSV layout, violation count, contact slip and compare rows."""
 
 import json
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,9 +20,9 @@ from projctl.runner import (
     load_config,
     load_scenario,
 )
-from projctl.simulate import SimTrace, simulate
+from projctl.simulate import SimTrace, simulate, step
 
-from conftest import short_scenario
+from conftest import ARM_HOME, manifold_state, short_scenario
 from oracles import count_violations_reference, trace_csv_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -116,6 +118,22 @@ class TestViolationCount:
         expected = sum(violated)
         assert count_violations(trace, np.full(2, U_MIN), np.full(2, U_MAX)) == expected == 5
         assert count_violations_reference(trace, np.full(2, U_MIN), np.full(2, U_MAX), TOL) == expected
+
+    @pytest.mark.parametrize("beyond, violated", [(2e-9, True), (0.5e-9, False)])
+    def test_the_step_warns_on_exactly_the_torques_counted(self, arm, beyond, violated):
+        state = manifold_state(arm, ARM_HOME, active=(0,))
+        u = arm.u_max.copy()
+        u[1] += beyond
+        if violated:
+            with pytest.warns(UserWarning, match="^actuation outside its box limits$"):
+                step(arm, state, u, 1e-3)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                step(arm, state, u, 1e-3)
+        trace = synthetic_trace(1, 1, 1, 3, 1, np.ones(6), [(0,)], ["optimal"], [0])
+        trace.u = u[None]
+        assert count_violations(trace, arm.u_min, arm.u_max) == int(violated)
 
 
 class TestContactSlip:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projctl.checks import task_identities
+from projctl.checks import identity_residual, task_identities, task_map_identities
 from projctl.constrained_dynamics import RobotState, build_frame, constrained_accel
 from projctl.constraint_geometry import pseudo_inverse
 from projctl.errors import InputError, TaskInconsistencyError
@@ -86,6 +86,23 @@ class TestBuildTask:
         task = build_task(frame, make_task(biped, "base_pitch"))
         assert task.l < frame.n - frame.rank
         assert task_identities(frame, task)[2] >= -1e-9  # P - Lambda^+ Lambda >= 0
+
+    def test_check_counts_a_negative_eigenvalue(self, biped, rng):
+        # doubling Lambda^+ leaves (I - P) Lambda^+ = 0 but gives P - Lambda^+ Lambda the eigenvalue -1
+        state = random_manifold_state(biped, rng, BIPED_HOME, active=(0,))
+        frame = build_frame(biped, state)
+        task = build_task(frame, make_task(biped, "base_pitch"))
+        assert identity_residual(frame, task) <= 1e-9
+        doubled = dataclasses.replace(task, Lambda_pinv=2.0 * task.Lambda_pinv)
+        assert task_identities(frame, doubled)[1] <= 1e-9
+        assert identity_residual(frame, doubled) > 1e-9
+
+    def test_check_runs_full_span_and_under_spanning_states(self):
+        result = task_map_identities()
+        assert result.passed
+        assert " full-span arm states, " in result.detail and result.detail.endswith(
+            " under-spanning single-support biped states"
+        )
 
     @pytest.mark.parametrize("bad", ["value", "jacobian"])
     def test_non_finite_task_rejected(self, arm, bad):

@@ -154,11 +154,49 @@ class TestConeConstraints:
         lin, off, _ = assemble_cone_constraints(frame)
         assert lin[0] @ np.zeros(3) + off[0] == pytest.approx(mass * g, rel=1e-12)
 
-    def test_requires_active_contacts(self, arm):
+    def test_no_active_contact_gives_empty_rows(self, arm):
         state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())
-        frame = build_frame(arm, state)
-        with pytest.raises(InputError):
-            assemble_cone_constraints(frame)
+        lin, off, G = assemble_cone_constraints(build_frame(arm, state))
+        assert (lin.shape, off.shape, G.shape) == ((0, 3), (0,), (0, 3, 3))
+
+
+def _free_arm(kind):
+    """compare_cone.json cut to 0.05 s with no active contact, under the given allocator."""
+    cfg = load_config(CONFIGS / "compare_cone.json")
+    cfg["duration"] = 0.05
+    cfg["initial_state"]["active_contacts"] = []
+    cfg["optimizer"] = {"type": kind}
+    return simulate(load_scenario(cfg))
+
+
+def _biped_flight(optimizer):
+    """biped_switch.json cut to 0.05 s with a flight phase from 0.01 s to 0.03 s."""
+    cfg = load_config(CONFIGS / "biped_switch.json")
+    cfg["duration"] = 0.05
+    cfg["contacts"]["schedule"] = [[0.01, []], [0.03, [0, 1]]]
+    cfg["optimizer"] = optimizer
+    return load_scenario(cfg)
+
+
+class TestNoActiveContact:
+    """With no active contact the torque program is its box and equality rows alone."""
+
+    def test_free_arm_qcqp_matches_min_norm(self):
+        # P = I and B = I, so the equality rows fix u = tau_c, which is min_norm's u
+        qcqp, min_norm = _free_arm("qcqp"), _free_arm("min_norm")
+        assert set(qcqp.status) == {"optimal"} and qcqp.active[0] == ()
+        assert np.allclose(qcqp.u, min_norm.u, rtol=0.0, atol=1e-9)
+
+    def test_biped_flight_phase_relaxed(self):
+        trace = simulate(_biped_flight({"type": "qcqp_relaxed", "rho": 200.0}))
+        flight = [i for i, active in enumerate(trace.active) if active == ()]
+        assert len(flight) == 20 and trace.active[-1] == (0, 1)
+        assert set(trace.status) == {"relaxed"}
+
+    def test_biped_flight_phase_strict_is_infeasible(self):
+        # in flight P = I, and P B u = tau_c has 5 rows for 2 actuators
+        with pytest.raises(SolverError, match=r"^step 10, t=0\.0100, active \[\]: torque program infeasible_equality"):
+            simulate(_biped_flight({"type": "qcqp"}))
 
 
 def assert_close(got, want):
@@ -345,6 +383,28 @@ def synthetic_program(W, u_box=5.0, eq=None, cones=()):
 
 
 class TestSolveBarrier:
+    def test_singular_newton_matrix_takes_a_least_squares_step(self, monkeypatch):
+        # _solve raises LinAlgError on a singular Newton matrix; solve_barrier then steps by lstsq
+        hessian, lstsq = torque_qcqp._barrier_hessian, np.linalg.lstsq
+        calls = []
+
+        def singular_first(*args):
+            H = hessian(*args)
+            if not calls:
+                H[1] = H[:, 1] = 0.0
+            return H
+
+        def spy(a, b, rcond=None):
+            calls.append(a.copy())
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(torque_qcqp, "_barrier_hessian", singular_first)
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        program = dataclasses.replace(synthetic_program(np.eye(2)), obj_lin=np.array([1.0, -0.5]))
+        report = solve_barrier(program)
+        assert len(calls) == 1 and calls[0][1].tolist() == [0.0, 0.0]
+        assert report.status == "optimal"
+
     def test_unconstrained_limit(self):
         # E = I: the equality pins u = tau_c exactly; the barrier must agree
         tau = np.array([0.7, -0.3])

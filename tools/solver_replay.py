@@ -20,11 +20,11 @@ digest on the same machine.  The digest is not portable across machines: the
 BLAS kernels behind numpy may round differently on another CPU.  The µs figure
 comes from one pass over the solves, and it is bimodal across interpreter
 processes: on a shared 2-vCPU VM, `compare_cone.json --seconds 0.5` read
-37-43 µs in some processes and 72-79 µs in others, and `biped_switch.json
---seconds 1.35` 34-40 µs and 63-69 µs, each steady within a process (five
-processes per config for each of two trees).  One run per tree therefore cannot
-compare two solvers; medians over several processes, alternating between the
-trees, can.
+32.7-34.3 µs in four of five processes and 61.7 µs in the fifth, and
+`biped_switch.json --seconds 1.35` 28.6-31.2 µs in five processes and
+56.5 µs in a sixth, each steady within a process.  One
+run per tree therefore cannot compare two solvers; medians over several
+processes, alternating between the trees, can.
 
 A config that cannot be loaded, or a --seconds that is not a whole number of
 steps, prints `config error: ...` to stderr and exits 2, as `projctl` does.
