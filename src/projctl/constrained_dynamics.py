@@ -83,15 +83,13 @@ class RobotModel:
     """Generalized-coordinate robot with frictional point contacts.
 
     Attributes:
-        n: configuration dimension.
-        p: actuator count.
         mass_matrix: q -> (n, n) symmetric positive-definite inertia.
         coriolis_matrix: (q, qd) -> (n, n) Coriolis matrix consistent with the
             inertia in the sense that d/dt(M) - 2C is skew-symmetric.
         gravity: q -> (n,) generalized gravity force (enters the dynamics on
             the applied-force side).
-        actuation: constant (n, p) map from actuator torques to generalized
-            forces.
+        actuation: constant (n, p) map B from actuator torques to generalized
+            forces; the model reads n and p, its two attributes, from B's shape.
         contacts: all contact candidates; a state selects the active subset.
         u_min, u_max: (p,) actuator torque box.
         motor_resistance: (p,) winding resistances (ohm).
@@ -100,8 +98,6 @@ class RobotModel:
             loss; formed from the two above.
     """
 
-    n: int
-    p: int
     mass_matrix: Callable[[np.ndarray], np.ndarray]
     coriolis_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gravity: Callable[[np.ndarray], np.ndarray]
@@ -112,15 +108,19 @@ class RobotModel:
     motor_resistance: np.ndarray
     torque_constant: np.ndarray
     name: str = "robot"
+    n: int = field(init=False)
+    p: int = field(init=False)
     W: np.ndarray = field(init=False)
 
     def __post_init__(self):
         B = np.asarray(self.actuation, dtype=float)
-        if B.shape != (self.n, self.p):
-            raise InputError(f"actuation matrix must be {self.n}x{self.p}, got {B.shape}")
+        if B.ndim != 2:
+            raise InputError(f"actuation matrix must be 2-d, got shape {B.shape}")
         if not np.isfinite(B).all():
             raise InputError("actuation matrix entries must be finite")
         object.__setattr__(self, "actuation", B)
+        object.__setattr__(self, "n", B.shape[0])
+        object.__setattr__(self, "p", B.shape[1])
         object.__setattr__(self, "contacts", tuple(self.contacts))
         for attr in ("u_min", "u_max", "motor_resistance", "torque_constant"):
             v = np.asarray(getattr(self, attr), dtype=float)
@@ -312,12 +312,19 @@ def _accel(frame: ConstraintFrame, Bu: np.ndarray) -> np.ndarray:
     return frame.M_bar_inv.dot(frame.P.dot(Bu + frame.tau_g) - frame.C_bar.dot(frame.state.q_dot))
 
 
+def _as_tau_c(frame: ConstraintFrame, tau_c) -> np.ndarray:
+    """tau_c as a float array; InputError unless it is a finite n-vector (a NaN passes any residual test)."""
+    tau_c = np.asarray(tau_c, dtype=float)
+    if tau_c.shape != (frame.n,) or not np.isfinite(tau_c).all():
+        raise InputError(f"tau_c must have shape ({frame.n},) and be finite, got {tau_c.tolist()}")
+    return tau_c
+
+
 def contact_forces(frame: ConstraintFrame, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(lam, margins): the (k, 3) contact forces F u + f0 (ConstraintFrame.force_map), one (x, y, z)
-    row per active contact and the minimum-norm solution when A is rank-deficient, and their cone_margins."""
+    row per active contact and the minimum-norm solution when A is rank-deficient, and their cone_margins.
+    With no active contact they are empty, of shapes (0, 3) and (0,)."""
     active = frame.state.active_contacts
-    if len(active) == 0:
-        raise InputError("contact_forces requires a nonempty active contact set")
     F, f0 = frame.force_map
     lam = (F.dot(np.asarray(u, dtype=float)) + f0).reshape(-1, 3)
     mu = np.array([frame.model.contacts[i].friction for i in active])

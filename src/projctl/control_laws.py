@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrained_dynamics import ConstraintFrame
+from .constrained_dynamics import ConstraintFrame, _as_tau_c
 from .constraint_geometry import _pinv_from_svd, _svd_cutoff
 from .errors import ActuationError, InputError
 from .task_space import TaskMap
@@ -142,9 +142,7 @@ def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
     ActuationError when tau_c is outside the range of P B (relative residual
     above 1e-8), i.e. the actuators cannot span the admissible force space.
     """
-    tau_c = np.asarray(tau_c, dtype=float)
-    if tau_c.shape != (frame.n,) or not np.isfinite(tau_c).all():
-        raise InputError(f"tau_c must have shape ({frame.n},) and be finite, got {tau_c.tolist()}")
+    tau_c = _as_tau_c(frame, tau_c)
     PB = frame.P.dot(frame.model.actuation)  # finite, as P and B are (RobotModel checks B): no re-validation
     u = _pinv_from_svd(*_svd_cutoff(PB)).dot(tau_c)
     r = tau_c - PB.dot(u)

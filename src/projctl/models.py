@@ -104,8 +104,6 @@ def _planar_model(name: str, prefix: str, prm, B: np.ndarray, feet: Sequence[str
     )
     lim = float(params.torque_limit)
     return RobotModel(
-        n=n,
-        p=p,
         mass_matrix=_bind(generated("M"), prm, n),
         coriolis_matrix=_bind(generated("C"), prm, n, rate=True),
         gravity=lambda q, f=_bind(generated("tau_g"), prm, n): f(q).ravel(),

@@ -188,12 +188,7 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     _known(gcfg, "controller.gains", ("omega",) if "omega" in gcfg else ("kp_task", kd_key))
     if "omega" in gcfg:
         omega = _as_number(gcfg["omega"], "controller.gains.omega", positive=True)
-        if ctype == "tracking":
-            gains = ControllerGains.critically_damped(task.dim, omega)
-        else:
-            gains = ControllerGains(
-                K_P=omega**2 * np.eye(task.dim), K_D=2.0 * omega * np.eye(model.n)
-            )
+        gains = ControllerGains(K_P=omega**2 * np.eye(task.dim), K_D=2.0 * omega * np.eye(kd_dim))
     else:
         paths = {"K_P": "controller.gains.kp_task", "K_D": f"controller.gains.{kd_key}"}
         kp = _gain_matrix(_require(gcfg, "kp_task", "controller.gains"), task.dim, paths["K_P"])

@@ -10,7 +10,8 @@ holds the contacts, with no position-level correction.  Contact switches are
 schedule-driven: activating a contact maps the velocity by P, the Euclidean
 projection onto the new admissible space (not an impact law; see
 switch_contacts); all matrices stay n x n throughout, so the controller code
-path never changes.
+path never changes.  A contact-free state is the same path with an empty
+stack: A is (0, n), P = I, the contact forces are empty and the drift is 0.0.
 
 SimTrace.columns() is the one statement of the trace CSV layout: to_csv
 writes its header and rows from it.
@@ -136,6 +137,8 @@ class Scenario:
             raise InputError(f"duration must be positive and finite, got {self.duration}")
         if abs(self.n_steps * self.dt - self.duration) > 1e-9:
             raise InputError(f"duration must be an integer multiple of integrator.dt = {self.dt}")
+        if self.initial.q.shape != (self.model.n,):
+            raise InputError(f"initial q has shape {self.initial.q.shape}, but the model has n={self.model.n}")
         if any(i < 0 or i >= self.model.k for i in self.initial.active_contacts):
             raise InputError(
                 f"initial active set {self.initial.active_contacts} references unknown contacts "
@@ -263,7 +266,6 @@ def step(
     u = np.asarray(u, dtype=float)
     if (u < model.u_min - VIOLATION_TOL).any() or (u > model.u_max + VIOLATION_TOL).any():
         warnings.warn("actuation outside its box limits", stacklevel=2)
-    active = state.active_contacts
     Bu = model.actuation.dot(u)
 
     def accel(q, q_dot):
@@ -283,14 +285,13 @@ def step(
     if not (np.isfinite(q_new).all() and np.isfinite(qd_new).all()):
         raise SimulationError(f"non-finite state at t={state.t + dt:.4f}")
 
-    if active:
-        A_new, qd_new = _project_velocity(model, q_new, active, qd_new)
-        r = A_new.dot(qd_new)
-        drift = math.sqrt(r.dot(r))
-        if not drift <= DRIFT_HARD_LIMIT:
-            raise SimulationError(
-                f"constraint drift {drift:.3e} exceeds {DRIFT_HARD_LIMIT:.1e} at t={state.t + dt:.4f}"
-            )
+    A_new, qd_new = _project_velocity(model, q_new, state.active_contacts, qd_new)
+    r = A_new.dot(qd_new)  # empty with no active contact, so drift 0.0
+    drift = math.sqrt(r.dot(r))
+    if not drift <= DRIFT_HARD_LIMIT:
+        raise SimulationError(
+            f"constraint drift {drift:.3e} exceeds {DRIFT_HARD_LIMIT:.1e} at t={state.t + dt:.4f}"
+        )
     return _unchecked(state, t=state.t + dt, q=q_new, q_dot=qd_new)
 
 
@@ -320,8 +321,9 @@ def simulate(scenario: Scenario) -> SimTrace:
     """Run a scenario to completion and return its trace.
 
     Deterministic: no randomness anywhere, so identical scenarios produce
-    identical traces.  An error of errors.RUN_ERRORS raised on the way keeps its
-    type; its message starts with where it happened: "step i, t=..., active [...]: ".
+    identical traces, and every tick takes one path whatever the active set.
+    An error of errors.RUN_ERRORS raised on the way keeps its type; its
+    message starts with where it happened: "step i, t=..., active [...]: ".
     """
     model = scenario.model
     dt = scenario.dt
@@ -329,9 +331,8 @@ def simulate(scenario: Scenario) -> SimTrace:
 
     state = scenario.initial
     # enforce the velocity-level constraint at the start
-    if state.active_contacts:
-        _, q_dot = _project_velocity(model, state.q, state.active_contacts, state.q_dot)
-        state = replace(state, q_dot=q_dot)
+    _, q_dot = _project_velocity(model, state.q, state.active_contacts, state.q_dot)
+    state = replace(state, q_dot=q_dot)
 
     nu = _default_nu(np.asarray(model.mass_matrix(state.q), dtype=float))
 
@@ -361,9 +362,8 @@ def simulate(scenario: Scenario) -> SimTrace:
             d = tracking_disturbance(frame, phi)
 
             lam_row, margin_row = np.zeros(3 * model.k), np.zeros(model.k)
-            if state.active_contacts:
-                active = list(state.active_contacts)
-                lam_row.reshape(-1, 3)[active], margin_row[active] = contact_forces(frame, u)
+            active = list(state.active_contacts)
+            lam_row.reshape(-1, 3)[active], margin_row[active] = contact_forces(frame, u)
 
             cols["t"].append(t)
             cols["q"].append(state.q.copy())

@@ -46,7 +46,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .constrained_dynamics import ConstraintFrame
+from .constrained_dynamics import ConstraintFrame, _as_tau_c
 from .constraint_geometry import RANK_TOL, _identity, _solve, _svd
 from .errors import InputError
 
@@ -189,9 +189,7 @@ def assemble_program(
     tau_c must be finite and lie in the admissible force space (range of P).
     """
     model, n = frame.model, frame.n
-    tau_c = np.asarray(tau_c, dtype=float)
-    if tau_c.shape != (n,) or not np.isfinite(tau_c).all():
-        raise InputError(f"tau_c must have shape ({n},) and be finite, got {tau_c.tolist()}")
+    tau_c = _as_tau_c(frame, tau_c)
     r = (_identity(n) - frame.P).dot(tau_c)
     off = math.sqrt(r.dot(r))
     if off > TAU_C_TOL * max(1.0, math.sqrt(tau_c.dot(tau_c))):

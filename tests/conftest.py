@@ -71,8 +71,6 @@ def point_mass_model(mass=2.0, g=9.81):
         name="support",
     )
     return RobotModel(
-        n=n,
-        p=n,
         mass_matrix=lambda q: M,
         coriolis_matrix=lambda q, qd: np.zeros((n, n)),
         gravity=lambda q: np.array([0.0, 0.0, -mass * g]),

@@ -660,8 +660,6 @@ def planar_arm_reference(params=None):
     )
     lim = float(params.torque_limit)
     return RobotModel(
-        n=n,
-        p=n,
         mass_matrix=_bind(funcs["M"], prm, n),
         coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
         gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),
@@ -698,8 +696,6 @@ def floating_biped_reference(params=None):
     B[4, 1] = 1.0
     lim = float(params.torque_limit)
     return RobotModel(
-        n=n,
-        p=p,
         mass_matrix=_bind(funcs["M"], prm, n),
         coriolis_matrix=_bind(funcs["C"], prm, n, rate=True),
         gravity=lambda q, f=_bind(funcs["tau_g"], prm, n): f(q).ravel(),

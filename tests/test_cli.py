@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from projctl.cli import main
+from projctl.control_laws import ControllerGains
 from projctl.errors import ConfigError, TaskInconsistencyError
 from projctl.runner import (
     compare_controllers,
@@ -141,6 +142,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             load_scenario(cfg)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("base, kd_dim", [("arm_tracking.json", 1), ("arm_regulation.json", 3)])
+    def test_omega_gains_are_the_explicit_matrices(self, tmp_path, base, kd_dim):
+        # K_P = omega^2 I on the task, K_D = 2 omega I on the task (tracking) or the joints (regulation)
+        omega = 0.7
+        _, cfg = short_config(tmp_path, base=base, **{"controller.gains": {"omega": omega}})
+        gains = load_scenario(cfg).gains
+        assert np.array_equal(gains.K_P, omega**2 * np.eye(1))
+        assert np.array_equal(gains.K_D, 2.0 * omega * np.eye(kd_dim))
+        if kd_dim == 1:
+            damped = ControllerGains.critically_damped(1, omega)
+            assert np.array_equal(gains.K_P, damped.K_P) and np.array_equal(gains.K_D, damped.K_D)
 
     @pytest.mark.parametrize(
         "base, gains, path",

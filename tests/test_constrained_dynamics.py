@@ -13,6 +13,7 @@ from projctl.constrained_dynamics import (
 )
 from projctl.constraint_geometry import null_projector, projector_rate
 from projctl.errors import InputError
+from projctl.torque_qcqp import assemble_cone_constraints
 
 from conftest import ARM_HOME, BIPED_HOME, point_mass_model, random_manifold_state
 from oracles import integrate_saddle, saddle_point_state
@@ -31,8 +32,6 @@ def toy_model(M, A_block, n=None):
         friction=0.5,
     )
     return RobotModel(
-        n=n,
-        p=n,
         mass_matrix=lambda q: M,
         coriolis_matrix=lambda q, qd: np.zeros((n, n)),
         gravity=lambda q: np.zeros(n),
@@ -321,11 +320,14 @@ class TestContactForces:
                 lam, _ = contact_forces(frame, rng.uniform(model.u_min, model.u_max))
                 assert np.abs(lam[:, 1]).max() <= 1e-10 * max(1.0, np.abs(lam).max())
 
-    def test_requires_active_contacts(self, arm):
-        state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=())
+    def test_empty_active_set_gives_empty_rows(self, arm):
+        # k = 0 is an ordinary active set: no force rows, as no cone rows
+        state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.array([0.1, 0.2, -0.1]), active_contacts=())
         frame = build_frame(arm, state)
-        with pytest.raises(InputError):
-            contact_forces(frame, np.zeros(3))
+        lam, margins = contact_forces(frame, np.ones(3))
+        assert lam.shape == (0, 3) and margins.shape == (0,)
+        lin, off, G = assemble_cone_constraints(frame)
+        assert lin.shape == (0, 3) and off.shape == (0,) and G.shape == (0, 3, 3)
 
 
 class TestProjectedEquationOfMotion:

@@ -25,6 +25,7 @@ from projctl.models import (
     make_task,
     planar_arm_contact,
 )
+from projctl.runner import load_config, load_scenario
 from projctl.simulate import (
     OptimizerSpec,
     Scenario,
@@ -38,7 +39,15 @@ from projctl.torque_qcqp import assemble_program, solve_barrier
 from projctl.control_laws import tracking_torque
 from projctl.task_space import build_task
 
-from conftest import ARM_HOME, BIPED_HOME, manifold_state, point_mass_model, random_manifold_state, short_scenario
+from conftest import (
+    ARM_HOME,
+    BIPED_HOME,
+    CONFIGS,
+    manifold_state,
+    point_mass_model,
+    random_manifold_state,
+    short_scenario,
+)
 from oracles import (
     floating_biped_reference,
     integrate_saddle,
@@ -88,6 +97,23 @@ class TestPlanarArmModel:
     def test_robot_model_rejects_nonfinite_vectors(self, arm, field, value):
         with pytest.raises(InputError, match=f"{field} must be 3 finite numbers"):
             dataclasses.replace(arm, **{field: np.array(value)})
+
+    def test_n_and_p_come_from_the_actuation_matrix(self, arm):
+        assert (arm.n, arm.p) == (3, 3)
+        vectors = ("u_min", "u_max", "motor_resistance", "torque_constant")
+        two = dataclasses.replace(
+            arm, actuation=arm.actuation[:, :2], **{name: getattr(arm, name)[:2] for name in vectors}
+        )
+        assert (two.n, two.p) == (3, 2) and two.W.shape == (2, 2)
+
+    def test_actuation_must_be_2d(self, arm):
+        with pytest.raises(InputError, match="actuation matrix must be 2-d"):
+            dataclasses.replace(arm, actuation=np.ones(3))
+
+    def test_n_is_not_an_argument(self, arm):
+        given = {f.name: getattr(arm, f.name) for f in dataclasses.fields(arm) if f.init}
+        with pytest.raises(TypeError):
+            type(arm)(n=3, **given)
 
     @pytest.mark.parametrize("indices", [5, [0.7], [True], "0", [0, 0], []])
     def test_joint_task_rejects_bad_indices(self, indices):
@@ -669,6 +695,33 @@ class TestSimulate:
         scn = dataclasses.replace(self.arm_scenario(arm), model=model)
         with pytest.raises(InputError, match="mass_matrix returned non-finite entries"):
             simulate(scn)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_initial_q_must_fit_the_model(self, arm, size):
+        scn = self.arm_scenario(arm)
+        initial = RobotState(t=0.0, q=np.zeros(size), q_dot=np.zeros(size), active_contacts=(0,))
+        with pytest.raises(InputError, match=f"initial q has shape \\({size},\\)"):
+            Scenario(**{**scn.__dict__, "initial": initial})
+
+    def test_contact_free_run_records_empty_contacts(self):
+        # k = 0 takes the contact path with an empty stack: zero force columns and drift 0.0
+        cfg = load_config(CONFIGS / "arm_tracking.json")
+        cfg["duration"], cfg["initial_state"]["active_contacts"] = 0.05, []
+        trace = simulate(load_scenario(cfg))
+        assert trace.active == [()] * trace.steps
+        assert not trace.lam.any() and not trace.margins.any()
+        assert (trace.drift == 0.0).all()
+
+    def test_flight_phase_records_empty_contacts(self):
+        cfg = load_config(CONFIGS / "biped_switch.json")
+        cfg["duration"], cfg["contacts"]["schedule"] = 0.1, [[0.01, []], [0.05, [0, 1]]]
+        trace = simulate(load_scenario(cfg))
+        flight = [i for i, a in enumerate(trace.active) if a == ()]
+        stance = [i for i, a in enumerate(trace.active) if a == (0, 1)]
+        assert flight and stance and len(flight) + len(stance) == trace.steps
+        assert not trace.lam[flight].any() and not trace.margins[flight].any()
+        assert (trace.drift[flight] == 0.0).all()
+        assert trace.lam[stance].any()
 
     def test_unknown_initial_contact_rejected(self, arm):
         scn = self.arm_scenario(arm)

@@ -55,8 +55,6 @@ def model_weighting(R, K_t):
     """RobotModel.W of a model with p = len(R) directly driven joints and these motors."""
     p = len(R)
     return RobotModel(
-        n=p,
-        p=p,
         mass_matrix=None,
         coriolis_matrix=None,
         gravity=None,
@@ -435,7 +433,6 @@ class TestSolveBarrier:
         block[2, 2] = -1.0
         contact = ContactSpec(jacobian=lambda q: block, jacobian_rate=lambda q, qd: np.zeros((3, 3)), friction=0.8)
         model = RobotModel(
-            n=3, p=3,
             mass_matrix=model.mass_matrix, coriolis_matrix=model.coriolis_matrix,
             gravity=model.gravity, actuation=np.eye(3), contacts=(contact,),
             u_min=-50 * np.ones(3), u_max=50 * np.ones(3),
