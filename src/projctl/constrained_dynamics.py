@@ -139,6 +139,19 @@ class RobotModel:
     def k(self) -> int:
         return len(self.contacts)
 
+    @cached_property
+    def nu(self) -> float:
+        """trace(M(0))/n, the nu of M_bar = P M P + nu (I - P) at every state: any nu > 0 only sets
+        M_bar's conditioning, but one that varied with q would need a nu_dot term in C_bar.  Formed
+        on first use, so building a model evaluates no M; InputError unless M(0) is finite."""
+        M = np.asarray(self.mass_matrix(np.zeros(self.n)), dtype=float)
+        if not np.isfinite(M).all():
+            raise InputError("mass_matrix returned non-finite entries")
+        nu = float(np.trace(M)) / self.n
+        if not nu > 0:
+            raise InputError(f"nu = trace(M(0))/n must be positive, got {nu}")
+        return nu
+
     def contact_stack(self, q: np.ndarray, active: Sequence[int]) -> np.ndarray:
         """Stacked (3k_active, n) Jacobian of the active contacts."""
         if len(active) == 0:
@@ -235,23 +248,13 @@ def cone_margins(forces: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return mu * lam[:, 2] - np.hypot(lam[:, 0], lam[:, 1])
 
 
-def _default_nu(M: np.ndarray) -> float:
-    """trace(M)/n, the default nu; raises InputError when M is not finite."""
-    if not np.isfinite(M).all():
-        raise InputError("mass_matrix returned non-finite entries")
-    return float(np.trace(M)) / M.shape[0]
-
-
-def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None) -> ConstraintFrame:
+def build_frame(model: RobotModel, state: RobotState) -> ConstraintFrame:
     """Assemble the constraint frame at a state.
 
     Evaluates M, C, tau_g, A and A_dot once, validates what the model's
-    callbacks return (shapes, finite A and A_dot) and nu > 0, then forms
-    A^+, P, L and M_bar, M_bar^-1, C_bar, with the product P M they share
-    formed once.
-    nu defaults to trace(M(q))/n, for which M must be finite; callers that
-    integrate over time should fix it once at the initial state so M_bar stays
-    smooth in time.
+    callbacks return (shapes, finite A and A_dot), then forms A^+, P, L and
+    M_bar, M_bar^-1, C_bar with the model's constant nu, the product P M they
+    share formed once.
     """
     q, qd, active = state.q, state.q_dot, state.active_contacts
     M = np.asarray(model.mass_matrix(q), dtype=float)
@@ -268,18 +271,13 @@ def build_frame(model: RobotModel, state: RobotState, nu: Optional[float] = None
     if not (np.isfinite(A).all() and np.isfinite(A_dot).all()):
         raise InputError("contact stack or its rate contains non-finite entries")
 
-    if nu is None:
-        nu = _default_nu(M)
-    if not nu > 0:
-        raise InputError(f"nu must be positive, got {nu}")
-
     A_pinv, P, rank = _projector(A)
     L, Omega, P_dot = _rate(A_pinv, A_dot, P)
 
     PM = P.dot(M)
-    M_bar = PM.dot(P) + nu * (_identity(n) - P)
+    M_bar = PM.dot(P) + model.nu * (_identity(n) - P)
     M_bar = 0.5 * (M_bar + M_bar.T)
-    C_bar = P.dot(C).dot(P) + PM.dot(P_dot) - nu * L
+    C_bar = P.dot(C).dot(P) + PM.dot(P_dot) - model.nu * L
     return ConstraintFrame(
         A=A,
         A_pinv=A_pinv,

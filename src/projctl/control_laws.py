@@ -158,7 +158,9 @@ def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
 def tracking_disturbance(frame: ConstraintFrame, phi: np.ndarray) -> np.ndarray:
     """Disturbance d = M_bar^-1 phi entering the task error dynamics.
 
-    With the tracking law in closed loop, Lambda^+ (edd + K_D ed + K_P e) = d.
+    With the tracking law in closed loop, edd + K_D ed + K_P e = Lambda d for every
+    task; Lambda^+ (edd + K_D ed + K_P e) = d only when the task spans the admissible
+    motion space range(P).
     """
     phi = np.asarray(phi, dtype=float)
     return frame.M_bar_inv.dot(phi)

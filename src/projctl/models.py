@@ -66,8 +66,8 @@ def _is_number(value) -> bool:
 
 def _check_fields(params, positive=()) -> None:
     """Each field of a params dataclass must be a finite number or, if annotated Tuple[float, ...],
-    a list or tuple of that many (kept as a tuple); a field defaulting to None may be None, and
-    those named in positive must be > 0.  Messages start with the field's name."""
+    a list or tuple of that many (kept as a tuple); a field defaulting to None may be None, those
+    named in positive must be > 0 and gravity must be >= 0.  Messages start with the field's name."""
     for f in fields(params):
         value = getattr(params, f.name)
         size = str(f.type).count("float") if "Tuple" in str(f.type) else None
@@ -79,6 +79,8 @@ def _check_fields(params, positive=()) -> None:
             raise InputError(f"{f.name} must be {want}, got {value!r}")
         if f.name in positive and min(entries) <= 0:
             raise InputError(f"{f.name} must be positive, got {value!r}")
+        if f.name == "gravity" and value < 0:
+            raise InputError(f"gravity must be nonnegative, got {value!r}")
         if size:
             object.__setattr__(params, f.name, entries)
 
@@ -136,8 +138,6 @@ class ArmParams:
 
     def __post_init__(self):
         _check_fields(self, positive=("lengths", "masses", "inertias", "torque_limit"))
-        if self.gravity < 0:
-            raise InputError(f"gravity must be nonnegative, got {self.gravity!r}")
 
     def resolved_inertias(self) -> Tuple[float, ...]:
         if self.inertias is not None:

@@ -134,7 +134,7 @@ def _build_reference(cfg: dict, dim: int, path: str) -> Reference:
 
 
 def _build_optimizer(cfg: dict, kind: str, path: str) -> OptimizerSpec:
-    rho = _as_number(cfg.get("rho", 10.0), f"{path}.rho", positive=True)
+    rho = _as_number(cfg.get("rho", OptimizerSpec.rho), f"{path}.rho", positive=True)
     try:
         return OptimizerSpec(kind=kind, rho=rho)
     except InputError as exc:
@@ -158,10 +158,8 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
         raise ConfigError(f"model.params.{key}" if key in params else "model.params", str(exc)) from None
 
     scfg = _section(cfg, "initial_state", "", ("q", "q_dot", "active_contacts"))
-    q = _as_vector(_require(scfg, "q", "initial_state"), "initial_state.q")
-    q_dot = _as_vector(_require(scfg, "q_dot", "initial_state"), "initial_state.q_dot")
-    if q.size != model.n or q_dot.size != model.n:
-        raise ConfigError("initial_state.q", f"model '{kind}' has n={model.n} coordinates")
+    q = _as_vector(_require(scfg, "q", "initial_state"), "initial_state.q", (model.n,))
+    q_dot = _as_vector(_require(scfg, "q_dot", "initial_state"), "initial_state.q_dot", (model.n,))
     index_rule = f"contact indices must be distinct integers in [0, {model.k})"
     active = scfg.get("active_contacts", [])
     if not _is_index_list(active, model.k):
@@ -208,7 +206,7 @@ def load_scenario(cfg: dict, name: str = "scenario", optimizer_kind: Optional[st
     icfg = _section(cfg, "integrator", "", ("dt", "method"), optional=True)
     if icfg.get("method", "rk4") != "rk4":
         raise ConfigError("integrator.method", f"only 'rk4' is supported, got {icfg['method']!r}")
-    dt = _as_number(icfg.get("dt", 1e-3), "integrator.dt", positive=True)
+    dt = _as_number(icfg.get("dt", Scenario.dt), "integrator.dt", positive=True)
 
     schedule: List[Tuple[float, Tuple[int, ...]]] = []
     entries = _section(cfg, "contacts", "", ("schedule",), optional=True).get("schedule", [])

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .constrained_dynamics import (
     RobotModel,
     RobotState,
     _accel,
-    _default_nu,
     build_frame,
     contact_forces,
 )
@@ -248,13 +247,7 @@ def _unchecked(state: RobotState, **changes) -> RobotState:
     return new
 
 
-def step(
-    model: RobotModel,
-    state: RobotState,
-    u: np.ndarray,
-    dt: float,
-    nu: Optional[float] = None,
-) -> RobotState:
+def step(model: RobotModel, state: RobotState, u: np.ndarray, dt: float) -> RobotState:
     """Advance one RK4 step of dt under constant u, then re-project the velocity.
 
     Each of the four stages builds a frame at its own (q, q_dot).  B u is
@@ -269,7 +262,7 @@ def step(
     Bu = model.actuation.dot(u)
 
     def accel(q, q_dot):
-        return _accel(build_frame(model, _unchecked(state, q=q, q_dot=q_dot), nu=nu), Bu)
+        return _accel(build_frame(model, _unchecked(state, q=q, q_dot=q_dot)), Bu)
 
     q, qd = state.q, state.q_dot
     k1v = accel(q, qd)
@@ -334,8 +327,6 @@ def simulate(scenario: Scenario) -> SimTrace:
     _, q_dot = _project_velocity(model, state.q, state.active_contacts, state.q_dot)
     state = replace(state, q_dot=q_dot)
 
-    nu = _default_nu(np.asarray(model.mass_matrix(state.q), dtype=float))
-
     cols: Dict[str, list] = {f.name: [] for f in fields(SimTrace) if f.name != "name"}
 
     pending = list(scenario.schedule)
@@ -348,7 +339,7 @@ def simulate(scenario: Scenario) -> SimTrace:
                 state = switch_contacts(state, new_set, model)
             state = _unchecked(state, t=t)
 
-            frame = build_frame(model, state, nu=nu)
+            frame = build_frame(model, state)
             task = build_task(frame, scenario.task)
             ref = scenario.reference
             x_d = ref.value(t)
@@ -387,7 +378,7 @@ def simulate(scenario: Scenario) -> SimTrace:
             cols["active"].append(state.active_contacts)
 
             if i < n_steps:
-                state = step(model, state, u, dt, nu=nu)
+                state = step(model, state, u, dt)
     except RUN_ERRORS as exc:
         raise type(exc)(f"step {i}, t={t:.4f}, active {list(state.active_contacts)}: {exc}") from exc
 

@@ -84,8 +84,8 @@ def point_mass_model(mass=2.0, g=9.81):
     )
 
 
-def frame_at(model, state, nu=None):
-    return build_frame(model, state, nu=nu)
+def frame_at(model, state):
+    return build_frame(model, state)
 
 
 def short_scenario(config, duration, **optimizer):

@@ -143,14 +143,14 @@ def integrate_saddle(model, q0, qd0, active, u_fn, dt, steps):
     return out
 
 
-def step_reference(model, state, u, dt, nu=None):
+def step_reference(model, state, u, dt):
     """simulate.step written plainly: a validated state and constrained_accel per stage,
     each half-step velocity written where it is used, the drift by np.linalg.norm."""
     active = state.active_contacts
 
     def accel(q, q_dot):
         stage = RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=active)
-        return constrained_accel(build_frame(model, stage, nu=nu), u)
+        return constrained_accel(build_frame(model, stage), u)
 
     q, qd = state.q, state.q_dot
     k1v = accel(q, qd)

@@ -96,13 +96,12 @@ def test_criterion_03_inertia_properties(arm, biped, rng, arm_tracking_run, bipe
         for i in idx:
             active = trace.active[i]
             state = RobotState(t=trace.t[i], q=trace.q[i], q_dot=trace.q_dot[i], active_contacts=active)
-            nu = float(np.trace(model.mass_matrix(trace.q[0]))) / model.n
 
             def mbar(q):
                 s = RobotState(t=0.0, q=q, q_dot=state.q_dot, active_contacts=active)
-                return build_frame(model, s, nu=nu).M_bar
+                return build_frame(model, s).M_bar
 
-            frame = build_frame(model, state, nu=nu)
+            frame = build_frame(model, state)
             stepv = h * state.q_dot
             Md = (mbar(state.q + stepv) - mbar(state.q - stepv)) / (2 * h)
             D = Md - 2.0 * frame.C_bar
@@ -352,11 +351,10 @@ def test_criterion_12_tradeoff_relaxation(biped, outdir):
 
     # W' > 0 at every step of the bundled relaxed run
     trace = simulate(scenario)
-    nu = float(np.trace(scenario.model.mass_matrix(trace.q[0]))) / scenario.model.n
     wprime_min = np.inf
     for i in range(trace.steps):
         st = RobotState(t=trace.t[i], q=trace.q[i], q_dot=trace.q_dot[i], active_contacts=trace.active[i])
-        fr = build_frame(scenario.model, st, nu=nu)
+        fr = build_frame(scenario.model, st)
         Minv2 = fr.M_bar_inv @ fr.M_bar_inv
         E = fr.P @ scenario.model.actuation
         W = np.diag(scenario.model.motor_resistance / scenario.model.torque_constant**2)

@@ -82,6 +82,8 @@ class TestConfigValidation:
             ("duration", float("inf")),
             ("integrator.dt", float("nan")),
             ("initial_state.q", [float("nan"), 0.0, 0.0]),
+            ("initial_state.q", [0.0, 0.0]),
+            ("initial_state.q_dot", [0.0, 0.0]),
             ("initial_state.active_contacts", [0.9]),
             ("initial_state.active_contacts", [True]),
             ("integrator.baumgarte", "false"),
@@ -237,6 +239,9 @@ class TestConfigValidation:
             ("arm_tracking.json", {"inertias": [0.1, 0.1]}, "inertias"),
             ("arm_tracking.json", {"inertias": [0.02, -0.02, 0.01]}, "inertias"),
             ("arm_tracking.json", {"gravity": float("nan")}, "gravity"),
+            # one gravity rule for both models
+            ("arm_tracking.json", {"gravity": -9.81}, "gravity"),
+            ("biped_switch.json", {"gravity": -9.81}, "gravity"),
             ("arm_tracking.json", {"friction": True}, "friction"),
             ("arm_tracking.json", {"torque_limit": "25"}, "torque_limit"),
             ("biped_switch.json", {"motor_resistance": [1.0]}, "motor_resistance"),

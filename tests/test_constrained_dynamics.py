@@ -55,26 +55,29 @@ class TestBuildFrame:
     def test_fully_constrained(self):
         model = point_mass_model()
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
-        frame = build_frame(model, state, nu=1.0)
+        frame = build_frame(model, state)
         assert np.allclose(frame.P, 0.0, atol=1e-12)
-        assert np.allclose(frame.M_bar, np.eye(3), atol=1e-12)
+        assert np.allclose(frame.M_bar, model.nu * np.eye(3), atol=1e-12)
         assert np.allclose(frame.S, np.eye(3), atol=1e-12)
 
     def test_hand_example(self):
-        # M = diag(2, 3), single row [1, 0], nu = 1 -> P = diag(0, 1), M_bar = diag(1, 3)
+        # M = diag(2, 3), single row [1, 0], nu = trace(M)/n = 2.5 -> P = diag(0, 1), M_bar = diag(2.5, 3)
         model = toy_model(np.diag([2.0, 3.0]), np.array([[1.0, 0.0]]))
         state = RobotState(t=0.0, q=np.zeros(2), q_dot=np.zeros(2), active_contacts=(0,))
-        frame = build_frame(model, state, nu=1.0)
+        frame = build_frame(model, state)
+        assert model.nu == 2.5
         assert np.allclose(frame.P, np.diag([0.0, 1.0]), atol=1e-12)
-        assert np.allclose(frame.M_bar, np.diag([1.0, 3.0]), atol=1e-12)
+        assert np.allclose(frame.M_bar, np.diag([2.5, 3.0]), atol=1e-12)
 
-    def test_bad_nu(self, arm):
-        state = RobotState(t=0.0, q=ARM_HOME, q_dot=np.zeros(3), active_contacts=(0,))
-        with pytest.raises(InputError):
-            build_frame(arm, state, nu=-1.0)
+    @pytest.mark.parametrize("diagonal", [(0.0, 0.0), (1.0, -2.0)], ids=["zero", "negative"])
+    def test_bad_nu(self, diagonal):
+        model = toy_model(np.diag(diagonal), np.array([[1.0, 0.0]]))
+        state = RobotState(t=0.0, q=np.zeros(2), q_dot=np.zeros(2), active_contacts=(0,))
+        with pytest.raises(InputError, match=r"nu = trace\(M\(0\)\)/n must be positive"):
+            build_frame(model, state)
 
     @pytest.mark.parametrize("entry", [(1, 1), (0, 1)], ids=["diagonal", "off_diagonal"])
-    def test_default_nu_names_a_non_finite_mass_matrix(self, entry):
+    def test_nu_names_a_non_finite_mass_matrix(self, entry):
         # with a NaN off the diagonal trace(M)/n is finite, and only the check on M stops a NaN frame
         M = np.eye(3)
         M[entry] = M[entry[::-1]] = np.nan
@@ -133,17 +136,15 @@ class TestInertiaProperties:
     def test_mbar_rate_skew_on_models(self, arm, biped, rng):
         # h = 1e-5 balances truncation against difference-quotient roundoff
         h = 1e-5
-        cases = [(arm, ARM_HOME, None), (biped, BIPED_HOME, None)]
-        for model, home, _ in cases:
+        for model, home in ((arm, ARM_HOME), (biped, BIPED_HOME)):
             for _ in range(20):
                 state = random_manifold_state(model, rng, home, spread=0.15)
-                nu = float(np.trace(model.mass_matrix(state.q)) / model.n)
 
                 def mbar(q, qd):
                     s = RobotState(t=0.0, q=q, q_dot=qd, active_contacts=state.active_contacts)
-                    return build_frame(model, s, nu=nu).M_bar
+                    return build_frame(model, s).M_bar
 
-                frame = build_frame(model, state, nu=nu)
+                frame = build_frame(model, state)
                 step = h * state.q_dot
                 Md = (mbar(state.q + step, state.q_dot) - mbar(state.q - step, state.q_dot)) / (2 * h)
                 D = Md - 2.0 * frame.C_bar
@@ -167,7 +168,7 @@ class TestConstrainedAccel:
     def test_static_equilibrium(self):
         model = point_mass_model()
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
-        frame = build_frame(model, state, nu=1.0)
+        frame = build_frame(model, state)
         qdd = constrained_accel(frame, np.zeros(3))
         assert np.allclose(qdd, 0.0, atol=1e-12)
 
@@ -205,13 +206,13 @@ def unit_vectors(size):
     return st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size).map(np.array)
 
 
-def eager_frame(model, state, u, nu=None):
-    """The frame algebra written out eagerly on the public projector API."""
+def eager_frame(model, state, u):
+    """The frame algebra written out eagerly on the public projector API, with nu = trace(M(0))/n."""
     q, qd, active = state.q, state.q_dot, state.active_contacts
     M, C, tau_g = model.mass_matrix(q), model.coriolis_matrix(q, qd), model.gravity(q)
     A = model.contact_stack(q, active)
     L, Omega, P_dot = projector_rate(A, model.contact_stack_rate(q, qd, active))
-    nu = float(np.trace(M)) / model.n if nu is None else nu
+    nu = float(np.trace(model.mass_matrix(np.zeros(model.n)))) / model.n
     P, I = null_projector(A).P, np.eye(model.n)
     M_bar = P @ M @ P + nu * (I - P)
     M_bar = 0.5 * (M_bar + M_bar.T)
@@ -232,18 +233,18 @@ class TestFrameBitExact:
     the exact floating-point operations of the eager algebra."""
 
     @staticmethod
-    def assert_bit_exact(model, q, qd, active, u, nu):
+    def assert_bit_exact(model, q, qd, active, u):
         state = RobotState(t=0.0, q=q, q_dot=qd, active_contacts=active)
-        expected = eager_frame(model, state, u, nu)
-        frame = build_frame(model, state, nu=nu)
+        expected = eager_frame(model, state, u)
+        frame = build_frame(model, state)
         assert np.array_equal(constrained_accel(frame, u), expected["qdd"])
         for name in ("M_bar", "C_bar", "M_bar_inv", "S", "Q"):
             assert np.array_equal(getattr(frame, name), expected[name]), name
 
     @settings(max_examples=40, deadline=None)
-    @given(dq=unit_vectors(3), qd=unit_vectors(3), du=unit_vectors(3), nu=st.none() | st.floats(0.1, 5.0))
-    def test_arm_tip_contact(self, arm, dq, qd, du, nu):
-        self.assert_bit_exact(arm, ARM_HOME + 0.3 * dq, qd, (0,), 5.0 * du, nu)
+    @given(dq=unit_vectors(3), qd=unit_vectors(3), du=unit_vectors(3))
+    def test_arm_tip_contact(self, arm, dq, qd, du):
+        self.assert_bit_exact(arm, ARM_HOME + 0.3 * dq, qd, (0,), 5.0 * du)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -251,17 +252,16 @@ class TestFrameBitExact:
         qd=unit_vectors(5),
         du=unit_vectors(2),
         active=st.sampled_from([(), (0,), (0, 1)]),
-        nu=st.none() | st.floats(0.1, 5.0),
     )
-    def test_biped_active_sets(self, biped, dq, qd, du, active, nu):
-        self.assert_bit_exact(biped, BIPED_HOME + 0.2 * dq, qd, active, 20.0 * du, nu)
+    def test_biped_active_sets(self, biped, dq, qd, du, active):
+        self.assert_bit_exact(biped, BIPED_HOME + 0.2 * dq, qd, active, 20.0 * du)
 
     @settings(max_examples=25, deadline=None)
     @given(base=unit_vectors(3), hip=st.floats(-0.5, 0.5), qd=unit_vectors(5), du=unit_vectors(2))
     def test_coincident_feet_rank_deficient(self, biped, base, hip, qd, du):
         q = np.concatenate([BIPED_HOME[:3] + 0.1 * base, [hip, hip]])
         assert null_projector(biped.contact_stack(q, (0, 1))).rank < 6
-        self.assert_bit_exact(biped, q, qd, (0, 1), 20.0 * du, None)
+        self.assert_bit_exact(biped, q, qd, (0, 1), 20.0 * du)
 
     def test_rejects_non_finite_contact_rate(self):
         model = toy_model(np.eye(2), np.array([[1.0, 0.0]]))
@@ -276,7 +276,7 @@ class TestContactForces:
     def test_zero_case(self):
         model = toy_model(np.diag([1.0, 1.0]), np.array([[1.0, 0.0]]))
         state = RobotState(t=0.0, q=np.zeros(2), q_dot=np.zeros(2), active_contacts=(0,))
-        frame = build_frame(model, state, nu=1.0)
+        frame = build_frame(model, state)
         lam, _ = contact_forces(frame, np.zeros(2))
         assert np.allclose(lam, 0.0, atol=1e-12)
 
@@ -284,7 +284,7 @@ class TestContactForces:
         mass, g = 2.0, 9.81
         model = point_mass_model(mass=mass, g=g)
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
-        frame = build_frame(model, state, nu=1.0)
+        frame = build_frame(model, state)
         lam, margins = contact_forces(frame, np.zeros(3))
         assert np.allclose(lam, [[0.0, 0.0, mass * g]], atol=1e-10)
         assert margins[0] > 0

@@ -238,24 +238,33 @@ class TestTrackingDisturbance:
         frame, _ = arm_setup(arm, state)
         assert np.allclose(tracking_disturbance(frame, np.zeros(3)), 0.0)
 
-    def test_fully_constrained_unit_nu(self):
+    def test_fully_constrained(self):
+        # P = 0, so M_bar = nu I and d = phi / nu
         model = point_mass_model()
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
-        frame = build_frame(model, state, nu=1.0)
+        frame = build_frame(model, state)
         phi = np.array([0.3, -0.2, 0.1])
-        assert np.allclose(tracking_disturbance(frame, phi), phi, atol=1e-12)
+        assert np.allclose(tracking_disturbance(frame, phi), phi / model.nu, atol=1e-12)
 
-    def test_error_dynamics_identity(self, arm, rng):
-        # with an arbitrary (wrong) u: Lambda^+ zeta == d exactly, on-manifold
+    @pytest.mark.parametrize("case", ["arm", "biped_single_support"])
+    def test_error_dynamics_identity(self, arm, biped, rng, case):
+        # with an arbitrary (wrong) u: zeta == Lambda d exactly, on-manifold, for every task.  The arm's
+        # task spans its one admissible direction, so there Lambda^+ zeta == d too; the single-support
+        # biped's base pitch is one of three admissible directions, and Lambda^+ zeta is far from d
+        model, home = (arm, ARM_HOME) if case == "arm" else (biped, BIPED_HOME)
+        task_def = link_orientation_task(3) if case == "arm" else make_task(biped, "base_pitch")
         for _ in range(15):
-            state = random_manifold_state(arm, rng, ARM_HOME)
-            frame, task = arm_setup(arm, state)
+            state = random_manifold_state(model, rng, home, active=(0,))
+            frame = build_frame(model, state)
+            task = build_task(frame, task_def)
             x_d = task.x + 0.1
             x_d_dot, x_d_ddot = np.zeros(1), np.zeros(1)
             cmd = tracking_torque(frame, task, x_d, x_d_dot, x_d_ddot, GAINS1)
-            u = rng.uniform(arm.u_min, arm.u_max)
-            d = tracking_disturbance(frame, cmd.tau_c - frame.P @ (arm.actuation @ u))
+            u = rng.uniform(model.u_min, model.u_max)
+            d = tracking_disturbance(frame, cmd.tau_c - frame.P @ (model.actuation @ u))
             qdd = constrained_accel(frame, u)
             xdd = task.Lambda_dot @ state.q_dot + task.Lambda @ qdd
             zeta = (x_d_ddot - xdd) + GAINS1.K_D @ cmd.e_dot + GAINS1.K_P @ cmd.e
-            assert np.abs(task.Lambda_pinv @ zeta - d).max() <= 1e-8
+            assert np.abs(zeta - task.Lambda @ d).max() <= 1e-8
+            spans = np.abs(task.Lambda_pinv @ zeta - d).max() <= 1e-8
+            assert spans == (case == "arm")

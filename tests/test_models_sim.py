@@ -250,8 +250,7 @@ class TestStep:
         share = data.draw(arrays(np.float64, model.p, elements=st.floats(0.0, 1.0)), label="share")
         u = model.u_min + share * (model.u_max - model.u_min)
         dt = data.draw(st.sampled_from([1e-3, 5e-4]), label="dt")
-        nu = data.draw(st.none() | st.floats(0.1, 5.0), label="nu")
-        got, want = step(model, state, u, dt, nu=nu), step_reference(model, state, u, dt, nu=nu)
+        got, want = step(model, state, u, dt), step_reference(model, state, u, dt)
         assert bits(got.q) == bits(want.q)
         assert bits(got.q_dot) == bits(want.q_dot)
         assert (got.t, got.active_contacts) == (want.t, want.active_contacts)
@@ -260,13 +259,17 @@ class TestStep:
     @pytest.mark.parametrize("active", [(), (0,)], ids=["free", "contact"])
     def test_non_finite_state_raises(self, callback, active):
         # without contacts no drift test runs; with one the drift is NaN.  An infinite mass matrix
-        # would make numpy warn first, which filterwarnings = error turns into a failure
+        # would make numpy warn first, which filterwarnings = error turns into a failure.  M is
+        # finite at q = 0, where the model's nu reads it, and NaN at the state
         model = point_mass_model()
-        nan = {"mass_matrix": lambda q: np.full((3, 3), np.nan), "gravity": lambda q: np.array([0.0, np.nan, -1.0])}
+        nan = {
+            "mass_matrix": lambda q: np.full((3, 3), np.nan if q.any() else 1.0),
+            "gravity": lambda q: np.array([0.0, np.nan, -1.0]),
+        }
         model = dataclasses.replace(model, **{callback: nan[callback]})
-        state = RobotState(t=0.25, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=active)
+        state = RobotState(t=0.25, q=np.ones(3), q_dot=np.zeros(3), active_contacts=active)
         with pytest.raises(SimulationError, match=r"non-finite state at t=0\.2510"):
-            step(model, state, np.zeros(3), 1e-3, nu=2.0)
+            step(model, state, np.zeros(3), 1e-3)
 
 
 class TestLeanControlTick:
@@ -690,7 +693,7 @@ class TestSimulate:
             OptimizerSpec("qcqp_relaxed", rho=rho)
 
     def test_non_finite_mass_matrix_is_named(self, arm):
-        # simulate fixes nu = trace(M)/n at the initial state
+        # the model's nu = trace(M(0))/n is formed at the first frame
         model = dataclasses.replace(arm, mass_matrix=lambda q: np.full((3, 3), np.nan))
         scn = dataclasses.replace(self.arm_scenario(arm), model=model)
         with pytest.raises(InputError, match="mass_matrix returned non-finite entries"):

@@ -115,11 +115,11 @@ def eager_relaxed_objective(frame, tau_c, rho):
     return 0.5 * (W_prime + W_prime.T), -rho * (2.0 * (E.T @ (Minv2 @ tau_c)))
 
 
-def eager_step(model, state, u, dt, nu):
+def eager_step(model, state, u, dt):
     Bu = model.actuation @ u
 
     def accel(q, q_dot):
-        f = build_frame(model, RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=state.active_contacts), nu=nu)
+        f = build_frame(model, RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=state.active_contacts))
         return f.M_bar_inv @ (f.P @ (Bu + f.tau_g) - f.C_bar @ q_dot)
 
     q, qd = state.q, state.q_dot
@@ -141,10 +141,10 @@ def assert_equal(got, want, name):
     assert np.array_equal(got, want), name
 
 
-def assert_tick_bit_exact(model, q, qd, case, u, nu, ref, rho):
+def assert_tick_bit_exact(model, q, qd, case, u, ref, rho):
     active, task_def = case
     state = RobotState(t=0.0, q=q, q_dot=qd, active_contacts=active)
-    frame = build_frame(model, state, nu=nu)
+    frame = build_frame(model, state)
     try:
         task = build_task(frame, task_def)
     except TaskInconsistencyError:  # a drawn posture where the task leaves the motion space
@@ -184,8 +184,8 @@ def assert_tick_bit_exact(model, q, qd, case, u, nu, ref, rho):
         assert_equal(relaxed.obj_quad, obj_quad, "obj_quad")
         assert_equal(relaxed.obj_lin, obj_lin, "obj_lin")
 
-    stepped = step(model, state, u, 1e-3, nu=nu)
-    q_new, qd_new = eager_step(model, state, u, 1e-3, nu)
+    stepped = step(model, state, u, 1e-3)
+    q_new, qd_new = eager_step(model, state, u, 1e-3)
     assert_equal(stepped.q, q_new, "step q")
     assert_equal(stepped.q_dot, qd_new, "step q_dot")
 
@@ -202,12 +202,11 @@ class TestTickBitExact:
         qd=unit_vectors(3),
         du=unit_vectors(3),
         case=st.sampled_from(ARM_CASES),
-        nu=st.none() | st.floats(0.1, 5.0),
         ref=unit_vectors(2),
         rho=st.floats(1.0, 500.0),
     )
-    def test_arm(self, arm, B, dq, qd, du, case, nu, ref, rho):
-        assert_tick_bit_exact(with_actuation(arm, B), ARM_HOME + 0.3 * dq, qd, case, 5.0 * du, nu, ref, rho)
+    def test_arm(self, arm, B, dq, qd, du, case, ref, rho):
+        assert_tick_bit_exact(with_actuation(arm, B), ARM_HOME + 0.3 * dq, qd, case, 5.0 * du, ref, rho)
 
     @pytest.mark.parametrize("B", [None, BIPED_COUPLED], ids=["selecting", "coupled"])
     @settings(max_examples=40, deadline=None)
@@ -216,9 +215,8 @@ class TestTickBitExact:
         qd=unit_vectors(5),
         du=unit_vectors(2),
         case=st.sampled_from(BIPED_CASES),
-        nu=st.none() | st.floats(0.1, 5.0),
         ref=unit_vectors(3),
         rho=st.floats(1.0, 500.0),
     )
-    def test_biped(self, biped, B, dq, qd, du, case, nu, ref, rho):
-        assert_tick_bit_exact(with_actuation(biped, B), BIPED_HOME + 0.2 * dq, qd, case, 20.0 * du, nu, ref, rho)
+    def test_biped(self, biped, B, dq, qd, du, case, ref, rho):
+        assert_tick_bit_exact(with_actuation(biped, B), BIPED_HOME + 0.2 * dq, qd, case, 20.0 * du, ref, rho)

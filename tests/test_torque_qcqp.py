@@ -148,7 +148,7 @@ class TestConeConstraints:
         mass, g = 2.0, 9.81
         model = point_mass_model(mass=mass, g=g)
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
-        frame = build_frame(model, state, nu=1.0)
+        frame = build_frame(model, state)
         lin, off, _ = assemble_cone_constraints(frame)
         assert lin[0] @ np.zeros(3) + off[0] == pytest.approx(mass * g, rel=1e-12)
 
@@ -439,7 +439,7 @@ class TestSolveBarrier:
             motor_resistance=np.array([1.0, 2.0, 4.0]), torque_constant=np.ones(3),
         )
         state = RobotState(t=0.0, q=np.zeros(3), q_dot=np.zeros(3), active_contacts=(0,))
-        frame = build_frame(model, state, nu=1.0)
+        frame = build_frame(model, state)
         tau_c = frame.P @ np.array([3.0, -1.5, 0.0])
         program = assemble_program(frame, tau_c)
         report = solve_barrier(program)
