@@ -59,7 +59,6 @@ from .models import (
 )
 from .simulate import (
     OptimizerSpec,
-    Reference,
     Scenario,
     SimTrace,
     constant_reference,

@@ -4,8 +4,8 @@ Both laws emit a torque tau_c that lives in the admissible force space
 (tau_c = P tau_c); turning it into actuator torques is the allocator's job,
 either by minimum-norm pseudo-inversion here or by the power-optimal program
 in :mod:`projctl.torque_qcqp`.  When the allocator cannot meet
-P B u = tau_c exactly, the residual phi enters the task error dynamics as the
-disturbance d = M_bar^-1 phi.
+P B u = tau_c exactly, the residual phi gives the disturbance d = M_bar^-1 phi,
+and Lambda d enters the task error dynamics (tracking_disturbance).
 """
 
 from __future__ import annotations

@@ -44,9 +44,9 @@ from .models import _is_number, build_model, make_task
 from .simulate import (
     VIOLATION_TOL,
     OptimizerSpec,
-    Reference,
     Scenario,
     SimTrace,
+    Trajectory,
     constant_reference,
     simulate,
     sinusoid_reference,
@@ -116,7 +116,7 @@ def _gain_matrix(value, dim: int, path: str) -> np.ndarray:
     raise ConfigError(path, f"expected a finite number or a {dim}x{dim} matrix of finite numbers")
 
 
-def _build_reference(cfg: dict, dim: int, path: str) -> Reference:
+def _build_reference(cfg: dict, dim: int, path: str) -> Trajectory:
     kind = _require(cfg, "type", path)
     if kind == "constant":
         _known(cfg, path, ("type", "value"))

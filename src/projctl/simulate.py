@@ -57,25 +57,19 @@ from .torque_qcqp import (
 DRIFT_HARD_LIMIT = 1e-6
 # a normal force or cone margin at or below this, or a torque this far outside its box (step warns), is a violation
 VIOLATION_TOL = 1e-9
+Trajectory = Callable[[float], Tuple[np.ndarray, np.ndarray, np.ndarray]]  # t -> (x_d, x_d_dot, x_d_ddot)
 
 
-@dataclass(frozen=True)
-class Reference:
-    """Task reference trajectory with analytic first and second derivatives."""
-
-    value: Callable[[float], np.ndarray]
-    rate: Callable[[float], np.ndarray]
-    accel: Callable[[float], np.ndarray]
-
-
-def constant_reference(x_d) -> Reference:
+def constant_reference(x_d) -> Trajectory:
+    """t -> (x_d, 0, 0): the fixed x_d, and one zero vector as both of its derivatives."""
     x_d = np.atleast_1d(np.asarray(x_d, dtype=float))
     zero = np.zeros_like(x_d)
-    return Reference(value=lambda t: x_d, rate=lambda t: zero, accel=lambda t: zero)
+    return lambda t: (x_d, zero, zero)
 
 
-def sinusoid_reference(center, amplitude, frequency_hz, phase=None) -> Reference:
-    """center + amplitude sin(2 pi frequency_hz t + phase); the last three take 1 or len(center) entries."""
+def sinusoid_reference(center, amplitude, frequency_hz, phase=None) -> Trajectory:
+    """t -> (x_d, x_d_dot, x_d_ddot) of x_d = center + amplitude sin(2 pi frequency_hz t + phase),
+    with analytic derivatives; the last three arguments take 1 or len(center) entries."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
 
     def per_entry(value, name):
@@ -89,11 +83,13 @@ def sinusoid_reference(center, amplitude, frequency_hz, phase=None) -> Reference
     phase = np.zeros_like(center) if phase is None else per_entry(phase, "phase")
     # the constant gains, formed once: a * w * cos(.) already evaluates as (a * w) * cos(.)
     rate_gain, accel_gain = amplitude * omega, -amplitude * omega**2
-    return Reference(
-        value=lambda t: center + amplitude * np.sin(omega * t + phase),
-        rate=lambda t: rate_gain * np.cos(omega * t + phase),
-        accel=lambda t: accel_gain * np.sin(omega * t + phase),
-    )
+
+    def reference(t):
+        angle = omega * t + phase
+        s = np.sin(angle)
+        return center + amplitude * s, rate_gain * np.cos(angle), accel_gain * s
+
+    return reference
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ class Scenario:
     model: RobotModel
     initial: RobotState
     task: TaskDef
-    reference: Reference
+    reference: Trajectory
     controller: str  # "tracking" | "regulation"
     gains: ControllerGains
     optimizer: OptimizerSpec
@@ -138,11 +134,11 @@ class Scenario:
             raise InputError(f"duration must be an integer multiple of integrator.dt = {self.dt}")
         if self.initial.q.shape != (self.model.n,):
             raise InputError(f"initial q has shape {self.initial.q.shape}, but the model has n={self.model.n}")
-        if any(i < 0 or i >= self.model.k for i in self.initial.active_contacts):
-            raise InputError(
-                f"initial active set {self.initial.active_contacts} references unknown contacts "
-                f"(k={self.model.k})"
-            )
+        for t, active in ((None, self.initial.active_contacts), *self.schedule):
+            if len(set(active)) != len(active) or any(i < 0 or i >= self.model.k for i in active):
+                where = "initial active set" if t is None else f"schedule set at t={t}"
+                rule = f"contact indices must be distinct integers in [0, {self.model.k})"
+                raise InputError(f"{where} {tuple(active)}: {rule}")
         times = [t for t, _ in self.schedule]
         if not all(math.isfinite(t) for t in times):
             raise InputError(f"schedule times must be finite, got {times}")
@@ -341,10 +337,9 @@ def simulate(scenario: Scenario) -> SimTrace:
 
             frame = build_frame(model, state)
             task = build_task(frame, scenario.task)
-            ref = scenario.reference
-            x_d = ref.value(t)
+            x_d, x_d_dot, x_d_ddot = scenario.reference(t)
             if scenario.controller == "tracking":
-                cmd = tracking_torque(frame, task, x_d, ref.rate(t), ref.accel(t), scenario.gains)
+                cmd = tracking_torque(frame, task, x_d, x_d_dot, x_d_ddot, scenario.gains)
             else:
                 cmd = regulation_torque(frame, task, x_d, scenario.gains)
             u, n_newton, n_center, eta, status = _allocate(scenario, frame, cmd.tau_c, prev_u)

@@ -49,7 +49,7 @@ class TaskMap:
 def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     """Evaluate the task map at the frame's state.
 
-    Raises InputError on a malformed or non-finite task value or Jacobian, and
+    Raises InputError on a malformed or non-finite task value, Jacobian or Jacobian rate, and
     TaskInconsistencyError when Lambda loses row rank, which means the
     requested task leaves the admissible motion space.
     """
@@ -59,10 +59,12 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
     if x.shape != (l,):
         raise InputError(f"task value must have shape ({l},), got {x.shape}")
     J = np.asarray(task.jacobian(q), dtype=float)
-    if J.shape != (l, n):
-        raise InputError(f"task Jacobian must be {l}x{n}, got {J.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(J).all()):
-        raise InputError(f"task '{task.name}' value or Jacobian contains non-finite entries")
+    J_dot = np.asarray(task.jacobian_rate(q, qd), dtype=float)
+    for name, matrix in (("Jacobian", J), ("Jacobian rate", J_dot)):
+        if matrix.shape != (l, n):
+            raise InputError(f"task '{task.name}' {name} must be {l}x{n}, got {matrix.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(J).all() and np.isfinite(J_dot).all()):
+        raise InputError(f"task '{task.name}' value, Jacobian or Jacobian rate contains non-finite entries")
 
     P = frame.P
     Lam = J.dot(P)
@@ -76,7 +78,6 @@ def build_task(frame: ConstraintFrame, task: TaskDef) -> TaskMap:
         )
     # sv[l - 1] > 1e-9 ||J||_F >= 1e-9 ||Lam||_2, so this is pseudo_inverse(Lam)
     Lam_pinv = _pinv_from_svd(U, sv, Vt, rank)
-    J_dot = np.asarray(task.jacobian_rate(q, qd), dtype=float)
     Lam_dot = J_dot.dot(P) + J.dot(frame.P_dot)
     Gamma = Lam_pinv.dot(Lam_dot) - frame.Omega
     return TaskMap(

@@ -6,16 +6,17 @@ The program over actuator torques u is
     subject to  P B u = tau_c                (task-space equality)
                 c(u) >= 0                    (cones, unilaterality, torque box)
 
-where c(u) stacks, per contact, the linear normal-force row
-z_i^T u + alpha_i and the quadratic cone row u^T G_i u + gamma_i^T u + beta_i,
-followed by the box rows u_max - u and u - u_min.  The builders take the
-ConstraintFrame alone: its model gives B, W, the box and the friction
-coefficients, its state the active contacts.  assemble_cone_constraints reads
-every contact row from the affine force map lambda(u) = F u + f0, formed once
-per frame (force_map), and returns them as the program's arrays; its docstring
-states their row order.  TorqueProgram.from_cones appends the box rows below
-them, and relax_program keeps the rows.  It is solved by following the
-central path of the barrier problem
+where c(u) stacks, per active contact i, the linear normal-force row
+lin[2i] u + off[2i] and the quadratic cone row
+u^T G[i] u + lin[2i + 1] u + off[2i + 1], followed by the box rows u_max - u
+and u - u_min.  The builders take the ConstraintFrame alone: its model gives
+B, W, the box and the friction coefficients, its state the active contacts.
+assemble_cone_constraints reads every contact row from the affine force map
+lambda(u) = F u + f0, formed once per frame (force_map), and returns them as
+the program's arrays (lin, off, G); its docstring states their row order.
+TorqueProgram.from_cones appends the box rows below them, and relax_program
+keeps the rows.  It is solved by following the central path of the barrier
+problem
 
     minimize    u^T W u - eta * sum_i log c_i(u)    s.t.  P B u = tau_c
 

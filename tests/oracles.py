@@ -24,7 +24,7 @@ import sympy as sp
 
 from projctl import torque_qcqp
 from projctl.constraint_geometry import RANK_TOL, null_projector
-from projctl.constrained_dynamics import ContactSpec, RobotModel, RobotState, build_frame, constrained_accel
+from projctl.constrained_dynamics import ContactSpec, RobotModel, RobotState, build_frame
 from projctl.errors import InputError, SimulationError
 from projctl.models import ArmParams, BipedParams, _bind, _in_plane
 from projctl.simulate import DRIFT_HARD_LIMIT
@@ -144,13 +144,15 @@ def integrate_saddle(model, q0, qd0, active, u_fn, dt, steps):
 
 
 def step_reference(model, state, u, dt):
-    """simulate.step written plainly: a validated state and constrained_accel per stage,
-    each half-step velocity written where it is used, the drift by np.linalg.norm."""
+    """simulate.step written plainly with @: a validated state and a frame per stage, each
+    stage's acceleration M_bar^-1 (P (B u + tau_g) - C_bar q_dot), B u and the half-step
+    velocities written where they are used, and the drift by np.linalg.norm."""
     active = state.active_contacts
+    u = np.asarray(u, dtype=float)
 
     def accel(q, q_dot):
-        stage = RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=active)
-        return constrained_accel(build_frame(model, stage), u)
+        f = build_frame(model, RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=active))
+        return f.M_bar_inv @ (f.P @ (model.actuation @ u + f.tau_g) - f.C_bar @ q_dot)
 
     q, qd = state.q, state.q_dot
     k1v = accel(q, qd)
@@ -164,12 +166,12 @@ def step_reference(model, state, u, dt):
     q_new = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
     qd_new = qd + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
 
+    # with no active contact A_new is (0, n) and P = I, as in simulate.step
     A_new = model.contact_stack(q_new, active)
-    if A_new.shape[0]:
-        qd_new = null_projector(A_new).P @ qd_new
-        drift = float(np.linalg.norm(A_new @ qd_new))
-        if drift > DRIFT_HARD_LIMIT:
-            raise SimulationError(f"constraint drift {drift:.3e} exceeds {DRIFT_HARD_LIMIT:.1e}")
+    qd_new = null_projector(A_new).P @ qd_new
+    drift = float(np.linalg.norm(A_new @ qd_new))
+    if drift > DRIFT_HARD_LIMIT:
+        raise SimulationError(f"constraint drift {drift:.3e} exceeds {DRIFT_HARD_LIMIT:.1e}")
     return RobotState(t=state.t + dt, q=q_new, q_dot=qd_new, active_contacts=active)
 
 
@@ -214,6 +216,22 @@ def stack_cone_rows(rows, p):
     lin = np.array([row for z, _, _, gamma, _ in rows for row in (z, gamma)], dtype=float).reshape(2 * k, p)
     off = np.array([v for _, alpha, _, _, beta in rows for v in (alpha, beta)], dtype=float).reshape(2 * k)
     return lin, off, np.array([G for _, _, G, _, _ in rows], dtype=float).reshape(k, p, p)
+
+
+def synthetic_program(W, u_box=5.0, eq=None, cones=()):
+    """The strict program of weighting W in the box |u_j| <= u_box, with the equality rows
+    eq = (eq_mat, eq_rhs) (none by default) and per-contact cones (z, alpha, G, gamma, beta)."""
+    W = np.asarray(W, dtype=float)
+    p = W.shape[0]
+    eq_mat, eq_rhs = (np.zeros((0, p)), np.zeros(0)) if eq is None else eq
+    return torque_qcqp.TorqueProgram.from_cones(
+        W=W,
+        eq_mat=np.asarray(eq_mat, dtype=float),
+        eq_rhs=np.asarray(eq_rhs, dtype=float),
+        cones=stack_cone_rows(cones, p),
+        u_min=-u_box * np.ones(p),
+        u_max=u_box * np.ones(p),
+    )
 
 
 def constraint_rows(cones, program, u):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import re
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -659,9 +660,32 @@ class TestSimulate:
             sinusoid_reference(*args)
 
     def test_sinusoid_shares_single_entries(self):
-        ref = sinusoid_reference([0.0, 1.0], 0.5, [1.0], [0.0, np.pi / 2])
-        assert np.allclose(ref.value(0.0), [0.0, 1.5])
-        assert np.allclose(ref.rate(0.0), [np.pi, 0.0])
+        x_d, x_d_dot, _ = sinusoid_reference([0.0, 1.0], 0.5, [1.0], [0.0, np.pi / 2])(0.0)
+        assert np.allclose(x_d, [0.0, 1.5])
+        assert np.allclose(x_d_dot, [np.pi, 0.0])
+
+    @pytest.mark.parametrize("t", [0.0, 0.001, 0.25, 1.3, 7.777])
+    def test_references_match_the_eager_formulas_bit_for_bit(self, t):
+        c, a, f, phi = np.array([0.3, -1.0]), np.array([0.05, 0.2]), np.array([0.5, 1.0]), np.array([0.0, 0.4])
+        w = 2.0 * np.pi * f
+        want = (c + a * np.sin(w * t + phi), a * w * np.cos(w * t + phi), -a * w**2 * np.sin(w * t + phi))
+        for got, expected in zip(sinusoid_reference(c, a, f, phi)(t), want):
+            assert got.tobytes() == expected.tobytes()
+        for got, expected in zip(constant_reference(c)(t), (c, np.zeros(2), np.zeros(2))):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("controller", ["tracking", "regulation"])
+    def test_each_tick_samples_the_reference_once(self, arm, controller):
+        scn = self.arm_scenario(arm, duration=0.01)
+        times = []
+
+        def counted(t):
+            times.append(t)
+            return scn.reference(t)
+
+        gains = ControllerGains(K_P=16.0 * np.eye(1), K_D=10.0 * np.eye(3)) if controller == "regulation" else scn.gains
+        simulate(dataclasses.replace(scn, reference=counted, controller=controller, gains=gains))
+        assert times == [i * scn.dt for i in range(scn.n_steps + 1)]
 
     def test_duration_must_match_dt(self, arm):
         scn = self.arm_scenario(arm)
@@ -725,6 +749,13 @@ class TestSimulate:
         assert not trace.lam[flight].any() and not trace.margins[flight].any()
         assert (trace.drift[flight] == 0.0).all()
         assert trace.lam[stance].any()
+
+    @pytest.mark.parametrize("active", [(5,), (0, 0)], ids=["unknown", "repeated"])
+    def test_bad_schedule_set_rejected_at_construction(self, arm, active):
+        scn = self.arm_scenario(arm)
+        message = f"schedule set at t=0.002 {active}: contact indices must be distinct integers in [0, 1)"
+        with pytest.raises(InputError, match=re.escape(message)):
+            dataclasses.replace(scn, schedule=((0.002, active),))
 
     def test_unknown_initial_contact_rejected(self, arm):
         scn = self.arm_scenario(arm)

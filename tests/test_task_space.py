@@ -104,19 +104,29 @@ class TestBuildTask:
             " under-spanning single-support biped states"
         )
 
-    @pytest.mark.parametrize("bad", ["value", "jacobian"])
-    def test_non_finite_task_rejected(self, arm, bad):
-        state = manifold_state(arm, ARM_HOME, scale=0.0)
-        frame = build_frame(arm, state)
-        task = TaskDef(
+    @staticmethod
+    def broken_task(bad, rate_shape=(1, 3)):
+        """The arm's link-orientation task with a non-finite entry in the named callback's
+        output, or a Jacobian rate of another shape."""
+        return TaskDef(
             name="broken",
             dim=1,
             value=lambda q: np.array([np.inf if bad == "value" else float(np.sum(q))]),
             jacobian=lambda q: np.array([[1.0, np.nan if bad == "jacobian" else 1.0, 1.0]]),
-            jacobian_rate=lambda q, qd: np.zeros((1, 3)),
+            jacobian_rate=lambda q, qd: np.full(rate_shape, np.nan if bad == "jacobian_rate" else 0.0),
         )
-        with pytest.raises(InputError, match="non-finite"):
-            build_task(frame, task)
+
+    @pytest.mark.parametrize("bad", ["value", "jacobian", "jacobian_rate"])
+    def test_non_finite_task_rejected(self, arm, bad):
+        state = manifold_state(arm, ARM_HOME, scale=0.0)
+        frame = build_frame(arm, state)
+        with pytest.raises(InputError, match="task 'broken' .*non-finite"):
+            build_task(frame, self.broken_task(bad))
+
+    def test_jacobian_rate_shape_rejected(self, arm):
+        frame = build_frame(arm, manifold_state(arm, ARM_HOME, scale=0.0))
+        with pytest.raises(InputError, match=r"task 'broken' Jacobian rate must be 1x3, got \(1, 2\)"):
+            build_task(frame, self.broken_task(None, rate_shape=(1, 2)))
 
 
 def constant_task(name, J):

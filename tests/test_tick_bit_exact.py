@@ -5,9 +5,9 @@ TestFrameBitExact (test_constrained_dynamics.py) pins the frame and its
 acceleration; this pins what a control tick builds on the frame: the task
 map, both control laws, the minimum-norm allocation, the force map and the
 contact forces, the cone rows, the strict and relaxed program's matrices, and
-one RK4 step.  Each quantity is compared with np.array_equal against its
-eager expression, fed the library's own inputs, so a product whose rounding
-changes fails here by name.
+one RK4 step (against oracles.step_reference).  Each quantity is compared with
+np.array_equal against its eager expression, fed the library's own inputs, so a
+product whose rounding changes fails here by name.
 
 Both bundled models' B only selects columns (the arm's is I, the biped's
 picks the two hips), so a product with B is an exact column copy however it
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from projctl.constrained_dynamics import RobotState, build_frame, contact_forces
-from projctl.constraint_geometry import _svd_cutoff, null_projector
+from projctl.constraint_geometry import _svd_cutoff
 from projctl.control_laws import (
     ControllerGains,
     min_norm_actuation,
@@ -38,6 +38,7 @@ from projctl.task_space import build_task
 from projctl.torque_qcqp import assemble_cone_constraints, assemble_program, relax_program
 
 from conftest import ARM_HOME, BIPED_HOME
+from oracles import step_reference
 
 # (active set, task) pairs whose task keeps full row rank near the home posture
 ARM_CASES = [((0,), link_orientation_task(3)), ((), link_orientation_task(3)), ((), joint_task([0, 2], 3))]
@@ -115,28 +116,6 @@ def eager_relaxed_objective(frame, tau_c, rho):
     return 0.5 * (W_prime + W_prime.T), -rho * (2.0 * (E.T @ (Minv2 @ tau_c)))
 
 
-def eager_step(model, state, u, dt):
-    Bu = model.actuation @ u
-
-    def accel(q, q_dot):
-        f = build_frame(model, RobotState(t=state.t, q=q, q_dot=q_dot, active_contacts=state.active_contacts))
-        return f.M_bar_inv @ (f.P @ (Bu + f.tau_g) - f.C_bar @ q_dot)
-
-    q, qd = state.q, state.q_dot
-    k1v = accel(q, qd)
-    k2q = qd + 0.5 * dt * k1v
-    k2v = accel(q + 0.5 * dt * qd, k2q)
-    k3q = qd + 0.5 * dt * k2v
-    k3v = accel(q + 0.5 * dt * k2q, k3q)
-    k4q = qd + dt * k3v
-    k4v = accel(q + dt * k3q, k4q)
-    q_new = q + (dt / 6.0) * (qd + 2 * k2q + 2 * k3q + k4q)
-    qd_new = qd + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    if state.active_contacts:
-        qd_new = null_projector(model.contact_stack(q_new, state.active_contacts)).P @ qd_new
-    return q_new, qd_new
-
-
 def assert_equal(got, want, name):
     assert np.array_equal(got, want), name
 
@@ -184,10 +163,9 @@ def assert_tick_bit_exact(model, q, qd, case, u, ref, rho):
         assert_equal(relaxed.obj_quad, obj_quad, "obj_quad")
         assert_equal(relaxed.obj_lin, obj_lin, "obj_lin")
 
-    stepped = step(model, state, u, 1e-3)
-    q_new, qd_new = eager_step(model, state, u, 1e-3)
-    assert_equal(stepped.q, q_new, "step q")
-    assert_equal(stepped.q_dot, qd_new, "step q_dot")
+    stepped, want = step(model, state, u, 1e-3), step_reference(model, state, u, 1e-3)
+    assert_equal(stepped.q, want.q, "step q")
+    assert_equal(stepped.q_dot, want.q_dot, "step q_dot")
 
 
 def with_actuation(model, B):

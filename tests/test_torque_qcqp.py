@@ -48,6 +48,7 @@ from oracles import (
     grid_polish_optimum,
     solve_barrier_reference,
     stack_cone_rows,
+    synthetic_program,
 )
 
 
@@ -343,14 +344,7 @@ class TestPhaseOne:
         # one narrow quadratic corridor: 1 - (u0 - 2)^2 - u1^2 >= 0
         # (z, alpha, G, gamma, beta)
         cone = (np.array([0.0, 1.0]), 5.0, -np.eye(2), np.array([4.0, 0.0]), -3.0)
-        program = TorqueProgram.from_cones(
-            W=np.eye(2),
-            eq_mat=np.zeros((0, 2)),
-            eq_rhs=np.zeros(0),
-            cones=stack_cone_rows((cone,), 2),
-            u_min=-6 * np.ones(2),
-            u_max=6 * np.ones(2),
-        )
+        program = synthetic_program(np.eye(2), u_box=6.0, cones=(cone,))
         res = phase1_feasible_point(program)
         assert res.feasible
         assert np.all(program.constraint_values(res.u) > 0)
@@ -364,19 +358,6 @@ def with_force_equality(program, frame, selector, target):
         program,
         eq_mat=np.vstack([program.eq_mat, selector @ F]),
         eq_rhs=np.concatenate([program.eq_rhs, target - selector @ f0]),
-    )
-
-
-def synthetic_program(W, u_box=5.0, eq=None, cones=()):
-    p = W.shape[0]
-    eq_mat, eq_rhs = (np.zeros((0, p)), np.zeros(0)) if eq is None else eq
-    return TorqueProgram.from_cones(
-        W=np.asarray(W, dtype=float),
-        eq_mat=np.asarray(eq_mat, dtype=float),
-        eq_rhs=np.asarray(eq_rhs, dtype=float),
-        cones=stack_cone_rows(cones, p),
-        u_min=-u_box * np.ones(p),
-        u_max=u_box * np.ones(p),
     )
 
 
@@ -558,8 +539,7 @@ def first_tick_program(scenario):
     """The frame of a scenario's initial state and the strict torque program of its first tick."""
     frame = build_frame(scenario.model, scenario.initial)
     task = build_task(frame, scenario.task)
-    ref = scenario.reference
-    cmd = tracking_torque(frame, task, ref.value(0.0), ref.rate(0.0), ref.accel(0.0), scenario.gains)
+    cmd = tracking_torque(frame, task, *scenario.reference(0.0), scenario.gains)
     return frame, assemble_program(frame, cmd.tau_c)
 
 
