@@ -38,11 +38,9 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, worst: float, bound: float, extra: str = "") -> CheckResult:
-    note = f"worst residual {worst:.3e} (bound {bound:.1e})"
-    if extra:
-        note += f"; {extra}"
-    return CheckResult(name=name, passed=worst <= bound, detail=note)
+def _result(name: str, worst: float, bound: float, extra: str) -> CheckResult:
+    detail = f"worst residual {worst:.3e} (bound {bound:.1e}); {extra}"
+    return CheckResult(name=name, passed=worst <= bound, detail=detail)
 
 
 def _random_stack(rng) -> np.ndarray:

@@ -5,7 +5,9 @@ Both laws emit a torque tau_c that lives in the admissible force space
 either by minimum-norm pseudo-inversion here or by the power-optimal program
 in :mod:`projctl.torque_qcqp`.  When the allocator cannot meet
 P B u = tau_c exactly, the residual phi gives the disturbance d = M_bar^-1 phi,
-and Lambda d enters the task error dynamics (tracking_disturbance).
+and Lambda d enters the task error dynamics (tracking_disturbance).  The laws
+check no input: in a run, Scenario checks the gains' dimensions and the
+reference's shape once, and simulate each tick's reference sample for finiteness.
 """
 
 from __future__ import annotations
@@ -19,13 +21,6 @@ from .constrained_dynamics import ConstraintFrame, _as_tau_c
 from .constraint_geometry import _pinv_from_svd, _svd_cutoff
 from .errors import ActuationError, InputError
 from .task_space import TaskMap
-
-
-def _checked_dims(gains: ControllerGains, kp_dim: int, kd_dim: int, kd_name: str = "K_D"):
-    for name, K, dim in (("K_P", gains.K_P, kp_dim), (kd_name, gains.K_D, kd_dim)):
-        if K.shape != (dim, dim):
-            raise InputError(f"{name} must be {dim}x{dim}, got {K.shape}")
-    return gains.K_P, gains.K_D
 
 
 @dataclass(frozen=True)
@@ -73,32 +68,18 @@ class ControlCommand:
     e_dot: np.ndarray
 
 
-def tracking_torque(
-    frame: ConstraintFrame,
-    task: TaskMap,
-    x_d: np.ndarray,
-    x_d_dot: np.ndarray,
-    x_d_ddot: np.ndarray,
-    gains: ControllerGains,
-) -> ControlCommand:
+def tracking_torque(frame: ConstraintFrame, task: TaskMap, x_d: np.ndarray, x_d_dot: np.ndarray,
+                    x_d_ddot: np.ndarray, gains: ControllerGains) -> ControlCommand:
     """Operational-space tracking law.
 
     tau_c = P C qd - P tau_g + P M (Lambda^+ (xdd_d + K_D ed + K_P e) - Gamma qd)
     with e = x_d - x.  Exactly realized, the closed loop obeys
-    edd + K_D ed + K_P e = 0.
+    edd + K_D ed + K_P e = 0.  The caller guarantees K_P and K_D are l x l and
+    x_d, x_d_dot, x_d_ddot are finite vectors of length l; nothing is checked here.
     """
-    l = task.l
-    K_P, K_D = _checked_dims(gains, l, l)
-    x_d = np.asarray(x_d, dtype=float)
-    x_d_dot = np.asarray(x_d_dot, dtype=float)
-    x_d_ddot = np.asarray(x_d_ddot, dtype=float)
-    for name, v in (("x_d", x_d), ("x_d_dot", x_d_dot), ("x_d_ddot", x_d_ddot)):
-        if v.shape != (l,) or not np.isfinite(v).all():
-            raise InputError(f"{name} must be a finite vector of length {l}")
-
     e = x_d - task.x
     e_dot = x_d_dot - task.x_dot
-    x_cmd = x_d_ddot + K_D.dot(e_dot) + K_P.dot(e)
+    x_cmd = x_d_ddot + gains.K_D.dot(e_dot) + gains.K_P.dot(e)
     qd = frame.state.q_dot
     P = frame.P
     tau_c = P.dot(frame.C.dot(qd)) - P.dot(frame.tau_g) + P.dot(frame.M).dot(
@@ -107,32 +88,23 @@ def tracking_torque(
     return ControlCommand(tau_c=tau_c, e=e, e_dot=e_dot)
 
 
-def regulation_torque(
-    frame: ConstraintFrame,
-    task: TaskMap,
-    x_d: np.ndarray,
-    gains: ControllerGains,
-) -> ControlCommand:
+def regulation_torque(frame: ConstraintFrame, task: TaskMap, x_d: np.ndarray, gains: ControllerGains) -> ControlCommand:
     """Set-point regulation law tau_c = P(-tau_g - K_D qd + Lambda^T K_P e).
 
     K_D acts on the full joint velocity here (n x n).  Along the closed loop
     the function V = qd^T M_bar qd / 2 + e^T K_P e / 2 is non-increasing and
-    the state settles on e = 0, qd = 0.
+    the state settles on e = 0, qd = 0.  The caller guarantees K_P is l x l,
+    K_D is n x n and x_d is a finite vector of length l; nothing is checked here.
     """
-    K_P, K_D = _checked_dims(gains, task.l, frame.n, "K_D (joint-space)")
-    x_d = np.asarray(x_d, dtype=float)
-    if x_d.shape != (task.l,) or not np.isfinite(x_d).all():
-        raise InputError(f"x_d must be a finite vector of length {task.l}")
     e = x_d - task.x
-    tau_c = frame.P.dot(-frame.tau_g - K_D.dot(frame.state.q_dot) + task.Lambda.T.dot(K_P.dot(e)))
+    tau_c = frame.P.dot(-frame.tau_g - gains.K_D.dot(frame.state.q_dot) + task.Lambda.T.dot(gains.K_P.dot(e)))
     return ControlCommand(tau_c=tau_c, e=e, e_dot=-task.x_dot)
 
 
 def regulation_lyapunov(frame: ConstraintFrame, e: np.ndarray, K_P: np.ndarray) -> float:
     """V = qd^T M_bar qd / 2 + e^T K_P e / 2 at the frame's velocity qd."""
     q_dot = frame.state.q_dot
-    e = np.asarray(e, dtype=float)
-    return float((0.5 * q_dot).dot(frame.M_bar).dot(q_dot) + (0.5 * e).dot(np.asarray(K_P, dtype=float)).dot(e))
+    return float((0.5 * q_dot).dot(frame.M_bar).dot(q_dot) + (0.5 * e).dot(K_P).dot(e))
 
 
 def min_norm_actuation(frame: ConstraintFrame, tau_c: np.ndarray) -> np.ndarray:
@@ -162,5 +134,4 @@ def tracking_disturbance(frame: ConstraintFrame, phi: np.ndarray) -> np.ndarray:
     task; Lambda^+ (edd + K_D ed + K_P e) = d only when the task spans the admissible
     motion space range(P).
     """
-    phi = np.asarray(phi, dtype=float)
     return frame.M_bar_inv.dot(phi)

@@ -129,7 +129,10 @@ def _build_reference(cfg: dict, dim: int, path: str) -> Trajectory:
         freq = _as_vector(_require(cfg, "frequency", path), f"{path}.frequency", (1, dim))
         phase = cfg.get("phase")
         phase = _as_vector(phase, f"{path}.phase", (1, dim)) if phase is not None else None
-        return sinusoid_reference(center, amp, freq, phase)
+        try:
+            return sinusoid_reference(center, amp, freq, phase)
+        except InputError as exc:  # an overflow: the message starts with the field's name (frequency as frequency_hz)
+            raise ConfigError(f"{path}.{str(exc).split()[0].replace('_hz', '')}", str(exc)) from None
     raise ConfigError(f"{path}.type", f"unknown reference type '{kind}'")
 
 

@@ -58,6 +58,7 @@ DRIFT_HARD_LIMIT = 1e-6
 # a normal force or cone margin at or below this, or a torque this far outside its box (step warns), is a violation
 VIOLATION_TOL = 1e-9
 Trajectory = Callable[[float], Tuple[np.ndarray, np.ndarray, np.ndarray]]  # t -> (x_d, x_d_dot, x_d_ddot)
+REFERENCE_PARTS = ("x_d", "x_d_dot", "x_d_ddot")
 
 
 def constant_reference(x_d) -> Trajectory:
@@ -69,7 +70,8 @@ def constant_reference(x_d) -> Trajectory:
 
 def sinusoid_reference(center, amplitude, frequency_hz, phase=None) -> Trajectory:
     """t -> (x_d, x_d_dot, x_d_ddot) of x_d = center + amplitude sin(2 pi frequency_hz t + phase),
-    with analytic derivatives; the last three arguments take 1 or len(center) entries."""
+    with analytic derivatives; the last three arguments take 1 or len(center) entries.  Raises
+    InputError, its message starting with the field's name, where x_d or a derivative's gain overflows."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
 
     def per_entry(value, name):
@@ -79,9 +81,16 @@ def sinusoid_reference(center, amplitude, frequency_hz, phase=None) -> Trajector
         return np.broadcast_to(value, center.shape)
 
     amplitude = per_entry(amplitude, "amplitude")
-    omega = 2.0 * np.pi * per_entry(frequency_hz, "frequency_hz")
+    frequency_hz = per_entry(frequency_hz, "frequency_hz")
     phase = np.zeros_like(center) if phase is None else per_entry(phase, "phase")
+    # |x_d|'s bound and the gains below, as Python floats in numpy's order: a float overflows with no warning
+    for c, a, f in zip(center.tolist(), amplitude.tolist(), frequency_hz.tolist()):
+        w = 2.0 * math.pi * f
+        for name, value in (("amplitude", abs(c) + abs(a)), ("frequency_hz", a * w), ("frequency_hz", a * (w * w))):
+            if not math.isfinite(value):
+                raise InputError(f"{name} overflows: |center| + |amplitude|, a w and a w^2 (w = 2 pi f) must be finite")
     # the constant gains, formed once: a * w * cos(.) already evaluates as (a * w) * cos(.)
+    omega = 2.0 * np.pi * frequency_hz
     rate_gain, accel_gain = amplitude * omega, -amplitude * omega**2
 
     def reference(t):
@@ -109,7 +118,15 @@ class OptimizerSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a deterministic run needs."""
+    """Everything a deterministic run needs.
+
+    Construction checks, once, what a run does not change, so the control laws check nothing per tick:
+    the controller's name; dt and duration positive and finite, duration a whole number of steps;
+    the initial q's length n; distinct indices in [0, k) in the initial and each scheduled contact set;
+    finite, strictly increasing schedule times; K_P l x l and K_D l x l for tracking, n x n for
+    regulation (l = task.dim; the message starts with the field's name); and the shape (l,) of each
+    part of reference(0.0).  A sample's finiteness depends on t: simulate checks it every tick.
+    """
 
     model: RobotModel
     initial: RobotState
@@ -144,6 +161,14 @@ class Scenario:
             raise InputError(f"schedule times must be finite, got {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InputError("schedule times must be strictly increasing")
+        l = self.task.dim
+        kd_dim = l if self.controller == "tracking" else self.model.n
+        for name, K, dim in (("K_P", self.gains.K_P, l), ("K_D", self.gains.K_D, kd_dim)):
+            if K.shape != (dim, dim):
+                raise InputError(f"{name} must be {dim}x{dim} for the {self.controller} law, got {K.shape}")
+        for name, part in zip(REFERENCE_PARTS, self.reference(0.0)):
+            if np.asarray(part).shape != (l,):
+                raise InputError(f"reference {name} must have shape ({l},), got {np.shape(part)}")
 
     @property
     def n_steps(self) -> int:
@@ -252,7 +277,6 @@ def step(model: RobotModel, state: RobotState, u: np.ndarray, dt: float) -> Robo
     The post-state is finite and satisfies ||A(q) q_dot|| <= DRIFT_HARD_LIMIT,
     or a SimulationError is raised.
     """
-    u = np.asarray(u, dtype=float)
     if (u < model.u_min - VIOLATION_TOL).any() or (u > model.u_max + VIOLATION_TOL).any():
         warnings.warn("actuation outside its box limits", stacklevel=2)
     Bu = model.actuation.dot(u)
@@ -337,7 +361,10 @@ def simulate(scenario: Scenario) -> SimTrace:
 
             frame = build_frame(model, state)
             task = build_task(frame, scenario.task)
-            x_d, x_d_dot, x_d_ddot = scenario.reference(t)
+            x_d, x_d_dot, x_d_ddot = sample = scenario.reference(t)  # Scenario checked its shape
+            if not (np.isfinite(x_d).all() and np.isfinite(x_d_dot).all() and np.isfinite(x_d_ddot).all()):
+                got = [np.asarray(part).tolist() for part in sample]
+                raise InputError(f"reference sample ({', '.join(REFERENCE_PARTS)}) must be finite, got {got}")
             if scenario.controller == "tracking":
                 cmd = tracking_torque(frame, task, x_d, x_d_dot, x_d_ddot, scenario.gains)
             else:

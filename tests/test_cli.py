@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +293,25 @@ class TestConfigValidation:
         assert err.value.path == field
         assert main(["run", str(path), "--quiet"]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "reference, field",
+        [
+            ({"frequency": [1e160]}, "frequency"),  # a * w**2 overflows
+            ({"amplitude": [1e300], "frequency": [1e100]}, "frequency"),  # a * w overflows
+            ({"center": [1e308], "amplitude": [1e308]}, "amplitude"),  # |center| + |amplitude| overflows
+        ],
+    )
+    def test_sinusoid_overflow_is_a_config_error(self, tmp_path, reference, field):
+        # finite config numbers whose gains overflow: exit 2 naming the field, with no numpy warning
+        overrides = {f"task.reference.{key}": value for key, value in reference.items()}
+        path, _ = short_config(tmp_path, **overrides)
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        result = subprocess.run([sys.executable, "-W", "error", "-m", "projctl.cli", "run", str(path), "--quiet"],
+                                env=env, capture_output=True, encoding="utf-8", timeout=120)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"config error: task.reference.{field}: "), result.stderr
+        assert "overflows" in result.stderr and "Warning" not in result.stderr
 
     def test_joint_task_indices_load(self, tmp_path):
         task = {"type": "joint", "indices": [2, 0], "reference": {"type": "constant", "value": [0.0, 0.0]}}

@@ -42,13 +42,6 @@ class TestControllerGains:
         with pytest.raises(InputError, match=f"^{field} "):
             ControllerGains(K_P=K_P, K_D=K_D)
 
-    def test_laws_check_only_dimensions(self, arm, rng):
-        state = random_manifold_state(arm, rng, ARM_HOME)
-        frame, task = arm_setup(arm, state)
-        gains = ControllerGains.critically_damped(2, 5.0)
-        with pytest.raises(InputError, match="K_P must be 1x1"):
-            tracking_torque(frame, task, task.x, np.zeros(1), np.zeros(1), gains)
-
 
 class TestTrackingTorque:
     def test_zero_on_reference_at_rest(self):
@@ -105,12 +98,6 @@ class TestTrackingTorque:
             zeta = (x_d_ddot - xdd) + GAINS1.K_D @ e_dot + GAINS1.K_P @ e
             assert np.abs(zeta).max() <= 1e-6
 
-    def test_rejects_nonfinite_reference(self, arm):
-        state = manifold_state(arm, ARM_HOME, scale=0.0)
-        frame, task = arm_setup(arm, state)
-        with pytest.raises(InputError):
-            tracking_torque(frame, task, np.array([np.nan]), np.zeros(1), np.zeros(1), GAINS1)
-
 
 class TestRegulationTorque:
     def gains(self, n):
@@ -131,13 +118,11 @@ class TestRegulationTorque:
         cmd = regulation_torque(frame, task, task.x, self.gains(3))
         assert np.allclose(cmd.tau_c, -frame.P @ frame.tau_g, atol=1e-12)
 
-    def test_membership_and_dims(self, arm, rng):
+    def test_admissible_force_space_membership(self, arm, rng):
         state = random_manifold_state(arm, rng, ARM_HOME)
         frame, task = arm_setup(arm, state)
         cmd = regulation_torque(frame, task, task.x + 0.1, self.gains(3))
         assert np.abs((np.eye(3) - frame.P) @ cmd.tau_c).max() <= 1e-10
-        with pytest.raises(InputError):
-            regulation_torque(frame, task, task.x, ControllerGains(np.eye(1), np.eye(2)))
 
 
 class TestMinNormActuation:

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import re
 import sys
+import warnings
 from collections import Counter
 from functools import lru_cache
 
@@ -659,6 +660,20 @@ class TestSimulate:
         with pytest.raises(InputError, match=name):
             sinusoid_reference(*args)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (([0.0], [0.015], [1e160]), "frequency_hz"),
+            (([0.0], [1e300], [1e100]), "frequency_hz"),
+            (([1e308], [1e308], [1.0]), "amplitude"),
+        ],
+    )
+    def test_sinusoid_overflow_rejected_without_warning(self, args, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"^{name} overflows: "):
+                sinusoid_reference(*args)
+
     def test_sinusoid_shares_single_entries(self):
         x_d, x_d_dot, _ = sinusoid_reference([0.0, 1.0], 0.5, [1.0], [0.0, np.pi / 2])(0.0)
         assert np.allclose(x_d, [0.0, 1.5])
@@ -684,8 +699,53 @@ class TestSimulate:
             return scn.reference(t)
 
         gains = ControllerGains(K_P=16.0 * np.eye(1), K_D=10.0 * np.eye(3)) if controller == "regulation" else scn.gains
-        simulate(dataclasses.replace(scn, reference=counted, controller=controller, gains=gains))
+        counted_scn = dataclasses.replace(scn, reference=counted, controller=controller, gains=gains)
+        times.clear()  # the Scenario's own shape check sampled t = 0 once
+        simulate(counted_scn)
         assert times == [i * scn.dt for i in range(scn.n_steps + 1)]
+
+    @pytest.mark.parametrize(
+        "controller, kp_dim, kd_dim, field",
+        [
+            ("tracking", 2, 1, "K_P"),
+            ("tracking", 1, 3, "K_D"),
+            ("regulation", 2, 3, "K_P"),
+            ("regulation", 1, 1, "K_D"),
+        ],
+    )
+    def test_wrong_gain_dimensions_rejected_at_construction(self, arm, controller, kp_dim, kd_dim, field):
+        # the laws check nothing per tick: K_P is l x l, K_D l x l for tracking and n x n for regulation
+        scn = self.arm_scenario(arm)
+        gains = ControllerGains(K_P=np.eye(kp_dim), K_D=np.eye(kd_dim))
+        with pytest.raises(InputError, match=f"^{field} must be "):
+            dataclasses.replace(scn, controller=controller, gains=gains)
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_wrong_reference_shape_rejected_at_construction(self, arm, part):
+        scn = self.arm_scenario(arm)
+        name = ("x_d", "x_d_dot", "x_d_ddot")[part]
+
+        def reference(t):
+            sample = list(scn.reference(t))
+            sample[part] = np.zeros(2)
+            return tuple(sample)
+
+        with pytest.raises(InputError, match=re.escape(f"reference {name} must have shape (1,), got (2,)")):
+            dataclasses.replace(scn, reference=reference)
+
+    @pytest.mark.parametrize("controller", ["tracking", "regulation"])
+    def test_non_finite_reference_sample_rejected_at_its_step(self, arm, controller):
+        scn = self.arm_scenario(arm, duration=0.01)
+
+        def reference(t):
+            x_d, x_d_dot, x_d_ddot = scn.reference(t)
+            return (x_d * np.nan if t >= 2 * scn.dt else x_d), x_d_dot, x_d_ddot
+
+        gains = ControllerGains(K_P=16.0 * np.eye(1), K_D=10.0 * np.eye(3)) if controller == "regulation" else scn.gains
+        with pytest.raises(InputError) as err:
+            simulate(dataclasses.replace(scn, reference=reference, controller=controller, gains=gains))
+        assert str(err.value).startswith("step 2, t=0.0020, active [0]: reference sample (x_d, x_d_dot, x_d_ddot) "
+                                         "must be finite, got [[nan], ")
 
     def test_duration_must_match_dt(self, arm):
         scn = self.arm_scenario(arm)
